@@ -2,7 +2,7 @@
 """Compare the three evaluation strategies on one transform term.
 
 iterative        plain recurrence iteration, O(n) ring operations
-matrix-power     companion-matrix square-and-multiply, O(log n) products
+lucas-doubling   Lucas doubling over (U(n), U(n+1)), O(log n) products
 direct-sum       the definitional weighted binomial sum, O(n) fat products
 
 The direct sum is definitionally correct but hopeless at large n (its
@@ -32,7 +32,7 @@ DIRECT_CAP = 2000
 rec = transform_recurrence(TransformKind.BINOMIAL, K_VALUE)
 
 print(f"binomial transform, k={K_VALUE}")
-print(f"{'n':>9}  {'iterative':>12}  {'matrix-power':>12}  {'direct-sum':>12}")
+print(f"{'n':>9}  {'iterative':>12}  {'lucas-doubling':>14}  {'direct-sum':>12}")
 for n in (100, 1000, 10000, 100000):
     t0 = time.perf_counter()
     v_iter = term_iterative(rec, n)
@@ -51,7 +51,7 @@ for n in (100, 1000, 10000, 100000):
         direct_cell = f"{t_dir:>10.4f}s"
     else:
         direct_cell = "   skipped"
-    print(f"{n:>9}  {t_iter:>11.4f}s  {t_fast:>11.4f}s  {direct_cell:>12}"
+    print(f"{n:>9}  {t_iter:>11.4f}s  {t_fast:>13.4f}s  {direct_cell:>12}"
           f"   ({len(str(v_iter))} digits)")
 
 print()

@@ -156,10 +156,11 @@ def _cmd_gf(args, parser, out) -> int:
             parser.error("gf needs either --k or --symbolic")
         _check_k(parser, args.k)
         k = args.k
+    if args.count is not None:
+        _check_count(parser, args.count)
     gf = derived_gf(kind, k)
     out.write(gf_str(gf) + "\n")
     if args.count is not None:
-        _check_count(parser, args.count)
         _emit_terms(gf_expand(gf, args.count), "plain", out)
     return 0
 
@@ -171,8 +172,12 @@ def _cmd_binet(args, parser, out) -> int:
     rec = transform_recurrence(_KIND_BY_NAME[args.kind], args.k)
     if args.exact:
         out.write(elem_str(binet_closed(rec, args.n)) + "\n")
-    else:
-        out.write(repr(binet_float(rec, args.n)) + "\n")
+        return 0
+    try:
+        value = binet_float(rec, args.n)
+    except OverflowError as exc:
+        parser.error(f"{exc}; use --exact for the exact value")
+    out.write(repr(value) + "\n")
     return 0
 
 
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--fast", action="store_true",
-                   help="use the logarithmic companion-matrix path per index")
+                   help="use the logarithmic Lucas-doubling path per index")
     p.add_argument("--format", choices=FORMATS, default="plain")
 
     p = sub.add_parser("transform", help="generate one of the four transforms")

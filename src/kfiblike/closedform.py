@@ -6,7 +6,8 @@ Three evaluators with very different trust levels:
   characteristic polynomial x^2 - P x + Q are carried algebraically by the
   Lucas sequence U(P, Q), so x(n) = x1*U(n) - Q*x0*U(n-1) holds in exact
   arithmetic for every second-order recurrence, both carriers.  This is the
-  library's ground-truth Binet.
+  library's ground-truth Binet, evaluated in O(log n) ring products by Lucas
+  doubling.
 * :func:`binet_float` -- the textbook double-precision root formula,
   C1*r1^n + C2*r2^n.  Useful as a sanity cross-check; accuracy is bounded
   (and tested) at 1e-9 relative for n <= 40, k <= 5.
@@ -20,8 +21,8 @@ Three evaluators with very different trust levels:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Tuple
 
 from .ring import (
     KPoly,
@@ -30,13 +31,11 @@ from .ring import (
     const_like,
     mul,
     neg,
-    one_like,
     require_same_mode,
     scale,
     sub,
-    zero_like,
 )
-from .sequences import Order2Rec
+from .sequences import Order2Rec, lucas_pair
 from .transforms import TransformKind, transform_recurrence
 
 
@@ -64,38 +63,26 @@ def lucas_u(P: RingElem, Q: RingElem, n: int) -> RingElem:
     """Lucas sequence of the first kind: U0=0, U1=1, U(n+1) = P*U(n) - Q*U(n-1).
 
     Equals (r1^n - r2^n)/(r1 - r2) over the roots of x^2 - P x + Q, but stays
-    in the exact ring: no radicals, no division.
+    in the exact ring: no radicals, no division.  O(log n) ring products by
+    Lucas doubling (:func:`~kfiblike.sequences.lucas_pair`).
     """
-    require_same_mode(P, Q)
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    u_prev, u_cur = zero_like(P), one_like(P)
-    for _ in range(n):
-        u_prev, u_cur = u_cur, sub(mul(P, u_cur), mul(Q, u_prev))
-    return u_prev
-
-
-def _lucas_pair(P: RingElem, Q: RingElem, n: int) -> Tuple[RingElem, RingElem]:
-    """(U(n-1), U(n)) for n >= 1 in a single pass."""
-    u_prev, u_cur = zero_like(P), one_like(P)
-    for _ in range(n - 1):
-        u_prev, u_cur = u_cur, sub(mul(P, u_cur), mul(Q, u_prev))
-    return u_prev, u_cur
+    return lucas_pair(P, Q, n)[0]
 
 
 def binet_closed(rec: Order2Rec, n: int) -> RingElem:
     """Exact closed-form term: x(n) = x1*U(n) - Q*x0*U(n-1), x(0) = x0.
 
-    n = 0 is special-cased so U(-1) = -1/Q never materialises; the carrier
-    stays division free.
+    O(log n) ring products: U(n-1) and U(n) come from one Lucas doubling
+    pass.  n = 0 is special-cased so U(-1) = -1/Q never materialises; the
+    carrier stays division free.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
         return rec.x0
     qc = QuadChar.from_rec(rec)
-    u_prev, u_cur = _lucas_pair(qc.P, qc.Q, n)
-    return sub(mul(rec.x1, u_cur), mul(qc.Q, mul(rec.x0, u_prev)))
+    u_prev, u_cur = lucas_pair(qc.P, qc.Q, n - 1)
+    return rec.x1 * u_cur - qc.Q * (rec.x0 * u_prev)
 
 
 def binet_float(rec: Order2Rec, n: int) -> float:
@@ -103,7 +90,8 @@ def binet_float(rec: Order2Rec, n: int) -> float:
 
     Numeric mode only, and only for recurrences with a positive discriminant
     (true of all four transform families for every k >= 1).  Relative error
-    against :func:`binet_closed` is within 1e-9 for n <= 40, k <= 5.
+    against :func:`binet_closed` is within 1e-9 for n <= 40, k <= 5.  Raises
+    OverflowError when the value does not fit in a double.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
@@ -118,7 +106,15 @@ def binet_float(rec: Order2Rec, n: int) -> float:
     r2 = (qc.P - sq) / 2.0
     c1 = (rec.x1 - rec.x0 * r2) / (r1 - r2)
     c2 = (rec.x0 * r1 - rec.x1) / (r1 - r2)
-    return c1 * r1**n + c2 * r2**n
+    try:
+        value = c1 * r1**n + c2 * r2**n
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(
+            f"x({n}) is beyond the double-precision range (max {sys.float_info.max:.4g})"
+        )
+    return value
 
 
 def published_binet(kind: TransformKind, k: RingElem, n: int) -> RingElem:
@@ -140,5 +136,5 @@ def published_binet(kind: TransformKind, k: RingElem, n: int) -> RingElem:
     else:
         c1 = add(scale(k, 2), const_like(2, k))
         c2 = const_like(-2, k)
-    u_prev, u_cur = _lucas_pair(qc.P, qc.Q, n)
-    return add(mul(c1, u_cur), mul(c2, u_prev))
+    u_prev, u_cur = lucas_pair(qc.P, qc.Q, n - 1)
+    return c1 * u_cur + c2 * u_prev

@@ -151,14 +151,6 @@ K = KPoly((0, 1))
 RingElem = Union[int, KPoly]
 
 
-def is_symbolic(x: RingElem) -> bool:
-    return isinstance(x, KPoly)
-
-
-def same_mode(x: RingElem, y: RingElem) -> bool:
-    return isinstance(x, KPoly) == isinstance(y, KPoly)
-
-
 def require_same_mode(*elems: RingElem) -> None:
     """Reject mixed numeric/symbolic operands before any arithmetic runs."""
     symbolic = [isinstance(e, KPoly) for e in elems]

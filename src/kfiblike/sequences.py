@@ -7,15 +7,17 @@ closed forms, generating functions) is expressed over :class:`Order2Rec`, so
 the four transform recurrences reuse the same machinery.
 
 ``terms``/``iter_terms`` are the deliberately simple ground truth.  The
-logarithmic companion-matrix path lives in :func:`term_fast` and is never used
-implicitly, so cross-checks against it stay meaningful.
+logarithmic path is Lucas doubling: :func:`lucas_pair` is the one kernel
+behind :func:`term_fast` here and the exact Binet forms in ``closedform``.
+It is never used implicitly, so cross-checks against iteration stay
+meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from .ring import (
     RingElem,
@@ -48,21 +50,22 @@ class Order2Rec:
         require_same_mode(self.a, self.b, self.x0, self.x1)
 
 
-def _require_valid_k(k: RingElem) -> None:
+def require_valid_k(k: RingElem) -> None:
+    """Reject a numeric k < 1; symbolic k is always valid."""
     if isinstance(k, int) and k < 1:
         raise ValueError(f"numeric k must be >= 1, got {k}")
 
 
 def modified_k_fib(k: RingElem) -> Order2Rec:
     """The modified k-Fibonacci-like sequence: x(n+1) = k*x(n) + x(n-1), 2, 2."""
-    _require_valid_k(k)
+    require_valid_k(k)
     two = const_like(2, k)
     return Order2Rec(a=k, b=one_like(k), x0=two, x1=two, label=f"M(k={k})")
 
 
 def k_fib(k: RingElem) -> Order2Rec:
     """The k-Fibonacci sequence: same recurrence with x0 = 0, x1 = 1."""
-    _require_valid_k(k)
+    require_valid_k(k)
     return Order2Rec(a=k, b=one_like(k), x0=zero_like(k), x1=one_like(k), label=f"F(k={k})")
 
 
@@ -95,39 +98,49 @@ def term_iterative(rec: Order2Rec, n: int) -> RingElem:
     return cur
 
 
-def _mat_mul(m, n):
-    # 2x2 matrices as 4-tuples (m00, m01, m10, m11) over either carrier.
-    return (
-        add(mul(m[0], n[0]), mul(m[1], n[2])),
-        add(mul(m[0], n[1]), mul(m[1], n[3])),
-        add(mul(m[2], n[0]), mul(m[3], n[2])),
-        add(mul(m[2], n[1]), mul(m[3], n[3])),
-    )
+def lucas_pair(P: RingElem, Q: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+    """(U(n), U(n+1)) of the Lucas sequence U0 = 0, U1 = 1, U(m+1) = P*U(m) - Q*U(m-1).
+
+    Left-to-right doubling over the bits of n after the leading one, from
+    (U(1), U(2)) = (1, P), in O(log n) ring products:
+
+        U(2m)   = U(m) * (2*U(m+1) - P*U(m))
+        U(2m+1) = U(m+1)^2 - Q*U(m)^2
+        U(2m+2) = U(m+1) * (P*U(m+1) - 2*Q*U(m))
+
+    (Joye & Quisquater, "Efficient computation of full Lucas sequences",
+    Electronics Letters, 1996.)  Only ``+ - *`` and no division, so the same
+    code runs on int and KPoly; the mode is checked once, here.
+    """
+    require_same_mode(P, Q)
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    if n == 0:
+        return zero_like(P), one_like(P)
+    u, v = one_like(P), P
+    for bit in bin(n)[3:]:
+        odd = v * v - Q * (u * u)
+        if bit == "1":
+            qu = Q * u
+            u, v = odd, v * (P * v - qu - qu)
+        else:
+            u, v = u * (v + v - P * u), odd
+    return u, v
 
 
 def term_fast(rec: Order2Rec, n: int) -> RingElem:
-    """x(n) via companion-matrix exponentiation in O(log n) ring products.
+    """x(n) = x0*U(n+1) + (x1 - a*x0)*U(n) over U(a, -b), in O(log n) products.
 
-    Opt-in fast path: [[a, b], [1, 0]]^n maps (x1, x0) to (x(n+1), x(n)),
-    so the bottom row of the power yields x(n) for every n >= 0.
+    Opt-in fast path through :func:`lucas_pair`; b*U(n-1) = U(n+1) - a*U(n)
+    keeps the combination free of U(-1) at n = 0.
     """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    one, zero = one_like(rec.a), zero_like(rec.a)
-    acc = (one, zero, zero, one)
-    base = (rec.a, rec.b, one, zero)
-    e = n
-    while e:
-        if e & 1:
-            acc = _mat_mul(acc, base)
-        base = _mat_mul(base, base)
-        e >>= 1
-    return add(mul(acc[2], rec.x1), mul(acc[3], rec.x0))
+    u, u_next = lucas_pair(rec.a, -rec.b, n)
+    return rec.x0 * u_next + (rec.x1 - rec.a * rec.x0) * u
 
 
 def m_from_f(k: RingElem, n: int) -> RingElem:
     """M(n) reconstructed as 2*(F(n) + F(n-1)); defined for n >= 1."""
-    _require_valid_k(k)
+    require_valid_k(k)
     if n < 1:
         raise ValueError("the F-to-M identity needs n >= 1 (F(-1) is undefined)")
     fs = terms(k_fib(k), n + 1)
@@ -140,7 +153,7 @@ def f_from_m(k: RingElem, n: int) -> RingElem:
     The sum is even for every valid input, so the exact halving cannot fail
     unless the implementation itself is broken.
     """
-    _require_valid_k(k)
+    require_valid_k(k)
     if n < 1:
         raise ValueError("the alternating-sum identity needs n >= 1")
     ms = terms(modified_k_fib(k), n + 1)

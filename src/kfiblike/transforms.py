@@ -25,7 +25,6 @@ published definitions carry is deliberately out of scope.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Sequence, Tuple
@@ -42,7 +41,7 @@ from .ring import (
     sub,
     zero_like,
 )
-from .sequences import Order2Rec, terms
+from .sequences import Order2Rec, require_valid_k, terms
 
 
 class TransformKind(Enum):
@@ -97,7 +96,6 @@ class TransformSeq:
 PASCAL_CACHE_LIMIT = 512
 
 _pascal_rows: List[List[int]] = [[1]]
-_pascal_lock = threading.Lock()
 
 
 def pascal_row(n: int) -> Sequence[int]:
@@ -107,14 +105,12 @@ def pascal_row(n: int) -> Sequence[int]:
     """
     if n < 0:
         raise ValueError("row index must be >= 0")
-    if n >= len(_pascal_rows):
-        with _pascal_lock:
-            while n >= len(_pascal_rows):
-                prev = _pascal_rows[-1]
-                row = [1]
-                row.extend(prev[i] + prev[i + 1] for i in range(len(prev) - 1))
-                row.append(1)
-                _pascal_rows.append(row)
+    while n >= len(_pascal_rows):
+        prev = _pascal_rows[-1]
+        row = [1]
+        row.extend(prev[i] + prev[i + 1] for i in range(len(prev) - 1))
+        row.append(1)
+        _pascal_rows.append(row)
     return _pascal_rows[n]
 
 
@@ -154,25 +150,18 @@ def binomial_coeff(n: int, i: int) -> int:
 # Direct sums are Theta(n) terms each; sweeping n without a shared M prefix
 # would make every audit pass quadratic in big-integer work all over again.
 _m_cache: Dict[RingElem, List[RingElem]] = {}
-_m_lock = threading.Lock()
 
 
 def m_prefix(k: RingElem, count: int) -> List[RingElem]:
     """First ``count`` terms of M for this k, from a monotonically grown cache."""
-    _require_transform_k(k)
-    with _m_lock:
-        cached = _m_cache.get(k)
-        if cached is None:
-            two = const_like(2, k)
-            cached = _m_cache[k] = [two, two]
-        while len(cached) < count:
-            cached.append(add(mul(k, cached[-1]), cached[-2]))
-        return cached[:count]
-
-
-def _require_transform_k(k: RingElem) -> None:
-    if isinstance(k, int) and k < 1:
-        raise ValueError(f"numeric k must be >= 1, got {k}")
+    require_valid_k(k)
+    cached = _m_cache.get(k)
+    if cached is None:
+        two = const_like(2, k)
+        cached = _m_cache[k] = [two, two]
+    while len(cached) < count:
+        cached.append(add(mul(k, cached[-1]), cached[-2]))
+    return cached[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +170,7 @@ def _require_transform_k(k: RingElem) -> None:
 
 def transform_direct(kind: TransformKind, k: RingElem, n: int) -> RingElem:
     """Term n of the transform, straight from the weighted-sum definition."""
-    _require_transform_k(k)
+    require_valid_k(k)
     if n < 0:
         raise ValueError("index must be >= 0")
     row = binomial_row(n)
@@ -213,7 +202,7 @@ def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:
     rising-k    x(n+1) = (k^2+2) x(n) - x(n-1)            x0 = 2, x1 = 2k+2
     falling-k   x(n+1) = 3k x(n) - (2k^2-1) x(n-1)        x0 = 2, x1 = 2k+2
     """
-    _require_transform_k(k)
+    require_valid_k(k)
     two = const_like(2, k)
     ksq = mul(k, k)
     if kind is TransformKind.BINOMIAL:
@@ -253,7 +242,7 @@ def transform_seq(
 
 def binomial_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(b(n+1) - b(n),  sum_i C(n,i) * M(i+1))."""
-    _require_transform_k(k)
+    require_valid_k(k)
     lhs = sub(
         transform_direct(TransformKind.BINOMIAL, k, n + 1),
         transform_direct(TransformKind.BINOMIAL, k, n),
@@ -268,7 +257,7 @@ def binomial_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
 
 def falling_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(f(n+1) - k*f(n),  sum_i C(n,i) * k^(n-i) * M(i+1))."""
-    _require_transform_k(k)
+    require_valid_k(k)
     lhs = sub(
         transform_direct(TransformKind.FALLING_K, k, n + 1),
         mul(k, transform_direct(TransformKind.FALLING_K, k, n)),
@@ -286,7 +275,7 @@ def falling_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
 
 def rising_even_index(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(rising transform at n,  M(2n)): the rising sum walks the even indices."""
-    _require_transform_k(k)
+    require_valid_k(k)
     lhs = transform_direct(TransformKind.RISING_K, k, n)
     rhs = m_prefix(k, 2 * n + 1)[2 * n]
     return lhs, rhs
@@ -294,7 +283,7 @@ def rising_even_index(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
 
 def w_scaling(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(k-binomial transform at n,  k^n * binomial transform at n)."""
-    _require_transform_k(k)
+    require_valid_k(k)
     lhs = transform_direct(TransformKind.K_BINOMIAL, k, n)
     rhs = mul(ipow(k, n), transform_direct(TransformKind.BINOMIAL, k, n))
     return lhs, rhs

@@ -140,6 +140,13 @@ def test_gf_requires_k_or_symbolic():
     assert proc.returncode == 2
 
 
+def test_gf_rejects_negative_count_before_output():
+    proc = run_subprocess(["gf", "binomial", "--k", "2", "--count", "-3"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"--count must be >= 0" in proc.stderr
+
+
 def test_binet_exact(capsys):
     code, out, _ = run_cli(capsys, ["binet", "binomial", "--k", "2", "--n", "5", "--exact"])
     assert code == 0
@@ -150,6 +157,15 @@ def test_binet_float(capsys):
     code, out, _ = run_cli(capsys, ["binet", "rising", "--k", "2", "--n", "5"])
     assert code == 0
     assert abs(float(out) - 6726) / 6726 <= 1e-9
+
+
+def test_binet_float_overflow_is_usage_error():
+    proc = run_subprocess(["binet", "rising", "--k", "2", "--n", "2000"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"double-precision range" in proc.stderr
+    assert b"--exact" in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_audit_exit_zero_and_formats(capsys):
