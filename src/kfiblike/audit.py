@@ -18,28 +18,46 @@ lists that disagree with their own definition: an auditor must not silently
 correct its subject.  Counterexamples follow a smallest-n-then-smallest-k
 policy so reruns always produce the same minimal repro, and report output is
 byte-identical for identical parameters.
+
+Each value is computed once per run.  The run's :class:`AuditConfig` carries a
+private table that fills on first use: each recurrence and its prefix (the
+four transform recurrences, M and F), and each direct sum
+``transform_direct(kind, k, n)``.  Every checker reads its values from that
+table, so the first claim to need a value pays for it and later claims reuse
+it.  A claim still compares two independent routes; a value shared between
+claims means a broken route shows in every claim that reads it.  The table
+belongs to the config, not to the module: a new config (one per
+:func:`run_audit` call) starts empty, and the returned report does not keep it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .closedform import binet_closed, binet_float, published_binet
 from .genfunc import derived_gf, gf_equal, gf_expand, published_gf
 from .ring import K, KPoly, RingElem, elem_str
-from .sequences import f_from_m, k_fib, m_from_f, modified_k_fib, terms
+from .sequences import (
+    Order2Rec,
+    _f_from_m_prefix,
+    _m_from_f_prefix,
+    k_fib,
+    modified_k_fib,
+    terms,
+)
 from .transforms import (
     KIND_ORDER,
+    DirectRoute,
     TransformKind,
-    binomial_diff_identity,
-    falling_diff_identity,
-    rising_even_index,
+    _binomial_diff_pair,
+    _falling_diff_pair,
+    _rising_even_pair,
+    _w_scaling_pair,
     transform_direct,
     transform_recurrence,
-    w_scaling,
 )
 
 SYMBOLIC_N_CAP = 16  # polynomial degree growth keeps symbolic sweeps desk-scale
@@ -71,12 +89,15 @@ class AuditConfig:
     k_max: int = 10
     n_max: int = 64
     symbolic: bool = True
+    # the run's shared route values; a new config starts with an empty table
+    _table: _RouteTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.k_min <= self.k_max):
             raise ValueError("need 1 <= k_min <= k_max")
         if self.n_max < 2:
             raise ValueError("need n_max >= 2")
+        object.__setattr__(self, "_table", _RouteTable(self.n_max, self.sym_n))
 
     @property
     def ks(self) -> range:
@@ -85,6 +106,44 @@ class AuditConfig:
     @property
     def sym_n(self) -> int:
         return min(self.n_max, SYMBOLIC_N_CAP)
+
+
+class _RouteTable:
+    """The route values of one audit run, each computed on first use.
+
+    Recurrences are kept per (kind, k), prefixes per recurrence and direct
+    sums per (kind, k, n).
+    """
+
+    def __init__(self, n_max: int, sym_n: int):
+        self._n_max = n_max
+        self._sym_n = sym_n
+        self._recs: Dict[Tuple[TransformKind, RingElem], Order2Rec] = {}
+        self._prefixes: Dict[Order2Rec, List[RingElem]] = {}
+        self._direct: Dict[Tuple[TransformKind, RingElem, int], RingElem] = {}
+
+    def recurrence(self, kind: TransformKind, k: RingElem) -> Order2Rec:
+        """``transform_recurrence(kind, k)``, built once per run."""
+        rec = self._recs.get((kind, k))
+        if rec is None:
+            rec = self._recs[kind, k] = transform_recurrence(kind, k)
+        return rec
+
+    def prefix(self, rec: Order2Rec) -> List[RingElem]:
+        """x(0) .. x(n_max) of ``rec``, or x(0) .. x(sym_n) for symbolic k."""
+        vals = self._prefixes.get(rec)
+        if vals is None:
+            n_top = self._sym_n if isinstance(rec.a, KPoly) else self._n_max
+            vals = self._prefixes[rec] = terms(rec, n_top + 1)
+        return vals
+
+    def direct(self, kind: TransformKind, k: RingElem, n: int) -> RingElem:
+        """``transform_direct(kind, k, n)``, computed once per run."""
+        key = (kind, k, n)
+        val = self._direct.get(key)
+        if val is None:
+            val = self._direct[key] = transform_direct(kind, k, n)
+        return val
 
 
 @dataclass(frozen=True)
@@ -284,25 +343,25 @@ PUBLISHED_M_POLYS: Dict[int, Tuple[int, ...]] = {
 
 def _sweep_pair(
     cfg: AuditConfig,
-    pair: Callable[[RingElem, int], Tuple[RingElem, RingElem]],
+    pair: Callable[[_RouteTable, RingElem, int], Tuple[RingElem, RingElem]],
     n_start: int = 0,
-    n_cap: Optional[int] = None,
 ) -> List[Counterexample]:
     """First (expected, got) disagreement, smallest n then smallest k.
 
-    ``pair(k, n)`` returns (expected, got); the numeric sweep runs first, the
-    symbolic leg afterwards (capped for polynomial-degree growth).
+    ``pair(table, k, n)`` returns (expected, got), reading shared values from
+    the run's table; the numeric sweep runs first, the symbolic leg afterwards
+    (capped for polynomial-degree growth).
     """
-    n_stop = cfg.n_max if n_cap is None else min(cfg.n_max, n_cap)
-    for n in range(n_start, n_stop + 1):
+    table = cfg._table
+    for n in range(n_start, cfg.n_max + 1):
         for k in cfg.ks:
-            expected, got = pair(k, n)
+            expected, got = pair(table, k, n)
             if expected != got:
                 return [Counterexample(k=k, n=n,
                                        expected=elem_str(expected), got=elem_str(got))]
     if cfg.symbolic:
-        for n in range(n_start, min(n_stop, cfg.sym_n) + 1):
-            expected, got = pair(K, n)
+        for n in range(n_start, cfg.sym_n + 1):
+            expected, got = pair(table, K, n)
             if expected != got:
                 return [Counterexample(k="k", n=n, expected=elem_str(expected),
                                        got=elem_str(got), label="symbolic")]
@@ -310,43 +369,47 @@ def _sweep_pair(
 
 
 def _check_direct_vs_recurrence(kind: TransformKind):
-    def pair(k: RingElem, n: int):
-        rec_val = terms(transform_recurrence(kind, k), n + 1)[n]
-        return transform_direct(kind, k, n), rec_val
+    def pair(table: _RouteTable, k: RingElem, n: int):
+        return table.direct(kind, k, n), table.prefix(table.recurrence(kind, k))[n]
 
     return lambda cfg: _sweep_pair(cfg, pair)
 
 
-def _check_identity_pair(fn: Callable[[RingElem, int], Tuple[RingElem, RingElem]],
-                         n_start: int = 0):
-    return lambda cfg: _sweep_pair(cfg, fn, n_start=n_start)
+def _check_identity_pair(
+    pair_on: Callable[[DirectRoute, RingElem, int], Tuple[RingElem, RingElem]],
+):
+    """A lemma pair whose transform terms come from the run's direct sums."""
+    def pair(table: _RouteTable, k: RingElem, n: int):
+        return pair_on(table.direct, k, n)
+
+    return lambda cfg: _sweep_pair(cfg, pair)
 
 
 def _check_m_from_f(cfg: AuditConfig) -> List[Counterexample]:
-    def pair(k: RingElem, n: int):
-        return terms(modified_k_fib(k), n + 1)[n], m_from_f(k, n)
+    def pair(table: _RouteTable, k: RingElem, n: int):
+        return table.prefix(modified_k_fib(k))[n], _m_from_f_prefix(table.prefix(k_fib(k)), n)
 
     return _sweep_pair(cfg, pair, n_start=1)
 
 
 def _check_f_from_m(cfg: AuditConfig) -> List[Counterexample]:
-    def pair(k: RingElem, n: int):
-        return terms(k_fib(k), n + 1)[n], f_from_m(k, n)
+    def pair(table: _RouteTable, k: RingElem, n: int):
+        return table.prefix(k_fib(k))[n], _f_from_m_prefix(table.prefix(modified_k_fib(k)), n)
 
     return _sweep_pair(cfg, pair, n_start=1)
 
 
 def _check_published_binet(kind: TransformKind):
-    def pair(k: RingElem, n: int):
-        return transform_direct(kind, k, n), published_binet(kind, k, n)
+    def pair(table: _RouteTable, k: RingElem, n: int):
+        return table.direct(kind, k, n), published_binet(kind, k, n)
 
     return lambda cfg: _sweep_pair(cfg, pair, n_start=1)
 
 
 def _check_exact_binet(kind: TransformKind):
-    def pair(k: RingElem, n: int):
-        rec = transform_recurrence(kind, k)
-        return terms(rec, n + 1)[n], binet_closed(rec, n)
+    def pair(table: _RouteTable, k: RingElem, n: int):
+        rec = table.recurrence(kind, k)
+        return table.prefix(rec)[n], binet_closed(rec, n)
 
     return lambda cfg: _sweep_pair(cfg, pair)
 
@@ -385,7 +448,7 @@ def _check_tables(labels_prefixes: Sequence[str]):
             if not any(fx.label.startswith(p) for p in labels_prefixes):
                 continue
             for n, printed in enumerate(fx.values):
-                computed = transform_direct(fx.kind, fx.k, n)
+                computed = cfg._table.direct(fx.kind, fx.k, n)
                 if printed != computed:
                     ces.append(Counterexample(k=fx.k, n=n, expected=str(printed),
                                               got=elem_str(computed), label=fx.label))
@@ -414,7 +477,7 @@ def _check_float_binet(cfg: AuditConfig) -> List[Counterexample]:
     for n in range(n_stop + 1):
         for k in range(cfg.k_min, k_stop + 1):
             for kind in KIND_ORDER:
-                rec = transform_recurrence(kind, k)
+                rec = cfg._table.recurrence(kind, k)
                 exact = binet_closed(rec, n)
                 approx = binet_float(rec, n)
                 if abs(approx - float(exact)) / float(exact) > tol:
@@ -455,28 +518,28 @@ def claim_registry() -> List[Claim]:
         description="difference lemma for the binomial transform",
         citation="b(n+1) - b(n) = sum_i C(n,i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_check_identity_pair(binomial_diff_identity),
+        checker=_check_identity_pair(_binomial_diff_pair),
     ))
     claims.append(Claim(
         id="C06",
         description="difference lemma for the falling k-binomial transform",
         citation="f(n+1) - k f(n) = sum_i C(n,i) k^(n-i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_check_identity_pair(falling_diff_identity),
+        checker=_check_identity_pair(_falling_diff_pair),
     ))
     claims.append(Claim(
         id="C07",
         description="rising k-binomial transform walks the even-index subsequence",
         citation="sum_i C(n,i) k^i M(i) = M(2n)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_check_identity_pair(rising_even_index),
+        checker=_check_identity_pair(_rising_even_pair),
     ))
     claims.append(Claim(
         id="C08",
         description="k-binomial transform is the k^n-scaled binomial transform",
         citation="w(n) = k^n b(n)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_check_identity_pair(w_scaling),
+        checker=_check_identity_pair(_w_scaling_pair),
     ))
     claims.append(Claim(
         id="C09",
@@ -594,4 +657,5 @@ def run_audit(
         results.append(ClaimResult(claim=claim, verdict=verdict,
                                    counterexamples=tuple(ces)))
     results.sort(key=lambda r: r.claim.id)
-    return AuditReport(config=cfg, results=tuple(results))
+    # a fresh config: the report must not keep this run's table alive
+    return AuditReport(config=replace(cfg), results=tuple(results))

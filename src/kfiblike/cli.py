@@ -258,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--fast", action="store_true",
-                   help="use the logarithmic Lucas-doubling path per index")
+                   help="compute each term on its own by Lucas doubling: an "
+                        "independent per-index cross-check of plain iteration, "
+                        "slower than it for a whole prefix, same output")
     p.add_argument("--format", choices=FORMATS, default="plain")
 
     p = sub.add_parser("transform", help="generate one of the four transforms")

@@ -24,17 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .ring import (
-    KPoly,
-    RingElem,
-    add,
-    const_like,
-    mul,
-    neg,
-    require_same_mode,
-    scale,
-    sub,
-)
+from .ring import KPoly, RingElem, const_like, require_same_mode, scale
 from .sequences import Order2Rec, lucas_pair
 from .transforms import TransformKind, transform_recurrence
 
@@ -52,11 +42,11 @@ class QuadChar:
     @classmethod
     def from_rec(cls, rec: Order2Rec) -> "QuadChar":
         # x(n+1) = a x(n) + b x(n-1)  <->  x^2 - a x - b
-        return cls(P=rec.a, Q=neg(rec.b))
+        return cls(P=rec.a, Q=-rec.b)
 
     @property
     def discriminant(self) -> RingElem:
-        return sub(mul(self.P, self.P), scale(self.Q, 4))
+        return self.P * self.P - scale(self.Q, 4)
 
 
 def lucas_u(P: RingElem, Q: RingElem, n: int) -> RingElem:
@@ -134,7 +124,7 @@ def published_binet(kind: TransformKind, k: RingElem, n: int) -> RingElem:
         c1: RingElem = const_like(4, k)
         c2: RingElem = scale(k, -2)
     else:
-        c1 = add(scale(k, 2), const_like(2, k))
+        c1 = scale(k, 2) + const_like(2, k)
         c2 = const_like(-2, k)
     u_prev, u_cur = lucas_pair(qc.P, qc.Q, n - 1)
     return c1 * u_cur + c2 * u_prev

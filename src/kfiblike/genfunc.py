@@ -24,16 +24,12 @@ from typing import List, Sequence, Tuple
 from .ring import (
     KPoly,
     RingElem,
-    add,
     const_like,
     elem_is_zero,
     ipow,
-    mul,
-    neg,
     one_like,
     require_same_mode,
     scale,
-    sub,
     zero_like,
 )
 from .sequences import Order2Rec
@@ -73,7 +69,7 @@ class XPoly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = add(out[i], c)
+            out[i] = out[i] + c
         return xpoly(out)
 
     def __mul__(self, other):
@@ -85,7 +81,7 @@ class XPoly:
         out: List[RingElem] = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j] = add(out[i + j], mul(a, b))
+                out[i + j] = out[i + j] + a * b
         return xpoly(out)
 
 
@@ -115,8 +111,8 @@ class RationalGF:
 
 def gf_from_rec(rec: Order2Rec) -> RationalGF:
     """Generating function of a recurrence: (x0 + (x1 - a x0) x) / (1 - a x - b x^2)."""
-    num = xpoly([rec.x0, sub(rec.x1, mul(rec.a, rec.x0))])
-    den = xpoly([one_like(rec.a), neg(rec.a), neg(rec.b)])
+    num = xpoly([rec.x0, rec.x1 - rec.a * rec.x0])
+    den = xpoly([one_like(rec.a), -rec.a, -rec.b])
     return RationalGF(num=num, den=den)
 
 
@@ -137,7 +133,7 @@ def gf_expand(gf: RationalGF, count: int) -> List[RingElem]:
             c = zero
         for j in range(1, len(dcs)):
             if n - j >= 0:
-                c = sub(c, mul(dcs[j], out[n - j]))
+                c = c - dcs[j] * out[n - j]
         out.append(c)
     return out
 
@@ -156,19 +152,19 @@ def published_gf(kind: TransformKind, k: RingElem) -> RationalGF:
     """
     two = const_like(2, k)
     one = one_like(k)
-    ksq = mul(k, k)
+    ksq = k * k
     if kind is TransformKind.BINOMIAL:
         num = xpoly([two, scale(k, -4)])
-        den = xpoly([one, neg(add(k, two)), k])
+        den = xpoly([one, -(k + two), k])
     elif kind is TransformKind.K_BINOMIAL:
         num = xpoly([two, scale(ksq, -2)])
-        den = xpoly([one, neg(mul(k, add(k, two))), ipow(k, 3)])
+        den = xpoly([one, -(k * (k + two)), ipow(k, 3)])
     elif kind is TransformKind.RISING_K:
-        num = xpoly([two, sub(scale(k, 2), add(scale(ksq, 2), two))])
-        den = xpoly([one, neg(add(ksq, two)), one])
+        num = xpoly([two, scale(k, 2) - (scale(ksq, 2) + two)])
+        den = xpoly([one, -(ksq + two), one])
     else:
-        num = xpoly([two, sub(two, scale(k, 4))])
-        den = xpoly([one, scale(k, -3), sub(scale(ksq, 2), one)])
+        num = xpoly([two, two - scale(k, 4)])
+        den = xpoly([one, scale(k, -3), scale(ksq, 2) - one])
     return RationalGF(num=num, den=den)
 
 

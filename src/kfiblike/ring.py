@@ -160,6 +160,9 @@ def require_same_mode(*elems: RingElem) -> None:
         )
 
 
+# Per-operation mode-checked arithmetic.  Library code uses the native
+# operators instead: Order2Rec, XPoly, RationalGF, QuadChar and lucas_pair
+# check the mode once on entry, and KPoly's operators reject int operands.
 def add(x: RingElem, y: RingElem) -> RingElem:
     require_same_mode(x, y)
     return x + y

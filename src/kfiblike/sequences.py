@@ -21,14 +21,11 @@ from typing import Iterator, List, Tuple
 
 from .ring import (
     RingElem,
-    add,
     const_like,
     exact_div_int,
-    mul,
     one_like,
     require_same_mode,
     scale,
-    sub,
     zero_like,
 )
 
@@ -75,7 +72,7 @@ def iter_terms(rec: Order2Rec) -> Iterator[RingElem]:
     yield prev
     yield cur
     while True:
-        prev, cur = cur, add(mul(rec.a, cur), mul(rec.b, prev))
+        prev, cur = cur, rec.a * cur + rec.b * prev
         yield cur
 
 
@@ -94,7 +91,7 @@ def term_iterative(rec: Order2Rec, n: int) -> RingElem:
         return rec.x0
     prev, cur = rec.x0, rec.x1
     for _ in range(n - 1):
-        prev, cur = cur, add(mul(rec.a, cur), mul(rec.b, prev))
+        prev, cur = cur, rec.a * cur + rec.b * prev
     return cur
 
 
@@ -143,8 +140,12 @@ def m_from_f(k: RingElem, n: int) -> RingElem:
     require_valid_k(k)
     if n < 1:
         raise ValueError("the F-to-M identity needs n >= 1 (F(-1) is undefined)")
-    fs = terms(k_fib(k), n + 1)
-    return scale(add(fs[n], fs[n - 1]), 2)
+    return _m_from_f_prefix(terms(k_fib(k), n + 1), n)
+
+
+def _m_from_f_prefix(fs: List[RingElem], n: int) -> RingElem:
+    """2*(F(n) + F(n-1)) read from a prefix holding at least F(0) .. F(n)."""
+    return scale(fs[n] + fs[n - 1], 2)
 
 
 def f_from_m(k: RingElem, n: int) -> RingElem:
@@ -156,9 +157,15 @@ def f_from_m(k: RingElem, n: int) -> RingElem:
     require_valid_k(k)
     if n < 1:
         raise ValueError("the alternating-sum identity needs n >= 1")
-    ms = terms(modified_k_fib(k), n + 1)
-    acc = zero_like(k)
+    return _f_from_m_prefix(terms(modified_k_fib(k), n + 1), n)
+
+
+def _f_from_m_prefix(ms: List[RingElem], n: int) -> RingElem:
+    """(1/2) sum_{i<n} (-1)^i M(n-i) read from a prefix holding at least M(0) .. M(n)."""
+    acc = zero_like(ms[0])
     for i in range(n):
-        term = ms[n - i]
-        acc = add(acc, term) if i % 2 == 0 else sub(acc, term)
+        if i % 2 == 0:
+            acc = acc + ms[n - i]
+        else:
+            acc = acc - ms[n - i]
     return exact_div_int(acc, 2)

@@ -27,20 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .ring import (
-    RingElem,
-    add,
-    const_like,
-    ipow,
-    mul,
-    neg,
-    one_like,
-    scale,
-    sub,
-    zero_like,
-)
+from .ring import RingElem, const_like, ipow, one_like, scale, zero_like
 from .sequences import Order2Rec, require_valid_k, terms
 
 
@@ -149,18 +138,25 @@ def binomial_coeff(n: int, i: int) -> int:
 
 # Direct sums are Theta(n) terms each; sweeping n without a shared M prefix
 # would make every audit pass quadratic in big-integer work all over again.
+# At most M_CACHE_K_LIMIT values of k keep a prefix; the oldest-inserted one
+# is dropped first, so a caller sweeping k cannot grow the cache without
+# bound.  The limit covers the default audit (k = 1..10 and symbolic k).
+M_CACHE_K_LIMIT = 16
+
 _m_cache: Dict[RingElem, List[RingElem]] = {}
 
 
 def m_prefix(k: RingElem, count: int) -> List[RingElem]:
-    """First ``count`` terms of M for this k, from a monotonically grown cache."""
+    """First ``count`` terms of M for this k, from a bounded prefix cache."""
     require_valid_k(k)
     cached = _m_cache.get(k)
     if cached is None:
+        if len(_m_cache) >= M_CACHE_K_LIMIT:
+            del _m_cache[next(iter(_m_cache))]
         two = const_like(2, k)
         cached = _m_cache[k] = [two, two]
     while len(cached) < count:
-        cached.append(add(mul(k, cached[-1]), cached[-2]))
+        cached.append(k * cached[-1] + cached[-2])
     return cached[:count]
 
 
@@ -178,20 +174,26 @@ def transform_direct(kind: TransformKind, k: RingElem, n: int) -> RingElem:
     if kind is TransformKind.BINOMIAL:
         powers = None
     else:
-        powers = [one_like(k)]
-        for _ in range(n):
-            powers.append(mul(powers[-1], k))
+        powers = _powers(k, n)
     acc = zero_like(k)
     for i in range(n + 1):
         term = scale(ms[i], row[i])
         if kind is TransformKind.K_BINOMIAL:
-            term = mul(term, powers[n])
+            term = term * powers[n]
         elif kind is TransformKind.RISING_K:
-            term = mul(term, powers[i])
+            term = term * powers[i]
         elif kind is TransformKind.FALLING_K:
-            term = mul(term, powers[n - i])
-        acc = add(acc, term)
+            term = term * powers[n - i]
+        acc = acc + term
     return acc
+
+
+def _powers(k: RingElem, n: int) -> List[RingElem]:
+    """[k^0, k^1, ..., k^n]."""
+    powers = [one_like(k)]
+    for _ in range(n):
+        powers.append(powers[-1] * k)
+    return powers
 
 
 def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:
@@ -204,19 +206,19 @@ def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:
     """
     require_valid_k(k)
     two = const_like(2, k)
-    ksq = mul(k, k)
+    ksq = k * k
     if kind is TransformKind.BINOMIAL:
-        a, b = add(k, two), neg(k)
+        a, b = k + two, -k
         x1: RingElem = const_like(4, k)
     elif kind is TransformKind.K_BINOMIAL:
-        a, b = mul(k, add(k, two)), neg(mul(ksq, k))
+        a, b = k * (k + two), -(ksq * k)
         x1 = scale(k, 4)
     elif kind is TransformKind.RISING_K:
-        a, b = add(ksq, two), const_like(-1, k)
-        x1 = add(scale(k, 2), two)
+        a, b = ksq + two, const_like(-1, k)
+        x1 = scale(k, 2) + two
     else:
-        a, b = scale(k, 3), neg(sub(scale(ksq, 2), one_like(k)))
-        x1 = add(scale(k, 2), two)
+        a, b = scale(k, 3), one_like(k) - scale(ksq, 2)
+        x1 = scale(k, 2) + two
     return Order2Rec(a=a, b=b, x0=two, x1=x1, label=f"{kind.value}(k={k})")
 
 
@@ -240,50 +242,59 @@ def transform_seq(
 # lemma-level identities, each side computed independently
 # ---------------------------------------------------------------------------
 
+#: The direct-sum route a lemma pair reads its transform terms from.
+DirectRoute = Callable[[TransformKind, RingElem, int], RingElem]
+
+
 def binomial_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(b(n+1) - b(n),  sum_i C(n,i) * M(i+1))."""
     require_valid_k(k)
-    lhs = sub(
-        transform_direct(TransformKind.BINOMIAL, k, n + 1),
-        transform_direct(TransformKind.BINOMIAL, k, n),
-    )
+    return _binomial_diff_pair(transform_direct, k, n)
+
+
+def _binomial_diff_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+    lhs = direct(TransformKind.BINOMIAL, k, n + 1) - direct(TransformKind.BINOMIAL, k, n)
     row = binomial_row(n)
     ms = m_prefix(k, n + 2)
     rhs = zero_like(k)
     for i in range(n + 1):
-        rhs = add(rhs, scale(ms[i + 1], row[i]))
+        rhs = rhs + scale(ms[i + 1], row[i])
     return lhs, rhs
 
 
 def falling_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(f(n+1) - k*f(n),  sum_i C(n,i) * k^(n-i) * M(i+1))."""
     require_valid_k(k)
-    lhs = sub(
-        transform_direct(TransformKind.FALLING_K, k, n + 1),
-        mul(k, transform_direct(TransformKind.FALLING_K, k, n)),
-    )
+    return _falling_diff_pair(transform_direct, k, n)
+
+
+def _falling_diff_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+    lhs = direct(TransformKind.FALLING_K, k, n + 1) - k * direct(TransformKind.FALLING_K, k, n)
     row = binomial_row(n)
     ms = m_prefix(k, n + 2)
-    powers = [one_like(k)]
-    for _ in range(n):
-        powers.append(mul(powers[-1], k))
+    powers = _powers(k, n)
     rhs = zero_like(k)
     for i in range(n + 1):
-        rhs = add(rhs, mul(scale(ms[i + 1], row[i]), powers[n - i]))
+        rhs = rhs + scale(ms[i + 1], row[i]) * powers[n - i]
     return lhs, rhs
 
 
 def rising_even_index(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(rising transform at n,  M(2n)): the rising sum walks the even indices."""
     require_valid_k(k)
-    lhs = transform_direct(TransformKind.RISING_K, k, n)
-    rhs = m_prefix(k, 2 * n + 1)[2 * n]
-    return lhs, rhs
+    return _rising_even_pair(transform_direct, k, n)
+
+
+def _rising_even_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+    return direct(TransformKind.RISING_K, k, n), m_prefix(k, 2 * n + 1)[2 * n]
 
 
 def w_scaling(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(k-binomial transform at n,  k^n * binomial transform at n)."""
     require_valid_k(k)
-    lhs = transform_direct(TransformKind.K_BINOMIAL, k, n)
-    rhs = mul(ipow(k, n), transform_direct(TransformKind.BINOMIAL, k, n))
-    return lhs, rhs
+    return _w_scaling_pair(transform_direct, k, n)
+
+
+def _w_scaling_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+    lhs = direct(TransformKind.K_BINOMIAL, k, n)
+    return lhs, ipow(k, n) * direct(TransformKind.BINOMIAL, k, n)

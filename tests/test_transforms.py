@@ -192,3 +192,19 @@ def test_symbolic_weights_match_scaled_binomial():
         w = transform_direct(TransformKind.K_BINOMIAL, K, n)
         b = transform_direct(TransformKind.BINOMIAL, K, n)
         assert w == mul(ipow(K, n), b)
+
+
+def test_m_prefix_cache_is_bounded_under_a_k_sweep():
+    from kfiblike import transforms
+    from kfiblike.sequences import modified_k_fib
+
+    limit = transforms.M_CACHE_K_LIMIT
+    assert limit >= 11  # the default audit's k = 1..10 plus symbolic k
+    for k in range(1, 2001):
+        assert m_prefix(k, 20) == terms(modified_k_fib(k), 20)
+        assert len(transforms._m_cache) <= limit
+    # evicted and still-cached k both give the right prefix
+    for k in (1, 2, 1000, 1999, 2000):
+        assert m_prefix(k, 30) == terms(modified_k_fib(k), 30)
+    assert m_prefix(K, 12) == terms(modified_k_fib(K), 12)
+    assert len(transforms._m_cache) <= limit
