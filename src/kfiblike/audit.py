@@ -42,8 +42,8 @@ from .genfunc import derived_gf, gf_equal, gf_expand, published_gf
 from .ring import K, KPoly, RingElem, elem_str
 from .sequences import (
     Order2Rec,
-    _f_from_m_prefix,
-    _m_from_f_prefix,
+    _f_from_m_terms,
+    _m_from_f_terms,
     k_fib,
     modified_k_fib,
     terms,
@@ -387,14 +387,14 @@ def _check_identity_pair(
 
 def _check_m_from_f(cfg: AuditConfig) -> List[Counterexample]:
     def pair(table: _RouteTable, k: RingElem, n: int):
-        return table.prefix(modified_k_fib(k))[n], _m_from_f_prefix(table.prefix(k_fib(k)), n)
+        return table.prefix(modified_k_fib(k))[n], _m_from_f_terms(table.prefix(k_fib(k)), n)
 
     return _sweep_pair(cfg, pair, n_start=1)
 
 
 def _check_f_from_m(cfg: AuditConfig) -> List[Counterexample]:
     def pair(table: _RouteTable, k: RingElem, n: int):
-        return table.prefix(k_fib(k))[n], _f_from_m_prefix(table.prefix(modified_k_fib(k)), n)
+        return table.prefix(k_fib(k))[n], _f_from_m_terms(table.prefix(modified_k_fib(k)), n)
 
     return _sweep_pair(cfg, pair, n_start=1)
 

@@ -8,12 +8,14 @@ registry) and ``bench`` (compare evaluation strategies).
 Exit status: 0 on success, 2 on usage errors, 1 on internal verification
 failure (a ``--verify`` mismatch, a benchmark value mismatch, or an
 implementation-class FAIL in the audit; published-source discrepancies do
-not fail the process).
+not fail the process), 3 on an unexpected internal error (any other
+exception, reported as one ``kfiblike: internal error: <Type>: <message>``
+line on stderr).
 
 Behaviour is controlled entirely by flags plus two environment variables:
-``KFIBLIKE_WIDTH`` (report width) and ``KFIBLIKE_COLOR`` (colour toggle for
-the audit text report).  All big integers are printed as plain decimal
-strings.
+``KFIBLIKE_WIDTH`` (report width, clamped to 20..1000) and ``KFIBLIKE_COLOR``
+(colour toggle for the audit text report).  All big integers are printed as
+plain decimal strings.
 """
 
 from __future__ import annotations
@@ -38,12 +40,7 @@ from .sequences import (
     term_iterative,
     terms,
 )
-from .transforms import (
-    TransformKind,
-    binomial_row,
-    transform_direct,
-    transform_recurrence,
-)
+from .transforms import TransformKind, transform_direct, transform_recurrence
 
 FORMATS = ("plain", "csv", "json-lines", "bfile")
 
@@ -51,11 +48,14 @@ _KIND_BY_NAME = {kind.value: kind for kind in TransformKind}
 
 DEFAULT_DIRECT_CAP = 2000
 
+# Report width bounds: the audit text rules off sections with "=" * width.
+MIN_WIDTH, MAX_WIDTH = 20, 1000
+
 
 def _env_width() -> int:
     raw = os.environ.get("KFIBLIKE_WIDTH", "")
     try:
-        return max(int(raw), 20)
+        return min(max(int(raw), MIN_WIDTH), MAX_WIDTH)
     except ValueError:
         return 80
 
@@ -218,7 +218,6 @@ def _cmd_bench(args, parser, out) -> int:
         t_fast, v_fast = _time_call(term_fast, rec, n)
         rows.append(("matrix-power", t_fast, v_fast, "yes" if v_fast == v_iter else "NO"))
         if n <= args.direct_cap:
-            binomial_row(n)  # warm the shared row cache; its one-time build is not the sum
             t_dir, v_dir = _time_call(transform_direct, kind, args.k, n)
             rows.append(("direct-sum", t_dir, v_dir, "yes" if v_dir == v_iter else "NO"))
         else:
@@ -333,6 +332,9 @@ def entry() -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = 1
+    except Exception as exc:
+        print(f"kfiblike: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 3
     sys.exit(code)
 
 

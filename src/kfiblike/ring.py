@@ -160,28 +160,6 @@ def require_same_mode(*elems: RingElem) -> None:
         )
 
 
-# Per-operation mode-checked arithmetic.  Library code uses the native
-# operators instead: Order2Rec, XPoly, RationalGF, QuadChar and lucas_pair
-# check the mode once on entry, and KPoly's operators reject int operands.
-def add(x: RingElem, y: RingElem) -> RingElem:
-    require_same_mode(x, y)
-    return x + y
-
-
-def sub(x: RingElem, y: RingElem) -> RingElem:
-    require_same_mode(x, y)
-    return x - y
-
-
-def mul(x: RingElem, y: RingElem) -> RingElem:
-    require_same_mode(x, y)
-    return x * y
-
-
-def neg(x: RingElem) -> RingElem:
-    return -x
-
-
 def scale(x: RingElem, c: int) -> RingElem:
     """Multiply a ring element by an integer scalar (mode preserving)."""
     if isinstance(x, KPoly):

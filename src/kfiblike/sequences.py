@@ -140,10 +140,10 @@ def m_from_f(k: RingElem, n: int) -> RingElem:
     require_valid_k(k)
     if n < 1:
         raise ValueError("the F-to-M identity needs n >= 1 (F(-1) is undefined)")
-    return _m_from_f_prefix(terms(k_fib(k), n + 1), n)
+    return _m_from_f_terms(terms(k_fib(k), n + 1), n)
 
 
-def _m_from_f_prefix(fs: List[RingElem], n: int) -> RingElem:
+def _m_from_f_terms(fs: List[RingElem], n: int) -> RingElem:
     """2*(F(n) + F(n-1)) read from a prefix holding at least F(0) .. F(n)."""
     return scale(fs[n] + fs[n - 1], 2)
 
@@ -157,10 +157,10 @@ def f_from_m(k: RingElem, n: int) -> RingElem:
     require_valid_k(k)
     if n < 1:
         raise ValueError("the alternating-sum identity needs n >= 1")
-    return _f_from_m_prefix(terms(modified_k_fib(k), n + 1), n)
+    return _f_from_m_terms(terms(modified_k_fib(k), n + 1), n)
 
 
-def _f_from_m_prefix(ms: List[RingElem], n: int) -> RingElem:
+def _f_from_m_terms(ms: List[RingElem], n: int) -> RingElem:
     """(1/2) sum_{i<n} (-1)^i M(n-i) read from a prefix holding at least M(0) .. M(n)."""
     acc = zero_like(ms[0])
     for i in range(n):

@@ -15,10 +15,12 @@ k-binomial to the plain binomial transform) are exposed as pair-producing
 functions: each returns (lhs, rhs) computed separately so a caller can check
 equality without trusting either side.
 
-Binomial coefficients are produced per row by Pascal addition (exact,
-division free) and cached monotonically; rows beyond the cache bound fall
-back to the exact multiplicative rule, whose divisions always divide evenly.
-Weight domain is k >= 1 (or symbolic k), so the degenerate k = 0 branch some
+Every direct sum, including the right-hand sides of the difference lemmas,
+is one pass of a single private kernel: it steps M's recurrence inline,
+takes C(n,i) from the exact multiplicative rule, and applies k^(n-i) by
+Horner's rule and k^i by a running power.  The module keeps no state between
+calls; a caller that reuses values (the audit) keeps its own table.  Weight
+domain is k >= 1 (or symbolic k), so the degenerate k = 0 branch some
 published definitions carry is deliberately out of scope.
 """
 
@@ -27,10 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Tuple
 
 from .ring import RingElem, const_like, ipow, one_like, scale, zero_like
-from .sequences import Order2Rec, require_valid_k, terms
+from .sequences import Order2Rec, modified_k_fib, require_valid_k, term_iterative, terms
 
 
 class TransformKind(Enum):
@@ -79,85 +81,13 @@ class TransformSeq:
 # binomial coefficients
 # ---------------------------------------------------------------------------
 
-# Rows up to this index are kept in a monotonically growing Pascal cache;
-# larger rows (bench scale) are rebuilt per call by the multiplicative rule
-# because caching dense rows of huge integers would cost gigabytes.
-PASCAL_CACHE_LIMIT = 512
-
-_pascal_rows: List[List[int]] = [[1]]
-
-
-def pascal_row(n: int) -> Sequence[int]:
-    """Row n of Pascal's triangle by pure addition, cached and shared.
-
-    The returned row is the cache's own storage; treat it as read-only.
-    """
-    if n < 0:
-        raise ValueError("row index must be >= 0")
-    while n >= len(_pascal_rows):
-        prev = _pascal_rows[-1]
-        row = [1]
-        row.extend(prev[i] + prev[i + 1] for i in range(len(prev) - 1))
-        row.append(1)
-        _pascal_rows.append(row)
-    return _pascal_rows[n]
-
-
-def multiplicative_row(n: int) -> List[int]:
-    """Row n via C(n,i+1) = C(n,i)*(n-i)//(i+1); every division is exact."""
-    if n < 0:
-        raise ValueError("row index must be >= 0")
-    row = [1]
-    c = 1
-    for i in range(n):
-        c = c * (n - i) // (i + 1)
-        row.append(c)
-    return row
-
-
-def binomial_row(n: int) -> Sequence[int]:
-    if n <= PASCAL_CACHE_LIMIT:
-        return pascal_row(n)
-    return multiplicative_row(n)
-
-
 def binomial_coeff(n: int, i: int) -> int:
     """C(n, i) with the usual convention C(n, i) = 0 outside 0 <= i <= n."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if i < 0 or i > n:
         return 0
-    if n <= PASCAL_CACHE_LIMIT:
-        return pascal_row(n)[i]
     return math.comb(n, i)
-
-
-# ---------------------------------------------------------------------------
-# prefix cache for the base sequence
-# ---------------------------------------------------------------------------
-
-# Direct sums are Theta(n) terms each; sweeping n without a shared M prefix
-# would make every audit pass quadratic in big-integer work all over again.
-# At most M_CACHE_K_LIMIT values of k keep a prefix; the oldest-inserted one
-# is dropped first, so a caller sweeping k cannot grow the cache without
-# bound.  The limit covers the default audit (k = 1..10 and symbolic k).
-M_CACHE_K_LIMIT = 16
-
-_m_cache: Dict[RingElem, List[RingElem]] = {}
-
-
-def m_prefix(k: RingElem, count: int) -> List[RingElem]:
-    """First ``count`` terms of M for this k, from a bounded prefix cache."""
-    require_valid_k(k)
-    cached = _m_cache.get(k)
-    if cached is None:
-        if len(_m_cache) >= M_CACHE_K_LIMIT:
-            del _m_cache[next(iter(_m_cache))]
-        two = const_like(2, k)
-        cached = _m_cache[k] = [two, two]
-    while len(cached) < count:
-        cached.append(k * cached[-1] + cached[-2])
-    return cached[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -165,35 +95,43 @@ def m_prefix(k: RingElem, count: int) -> List[RingElem]:
 # ---------------------------------------------------------------------------
 
 def transform_direct(kind: TransformKind, k: RingElem, n: int) -> RingElem:
-    """Term n of the transform, straight from the weighted-sum definition."""
+    """Term n of the transform, straight from the weighted-sum definition.
+
+    One pass over i = 0..n that steps M alongside the sum; nothing is cached,
+    so repeated calls cost the same and leave no state behind.
+    """
     require_valid_k(k)
     if n < 0:
         raise ValueError("index must be >= 0")
-    row = binomial_row(n)
-    ms = m_prefix(k, n + 1)
-    if kind is TransformKind.BINOMIAL:
-        powers = None
-    else:
-        powers = _powers(k, n)
+    two = const_like(2, k)
+    return _weighted_sum(kind, k, n, two, two)
+
+
+def _weighted_sum(kind: TransformKind, k: RingElem, n: int,
+                  x0: RingElem, x1: RingElem) -> RingElem:
+    """sum_i C(n,i) * weight(n,i) * x(i), where x(i+1) = k x(i) + x(i-1).
+
+    x runs M's recurrence inline from (x0, x1), never through ``Order2Rec``,
+    so this route stays independent of :func:`transform_recurrence`.  C(n,i)
+    follows the exact multiplicative rule, k^(n-i) is applied by Horner's
+    rule, k^i by a running power, and k^n once at the end.
+    """
+    horner = kind is TransformKind.FALLING_K
+    power = one_like(k) if kind is TransformKind.RISING_K else None
     acc = zero_like(k)
+    x, x_next = x0, x1
+    c = 1
     for i in range(n + 1):
-        term = scale(ms[i], row[i])
-        if kind is TransformKind.K_BINOMIAL:
-            term = term * powers[n]
-        elif kind is TransformKind.RISING_K:
-            term = term * powers[i]
-        elif kind is TransformKind.FALLING_K:
-            term = term * powers[n - i]
-        acc = acc + term
+        term = scale(x, c)
+        if power is not None:
+            term = term * power
+            power = power * k
+        acc = acc * k + term if horner else acc + term
+        x, x_next = x_next, k * x_next + x
+        c = c * (n - i) // (i + 1)
+    if kind is TransformKind.K_BINOMIAL:
+        acc = acc * ipow(k, n)
     return acc
-
-
-def _powers(k: RingElem, n: int) -> List[RingElem]:
-    """[k^0, k^1, ..., k^n]."""
-    powers = [one_like(k)]
-    for _ in range(n):
-        powers.append(powers[-1] * k)
-    return powers
 
 
 def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:
@@ -246,6 +184,12 @@ def transform_seq(
 DirectRoute = Callable[[TransformKind, RingElem, int], RingElem]
 
 
+def _m1_m2(k: RingElem) -> Tuple[RingElem, RingElem]:
+    """(M(1), M(2)) = (2, 2k + 2): the start of the shifted sums M(i+1)."""
+    two = const_like(2, k)
+    return two, scale(k, 2) + two
+
+
 def binomial_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(b(n+1) - b(n),  sum_i C(n,i) * M(i+1))."""
     require_valid_k(k)
@@ -254,12 +198,7 @@ def binomial_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
 
 def _binomial_diff_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     lhs = direct(TransformKind.BINOMIAL, k, n + 1) - direct(TransformKind.BINOMIAL, k, n)
-    row = binomial_row(n)
-    ms = m_prefix(k, n + 2)
-    rhs = zero_like(k)
-    for i in range(n + 1):
-        rhs = rhs + scale(ms[i + 1], row[i])
-    return lhs, rhs
+    return lhs, _weighted_sum(TransformKind.BINOMIAL, k, n, *_m1_m2(k))
 
 
 def falling_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
@@ -270,13 +209,7 @@ def falling_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
 
 def _falling_diff_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     lhs = direct(TransformKind.FALLING_K, k, n + 1) - k * direct(TransformKind.FALLING_K, k, n)
-    row = binomial_row(n)
-    ms = m_prefix(k, n + 2)
-    powers = _powers(k, n)
-    rhs = zero_like(k)
-    for i in range(n + 1):
-        rhs = rhs + scale(ms[i + 1], row[i]) * powers[n - i]
-    return lhs, rhs
+    return lhs, _weighted_sum(TransformKind.FALLING_K, k, n, *_m1_m2(k))
 
 
 def rising_even_index(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
@@ -286,7 +219,7 @@ def rising_even_index(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
 
 
 def _rising_even_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
-    return direct(TransformKind.RISING_K, k, n), m_prefix(k, 2 * n + 1)[2 * n]
+    return direct(TransformKind.RISING_K, k, n), term_iterative(modified_k_fib(k), 2 * n)
 
 
 def w_scaling(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:

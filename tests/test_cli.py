@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from kfiblike import cli
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -187,6 +189,29 @@ def test_audit_text_uses_env_width_and_color(capsys, monkeypatch):
     assert code == 0
     assert "=" * 40 in out
     assert "\x1b[32m" in out
+
+
+def test_env_width_is_clamped(monkeypatch):
+    # only the parsed width is checked: rendering at it is what the clamp prevents
+    monkeypatch.setenv("KFIBLIKE_WIDTH", "1234567890123")
+    assert cli._env_width() == cli.MAX_WIDTH == 1000
+    monkeypatch.setenv("KFIBLIKE_WIDTH", "3")
+    assert cli._env_width() == cli.MIN_WIDTH
+    monkeypatch.setenv("KFIBLIKE_WIDTH", "wide")
+    assert cli._env_width() == 80
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    def broken_main(argv=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "main", broken_main)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "kfiblike: internal error: RuntimeError: boom\n"
 
 
 def test_audit_byte_identical_runs():

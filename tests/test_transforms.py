@@ -1,20 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kfiblike.ring import K, KPoly, ipow, mul, poly_eval
-from kfiblike.sequences import terms
+from kfiblike.genfunc import derived_gf, gf_expand
+from kfiblike.ring import K, KPoly, ipow, poly_eval
+from kfiblike.sequences import modified_k_fib, terms
 from kfiblike.transforms import (
     KIND_ORDER,
     Provenance,
     TransformKind,
     binomial_coeff,
     binomial_diff_identity,
-    binomial_row,
     falling_diff_identity,
-    m_prefix,
-    multiplicative_row,
-    pascal_row,
     rising_even_index,
     transform_direct,
     transform_recurrence,
@@ -29,18 +32,6 @@ def test_binomial_coeff_basics():
         assert binomial_coeff(n, 0) == 1
     assert binomial_coeff(3, 5) == 0
     assert binomial_coeff(3, -1) == 0
-
-
-def test_pascal_and_multiplicative_rows_agree():
-    for n in range(65):
-        assert list(pascal_row(n)) == multiplicative_row(n)
-        assert list(pascal_row(n)) == [math.comb(n, i) for i in range(n + 1)]
-
-
-def test_binomial_row_large_n_falls_back():
-    row = binomial_row(700)
-    assert row[0] == 1 and row[700] == 1
-    assert row[3] == math.comb(700, 3)
 
 
 def test_direct_sum_examples():
@@ -130,11 +121,12 @@ def test_identity_pairs_sweep():
 
 
 def test_direct_sum_with_both_binomial_rows():
-    # recompute the definitional sum with multiplicative-formula binomials
+    # recompute the definitional sum with math.comb binomials and M from
+    # plain iteration, independent of the kernel's own C(n,i) rule and M loop
     for k in range(1, 6):
         for n in range(33):
-            ms = m_prefix(k, n + 1)
-            row = multiplicative_row(n)
+            ms = terms(modified_k_fib(k), n + 1)
+            row = [math.comb(n, i) for i in range(n + 1)]
             for kind, weight in (
                 (TransformKind.BINOMIAL, lambda i: 1),
                 (TransformKind.K_BINOMIAL, lambda i: k**n),
@@ -143,20 +135,6 @@ def test_direct_sum_with_both_binomial_rows():
             ):
                 alt = sum(row[i] * weight(i) * ms[i] for i in range(n + 1))
                 assert alt == transform_direct(kind, k, n)
-
-
-def test_m_prefix_cache_monotone():
-    short = m_prefix(7, 4)
-    longer = m_prefix(7, 9)
-    assert longer[:4] == short
-    assert m_prefix(7, 4) == short  # re-reading a shorter prefix is stable
-
-
-def test_m_prefix_symbolic_matches_numeric():
-    sym = m_prefix(K, 10)
-    for k in range(1, 6):
-        num = m_prefix(k, 10)
-        assert [poly_eval(p, k) for p in sym] == num
 
 
 def test_transform_seq_provenances_agree():
@@ -191,20 +169,58 @@ def test_symbolic_weights_match_scaled_binomial():
     for n in range(9):
         w = transform_direct(TransformKind.K_BINOMIAL, K, n)
         b = transform_direct(TransformKind.BINOMIAL, K, n)
-        assert w == mul(ipow(K, n), b)
+        assert w == ipow(K, n) * b
 
 
-def test_m_prefix_cache_is_bounded_under_a_k_sweep():
-    from kfiblike import transforms
-    from kfiblike.sequences import modified_k_fib
+# Sizes every list and dict the module holds, sweeps k = 1..2000 through the
+# direct sum and the four lemma functions, and sizes them again.  It runs in a
+# fresh interpreter so that what earlier tests left behind cannot hide growth.
+_K_SWEEP = textwrap.dedent("""
+    from kfiblike import transforms as t
 
-    limit = transforms.M_CACHE_K_LIMIT
-    assert limit >= 11  # the default audit's k = 1..10 plus symbolic k
+    def sizes():
+        out = {}
+        for name, value in vars(t).items():
+            if name.startswith("__") or not isinstance(value, (list, dict)):
+                continue
+            items = value.values() if isinstance(value, dict) else value
+            out[name] = len(value) + sum(
+                len(x) for x in items if isinstance(x, (list, dict)))
+        return out
+
+    before = sizes()
     for k in range(1, 2001):
-        assert m_prefix(k, 20) == terms(modified_k_fib(k), 20)
-        assert len(transforms._m_cache) <= limit
-    # evicted and still-cached k both give the right prefix
-    for k in (1, 2, 1000, 1999, 2000):
-        assert m_prefix(k, 30) == terms(modified_k_fib(k), 30)
-    assert m_prefix(K, 12) == terms(modified_k_fib(K), 12)
-    assert len(transforms._m_cache) <= limit
+        n = k % 25
+        for kind in t.KIND_ORDER:
+            t.transform_direct(kind, k, n)
+        for fn in (t.binomial_diff_identity, t.falling_diff_identity,
+                   t.rising_even_index, t.w_scaling):
+            lhs, rhs = fn(k, n)
+            assert lhs == rhs, (fn.__name__, k, n)
+    grown = {name: (before.get(name, 0), size)
+             for name, size in sizes().items() if size > before.get(name, 0)}
+    assert not grown, grown
+""")
+
+
+def test_k_sweep_leaves_no_module_state():
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _K_SWEEP],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KIND_ORDER),
+    k=st.integers(min_value=1, max_value=50),
+    n=st.integers(min_value=0, max_value=60),
+)
+def test_direct_sum_matches_recurrence_gf_and_symbolic_property(kind, k, n):
+    value = transform_direct(kind, k, n)
+    assert value == terms(transform_recurrence(kind, k), n + 1)[n]
+    assert value == gf_expand(derived_gf(kind, k), n + 1)[n]
+    if n <= 16:
+        assert poly_eval(transform_direct(kind, K, n), k) == value
