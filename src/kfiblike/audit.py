@@ -19,26 +19,28 @@ correct its subject.  Counterexamples follow a smallest-n-then-smallest-k
 policy so reruns always produce the same minimal repro, and report output is
 byte-identical for identical parameters.
 
-Each value is computed once per run.  The run's :class:`AuditConfig` carries a
-private table that fills on first use: each recurrence and its prefix (the
-four transform recurrences, M and F), and each direct sum
-``transform_direct(kind, k, n)``.  Every checker reads its values from that
-table, so the first claim to need a value pays for it and later claims reuse
-it.  A claim still compares two independent routes; a value shared between
-claims means a broken route shows in every claim that reads it.  The table
-belongs to the config, not to the module: a new config (one per
-:func:`run_audit` call) starts empty, and the returned report does not keep it.
+Each :func:`run_audit` call builds one private run that holds the config and
+the route values claims share: the direct sums ``transform_direct(kind, k,
+n)``, the transform recurrences, the prefixes of those recurrences and of M
+and F, and the derived and published generating-function series.  Each is
+computed on first use, and every later claim that needs it reads it from the
+run.  The ``binet_closed`` values of C19-C22 and C26, the published Binet
+values and C25's symbolic terms of M are not shared: each claim computes its
+own.  A claim still compares two independent routes; a value shared between
+claims means a broken route shows in every claim that reads it.  The run
+ends with :func:`run_audit`; the config and the report are plain values.
+Claims C01-C22 are each one sweep over the run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .closedform import binet_closed, binet_float, published_binet
-from .genfunc import derived_gf, gf_equal, gf_expand, published_gf
+from .genfunc import RationalGF, derived_gf, gf_expand, published_gf
 from .ring import K, KPoly, RingElem, elem_str
 from .sequences import (
     Order2Rec,
@@ -89,15 +91,12 @@ class AuditConfig:
     k_max: int = 10
     n_max: int = 64
     symbolic: bool = True
-    # the run's shared route values; a new config starts with an empty table
-    _table: _RouteTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.k_min <= self.k_max):
             raise ValueError("need 1 <= k_min <= k_max")
         if self.n_max < 2:
             raise ValueError("need n_max >= 2")
-        object.__setattr__(self, "_table", _RouteTable(self.n_max, self.sym_n))
 
     @property
     def ks(self) -> range:
@@ -108,19 +107,24 @@ class AuditConfig:
         return min(self.n_max, SYMBOLIC_N_CAP)
 
 
-class _RouteTable:
-    """The route values of one audit run, each computed on first use.
+class _Run:
+    """One audit run: its config and its shared route values.
 
-    Recurrences are kept per (kind, k), prefixes per recurrence and direct
-    sums per (kind, k, n).
+    Each value is computed on first use: recurrences per (kind, k), prefixes
+    per recurrence, direct sums per (kind, k, n) and generating-function
+    series per (builder, kind, k).  Prefixes and series run to n_max, or to
+    sym_n for symbolic k.
     """
 
-    def __init__(self, n_max: int, sym_n: int):
-        self._n_max = n_max
-        self._sym_n = sym_n
+    def __init__(self, cfg: AuditConfig):
+        self.cfg = cfg
         self._recs: Dict[Tuple[TransformKind, RingElem], Order2Rec] = {}
         self._prefixes: Dict[Order2Rec, List[RingElem]] = {}
         self._direct: Dict[Tuple[TransformKind, RingElem, int], RingElem] = {}
+        self._series: Dict[Tuple[Callable, TransformKind, RingElem], List[RingElem]] = {}
+
+    def _count(self, k: RingElem) -> int:
+        return (self.cfg.sym_n if isinstance(k, KPoly) else self.cfg.n_max) + 1
 
     def recurrence(self, kind: TransformKind, k: RingElem) -> Order2Rec:
         """``transform_recurrence(kind, k)``, built once per run."""
@@ -130,11 +134,10 @@ class _RouteTable:
         return rec
 
     def prefix(self, rec: Order2Rec) -> List[RingElem]:
-        """x(0) .. x(n_max) of ``rec``, or x(0) .. x(sym_n) for symbolic k."""
+        """The first terms of ``rec``, computed once per run."""
         vals = self._prefixes.get(rec)
         if vals is None:
-            n_top = self._sym_n if isinstance(rec.a, KPoly) else self._n_max
-            vals = self._prefixes[rec] = terms(rec, n_top + 1)
+            vals = self._prefixes[rec] = terms(rec, self._count(rec.a))
         return vals
 
     def direct(self, kind: TransformKind, k: RingElem, n: int) -> RingElem:
@@ -144,6 +147,15 @@ class _RouteTable:
         if val is None:
             val = self._direct[key] = transform_direct(kind, k, n)
         return val
+
+    def series(self, builder: Callable[[TransformKind, RingElem], RationalGF],
+               kind: TransformKind, k: RingElem) -> List[RingElem]:
+        """The first coefficients of ``builder(kind, k)``, expanded once per run."""
+        key = (builder, kind, k)
+        vals = self._series.get(key)
+        if vals is None:
+            vals = self._series[key] = gf_expand(builder(kind, k), self._count(k))
+        return vals
 
 
 @dataclass(frozen=True)
@@ -184,7 +196,7 @@ class Claim:
     description: str
     citation: str
     claim_class: ClaimClass
-    checker: Callable[[AuditConfig], List[Counterexample]] = field(compare=False)
+    checker: Callable[[_Run], List[Counterexample]] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -341,114 +353,79 @@ PUBLISHED_M_POLYS: Dict[int, Tuple[int, ...]] = {
 # checker helpers
 # ---------------------------------------------------------------------------
 
-def _sweep_pair(
-    cfg: AuditConfig,
-    pair: Callable[[_RouteTable, RingElem, int], Tuple[RingElem, RingElem]],
-    n_start: int = 0,
-) -> List[Counterexample]:
-    """First (expected, got) disagreement, smallest n then smallest k.
+_Pair = Callable[[_Run, RingElem, int], Tuple[RingElem, RingElem]]
 
-    ``pair(table, k, n)`` returns (expected, got), reading shared values from
-    the run's table; the numeric sweep runs first, the symbolic leg afterwards
+
+def _sweep(pair: _Pair, n_start: int = 0) -> Callable[[_Run], List[Counterexample]]:
+    """A checker: the first (expected, got) disagreement, smallest n then smallest k.
+
+    ``pair(run, k, n)`` returns (expected, got), reading shared values from
+    the run; the numeric sweep runs first, the symbolic leg afterwards
     (capped for polynomial-degree growth).
     """
-    table = cfg._table
-    for n in range(n_start, cfg.n_max + 1):
-        for k in cfg.ks:
-            expected, got = pair(table, k, n)
-            if expected != got:
-                return [Counterexample(k=k, n=n,
-                                       expected=elem_str(expected), got=elem_str(got))]
-    if cfg.symbolic:
-        for n in range(n_start, cfg.sym_n + 1):
-            expected, got = pair(table, K, n)
-            if expected != got:
-                return [Counterexample(k="k", n=n, expected=elem_str(expected),
-                                       got=elem_str(got), label="symbolic")]
-    return []
-
-
-def _check_direct_vs_recurrence(kind: TransformKind):
-    def pair(table: _RouteTable, k: RingElem, n: int):
-        return table.direct(kind, k, n), table.prefix(table.recurrence(kind, k))[n]
-
-    return lambda cfg: _sweep_pair(cfg, pair)
-
-
-def _check_identity_pair(
-    pair_on: Callable[[DirectRoute, RingElem, int], Tuple[RingElem, RingElem]],
-):
-    """A lemma pair whose transform terms come from the run's direct sums."""
-    def pair(table: _RouteTable, k: RingElem, n: int):
-        return pair_on(table.direct, k, n)
-
-    return lambda cfg: _sweep_pair(cfg, pair)
-
-
-def _check_m_from_f(cfg: AuditConfig) -> List[Counterexample]:
-    def pair(table: _RouteTable, k: RingElem, n: int):
-        return table.prefix(modified_k_fib(k))[n], _m_from_f_terms(table.prefix(k_fib(k)), n)
-
-    return _sweep_pair(cfg, pair, n_start=1)
-
-
-def _check_f_from_m(cfg: AuditConfig) -> List[Counterexample]:
-    def pair(table: _RouteTable, k: RingElem, n: int):
-        return table.prefix(k_fib(k))[n], _f_from_m_terms(table.prefix(modified_k_fib(k)), n)
-
-    return _sweep_pair(cfg, pair, n_start=1)
-
-
-def _check_published_binet(kind: TransformKind):
-    def pair(table: _RouteTable, k: RingElem, n: int):
-        return table.direct(kind, k, n), published_binet(kind, k, n)
-
-    return lambda cfg: _sweep_pair(cfg, pair, n_start=1)
-
-
-def _check_exact_binet(kind: TransformKind):
-    def pair(table: _RouteTable, k: RingElem, n: int):
-        rec = table.recurrence(kind, k)
-        return table.prefix(rec)[n], binet_closed(rec, n)
-
-    return lambda cfg: _sweep_pair(cfg, pair)
-
-
-def _check_published_gf(kind: TransformKind):
-    def checker(cfg: AuditConfig) -> List[Counterexample]:
-        count = cfg.n_max + 1
-        series: Dict[int, Tuple[List[RingElem], List[RingElem]]] = {}
-        for k in cfg.ks:
-            series[k] = (
-                gf_expand(derived_gf(kind, k), count),
-                gf_expand(published_gf(kind, k), count),
-            )
-        for n in range(count):
+    def checker(run: _Run) -> List[Counterexample]:
+        cfg = run.cfg
+        for n in range(n_start, cfg.n_max + 1):
             for k in cfg.ks:
-                truth, printed = series[k]
-                if truth[n] != printed[n]:
-                    return [Counterexample(k=k, n=n, expected=elem_str(truth[n]),
-                                           got=elem_str(printed[n]))]
-        if cfg.symbolic and not gf_equal(derived_gf(kind, K), published_gf(kind, K)):
-            truth_s = gf_expand(derived_gf(kind, K), cfg.sym_n + 1)
-            printed_s = gf_expand(published_gf(kind, K), cfg.sym_n + 1)
-            for n, (t, p) in enumerate(zip(truth_s, printed_s)):
-                if t != p:
-                    return [Counterexample(k="k", n=n, expected=elem_str(t),
-                                           got=elem_str(p), label="symbolic")]
+                expected, got = pair(run, k, n)
+                if expected != got:
+                    return [Counterexample(k=k, n=n,
+                                           expected=elem_str(expected), got=elem_str(got))]
+        if cfg.symbolic:
+            for n in range(n_start, cfg.sym_n + 1):
+                expected, got = pair(run, K, n)
+                if expected != got:
+                    return [Counterexample(k="k", n=n, expected=elem_str(expected),
+                                           got=elem_str(got), label="symbolic")]
         return []
 
     return checker
 
 
-def _check_tables(labels_prefixes: Sequence[str]):
-    def checker(cfg: AuditConfig) -> List[Counterexample]:
+def _direct_vs_recurrence(kind: TransformKind) -> _Pair:
+    return lambda run, k, n: (run.direct(kind, k, n), run.prefix(run.recurrence(kind, k))[n])
+
+
+def _identity_pair(
+    pair_on: Callable[[DirectRoute, RingElem, int], Tuple[RingElem, RingElem]],
+) -> _Pair:
+    """A lemma pair whose transform terms come from the run's direct sums."""
+    return lambda run, k, n: pair_on(run.direct, k, n)
+
+
+def _m_from_f(run: _Run, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+    return run.prefix(modified_k_fib(k))[n], _m_from_f_terms(run.prefix(k_fib(k)), n)
+
+
+def _f_from_m(run: _Run, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+    return run.prefix(k_fib(k))[n], _f_from_m_terms(run.prefix(modified_k_fib(k)), n)
+
+
+def _published_binet(kind: TransformKind) -> _Pair:
+    return lambda run, k, n: (run.direct(kind, k, n), published_binet(kind, k, n))
+
+
+def _published_gf(kind: TransformKind) -> _Pair:
+    return lambda run, k, n: (run.series(derived_gf, kind, k)[n],
+                              run.series(published_gf, kind, k)[n])
+
+
+def _exact_binet(kind: TransformKind) -> _Pair:
+    def pair(run: _Run, k: RingElem, n: int):
+        rec = run.recurrence(kind, k)
+        return run.prefix(rec)[n], binet_closed(rec, n)
+
+    return pair
+
+
+def _check_fixtures(labels_prefixes: Sequence[str]):
+    def checker(run: _Run) -> List[Counterexample]:
         ces: List[Counterexample] = []
         for fx in TABLE_FIXTURES:
             if not any(fx.label.startswith(p) for p in labels_prefixes):
                 continue
             for n, printed in enumerate(fx.values):
-                computed = cfg._table.direct(fx.kind, fx.k, n)
+                computed = run.direct(fx.kind, fx.k, n)
                 if printed != computed:
                     ces.append(Counterexample(k=fx.k, n=n, expected=str(printed),
                                               got=elem_str(computed), label=fx.label))
@@ -458,7 +435,7 @@ def _check_tables(labels_prefixes: Sequence[str]):
     return checker
 
 
-def _check_published_m_polys(cfg: AuditConfig) -> List[Counterexample]:
+def _check_published_m_polys(run: _Run) -> List[Counterexample]:
     seq = terms(modified_k_fib(K), 6)
     ces: List[Counterexample] = []
     for n in sorted(PUBLISHED_M_POLYS):
@@ -470,14 +447,15 @@ def _check_published_m_polys(cfg: AuditConfig) -> List[Counterexample]:
     return ces
 
 
-def _check_float_binet(cfg: AuditConfig) -> List[Counterexample]:
+def _check_float_binet(run: _Run) -> List[Counterexample]:
+    cfg = run.cfg
     tol = 1e-9
     n_stop = min(cfg.n_max, FLOAT_N_CAP)
     k_stop = min(cfg.k_max, FLOAT_K_CAP)
     for n in range(n_stop + 1):
         for k in range(cfg.k_min, k_stop + 1):
             for kind in KIND_ORDER:
-                rec = cfg._table.recurrence(kind, k)
+                rec = run.recurrence(kind, k)
                 exact = binet_closed(rec, n)
                 approx = binet_float(rec, n)
                 if abs(approx - float(exact)) / float(exact) > tol:
@@ -510,7 +488,7 @@ def claim_registry() -> List[Claim]:
             description=f"{_KIND_NAMES[kind]} transform: direct sum equals closed recurrence",
             citation=rec_citations[kind],
             claim_class=ClaimClass.IDENTITY,
-            checker=_check_direct_vs_recurrence(kind),
+            checker=_sweep(_direct_vs_recurrence(kind)),
         ))
 
     claims.append(Claim(
@@ -518,42 +496,42 @@ def claim_registry() -> List[Claim]:
         description="difference lemma for the binomial transform",
         citation="b(n+1) - b(n) = sum_i C(n,i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_check_identity_pair(_binomial_diff_pair),
+        checker=_sweep(_identity_pair(_binomial_diff_pair)),
     ))
     claims.append(Claim(
         id="C06",
         description="difference lemma for the falling k-binomial transform",
         citation="f(n+1) - k f(n) = sum_i C(n,i) k^(n-i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_check_identity_pair(_falling_diff_pair),
+        checker=_sweep(_identity_pair(_falling_diff_pair)),
     ))
     claims.append(Claim(
         id="C07",
         description="rising k-binomial transform walks the even-index subsequence",
         citation="sum_i C(n,i) k^i M(i) = M(2n)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_check_identity_pair(_rising_even_pair),
+        checker=_sweep(_identity_pair(_rising_even_pair)),
     ))
     claims.append(Claim(
         id="C08",
         description="k-binomial transform is the k^n-scaled binomial transform",
         citation="w(n) = k^n b(n)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_check_identity_pair(_w_scaling_pair),
+        checker=_sweep(_identity_pair(_w_scaling_pair)),
     ))
     claims.append(Claim(
         id="C09",
         description="M recovered from consecutive k-Fibonacci numbers",
         citation="M(n) = 2 (F(n) + F(n-1)) for n >= 1",
         claim_class=ClaimClass.IDENTITY,
-        checker=_check_m_from_f,
+        checker=_sweep(_m_from_f, n_start=1),
     ))
     claims.append(Claim(
         id="C10",
         description="k-Fibonacci recovered from the alternating sum of M",
         citation="F(n) = (1/2) sum_{i=0..n-1} (-1)^i M(n-i)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_check_f_from_m,
+        checker=_sweep(_f_from_m, n_start=1),
     ))
 
     binet_citations = {
@@ -572,7 +550,7 @@ def claim_registry() -> List[Claim]:
             description=f"published Binet formula, {_KIND_NAMES[kind]} transform, vs ground truth",
             citation=binet_citations[kind],
             claim_class=ClaimClass.PUBLISHED,
-            checker=_check_published_binet(kind),
+            checker=_sweep(_published_binet(kind), n_start=1),
         ))
 
     gf_citations = {
@@ -592,7 +570,7 @@ def claim_registry() -> List[Claim]:
                         "vs the recurrence-derived one",
             citation=gf_citations[kind],
             claim_class=ClaimClass.PUBLISHED,
-            checker=_check_published_gf(kind),
+            checker=_sweep(_published_gf(kind)),
         ))
 
     for i, kind in enumerate(KIND_ORDER):
@@ -602,7 +580,7 @@ def claim_registry() -> List[Claim]:
                         f"{_KIND_NAMES[kind]} transform",
             citation="x(n) = x1 U(n) - Q x0 U(n-1) over the family's characteristic roots",
             claim_class=ClaimClass.IDENTITY,
-            checker=_check_exact_binet(kind),
+            checker=_sweep(_exact_binet(kind)),
         ))
 
     claims.append(Claim(
@@ -610,14 +588,14 @@ def claim_registry() -> List[Claim]:
         description="published tables for the binomial, rising and falling transforms",
         citation="printed lists B_1..B_5, R_1..R_5, F_1..F_5",
         claim_class=ClaimClass.PUBLISHED,
-        checker=_check_tables(("B_", "R_", "F_")),
+        checker=_check_fixtures(("B_", "R_", "F_")),
     ))
     claims.append(Claim(
         id="C24",
         description="published tables for the k-binomial transform",
         citation="printed lists W_1..W_5",
         claim_class=ClaimClass.PUBLISHED,
-        checker=_check_tables(("W_",)),
+        checker=_check_fixtures(("W_",)),
     ))
     claims.append(Claim(
         id="C25",
@@ -645,9 +623,10 @@ def run_audit(
 ) -> AuditReport:
     """Evaluate every claim over its configured subranges; deterministic output."""
     cfg = AuditConfig(k_min=k_min, k_max=k_max, n_max=n_max, symbolic=symbolic)
+    run = _Run(cfg)
     results: List[ClaimResult] = []
     for claim in claim_registry():
-        ces = claim.checker(cfg)
+        ces = claim.checker(run)
         if not ces:
             verdict = Verdict.PASS
         elif claim.claim_class is ClaimClass.IDENTITY:
@@ -657,5 +636,4 @@ def run_audit(
         results.append(ClaimResult(claim=claim, verdict=verdict,
                                    counterexamples=tuple(ces)))
     results.sort(key=lambda r: r.claim.id)
-    # a fresh config: the report must not keep this run's table alive
-    return AuditReport(config=replace(cfg), results=tuple(results))
+    return AuditReport(config=cfg, results=tuple(results))

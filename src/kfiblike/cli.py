@@ -10,7 +10,9 @@ failure (a ``--verify`` mismatch, a benchmark value mismatch, or an
 implementation-class FAIL in the audit; published-source discrepancies do
 not fail the process), 3 on an unexpected internal error (any other
 exception, reported as one ``kfiblike: internal error: <Type>: <message>``
-line on stderr).
+line on stderr), 141 when the reader of stdout closes it early (as in
+``| head``), with nothing on stderr: 128 + SIGPIPE, what a shell reports for
+a pipe writer killed by SIGPIPE.
 
 Behaviour is controlled entirely by flags plus two environment variables:
 ``KFIBLIKE_WIDTH`` (report width, clamped to 20..1000) and ``KFIBLIKE_COLOR``
@@ -47,6 +49,9 @@ FORMATS = ("plain", "csv", "json-lines", "bfile")
 _KIND_BY_NAME = {kind.value: kind for kind in TransformKind}
 
 DEFAULT_DIRECT_CAP = 2000
+
+# 128 + SIGPIPE: the status a shell reports for a pipe writer SIGPIPE killed.
+EXIT_BROKEN_PIPE = 141
 
 # Report width bounds: the audit text rules off sections with "=" * width.
 MIN_WIDTH, MAX_WIDTH = 20, 1000
@@ -327,11 +332,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 def entry() -> None:
     try:
         code = main()
+        # buffered output still unwritten must meet a closed pipe here, not
+        # in the interpreter's exit flush
+        sys.stdout.flush()
     except BrokenPipeError:
-        # downstream consumer (e.g. | head) closed the pipe; exit quietly
+        # downstream consumer (e.g. | head) closed the pipe; exit quietly,
+        # with stdout on devnull so the exit flush cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        code = 1
+        code = EXIT_BROKEN_PIPE
     except Exception as exc:
         print(f"kfiblike: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 3

@@ -214,6 +214,52 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert captured.err == "kfiblike: internal error: RuntimeError: boom\n"
 
 
+def _cli_command(argv):
+    """The ``python -m kfiblike`` command line and an environment to run it in.
+
+    Stdout is left block-buffered (the default for a pipe), so short output
+    reaches the pipe only at the final flush.
+    """
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    return [sys.executable, "-m", "kfiblike", *argv], env
+
+
+LONG_RUN = ["gen", "modified", "--k", "2", "--count", "20000", "--format", "bfile"]
+
+
+@pytest.mark.parametrize("argv", [
+    LONG_RUN,
+    ["binet", "binomial", "--k", "2", "--n", "5", "--exact"],  # one buffered line
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    command, env = _cli_command(argv)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write, and the final flush, meets a closed pipe
+    try:
+        proc = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, cwd=REPO_ROOT, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""
+
+
+def test_reader_closing_after_20_bytes_exits_141(tmp_path):
+    command, env = _cli_command(LONG_RUN)
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=err,
+                                env=env, cwd=REPO_ROOT)
+        try:
+            head = proc.stdout.read(20)
+        finally:
+            proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+    assert head == b"0 2\n1 2\n2 6\n3 14\n4 3"
+    assert (tmp_path / "stderr").read_bytes() == b""
+
+
 def test_audit_byte_identical_runs():
     args = ["audit", "--k-max", "4", "--n-max", "24"]
     first = run_subprocess(args)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kfiblike.ring import (
     ExactDivisionError,
@@ -187,3 +188,50 @@ def test_kpoly_immutable_and_hashable():
         p.coeffs = (3,)
     assert hash(p) == hash(KPoly((1, 2)))
     assert p in {KPoly((1, 2))}
+
+
+# coefficient lists as callers write them: any ints, trailing zeros included
+_coeff_lists = st.tuples(
+    st.lists(st.integers(min_value=-10**12, max_value=10**12), max_size=6),
+    st.integers(min_value=0, max_value=3),
+).map(lambda t: t[0] + [0] * t[1])
+
+
+def _is_canonical(p):
+    return not p.coeffs or p.coeffs[-1] != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(ca=_coeff_lists, cb=_coeff_lists, cc=_coeff_lists,
+       x=st.integers(min_value=-30, max_value=30))
+def test_kpoly_ring_laws_property(ca, cb, cc, x):
+    a, b, c = KPoly(ca), KPoly(cb), KPoly(cc)
+    zero, one = KPoly(), KPoly.constant(1)
+    # canonical form: trailing zeros never survive, whatever built the value
+    stripped = list(ca)
+    while stripped and stripped[-1] == 0:
+        stripped.pop()
+    assert a.coeffs == tuple(stripped)
+    assert KPoly(ca + [0, 0]) == a and hash(KPoly(ca + [0])) == hash(a)
+    for r in (a + b, a - b, a * b, -a, a - a):
+        assert _is_canonical(r)
+    # commutativity, associativity, distributivity
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    # identities and inverses
+    assert a + zero == zero + a == a
+    assert a * one == one * a == a
+    assert a * zero == zero
+    assert a - a == zero
+    assert a - b == a + (-b)
+    # evaluate is a ring homomorphism into the integers
+    assert a.evaluate(x) == sum(coef * x**i for i, coef in enumerate(ca))
+    assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+    assert (a - b).evaluate(x) == a.evaluate(x) - b.evaluate(x)
+    assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
+    assert (-a).evaluate(x) == -a.evaluate(x)
+    assert one.evaluate(x) == 1 and zero.evaluate(x) == 0
