@@ -21,10 +21,12 @@ byte-identical for identical parameters.
 
 Each :func:`run_audit` call builds one private run that holds the config and
 the route values claims share: the direct sums ``transform_direct(kind, k,
-n)``, the transform recurrences, the prefixes of those recurrences and of M
-and F, and the derived and published generating-function series.  Each is
-computed on first use, and every later claim that needs it reads it from the
-run.  The ``binet_closed`` values of C19-C22 and C26, the published Binet
+n)``, the transform recurrences and the prefixes of those recurrences and of
+M and F.  Each is computed on first use, and every later claim that needs it
+reads it from the run.  The run also keeps the derived and published
+generating-function series of each kind and k, expanded once so that the
+sweep of C15-C18 can index them by n; only the claim for that kind reads
+them.  The ``binet_closed`` values of C19-C22 and C26, the published Binet
 values and C25's symbolic terms of M are not shared: each claim computes its
 own.  A claim still compares two independent routes; a value shared between
 claims means a broken route shows in every claim that reads it.  The run
@@ -108,12 +110,13 @@ class AuditConfig:
 
 
 class _Run:
-    """One audit run: its config and its shared route values.
+    """One audit run: its config and its route values.
 
     Each value is computed on first use: recurrences per (kind, k), prefixes
-    per recurrence, direct sums per (kind, k, n) and generating-function
-    series per (builder, kind, k).  Prefixes and series run to n_max, or to
-    sym_n for symbolic k.
+    per recurrence and direct sums per (kind, k, n), which claims share, and
+    generating-function series per (builder, kind, k), which only the GF
+    claim of that kind reads.  Prefixes and series run to n_max, or to sym_n
+    for symbolic k.
     """
 
     def __init__(self, cfg: AuditConfig):

@@ -44,6 +44,9 @@ def test_every_checker_of_a_run_receives_that_run(monkeypatch):
     assert all(run is first_runs[0] for run in first_runs)
     assert all(run is received[0] for run in received)
     assert first_runs[0] is not received[0]
+    # the checker argument is the run, which holds the report's config
+    assert isinstance(first_runs[0], audit._Run)
+    assert first_runs[0].cfg is first.config
 
 
 def test_config_is_a_plain_value():
