@@ -5,8 +5,7 @@ Runs ``kfiblike bench --k 2`` on the binomial transform at n = 100, 1000,
 10000 and 100000:
 
 iterative        plain recurrence iteration, O(n) ring operations
-matrix-power     Lucas doubling over (U(n), U(n+1)), O(log n) products
-                 (the row label is kept for output compatibility)
+lucas-doubling   Lucas doubling over (U(n), U(n+1)), O(log n) products
 direct-sum       the definitional weighted binomial sum, O(n) fat products
 
 The direct sum is definitionally correct but hopeless at large n (its

@@ -17,24 +17,32 @@ a pipe writer killed by SIGPIPE.
 Behaviour is controlled entirely by flags plus two environment variables:
 ``KFIBLIKE_WIDTH`` (report width, clamped to 20..1000) and ``KFIBLIKE_COLOR``
 (colour toggle for the audit text report).  All big integers are printed as
-plain decimal strings.
+plain decimal strings.  The numeric streams of ``gen``, ``transform --method
+recurrence`` and ``gf --k K --count N`` are computed in exact ``decimal``
+arithmetic, whose ``str()`` takes linear time where CPython's ``str(int)``
+takes quadratic time; the context has unbounded precision and traps any
+rounding, so a rounded value raises instead of being printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
+import math
 import os
 import sys
 import time
+from decimal import Decimal
 from itertools import islice
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .audit import run_audit
 from .closedform import binet_closed, binet_float
-from .genfunc import derived_gf, gf_expand, gf_str
+from .genfunc import derived_gf, gf_expand, gf_from_rec, gf_str
 from .ring import K, RingElem, elem_str
 from .sequences import (
+    Order2Rec,
     iter_terms,
     k_fib,
     modified_k_fib,
@@ -56,6 +64,20 @@ EXIT_BROKEN_PIPE = 141
 # Report width bounds: the audit text rules off sections with "=" * width.
 MIN_WIDTH, MAX_WIDTH = 20, 1000
 
+# The printed streams run in this context: no precision or exponent limit the
+# terms could reach, and any rounding raises rather than reaching stdout.
+_EXACT_CONTEXT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+           decimal.Inexact, decimal.Rounded],
+)
+
+_LOG10_2 = math.log10(2)
+
+# A printed term: an int or KPoly from the library, or a Decimal mirror of an int.
+_Term = Union[RingElem, Decimal]
+
 
 def _env_width() -> int:
     raw = os.environ.get("KFIBLIKE_WIDTH", "")
@@ -69,7 +91,30 @@ def _env_color() -> bool:
     return os.environ.get("KFIBLIKE_COLOR", "").strip().lower() in ("1", "true", "yes", "on")
 
 
-def _emit_terms(values: Iterable[RingElem], fmt: str, out) -> None:
+def _decimal_rec(rec: Order2Rec) -> Order2Rec:
+    """``rec`` with ``Decimal`` coefficients, for printing its terms.
+
+    Evaluate its terms inside ``decimal.localcontext(_EXACT_CONTEXT)``.
+    """
+    return Order2Rec(a=Decimal(rec.a), b=Decimal(rec.b), x0=Decimal(rec.x0),
+                     x1=Decimal(rec.x1), label=rec.label)
+
+
+def _digit_count(x: int) -> int:
+    """``len(str(x))`` without the decimal conversion, quadratic on CPython 3.11.
+
+    The bit length brackets log10 |x| in an interval 0.301 wide, so ``e``,
+    floor(log10 |x|) estimated from its midpoint, is off by at most one
+    either way; comparisons with 10**e and 10**(e+1) settle it.
+    """
+    m = abs(x) or 1  # "0" has one digit, as "1" does
+    e = int((m.bit_length() - 0.5) * _LOG10_2)
+    p = 10**e
+    digits = e if m < p else e + 1 + (m >= 10 * p)
+    return digits + (x < 0)
+
+
+def _emit_terms(values: Iterable[_Term], fmt: str, out) -> None:
     """Stream indexed terms in the requested format; no full-list buffering."""
     if fmt == "plain":
         first = True
@@ -112,10 +157,11 @@ def _cmd_gen(args, parser, out) -> int:
     _check_count(parser, args.count)
     rec = modified_k_fib(args.k) if args.family == "modified" else k_fib(args.k)
     if args.fast:
-        values: Iterable[RingElem] = (term_fast(rec, n) for n in range(args.count))
+        values: Iterable[_Term] = (term_fast(rec, n) for n in range(args.count))
     else:
-        values = islice(iter_terms(rec), args.count)
-    _emit_terms(values, args.format, out)
+        values = islice(iter_terms(_decimal_rec(rec)), args.count)
+    with decimal.localcontext(_EXACT_CONTEXT):
+        _emit_terms(values, args.format, out)
     return 0
 
 
@@ -141,12 +187,14 @@ def _cmd_transform(args, parser, out) -> int:
         )
         return 0
     if args.method == "direct":
-        values: Iterable[RingElem] = (
+        values: Iterable[_Term] = (
             transform_direct(kind, args.k, n) for n in range(args.count)
         )
     else:
-        values = islice(iter_terms(transform_recurrence(kind, args.k)), args.count)
-    _emit_terms(values, args.format, out)
+        rec = _decimal_rec(transform_recurrence(kind, args.k))
+        values = islice(iter_terms(rec), args.count)
+    with decimal.localcontext(_EXACT_CONTEXT):
+        _emit_terms(values, args.format, out)
     return 0
 
 
@@ -166,7 +214,10 @@ def _cmd_gf(args, parser, out) -> int:
     gf = derived_gf(kind, k)
     out.write(gf_str(gf) + "\n")
     if args.count is not None:
-        _emit_terms(gf_expand(gf, args.count), "plain", out)
+        # gf is gf_from_rec of this recurrence; expand a Decimal copy of it
+        rec = _decimal_rec(transform_recurrence(kind, k))
+        with decimal.localcontext(_EXACT_CONTEXT):
+            _emit_terms(gf_expand(gf_from_rec(rec), args.count), "plain", out)
     return 0
 
 
@@ -212,6 +263,8 @@ def _cmd_bench(args, parser, out) -> int:
     for n in ns:
         if n < 0:
             parser.error(f"--n must be >= 0, got {n}")
+    if args.direct_cap < 0:
+        parser.error(f"--direct-cap must be >= 0, got {args.direct_cap}")
     kind = _KIND_BY_NAME[args.kind]
     rec = transform_recurrence(kind, args.k)
     out.write(f"benchmark: {args.kind} transform, k={args.k}\n")
@@ -221,7 +274,7 @@ def _cmd_bench(args, parser, out) -> int:
         t_iter, v_iter = _time_call(term_iterative, rec, n)
         rows = [("iterative", t_iter, v_iter, "ref")]
         t_fast, v_fast = _time_call(term_fast, rec, n)
-        rows.append(("matrix-power", t_fast, v_fast, "yes" if v_fast == v_iter else "NO"))
+        rows.append(("lucas-doubling", t_fast, v_fast, "yes" if v_fast == v_iter else "NO"))
         if n <= args.direct_cap:
             t_dir, v_dir = _time_call(transform_direct, kind, args.k, n)
             rows.append(("direct-sum", t_dir, v_dir, "yes" if v_dir == v_iter else "NO"))
@@ -234,7 +287,7 @@ def _cmd_bench(args, parser, out) -> int:
                     f"{'skipped (n > direct cap %d)' % args.direct_cap}\n"
                 )
                 continue
-            digits = len(str(value))
+            digits = _digit_count(value)
             out.write(f"{n:>10}  {name:<14} {secs:>12.6f}  {digits:>8}  {equal}\n")
             if equal == "NO":
                 all_equal = False
@@ -298,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbolic", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
-    p = sub.add_parser("bench", help="time iterative vs matrix-power vs direct-sum")
+    p = sub.add_parser("bench", help="time iterative vs lucas-doubling vs direct-sum")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, action="append",
                    help="term index; repeatable (default: 1000, 10000, 100000)")

@@ -10,6 +10,10 @@ Two carriers, never mixed inside one computation:
 There is deliberately no rational carrier: every identity in scope stays
 integral, and the single 1/2 factor that occurs is handled by
 :func:`exact_div_int`, which fails loudly if divisibility is ever violated.
+
+``int`` is the numeric result type of every library function.  The CLI
+mirrors the numeric streams it prints in exact ``decimal.Decimal`` values,
+for output only, because their ``str()`` is linear in the digits.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 import subprocess
@@ -7,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from kfiblike import cli
+from kfiblike.genfunc import derived_gf, gf_expand
+from kfiblike.sequences import modified_k_fib, terms
+from kfiblike.transforms import TransformKind, transform_recurrence
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
@@ -271,7 +275,7 @@ def test_audit_byte_identical_runs():
 def test_bench_small(capsys):
     code, out, _ = run_cli(capsys, ["bench", "--k", "2", "--n", "200", "--n", "400"])
     assert code == 0
-    for name in ("iterative", "matrix-power", "direct-sum"):
+    for name in ("iterative", "lucas-doubling", "direct-sum"):
         assert name in out
     assert "values agree across all strategies that ran" in out
 
@@ -282,6 +286,23 @@ def test_bench_direct_cap(capsys):
     )
     assert code == 0
     assert "skipped (n > direct cap 100)" in out
+
+
+def test_bench_rejects_negative_direct_cap():
+    proc = run_subprocess(["bench", "--k", "2", "--n", "300", "--direct-cap", "-3"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"--direct-cap must be >= 0" in proc.stderr
+
+
+def test_digit_count_at_powers_of_ten():
+    # len(str(10**d - 1)) is d and len(str(10**d)) is d + 1; a minus sign adds one
+    assert cli._digit_count(0) == len(str(0)) == 1
+    p = 1
+    for d in range(1, 5001):
+        p *= 10
+        assert cli._digit_count(p - 1) == cli._digit_count(1 - p) - 1 == d
+        assert cli._digit_count(p) == cli._digit_count(-p) - 1 == d + 1
 
 
 def test_bench_reports_mismatch_as_failure(capsys, monkeypatch):
@@ -300,3 +321,57 @@ def test_large_value_prints_full_decimal(capsys):
     value = out.strip()
     assert len(value) > 4300
     assert value.isdigit()
+
+
+def test_rounding_in_a_stream_raises_before_printing(capsys, monkeypatch):
+    narrow = cli._EXACT_CONTEXT.copy()
+    narrow.prec = 50
+    monkeypatch.setattr(cli, "_EXACT_CONTEXT", narrow)
+    argv = ["gen", "modified", "--k", "10", "--count", "200"]
+    # only the exact terms that fit in 50 digits reach stdout
+    exact = [str(v) for v in terms(modified_k_fib(10), 200)]
+    fitting = ",".join(v for v in exact if len(v) <= 50)
+    assert len(fitting) < len(",".join(exact))
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        cli.main(argv)
+    assert capsys.readouterr().out == fitting
+    monkeypatch.setattr(sys, "argv", ["kfiblike", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == fitting
+    assert captured.err.startswith("kfiblike: internal error: ")
+
+
+def test_long_transform_stream_matches_int_route():
+    proc = run_subprocess(["transform", "falling", "--k", "3", "--count", "5000"])
+    assert proc.returncode == 0
+    rec = transform_recurrence(TransformKind.FALLING_K, 3)
+    assert proc.stdout == (",".join(str(v) for v in terms(rec, 5000)) + "\n").encode()
+
+
+HUGE_K = 10**20
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["gen", "modified"], terms(modified_k_fib(HUGE_K), 6)),
+    (["transform", "kbinomial"], terms(transform_recurrence(TransformKind.K_BINOMIAL, HUGE_K), 6)),
+    (["gf", "kbinomial"], gf_expand(derived_gf(TransformKind.K_BINOMIAL, HUGE_K), 6)),
+])
+def test_streams_exact_at_huge_k(capsys, argv, values):
+    # every coefficient outgrows the default 28-digit decimal context
+    _, out, _ = run_cli(capsys, [*argv, "--k", str(HUGE_K), "--count", "6"])
+    assert out.split("\n")[-2] == ",".join(str(v) for v in values)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["audit"], "audit_default.txt"),
+    (["audit", "--format", "jsonl"], "audit_default.jsonl"),
+])
+def test_default_audit_matches_expected_bytes(monkeypatch, argv, expected):
+    monkeypatch.delenv("KFIBLIKE_WIDTH", raising=False)
+    monkeypatch.delenv("KFIBLIKE_COLOR", raising=False)
+    proc = run_subprocess(argv)
+    assert proc.returncode == 0
+    assert proc.stdout == (REPO_ROOT / "perfbench" / "expected" / expected).read_bytes()

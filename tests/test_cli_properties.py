@@ -1,0 +1,67 @@
+"""Properties of the CLI's printed output against the int routes of the library."""
+
+import io
+import json
+from contextlib import redirect_stdout
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from kfiblike import cli  # noqa: E402
+from kfiblike.genfunc import derived_gf, gf_expand  # noqa: E402
+from kfiblike.sequences import k_fib, modified_k_fib, terms  # noqa: E402
+from kfiblike.transforms import TransformKind, transform_recurrence  # noqa: E402
+
+KINDS = [kind.value for kind in TransformKind]
+
+
+def expected_text(values, fmt):
+    """The stdout of a stream, written from ``str()`` of its int terms."""
+    text = [str(v) for v in values]
+    if fmt == "plain":
+        return ",".join(text) + "\n"
+    if fmt == "csv":
+        return "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(text))
+    if fmt == "json-lines":
+        return "".join(json.dumps({"index": n, "value": v}) + "\n" for n, v in enumerate(text))
+    assert fmt == "bfile"
+    return "".join(f"{n} {v}\n" for n, v in enumerate(text))
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=st.sampled_from(["modified", "kfib", *KINDS]), k=st.integers(1, 60),
+       count=st.integers(0, 400), fmt=st.sampled_from(cli.FORMATS))
+@example(seq="kfib", k=1, count=1, fmt="plain")
+def test_streams_print_the_int_terms(seq, k, count, fmt):
+    if seq in ("modified", "kfib"):
+        rec = modified_k_fib(k) if seq == "modified" else k_fib(k)
+        argv = ["gen", seq]
+    else:
+        rec = transform_recurrence(TransformKind(seq), k)
+        argv = ["transform", seq]
+    out = run_cli([*argv, "--k", str(k), "--count", str(count), "--format", fmt])
+    # the kfib family's zero term must read "0", as str(0) does, never "-0"
+    assert out == expected_text(terms(rec, count), fmt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), k=st.integers(1, 60), count=st.integers(0, 400))
+def test_gf_count_prints_the_int_expansion(kind, k, count):
+    out = run_cli(["gf", kind, "--k", str(k), "--count", str(count)])
+    series = gf_expand(derived_gf(TransformKind(kind), k), count)
+    assert out.split("\n", 1)[1] == expected_text(series, "plain")
+
+
+# below CPython's default 4300-digit limit on str(int)
+@given(x=st.integers() | st.integers(-10**4000, 10**4000))
+def test_digit_count_matches_str(x):
+    assert cli._digit_count(x) == len(str(x))
