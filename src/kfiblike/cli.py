@@ -39,7 +39,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 from .audit import run_audit
 from .closedform import binet_closed, binet_float
-from .genfunc import derived_gf, gf_expand, gf_from_rec, gf_str
+from .genfunc import gf_expand, gf_from_rec, gf_str
 from .ring import K, RingElem, elem_str
 from .sequences import (
     Order2Rec,
@@ -211,13 +211,14 @@ def _cmd_gf(args, parser, out) -> int:
         k = args.k
     if args.count is not None:
         _check_count(parser, args.count)
-    gf = derived_gf(kind, k)
-    out.write(gf_str(gf) + "\n")
+    # The printed GF and its expansion both come from this one recurrence.
+    rec = transform_recurrence(kind, k)
+    out.write(gf_str(gf_from_rec(rec)) + "\n")
     if args.count is not None:
-        # gf is gf_from_rec of this recurrence; expand a Decimal copy of it
-        rec = _decimal_rec(transform_recurrence(kind, k))
+        # A numeric k expands a Decimal copy; a symbolic one stays in KPoly.
+        expand_rec = _decimal_rec(rec) if isinstance(k, int) else rec
         with decimal.localcontext(_EXACT_CONTEXT):
-            _emit_terms(gf_expand(gf_from_rec(rec), args.count), "plain", out)
+            _emit_terms(gf_expand(gf_from_rec(expand_rec), args.count), "plain", out)
     return 0
 
 

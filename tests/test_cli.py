@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from kfiblike import cli
-from kfiblike.genfunc import derived_gf, gf_expand
+from kfiblike.genfunc import derived_gf, gf_expand, gf_str
+from kfiblike.ring import K, elem_str
 from kfiblike.sequences import modified_k_fib, terms
 from kfiblike.transforms import TransformKind, transform_recurrence
 
@@ -133,6 +134,15 @@ def test_gf_symbolic_rendering(capsys):
     code, out, _ = run_cli(capsys, ["gf", "rising", "--symbolic"])
     assert code == 0
     assert out == "(2 - (2k^2-2k+2)x) / (1 - (k^2+2)x + x^2)\n"
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+def test_gf_symbolic_with_expansion(capsys, kind):
+    gf = derived_gf(kind, K)
+    expected = gf_str(gf) + "\n" + ",".join(elem_str(c) for c in gf_expand(gf, 4)) + "\n"
+    code, out, _ = run_cli(capsys, ["gf", kind.value, "--symbolic", "--count", "4"])
+    assert code == 0
+    assert out == expected
 
 
 def test_gf_numeric_with_expansion(capsys):
