@@ -17,11 +17,15 @@ a pipe writer killed by SIGPIPE.
 Behaviour is controlled entirely by flags plus two environment variables:
 ``KFIBLIKE_WIDTH`` (report width, clamped to 20..1000) and ``KFIBLIKE_COLOR``
 (colour toggle for the audit text report).  All big integers are printed as
-plain decimal strings.  The numeric streams of ``gen``, ``transform --method
-recurrence`` and ``gf --k K --count N`` are computed in exact ``decimal``
-arithmetic, whose ``str()`` takes linear time where CPython's ``str(int)``
-takes quadratic time; the context has unbounded precision and traps any
-rounding, so a rounded value raises instead of being printed.
+plain decimal strings, in time subquadratic in their digits where CPython
+3.11's ``str(int)`` is quadratic.  The numeric streams of ``gen``,
+``transform --method recurrence`` and ``gf --k K --count N`` are computed in
+exact ``decimal`` arithmetic, whose ``str()`` is linear; every other int goes
+through :func:`~kfiblike.ring.elem_str`, which converts a wide int to an
+exact ``Decimal`` by divide and conquer.  Both use ``ring``'s one exact
+context: unbounded precision, any rounding trapped, so a rounded value
+raises instead of being printed.  ``binet --exact`` refuses, as a usage
+error, a term estimated to have more than ``_EXACT_DIGITS_CEILING`` digits.
 """
 
 from __future__ import annotations
@@ -35,12 +39,12 @@ import sys
 import time
 from decimal import Decimal
 from itertools import islice
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .audit import run_audit
-from .closedform import binet_closed, binet_float
+from .closedform import QuadChar, binet_closed, binet_float
 from .genfunc import gf_expand, gf_from_rec, gf_str
-from .ring import K, RingElem, elem_str
+from .ring import _EXACT_CONTEXT, K, RingElem, elem_str
 from .sequences import (
     Order2Rec,
     iter_terms,
@@ -64,14 +68,11 @@ EXIT_BROKEN_PIPE = 141
 # Report width bounds: the audit text rules off sections with "=" * width.
 MIN_WIDTH, MAX_WIDTH = 20, 1000
 
-# The printed streams run in this context: no precision or exponent limit the
-# terms could reach, and any rounding raises rather than reaching stdout.
-_EXACT_CONTEXT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
-           decimal.Inexact, decimal.Rounded],
-)
+# ``binet --exact`` refuses a term estimated longer than this many digits.
+# Lucas doubling and decimal output grow faster than the digits: binomial
+# k=2 at n=4e6 (2.1e6 digits) takes about 5.5 s on CPython 3.11, and each
+# doubling of n multiplies that by about 3.
+_EXACT_DIGITS_CEILING = 10**7
 
 _LOG10_2 = math.log10(2)
 
@@ -98,6 +99,17 @@ def _decimal_rec(rec: Order2Rec) -> Order2Rec:
     """
     return Order2Rec(a=Decimal(rec.a), b=Decimal(rec.b), x0=Decimal(rec.x0),
                      x1=Decimal(rec.x1), label=rec.label)
+
+
+def _digits_estimate(rec: Order2Rec, n: int) -> float:
+    """About ``len(str(x(n)))``: n*log10 r1, r1 the dominant characteristic root.
+
+    r1 = (|P| + sqrt(disc)) / 2 is taken in ints scaled by 2**64, with
+    ``isqrt``, so that it stays accurate for a k too large for a float.
+    """
+    qc = QuadChar.from_rec(rec)
+    r1_scaled = (abs(qc.P) << 64) + math.isqrt(qc.discriminant << 128)
+    return n * (math.log10(r1_scaled) - 65 * _LOG10_2)
 
 
 def _digit_count(x: int) -> int:
@@ -228,6 +240,10 @@ def _cmd_binet(args, parser, out) -> int:
         parser.error(f"--n must be >= 0, got {args.n}")
     rec = transform_recurrence(_KIND_BY_NAME[args.kind], args.k)
     if args.exact:
+        digits = _digits_estimate(rec, args.n)
+        if digits > _EXACT_DIGITS_CEILING:
+            parser.error(f"x({args.n}) has about {digits:.3g} digits, beyond the "
+                         f"{_EXACT_DIGITS_CEILING:.3g}-digit ceiling of --exact")
         out.write(elem_str(binet_closed(rec, args.n)) + "\n")
         return 0
     try:
@@ -276,6 +292,10 @@ def _cmd_bench(args, parser, out) -> int:
         rows = [("iterative", t_iter, v_iter, "ref")]
         t_fast, v_fast = _time_call(term_fast, rec, n)
         rows.append(("lucas-doubling", t_fast, v_fast, "yes" if v_fast == v_iter else "NO"))
+        # decimal output of that value: its text must have the value's digit count
+        t_dec, text = _time_call(elem_str, v_fast)
+        rows.append(("decimal", t_dec, v_fast,
+                     "yes" if len(text) == _digit_count(v_fast) else "NO"))
         if n <= args.direct_cap:
             t_dir, v_dir = _time_call(transform_direct, kind, args.k, n)
             rows.append(("direct-sum", t_dir, v_dir, "yes" if v_dir == v_iter else "NO"))
@@ -303,7 +323,12 @@ def _cmd_bench(args, parser, out) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name.
+
+    A handler reports range errors through its subcommand's parser, so they
+    read ``kfiblike gen: error: ...`` as argparse's own errors there do.
+    """
     parser = argparse.ArgumentParser(
         prog="kfiblike",
         description="modified k-Fibonacci-like sequence, its binomial-family "
@@ -352,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbolic", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
-    p = sub.add_parser("bench", help="time iterative vs lucas-doubling vs direct-sum")
+    p = sub.add_parser("bench", help="time iterative vs lucas-doubling vs direct-sum, "
+                                     "and decimal output")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, action="append",
                    help="term index; repeatable (default: 1000, 10000, 100000)")
@@ -360,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direct-cap", type=int, default=DEFAULT_DIRECT_CAP,
                    help="largest n at which the definitional direct sum is timed")
 
-    return parser
+    return parser, sub.choices
 
 
 _HANDLERS = {
@@ -374,13 +400,13 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # Terms grow far past CPython's default 4300-digit str() guard; decimal
-    # output of arbitrary magnitude is part of this tool's contract.
+    # elem_str needs no lifted str() guard, but KPoly.__str__ prints its
+    # coefficients with str(), and those can pass 4300 digits too.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args, parser, sys.stdout)
+    return _HANDLERS[args.command](args, commands[args.command], sys.stdout)
 
 
 def entry() -> None:

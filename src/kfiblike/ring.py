@@ -11,14 +11,21 @@ There is deliberately no rational carrier: every identity in scope stays
 integral, and the single 1/2 factor that occurs is handled by
 :func:`exact_div_int`, which fails loudly if divisibility is ever violated.
 
-``int`` is the numeric result type of every library function.  The CLI
-mirrors the numeric streams it prints in exact ``decimal.Decimal`` values,
-for output only, because their ``str()`` is linear in the digits.
+``int`` is the numeric result type of every library function.  Its decimal
+output goes through exact ``decimal.Decimal`` arithmetic, in one context
+with unbounded precision that traps any rounding, because CPython 3.11's
+``str(int)`` is quadratic in the digits and ``str(Decimal)`` is linear: the
+CLI iterates the streams it prints in that context, and :func:`elem_str`
+converts an int past CPython's 4300-digit ``str(int)`` guard to a
+``Decimal`` in it by divide and conquer, in subquadratic time and with no
+lifted guard.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+import decimal
+from decimal import Decimal
+from typing import Dict, Iterable, Union
 
 
 class ModeMismatchError(TypeError):
@@ -238,6 +245,68 @@ def poly_eval(p: KPoly, value: int) -> int:
     return p.evaluate(value)
 
 
+# Exact decimal arithmetic: no precision or exponent limit an int could reach,
+# and any rounding raises rather than reaching the output.
+_EXACT_CONTEXT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+           decimal.Inexact, decimal.Rounded],
+)
+
+# Every int of at most this many bits has at most 4300 digits, the default
+# limit of CPython's str(int) guard (3.11+), so str() may print it.
+_STR_MAX_BITS = 14_284
+
+# Widths at or below this go to Decimal(int) in one piece.  A power of two, so
+# that every split width is one too.
+_LEAF_BITS = 1024
+
+# Decimal(2**s) for each split width s converted so far: powers of two from
+# _LEAF_BITS up to below the widest int converted, so at most its
+# bit_length().bit_length() entries.
+_POW2: Dict[int, Decimal] = {}
+
+
+def _pow2(s: int) -> Decimal:
+    """``Decimal(2**s)`` for a power of two ``s >= _LEAF_BITS``, by squaring."""
+    p = _POW2.get(s)
+    if p is None:
+        if s == _LEAF_BITS:
+            p = Decimal(1 << s)
+        else:
+            half = _pow2(s >> 1)
+            p = half * half
+        _POW2[s] = p
+    return p
+
+
+def _to_decimal(m: int) -> Decimal:
+    """A non-negative int as an exact ``Decimal``; call inside ``_EXACT_CONTEXT``.
+
+    Radix conversion by divide and conquer (Brent & Zimmermann, *Modern
+    Computer Arithmetic*, 1.7): m = lo + hi * 2**s, s the largest power of two
+    below m's width.  Bit shifts split m in linear time, and the decimal
+    products are subquadratic, where str(int) and int division are quadratic
+    on CPython 3.11.
+    """
+    w = m.bit_length()
+    if w <= _LEAF_BITS:
+        return Decimal(m)
+    s = 1 << ((w - 1).bit_length() - 1)
+    hi = m >> s
+    return _to_decimal(m - (hi << s)) + _to_decimal(hi) * _pow2(s)
+
+
 def elem_str(x: RingElem) -> str:
-    """Decimal string for ints, descending-degree text for polynomials."""
+    """Decimal string for ints, descending-degree text for polynomials.
+
+    Equal to ``str(x)``.  An int too wide for CPython's default ``str(int)``
+    guard is converted through an exact ``Decimal``, in time subquadratic in
+    its digits, and needs no lifted guard.
+    """
+    if type(x) is int and x.bit_length() > _STR_MAX_BITS:
+        with decimal.localcontext(_EXACT_CONTEXT):
+            text = str(_to_decimal(abs(x)))
+        return "-" + text if x < 0 else text
     return str(x)

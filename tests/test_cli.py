@@ -10,7 +10,7 @@ import pytest
 from kfiblike import cli
 from kfiblike.genfunc import derived_gf, gf_expand, gf_str
 from kfiblike.ring import K, elem_str
-from kfiblike.sequences import modified_k_fib, terms
+from kfiblike.sequences import modified_k_fib, term_fast, terms
 from kfiblike.transforms import TransformKind, transform_recurrence
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -71,6 +71,24 @@ def test_gen_rejects_bad_k():
 def test_usage_error_exit_code():
     proc = run_subprocess(["gen", "nosuchfamily", "--k", "1", "--count", "1"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "modified", "--k", "0", "--count", "3"],
+    ["transform", "binomial", "--k", "2", "--count", "-1"],
+    ["gf", "binomial"],
+    ["binet", "binomial", "--k", "2", "--n", "-1", "--exact"],
+    ["audit", "--k-min", "5", "--k-max", "2"],
+    ["bench", "--k", "2", "--n", "-5"],
+])
+def test_range_errors_name_the_subcommand(argv):
+    # as argparse's own errors do: "usage: kfiblike gen ..." / "kfiblike gen: error:"
+    proc = run_subprocess(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith(f"usage: kfiblike {argv[0]} [-h]")
+    assert f"\nkfiblike {argv[0]}: error: " in err
 
 
 def test_transform_tables(capsys):
@@ -285,7 +303,7 @@ def test_audit_byte_identical_runs():
 def test_bench_small(capsys):
     code, out, _ = run_cli(capsys, ["bench", "--k", "2", "--n", "200", "--n", "400"])
     assert code == 0
-    for name in ("iterative", "lucas-doubling", "direct-sum"):
+    for name in ("iterative", "lucas-doubling", "decimal", "direct-sum"):
         assert name in out
     assert "values agree across all strategies that ran" in out
 
@@ -331,6 +349,37 @@ def test_large_value_prints_full_decimal(capsys):
     value = out.strip()
     assert len(value) > 4300
     assert value.isdigit()
+
+
+def test_huge_binet_exact_is_str_of_term_fast(capsys):
+    code, out, _ = run_cli(capsys, ["binet", "binomial", "--k", "2", "--n", "200000", "--exact"])
+    assert code == 0
+    value = term_fast(transform_recurrence(TransformKind.BINOMIAL, 2), 200000)
+    assert out == str(value) + "\n"
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+def test_digits_estimate_tracks_the_length(kind):
+    # n*log10 r1 leaves out log10 of the leading coefficient, which is within
+    # about log10 k of zero for these families
+    for k in (1, 2, 3, 10, 1000, 10**20):
+        rec = transform_recurrence(kind, k)
+        for n in (1, 2, 3, 5, 10, 50, 100, 200, 400):
+            digits = len(elem_str(term_fast(rec, n)))
+            assert abs(cli._digits_estimate(rec, n) - digits) <= len(str(k)) + 1
+
+
+def test_binet_exact_refuses_a_term_past_the_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_EXACT_DIGITS_CEILING", 100)
+    code, out, _ = run_cli(capsys, ["binet", "binomial", "--k", "2", "--n", "150", "--exact"])
+    assert code == 0 and len(out.strip()) == 80
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["binet", "binomial", "--k", "2", "--n", "200", "--exact"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kfiblike binet")
+    assert "x(200) has about 107 digits, beyond the 100-digit ceiling of --exact" in captured.err
 
 
 def test_rounding_in_a_stream_raises_before_printing(capsys, monkeypatch):

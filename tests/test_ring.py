@@ -1,8 +1,15 @@
+import decimal
+import os
 import random
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kfiblike import ring
 from kfiblike.ring import (
     ExactDivisionError,
     K,
@@ -235,3 +242,94 @@ def test_kpoly_ring_laws_property(ca, cb, cc, x):
     assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
     assert (-a).evaluate(x) == -a.evaluate(x)
     assert one.evaluate(x) == 1 and zero.evaluate(x) == 0
+
+
+@contextmanager
+def str_guard_lifted():
+    """Let the reference ``str(int)`` print any size (CPython 3.11+ guard)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+# bit widths from 0 to about three times the str() threshold, either sign
+WIDE_INTS = st.integers(0, 3 * ring._STR_MAX_BITS).flatmap(
+    lambda b: st.integers(-(1 << b), 1 << b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(WIDE_INTS)
+def test_elem_str_equals_str_on_both_sides_of_the_threshold(x):
+    with str_guard_lifted():
+        assert elem_str(x) == str(x)
+
+
+# the str() threshold, the leaf width and the first split widths above it
+EDGE_BITS = (ring._STR_MAX_BITS, ring._STR_MAX_BITS + 1, ring._LEAF_BITS,
+             2 * ring._LEAF_BITS, 4 * ring._LEAF_BITS, 16 * ring._LEAF_BITS,
+             32 * ring._LEAF_BITS)
+
+
+@pytest.mark.parametrize("b", EDGE_BITS)
+def test_decimal_route_at_edge_widths(b):
+    with str_guard_lifted():
+        for m in (2**b - 1, 2**b, 2**b + 1):
+            with decimal.localcontext(ring._EXACT_CONTEXT):
+                assert str(ring._to_decimal(m)) == str(m)
+            for x in (m, -m):
+                assert elem_str(x) == str(x)
+    assert elem_str(0) == "0"
+
+
+def test_str_threshold_is_the_default_guard():
+    # every int of at most _STR_MAX_BITS bits has at most 4300 digits
+    with str_guard_lifted():
+        assert len(str(2**ring._STR_MAX_BITS - 1)) == 4300
+        assert len(str(2**(ring._STR_MAX_BITS + 1) - 1)) == 4301
+
+
+def test_power_table_is_bounded_by_the_widest_value(monkeypatch):
+    monkeypatch.setattr(ring, "_POW2", {})
+    x = 3**90_000  # 142,650 bits
+    elem_str(x)
+    table = dict(ring._POW2)
+    assert len(table) <= x.bit_length().bit_length()
+    assert all(s & (s - 1) == 0 and ring._LEAF_BITS <= s < x.bit_length() for s in table)
+    elem_str(x // 7**5000)
+    elem_str(-x)
+    assert ring._POW2 == table
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import sys
+from kfiblike.ring import elem_str
+x = 7**20000
+try:
+    str(x)
+except ValueError:
+    pass
+else:
+    raise SystemExit("the default str(int) guard is not in force")
+text, neg = elem_str(x), elem_str(-x)
+sys.set_int_max_str_digits(0)
+assert text == str(x) and neg == str(-x)
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no str(int) guard before CPython 3.11")
+def test_elem_str_works_under_the_default_str_guard():
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
