@@ -400,8 +400,9 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # elem_str needs no lifted str() guard, but KPoly.__str__ prints its
-    # coefficients with str(), and those can pass 4300 digits too.
+    # elem_str and KPoly.__str__ need no lifted str(int) guard, but argparse's
+    # int() reads a --k or --n past 4300 digits, and genfunc.xpoly_str prints
+    # the int coefficients of a numeric GF (k**3 for kbinomial) with str().
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser, commands = build_parser()

@@ -61,17 +61,6 @@ class XPoly:
             return self.coeffs[i]
         return zero_like(self.coeffs[0]) if self.coeffs else 0
 
-    def __add__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return xpoly(out)
-
     def __mul__(self, other):
         if not isinstance(other, XPoly):
             return NotImplemented

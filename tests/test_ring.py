@@ -244,6 +244,122 @@ def test_kpoly_ring_laws_property(ca, cb, cc, x):
     assert one.evaluate(x) == 1 and zero.evaluate(x) == 0
 
 
+def _schoolbook(a, b):
+    """Reference product of two coefficient lists, untrimmed."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _assert_built_like_public(p, cs):
+    """``p`` is exactly what the validating constructor makes of ``cs``."""
+    q = KPoly(cs)
+    assert p.coeffs == q.coeffs and p == q and hash(p) == hash(q)
+    assert _is_canonical(p)
+
+
+# coefficients of any width up to about 2**300, either sign
+_WIDE_COEFFS = st.integers(0, 300).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
+_NONZERO_WIDE = _WIDE_COEFFS.filter(bool)
+_operands = st.tuples(
+    st.one_of(
+        st.lists(_WIDE_COEFFS, max_size=15),                              # short
+        st.lists(_NONZERO_WIDE, min_size=16, max_size=40),                # dense
+        st.lists(st.one_of(st.just(0), st.just(0), st.just(0), _WIDE_COEFFS),
+                 max_size=40),                                            # mostly zero
+    ),
+    st.integers(min_value=0, max_value=3),
+).map(lambda t: t[0] + [0] * t[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ca=_operands, cb=_operands)
+def test_kpoly_arithmetic_matches_reference_property(ca, cb):
+    a, b = KPoly(ca), KPoly(cb)
+    _assert_built_like_public(a * b, _schoolbook(ca, cb))
+    _assert_built_like_public(b * a, _schoolbook(ca, cb))
+    width = max(len(ca), len(cb))
+    pa, pb = ca + [0] * (width - len(ca)), cb + [0] * (width - len(cb))
+    _assert_built_like_public(a + b, [x + y for x, y in zip(pa, pb)])
+    _assert_built_like_public(a - b, [x - y for x, y in zip(pa, pb)])
+    _assert_built_like_public(-a, [-x for x in ca])
+    c = cb[0] if cb else 0
+    _assert_built_like_public(a.scale(c), [x * c for x in ca])
+
+
+def _dense(n, sign=1, start=1):
+    return [sign * (start + i) * (-1) ** i for i in range(n)]
+
+
+@pytest.mark.parametrize("na", (15, 16, 17))
+@pytest.mark.parametrize("nb", (15, 16, 17))
+def test_products_at_the_kronecker_threshold(monkeypatch, na, nb):
+    calls = []
+    real = ring._kronecker_mul
+    monkeypatch.setattr(ring, "_kronecker_mul", lambda a, b: calls.append(1) or real(a, b))
+    ca, cb = _dense(na, start=3), _dense(nb, sign=-1, start=10**20)
+    _assert_built_like_public(KPoly(ca) * KPoly(cb), _schoolbook(ca, cb))
+    assert len(calls) == (min(na, nb) >= ring._KRONECKER_MIN_TERMS)
+    # zeros do not count: spread 16 nonzero terms out and hide one
+    sparse = [0] * 40
+    for i in range(0, 32, 2):
+        sparse[i] = 2**70 + i
+    _assert_built_like_public(KPoly(sparse) * KPoly(cb), _schoolbook(sparse, cb))
+    sparse[0] = 0
+    calls.clear()
+    _assert_built_like_public(KPoly(sparse) * KPoly(cb), _schoolbook(sparse, cb))
+    assert not calls
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 8))
+def test_products_around_a_slot_width(m):
+    edges = [2**(8 * m - 1) - 1, 2**(8 * m - 1), 2**(8 * m)]
+    values = edges + [-e for e in edges]
+    for n in (16, 17, 24):
+        for x in values:
+            for y in values:
+                same = [x] * n
+                mixed = [x if i % 3 else y for i in range(n)]
+                alternating = [x if i % 2 else -x for i in range(n)]
+                for ca, cb in ((same, same), (same, mixed), (mixed, alternating),
+                               (alternating, [y] * (n + 5)), (mixed, mixed)):
+                    _assert_built_like_public(KPoly(ca) * KPoly(cb), _schoolbook(ca, cb))
+    # 31 * 15 * (2**(8m-1) - 1) needs all but the top bit of its slot
+    for x in values:
+        for ca, cb in (([x] * 31, [15] * 31), ([x] * 31, [-15] * 31)):
+            _assert_built_like_public(KPoly(ca) * KPoly(cb), _schoolbook(ca, cb))
+
+
+def test_monomial_times_dense_in_both_orders():
+    dense = _dense(30, start=2**64)
+    for i in (0, 1, 7, 40):
+        for c in (1, -1, 5, -(2**200)):
+            mono = [0] * i + [c]
+            want = [0] * i + [c * x for x in dense]
+            _assert_built_like_public(KPoly(mono) * KPoly(dense), want)
+            _assert_built_like_public(KPoly(dense) * KPoly(mono), want)
+    _assert_built_like_public(KPoly(dense) * KPoly(), [])
+    _assert_built_like_public(KPoly() * KPoly(dense), [])
+
+
+def test_cancelling_results_are_canonical():
+    a = KPoly([3, -1, 4, 1, 5, 9])
+    for r in (a - a, a + (-a), (-a) + a, a.scale(0), a * KPoly()):
+        assert r.coeffs == () and r.degree == -1 and not r
+        _assert_built_like_public(r, [0, 0, 0])
+    # leading terms cancel: the difference is trimmed to its last nonzero term
+    b = KPoly([1, 2, 4, 0, 5, 9])
+    for r in (a - b, a + (-b), (-b) + a):
+        assert r.coeffs == (2, -3, 0, 1) and r.degree == 3
+        _assert_built_like_public(r, [2, -3, 0, 1, 0, 0])
+    assert (b - a).coeffs == (-2, 3, 0, -1)
+    wide = KPoly([2**300, -(2**300), 2**300])
+    assert (wide - wide.scale(1)).coeffs == ()
+    assert (KPoly([1, 2**300]) - KPoly([0, 2**300])).coeffs == (1,)
+
+
 @contextmanager
 def str_guard_lifted():
     """Let the reference ``str(int)`` print any size (CPython 3.11+ guard)."""
@@ -332,4 +448,28 @@ def test_elem_str_works_under_the_default_str_guard():
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, env=env,
                           timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+KPOLY_CHILD = """
+import sys
+from kfiblike.ring import KPoly, elem_str
+c = 7**6000
+p = KPoly((c, -c, 1, 0, c))
+texts = str(p), elem_str(p), str(-p)
+sys.set_int_max_str_digits(0)
+m = str(c)
+assert texts[0] == texts[1] == m + "k^4+k^2-" + m + "k+" + m, texts[0][:40]
+assert texts[2] == "-" + m + "k^4-k^2+" + m + "k-" + m
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no str(int) guard before CPython 3.11")
+def test_kpoly_str_works_under_the_default_str_guard():
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", KPOLY_CHILD], capture_output=True,
+                          env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
