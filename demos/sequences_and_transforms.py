@@ -14,13 +14,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from kfiblike import (  # noqa: E402
     KIND_ORDER,
     K,
-    Provenance,
     f_from_m,
     k_fib,
     m_from_f,
     modified_k_fib,
     terms,
-    transform_seq,
+    transform_direct,
+    transform_recurrence,
 )
 
 print("=" * 72)
@@ -52,13 +52,13 @@ print()
 for kind in KIND_ORDER:
     print(f"--- {kind.value} transform ---")
     for k in (1, 2, 3, 4, 5):
-        direct = transform_seq(kind, k, 6, Provenance.DIRECT_SUM)
-        closed = transform_seq(kind, k, 6, Provenance.CLOSED_RECURRENCE)
-        marker = "==" if direct.terms == closed.terms else "!!"
-        print(f"  k={k}: {list(direct.terms)}  (direct {marker} recurrence)")
-        assert direct.terms == closed.terms
+        direct = [transform_direct(kind, k, n) for n in range(6)]
+        closed = terms(transform_recurrence(kind, k), 6)
+        marker = "==" if direct == closed else "!!"
+        print(f"  k={k}: {direct}  (direct {marker} recurrence)")
+        assert direct == closed
     print()
 
 print("At k=1 every weight collapses to 1, so all four transforms coincide:")
 for kind in KIND_ORDER:
-    print(f"  {kind.value:<10}", list(transform_seq(kind, 1, 6).terms))
+    print(f"  {kind.value:<10}", [transform_direct(kind, 1, n) for n in range(6)])

@@ -9,7 +9,6 @@ from .ring import (
     ModeMismatchError,
     RingElem,
     exact_div_int,
-    poly_eval,
 )
 from .sequences import (
     Order2Rec,
@@ -24,23 +23,18 @@ from .sequences import (
 )
 from .transforms import (
     KIND_ORDER,
-    Provenance,
     TransformKind,
-    TransformSeq,
-    binomial_coeff,
     binomial_diff_identity,
     falling_diff_identity,
     rising_even_index,
     transform_direct,
     transform_recurrence,
-    transform_seq,
     w_scaling,
 )
 from .closedform import (
     QuadChar,
     binet_closed,
     binet_float,
-    lucas_u,
     published_binet,
 )
 from .genfunc import (
@@ -57,7 +51,6 @@ from .genfunc import (
 from .audit import (
     AuditConfig,
     AuditReport,
-    Claim,
     ClaimResult,
     Counterexample,
     TABLE_FIXTURES,

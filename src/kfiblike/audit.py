@@ -54,14 +54,13 @@ from .sequences import (
 )
 from .transforms import (
     KIND_ORDER,
-    DirectRoute,
     TransformKind,
-    _binomial_diff_pair,
-    _falling_diff_pair,
-    _rising_even_pair,
-    _w_scaling_pair,
+    binomial_diff_identity,
+    falling_diff_identity,
+    rising_even_index,
     transform_direct,
     transform_recurrence,
+    w_scaling,
 )
 
 SYMBOLIC_N_CAP = 16  # polynomial degree growth keeps symbolic sweeps desk-scale
@@ -389,11 +388,9 @@ def _direct_vs_recurrence(kind: TransformKind) -> _Pair:
     return lambda run, k, n: (run.direct(kind, k, n), run.prefix(run.recurrence(kind, k))[n])
 
 
-def _identity_pair(
-    pair_on: Callable[[DirectRoute, RingElem, int], Tuple[RingElem, RingElem]],
-) -> _Pair:
+def _identity_pair(lemma: Callable[..., Tuple[RingElem, RingElem]]) -> _Pair:
     """A lemma pair whose transform terms come from the run's direct sums."""
-    return lambda run, k, n: pair_on(run.direct, k, n)
+    return lambda run, k, n: lemma(k, n, direct=run.direct)
 
 
 def _m_from_f(run: _Run, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
@@ -499,28 +496,28 @@ def claim_registry() -> List[Claim]:
         description="difference lemma for the binomial transform",
         citation="b(n+1) - b(n) = sum_i C(n,i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(_binomial_diff_pair)),
+        checker=_sweep(_identity_pair(binomial_diff_identity)),
     ))
     claims.append(Claim(
         id="C06",
         description="difference lemma for the falling k-binomial transform",
         citation="f(n+1) - k f(n) = sum_i C(n,i) k^(n-i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(_falling_diff_pair)),
+        checker=_sweep(_identity_pair(falling_diff_identity)),
     ))
     claims.append(Claim(
         id="C07",
         description="rising k-binomial transform walks the even-index subsequence",
         citation="sum_i C(n,i) k^i M(i) = M(2n)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(_rising_even_pair)),
+        checker=_sweep(_identity_pair(rising_even_index)),
     ))
     claims.append(Claim(
         id="C08",
         description="k-binomial transform is the k^n-scaled binomial transform",
         citation="w(n) = k^n b(n)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(_w_scaling_pair)),
+        checker=_sweep(_identity_pair(w_scaling)),
     ))
     claims.append(Claim(
         id="C09",
@@ -619,10 +616,10 @@ def claim_registry() -> List[Claim]:
 
 
 def run_audit(
-    k_min: int = 1,
-    k_max: int = 10,
-    n_max: int = 64,
-    symbolic: bool = True,
+    k_min: int = AuditConfig.k_min,
+    k_max: int = AuditConfig.k_max,
+    n_max: int = AuditConfig.n_max,
+    symbolic: bool = AuditConfig.symbolic,
 ) -> AuditReport:
     """Evaluate every claim over its configured subranges; deterministic output."""
     cfg = AuditConfig(k_min=k_min, k_max=k_max, n_max=n_max, symbolic=symbolic)

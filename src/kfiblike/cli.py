@@ -41,7 +41,7 @@ from decimal import Decimal
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .audit import run_audit
+from .audit import AuditConfig, run_audit
 from .closedform import QuadChar, binet_closed, binet_float
 from .genfunc import gf_expand, gf_from_rec, gf_str
 from .ring import _EXACT_CONTEXT, K, RingElem, elem_str
@@ -371,10 +371,11 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
                    help="exact Lucas-sequence value instead of double precision")
 
     p = sub.add_parser("audit", help="run the published-claim audit")
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--symbolic", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--k-min", type=int, default=AuditConfig.k_min)
+    p.add_argument("--k-max", type=int, default=AuditConfig.k_max)
+    p.add_argument("--n-max", type=int, default=AuditConfig.n_max)
+    p.add_argument("--symbolic", action=argparse.BooleanOptionalAction,
+                   default=AuditConfig.symbolic)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p = sub.add_parser("bench", help="time iterative vs lucas-doubling vs direct-sum, "
@@ -400,9 +401,9 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # elem_str and KPoly.__str__ need no lifted str(int) guard, but argparse's
-    # int() reads a --k or --n past 4300 digits, and genfunc.xpoly_str prints
-    # the int coefficients of a numeric GF (k**3 for kbinomial) with str().
+    # elem_str, KPoly.__str__ and gf_str need no lifted str(int) guard.
+    # argparse's int() needs it to read a --k or --n past 4300 digits, and so
+    # do the recurrence labels, which print such a k with str().
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser, commands = build_parser()

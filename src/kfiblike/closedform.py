@@ -49,16 +49,6 @@ class QuadChar:
         return self.P * self.P - scale(self.Q, 4)
 
 
-def lucas_u(P: RingElem, Q: RingElem, n: int) -> RingElem:
-    """Lucas sequence of the first kind: U0=0, U1=1, U(n+1) = P*U(n) - Q*U(n-1).
-
-    Equals (r1^n - r2^n)/(r1 - r2) over the roots of x^2 - P x + Q, but stays
-    in the exact ring: no radicals, no division.  O(log n) ring products by
-    Lucas doubling (:func:`~kfiblike.sequences.lucas_pair`).
-    """
-    return lucas_pair(P, Q, n)[0]
-
-
 def binet_closed(rec: Order2Rec, n: int) -> RingElem:
     """Exact closed-form term: x(n) = x1*U(n) - Q*x0*U(n-1), x(0) = x0.
 

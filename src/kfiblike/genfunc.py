@@ -26,6 +26,7 @@ from .ring import (
     RingElem,
     const_like,
     elem_is_zero,
+    elem_str,
     ipow,
     one_like,
     require_same_mode,
@@ -128,7 +129,14 @@ def gf_expand(gf: RationalGF, count: int) -> List[RingElem]:
 
 
 def gf_equal(g1: RationalGF, g2: RationalGF) -> bool:
-    """Equality of unreduced GFs by cross multiplication: n1*d2 == n2*d1."""
+    """Equality of unreduced GFs by cross multiplication: n1*d2 == n2*d1.
+
+    Decides for every n that two GFs have one series, where comparing
+    prefixes only samples it: acceptance criterion 6 checks the published GFs
+    against the derived ones this way, symbolically in k, and a GF built by
+    substitution (as in B(x) = M(x/(1-x))/(1-x)) can only be checked against
+    :func:`derived_gf` this way.  It is the one caller of ``XPoly.__mul__``.
+    """
     return (g1.num * g2.den).coeffs == (g2.num * g1.den).coeffs
 
 
@@ -178,7 +186,7 @@ def _coeff_text(c: RingElem, x_degree: int) -> Tuple[bool, str]:
             text = str(body_poly)
     else:
         negative = c < 0
-        text = str(-c if negative else c)
+        text = elem_str(-c if negative else c)
     if x_degree >= 1:
         if text == "1":
             text = ""

@@ -98,9 +98,6 @@ class KPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def evaluate(self, value: int) -> int:
         """Horner evaluation at an integer point, exact."""
         acc = 0
@@ -315,15 +312,6 @@ def exact_div_int(x: RingElem, d: int) -> RingElem:
     if x % d != 0:
         raise ExactDivisionError(f"{d} does not divide {x}")
     return x // d
-
-
-def poly_eval(p: KPoly, value: int) -> int:
-    """Evaluate a symbolic result at an integer k (symbolic -> numeric bridge)."""
-    if not isinstance(p, KPoly):
-        raise TypeError("poly_eval expects a KPoly")
-    if not isinstance(value, int):
-        raise TypeError("evaluation point must be int")
-    return p.evaluate(value)
 
 
 # Exact decimal arithmetic: no precision or exponent limit an int could reach,

@@ -13,7 +13,9 @@ The lemma-level identities (consecutive-difference forms, the even-index
 collapse of the rising transform, and the k^n scaling that links the
 k-binomial to the plain binomial transform) are exposed as pair-producing
 functions: each returns (lhs, rhs) computed separately so a caller can check
-equality without trusting either side.
+equality without trusting either side.  Each takes a ``direct=`` keyword, the
+route it reads its transform terms from: :func:`transform_direct` by default,
+or a caller's own table of those values (the audit passes its run's).
 
 Every direct sum, including the right-hand sides of the difference lemmas,
 is one pass of a single private kernel: it steps M's recurrence inline,
@@ -26,13 +28,11 @@ published definitions carry is deliberately out of scope.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Tuple
 
 from .ring import RingElem, const_like, ipow, one_like, scale, zero_like
-from .sequences import Order2Rec, modified_k_fib, require_valid_k, term_iterative, terms
+from .sequences import Order2Rec, modified_k_fib, require_valid_k, term_iterative
 
 
 class TransformKind(Enum):
@@ -43,15 +43,6 @@ class TransformKind(Enum):
     RISING_K = "rising"          # weight k^i
     FALLING_K = "falling"        # weight k^(n-i)
 
-    @property
-    def weight_rule(self) -> str:
-        return {
-            TransformKind.BINOMIAL: "1",
-            TransformKind.K_BINOMIAL: "k^n",
-            TransformKind.RISING_K: "k^i",
-            TransformKind.FALLING_K: "k^(n-i)",
-        }[self]
-
 
 #: Canonical ordering used everywhere a per-kind sweep or claim id is derived.
 KIND_ORDER: Tuple[TransformKind, ...] = (
@@ -60,34 +51,6 @@ KIND_ORDER: Tuple[TransformKind, ...] = (
     TransformKind.RISING_K,
     TransformKind.FALLING_K,
 )
-
-
-class Provenance(Enum):
-    DIRECT_SUM = "direct-sum"
-    CLOSED_RECURRENCE = "closed-recurrence"
-
-
-@dataclass(frozen=True)
-class TransformSeq:
-    """A transform prefix together with the route that produced it."""
-
-    kind: TransformKind
-    k: RingElem
-    terms: Tuple[RingElem, ...]
-    provenance: Provenance
-
-
-# ---------------------------------------------------------------------------
-# binomial coefficients
-# ---------------------------------------------------------------------------
-
-def binomial_coeff(n: int, i: int) -> int:
-    """C(n, i) with the usual convention C(n, i) = 0 outside 0 <= i <= n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if i < 0 or i > n:
-        return 0
-    return math.comb(n, i)
 
 
 # ---------------------------------------------------------------------------
@@ -160,27 +123,11 @@ def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:
     return Order2Rec(a=a, b=b, x0=two, x1=x1, label=f"{kind.value}(k={k})")
 
 
-def transform_seq(
-    kind: TransformKind,
-    k: RingElem,
-    count: int,
-    provenance: Provenance = Provenance.DIRECT_SUM,
-) -> TransformSeq:
-    """A transform prefix computed by the requested route."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if provenance is Provenance.DIRECT_SUM:
-        vals = tuple(transform_direct(kind, k, n) for n in range(count))
-    else:
-        vals = tuple(terms(transform_recurrence(kind, k), count))
-    return TransformSeq(kind=kind, k=k, terms=vals, provenance=provenance)
-
-
 # ---------------------------------------------------------------------------
 # lemma-level identities, each side computed independently
 # ---------------------------------------------------------------------------
 
-#: The direct-sum route a lemma pair reads its transform terms from.
+#: The direct-sum route a lemma function reads its transform terms from.
 DirectRoute = Callable[[TransformKind, RingElem, int], RingElem]
 
 
@@ -190,44 +137,32 @@ def _m1_m2(k: RingElem) -> Tuple[RingElem, RingElem]:
     return two, scale(k, 2) + two
 
 
-def binomial_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+def binomial_diff_identity(k: RingElem, n: int, *,
+                           direct: DirectRoute = transform_direct) -> Tuple[RingElem, RingElem]:
     """(b(n+1) - b(n),  sum_i C(n,i) * M(i+1))."""
     require_valid_k(k)
-    return _binomial_diff_pair(transform_direct, k, n)
-
-
-def _binomial_diff_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     lhs = direct(TransformKind.BINOMIAL, k, n + 1) - direct(TransformKind.BINOMIAL, k, n)
     return lhs, _weighted_sum(TransformKind.BINOMIAL, k, n, *_m1_m2(k))
 
 
-def falling_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+def falling_diff_identity(k: RingElem, n: int, *,
+                          direct: DirectRoute = transform_direct) -> Tuple[RingElem, RingElem]:
     """(f(n+1) - k*f(n),  sum_i C(n,i) * k^(n-i) * M(i+1))."""
     require_valid_k(k)
-    return _falling_diff_pair(transform_direct, k, n)
-
-
-def _falling_diff_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     lhs = direct(TransformKind.FALLING_K, k, n + 1) - k * direct(TransformKind.FALLING_K, k, n)
     return lhs, _weighted_sum(TransformKind.FALLING_K, k, n, *_m1_m2(k))
 
 
-def rising_even_index(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+def rising_even_index(k: RingElem, n: int, *,
+                      direct: DirectRoute = transform_direct) -> Tuple[RingElem, RingElem]:
     """(rising transform at n,  M(2n)): the rising sum walks the even indices."""
     require_valid_k(k)
-    return _rising_even_pair(transform_direct, k, n)
-
-
-def _rising_even_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     return direct(TransformKind.RISING_K, k, n), term_iterative(modified_k_fib(k), 2 * n)
 
 
-def w_scaling(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
+def w_scaling(k: RingElem, n: int, *,
+              direct: DirectRoute = transform_direct) -> Tuple[RingElem, RingElem]:
     """(k-binomial transform at n,  k^n * binomial transform at n)."""
     require_valid_k(k)
-    return _w_scaling_pair(transform_direct, k, n)
-
-
-def _w_scaling_pair(direct: DirectRoute, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     lhs = direct(TransformKind.K_BINOMIAL, k, n)
     return lhs, ipow(k, n) * direct(TransformKind.BINOMIAL, k, n)

@@ -1,4 +1,5 @@
 import decimal
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from kfiblike import cli
+from kfiblike.audit import AuditConfig, run_audit
 from kfiblike.genfunc import derived_gf, gf_expand, gf_str
 from kfiblike.ring import K, elem_str
 from kfiblike.sequences import modified_k_fib, term_fast, terms
@@ -200,6 +202,15 @@ def test_binet_float_overflow_is_usage_error():
     assert b"double-precision range" in proc.stderr
     assert b"--exact" in proc.stderr
     assert b"Traceback" not in proc.stderr
+
+
+def test_audit_defaults_are_the_config_defaults():
+    parser, _ = cli.build_parser()
+    args = parser.parse_args(["audit"])
+    assert AuditConfig(k_min=args.k_min, k_max=args.k_max, n_max=args.n_max,
+                       symbolic=args.symbolic) == AuditConfig()
+    defaults = inspect.signature(run_audit).parameters
+    assert AuditConfig(**{name: p.default for name, p in defaults.items()}) == AuditConfig()
 
 
 def test_audit_exit_zero_and_formats(capsys):

@@ -6,11 +6,10 @@ from kfiblike.closedform import (
     QuadChar,
     binet_closed,
     binet_float,
-    lucas_u,
     published_binet,
 )
 from kfiblike.ring import K, KPoly, ipow
-from kfiblike.sequences import Order2Rec, terms
+from kfiblike.sequences import Order2Rec, lucas_pair, terms
 from kfiblike.transforms import (
     KIND_ORDER,
     TransformKind,
@@ -19,24 +18,24 @@ from kfiblike.transforms import (
 )
 
 
-def test_lucas_u_basics():
-    assert lucas_u(4, 2, 0) == 0
-    assert lucas_u(4, 2, 1) == 1
-    assert lucas_u(4, 2, 3) == 14  # 0, 1, 4, 14
+def test_lucas_pair_basics():
+    assert lucas_pair(4, 2, 0)[0] == 0
+    assert lucas_pair(4, 2, 1)[0] == 1
+    assert lucas_pair(4, 2, 3)[0] == 14  # 0, 1, 4, 14
     # U2 = P, symbolically as well
     P, Q = KPoly((2, 1)), K  # k+2, k
-    assert lucas_u(P, Q, 2) == P
+    assert lucas_pair(P, Q, 2)[0] == P
 
 
 def test_lucas_determinant_identity():
     rng = random.Random(5)
     for _ in range(10):
         P, Q = rng.randint(-6, 6), rng.randint(-6, 6)
-        us = [lucas_u(P, Q, n) for n in range(34)]
+        us = [lucas_pair(P, Q, n)[0] for n in range(34)]
         for n in range(1, 33):
             assert us[n + 1] * us[n - 1] - us[n] ** 2 == -(Q ** (n - 1))
     P, Q = KPoly((2, 1)), K
-    us = [lucas_u(P, Q, n) for n in range(12)]
+    us = [lucas_pair(P, Q, n)[0] for n in range(12)]
     for n in range(1, 11):
         lhs = us[n + 1] * us[n - 1] - us[n] * us[n]
         assert lhs == -ipow(Q, n - 1)
@@ -150,4 +149,4 @@ def test_published_binet_first_failures():
 
 def test_lucas_rejects_negative_index():
     with pytest.raises(ValueError):
-        lucas_u(3, 1, -1)
+        lucas_pair(3, 1, -1)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from kfiblike.genfunc import (
@@ -117,6 +122,37 @@ def test_gf_text_rendering():
         "(2 - 2k^2x) / (1 - (k^2+2k)x + k^3x^2)"
     assert xpoly_str(xpoly([])) == "0"
     assert xpoly_str(xpoly([1, 1])) == "1 + x"
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+GF_CHILD = """
+import sys
+from kfiblike.genfunc import derived_gf, gf_str
+from kfiblike.transforms import TransformKind
+k = 7**4000  # 3381 digits; k**3 has 10,141
+try:
+    str(k**3)
+except ValueError:
+    pass
+else:
+    raise SystemExit("the default str(int) guard is not in force")
+text = gf_str(derived_gf(TransformKind.K_BINOMIAL, k))
+sys.set_int_max_str_digits(0)
+want = f"(2 - {2 * k**2}x) / (1 - {k**2 + 2 * k}x + {k**3}x^2)"
+assert text == want, text[:40]
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no str(int) guard before CPython 3.11")
+def test_gf_str_works_under_the_default_str_guard():
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", GF_CHILD], capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_expand_count_validation():

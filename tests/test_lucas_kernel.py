@@ -1,7 +1,7 @@
 """The Lucas doubling kernel against independent plain iteration.
 
-``term_fast``, ``binet_closed`` and ``lucas_u`` all read one kernel,
-``lucas_pair``, so agreeing with each other proves little.  Every check here
+``term_fast`` and ``binet_closed`` both read one kernel, ``lucas_pair``, so
+agreeing with each other proves little.  Every check here
 compares them with ``terms`` (the ground-truth iteration) or with the
 U-sequence loop written out below, at the bit patterns the doubling loop
 branches on: around each power of two, where the loop gains a step.
@@ -10,7 +10,7 @@ branches on: around each power of two, where the loop gains a step.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kfiblike.closedform import QuadChar, binet_closed, lucas_u
+from kfiblike.closedform import QuadChar, binet_closed
 from kfiblike.ring import K, ModeMismatchError, one_like, zero_like
 from kfiblike.sequences import k_fib, lucas_pair, modified_k_fib, term_fast, terms
 from kfiblike.transforms import KIND_ORDER, TransformKind, transform_recurrence
@@ -46,7 +46,6 @@ def assert_routes_match(rec, ns):
     for n in ns:
         assert term_fast(rec, n) == seq[n], ("term_fast", rec.label, n)
         assert binet_closed(rec, n) == seq[n], ("binet_closed", rec.label, n)
-        assert lucas_u(qc.P, qc.Q, n) == us[n], ("lucas_u", rec.label, n)
         assert lucas_pair(qc.P, qc.Q, n) == (us[n], us[n + 1]), ("lucas_pair", rec.label, n)
 
 

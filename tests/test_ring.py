@@ -19,7 +19,6 @@ from kfiblike.ring import (
     elem_str,
     exact_div_int,
     ipow,
-    poly_eval,
     require_same_mode,
     scale,
 )
@@ -81,15 +80,10 @@ def test_exact_div_negative_divisor():
     assert exact_div_int(KPoly((4, -6)), -2) == KPoly((-2, 3))
 
 
-def test_poly_eval_examples():
-    assert poly_eval(M5, 3) == 86
-    assert poly_eval(M5, 0) == 2
-    assert poly_eval(M6, 1) == 16
-
-
-def test_poly_eval_rejects_non_poly():
-    with pytest.raises(TypeError):
-        poly_eval(3, 3)
+def test_evaluate_examples():
+    assert M5.evaluate(3) == 86
+    assert M5.evaluate(0) == 2
+    assert M6.evaluate(1) == 16
 
 
 def test_mode_mixing_rejected():
@@ -136,14 +130,14 @@ def test_ring_axioms_randomized():
         assert x * 1 == x
 
 
-def test_poly_eval_is_ring_homomorphism():
+def test_evaluate_is_ring_homomorphism():
     rng = random.Random(99)
     for _ in range(100):
         p, q = _random_poly(rng), _random_poly(rng)
         k = rng.randint(0, 10)
-        assert poly_eval(p + q, k) == poly_eval(p, k) + poly_eval(q, k)
-        assert poly_eval(p - q, k) == poly_eval(p, k) - poly_eval(q, k)
-        assert poly_eval(p * q, k) == poly_eval(p, k) * poly_eval(q, k)
+        assert (p + q).evaluate(k) == p.evaluate(k) + q.evaluate(k)
+        assert (p - q).evaluate(k) == p.evaluate(k) - q.evaluate(k)
+        assert (p * q).evaluate(k) == p.evaluate(k) * q.evaluate(k)
 
 
 def test_canonical_form():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kfiblike.ring import K, KPoly, ModeMismatchError, poly_eval
+from kfiblike.ring import K, KPoly, ModeMismatchError
 from kfiblike.sequences import (
     Order2Rec,
     f_from_m,
@@ -144,4 +144,4 @@ def test_symbolic_numeric_consistency():
     for k in range(1, 11):
         num = terms(modified_k_fib(k), 33)
         for n in range(33):
-            assert poly_eval(sym[n], k) == num[n]
+            assert sym[n].evaluate(k) == num[n]

@@ -9,29 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kfiblike.genfunc import derived_gf, gf_expand
-from kfiblike.ring import K, KPoly, ipow, poly_eval
+from kfiblike import transforms
+from kfiblike.ring import K, KPoly, ipow
 from kfiblike.sequences import modified_k_fib, terms
 from kfiblike.transforms import (
     KIND_ORDER,
-    Provenance,
     TransformKind,
-    binomial_coeff,
     binomial_diff_identity,
     falling_diff_identity,
     rising_even_index,
     transform_direct,
     transform_recurrence,
-    transform_seq,
     w_scaling,
 )
-
-
-def test_binomial_coeff_basics():
-    assert binomial_coeff(4, 2) == 6
-    for n in (0, 3, 17):
-        assert binomial_coeff(n, 0) == 1
-    assert binomial_coeff(3, 5) == 0
-    assert binomial_coeff(3, -1) == 0
 
 
 def test_direct_sum_examples():
@@ -120,6 +110,39 @@ def test_identity_pairs_sweep():
                 assert lhs == rhs, (fn.__name__, k, n)
 
 
+def test_lemmas_read_transform_terms_only_from_the_given_route(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError(f"transform_direct{args} read behind the given route")
+
+    monkeypatch.setattr(transforms, "transform_direct", forbidden)
+    calls = []
+
+    def fake(kind, k, n):
+        """A recording route whose every value names the call that produced it."""
+        calls.append((kind, k, n))
+        return 10**6 * (KIND_ORDER.index(kind) + 1) + 1000 * k + n
+
+    B, W, R, Fa = (TransformKind.BINOMIAL, TransformKind.K_BINOMIAL,
+                   TransformKind.RISING_K, TransformKind.FALLING_K)
+    for k, n in ((1, 0), (3, 4), (5, 9)):
+        for fn, want_calls, want_lhs in (
+            (binomial_diff_identity, [(B, k, n + 1), (B, k, n)],
+             fake(B, k, n + 1) - fake(B, k, n)),
+            (falling_diff_identity, [(Fa, k, n + 1), (Fa, k, n)],
+             fake(Fa, k, n + 1) - k * fake(Fa, k, n)),
+            (rising_even_index, [(R, k, n)], fake(R, k, n)),
+            (w_scaling, [(W, k, n), (B, k, n)], fake(W, k, n)),
+        ):
+            calls.clear()
+            lhs, rhs = fn(k, n, direct=fake)
+            assert calls == want_calls, fn.__name__
+            assert lhs == want_lhs, fn.__name__
+            if fn is w_scaling:
+                assert rhs == k**n * fake(B, k, n)
+            else:  # the other side never reads the route
+                assert rhs == fn(k, n)[1], fn.__name__
+
+
 def test_direct_sum_with_both_binomial_rows():
     # recompute the definitional sum with math.comb binomials and M from
     # plain iteration, independent of the kernel's own C(n,i) rule and M loop
@@ -137,15 +160,6 @@ def test_direct_sum_with_both_binomial_rows():
                 assert alt == transform_direct(kind, k, n)
 
 
-def test_transform_seq_provenances_agree():
-    for kind in KIND_ORDER:
-        direct = transform_seq(kind, 4, 12, Provenance.DIRECT_SUM)
-        closed = transform_seq(kind, 4, 12, Provenance.CLOSED_RECURRENCE)
-        assert direct.terms == closed.terms
-        assert direct.provenance is Provenance.DIRECT_SUM
-        assert closed.provenance is Provenance.CLOSED_RECURRENCE
-
-
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         transform_direct(TransformKind.BINOMIAL, 0, 3)
@@ -153,15 +167,6 @@ def test_invalid_arguments():
         transform_direct(TransformKind.BINOMIAL, 2, -1)
     with pytest.raises(ValueError):
         transform_recurrence(TransformKind.BINOMIAL, -2)
-    with pytest.raises(ValueError):
-        binomial_coeff(-1, 0)
-
-
-def test_weight_rules_documented():
-    assert TransformKind.BINOMIAL.weight_rule == "1"
-    assert TransformKind.K_BINOMIAL.weight_rule == "k^n"
-    assert TransformKind.RISING_K.weight_rule == "k^i"
-    assert TransformKind.FALLING_K.weight_rule == "k^(n-i)"
 
 
 def test_symbolic_weights_match_scaled_binomial():
@@ -223,4 +228,4 @@ def test_direct_sum_matches_recurrence_gf_and_symbolic_property(kind, k, n):
     assert value == terms(transform_recurrence(kind, k), n + 1)[n]
     assert value == gf_expand(derived_gf(kind, k), n + 1)[n]
     if n <= 16:
-        assert poly_eval(transform_direct(kind, K, n), k) == value
+        assert transform_direct(kind, K, n).evaluate(k) == value
