@@ -19,19 +19,20 @@ correct its subject.  Counterexamples follow a smallest-n-then-smallest-k
 policy so reruns always produce the same minimal repro, and report output is
 byte-identical for identical parameters.
 
-Each :func:`run_audit` call builds one private run that holds the config and
-the route values claims share: the direct sums ``transform_direct(kind, k,
-n)``, the transform recurrences and the prefixes of those recurrences and of
-M and F.  Each is computed on first use, and every later claim that needs it
-reads it from the run.  The run also keeps the derived and published
-generating-function series of each kind and k, expanded once so that the
-sweep of C15-C18 can index them by n; only the claim for that kind reads
-them.  The ``binet_closed`` values of C19-C22 and C26, the published Binet
-values and C25's symbolic terms of M are not shared: each claim computes its
-own.  A claim still compares two independent routes; a value shared between
-claims means a broken route shows in every claim that reads it.  The run
-ends with :func:`run_audit`; the config and the report are plain values.
-Claims C01-C22 are each one sweep over the run.
+Each :func:`run_audit` call builds one private run that holds the config and,
+in ``functools.cache`` wrappers made for that run, the route values claims
+share: the direct sums ``transform_direct(kind, k, n)``, the transform
+recurrences and the prefixes of those recurrences and of M and F.  Each is
+computed on first use, and every later claim that needs it reads it from the
+run.  The run also keeps the derived and published generating-function series
+of each kind and k, expanded once so that the sweep of C15-C18 can index them
+by n; only the claim for that kind reads them.  The ``binet_closed`` values of
+C19-C22 and C26, the published Binet values and C25's symbolic terms of M are
+not shared: each claim computes its own.  A claim still compares two
+independent routes; a value shared between claims means a broken route shows
+in every claim that reads it.  The run and its caches end with
+:func:`run_audit`; the config and the report are plain values.  Claims
+C01-C22 are each one sweep over the run.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .closedform import binet_closed, binet_float, published_binet
-from .genfunc import RationalGF, derived_gf, gf_expand, published_gf
+from .genfunc import derived_gf, gf_expand, published_gf
 from .ring import K, KPoly, RingElem, elem_str
 from .sequences import (
-    Order2Rec,
     _f_from_m_terms,
     _m_from_f_terms,
     k_fib,
@@ -109,55 +110,27 @@ class AuditConfig:
 
 
 class _Run:
-    """One audit run: its config and its route values.
+    """One audit run: its config and its route values, each computed on first use.
 
-    Each value is computed on first use: recurrences per (kind, k), prefixes
-    per recurrence and direct sums per (kind, k, n), which claims share, and
-    generating-function series per (builder, kind, k), which only the GF
-    claim of that kind reads.  Prefixes and series run to n_max, or to sym_n
-    for symbolic k.
+    ``recurrence(kind, k)``, ``direct(kind, k, n)`` and ``prefix(rec)`` hold
+    the values claims share; ``series(builder, kind, k)``, the first
+    coefficients of ``builder(kind, k)``, only the GF claim of that kind
+    reads.  Prefixes and series run to n_max, or to sym_n for symbolic k.
+    The routes are built from this module's functions when the run is made,
+    so a function patched in before :func:`run_audit` is the one the run
+    caches.
     """
 
     def __init__(self, cfg: AuditConfig):
         self.cfg = cfg
-        self._recs: Dict[Tuple[TransformKind, RingElem], Order2Rec] = {}
-        self._prefixes: Dict[Order2Rec, List[RingElem]] = {}
-        self._direct: Dict[Tuple[TransformKind, RingElem, int], RingElem] = {}
-        self._series: Dict[Tuple[Callable, TransformKind, RingElem], List[RingElem]] = {}
 
-    def _count(self, k: RingElem) -> int:
-        return (self.cfg.sym_n if isinstance(k, KPoly) else self.cfg.n_max) + 1
+        def count(k: RingElem) -> int:
+            return (cfg.sym_n if isinstance(k, KPoly) else cfg.n_max) + 1
 
-    def recurrence(self, kind: TransformKind, k: RingElem) -> Order2Rec:
-        """``transform_recurrence(kind, k)``, built once per run."""
-        rec = self._recs.get((kind, k))
-        if rec is None:
-            rec = self._recs[kind, k] = transform_recurrence(kind, k)
-        return rec
-
-    def prefix(self, rec: Order2Rec) -> List[RingElem]:
-        """The first terms of ``rec``, computed once per run."""
-        vals = self._prefixes.get(rec)
-        if vals is None:
-            vals = self._prefixes[rec] = terms(rec, self._count(rec.a))
-        return vals
-
-    def direct(self, kind: TransformKind, k: RingElem, n: int) -> RingElem:
-        """``transform_direct(kind, k, n)``, computed once per run."""
-        key = (kind, k, n)
-        val = self._direct.get(key)
-        if val is None:
-            val = self._direct[key] = transform_direct(kind, k, n)
-        return val
-
-    def series(self, builder: Callable[[TransformKind, RingElem], RationalGF],
-               kind: TransformKind, k: RingElem) -> List[RingElem]:
-        """The first coefficients of ``builder(kind, k)``, expanded once per run."""
-        key = (builder, kind, k)
-        vals = self._series.get(key)
-        if vals is None:
-            vals = self._series[key] = gf_expand(builder(kind, k), self._count(k))
-        return vals
+        self.recurrence = cache(transform_recurrence)
+        self.direct = cache(transform_direct)
+        self.prefix = cache(lambda rec: terms(rec, count(rec.a)))
+        self.series = cache(lambda builder, kind, k: gf_expand(builder(kind, k), count(k)))
 
 
 @dataclass(frozen=True)

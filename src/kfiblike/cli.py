@@ -24,8 +24,10 @@ exact ``decimal`` arithmetic, whose ``str()`` is linear; every other int goes
 through :func:`~kfiblike.ring.elem_str`, which converts a wide int to an
 exact ``Decimal`` by divide and conquer.  Both use ``ring``'s one exact
 context: unbounded precision, any rounding trapped, so a rounded value
-raises instead of being printed.  ``binet --exact`` refuses, as a usage
-error, a term estimated to have more than ``_EXACT_DIGITS_CEILING`` digits.
+raises instead of being printed.  The CLI leaves CPython's ``str(int)`` guard
+as it is, so on 3.11+ an integer argument past 4300 digits is argparse's
+usage error.  A ``--count`` past ``sys.maxsize`` and a ``binet --exact`` term
+estimated past ``_EXACT_DIGITS_CEILING`` digits are too, before any output.
 """
 
 from __future__ import annotations
@@ -98,18 +100,22 @@ def _decimal_rec(rec: Order2Rec) -> Order2Rec:
     Evaluate its terms inside ``decimal.localcontext(_EXACT_CONTEXT)``.
     """
     return Order2Rec(a=Decimal(rec.a), b=Decimal(rec.b), x0=Decimal(rec.x0),
-                     x1=Decimal(rec.x1), label=rec.label)
+                     x1=Decimal(rec.x1))
 
 
 def _digits_estimate(rec: Order2Rec, n: int) -> float:
     """About ``len(str(x(n)))``: n*log10 r1, r1 the dominant characteristic root.
 
     r1 = (|P| + sqrt(disc)) / 2 is taken in ints scaled by 2**64, with
-    ``isqrt``, so that it stays accurate for a k too large for a float.
+    ``isqrt``, so that it stays accurate for a k too large for a float; an
+    n too large for a float gives infinity.
     """
     qc = QuadChar.from_rec(rec)
     r1_scaled = (abs(qc.P) << 64) + math.isqrt(qc.discriminant << 128)
-    return n * (math.log10(r1_scaled) - 65 * _LOG10_2)
+    try:
+        return n * (math.log10(r1_scaled) - 65 * _LOG10_2)
+    except OverflowError:
+        return math.inf
 
 
 def _digit_count(x: int) -> int:
@@ -158,6 +164,8 @@ def _check_k(parser: argparse.ArgumentParser, k: int) -> None:
 def _check_count(parser: argparse.ArgumentParser, count: int) -> None:
     if count < 0:
         parser.error(f"--count must be >= 0, got {count}")
+    if count > sys.maxsize:  # islice's own limit on a stream's length
+        parser.error(f"--count must be <= {sys.maxsize}, got {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +409,6 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # elem_str, KPoly.__str__ and gf_str need no lifted str(int) guard.
-    # argparse's int() needs it to read a --k or --n past 4300 digits, and so
-    # do the recurrence labels, which print such a k with str().
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     return _HANDLERS[args.command](args, commands[args.command], sys.stdout)

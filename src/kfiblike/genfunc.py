@@ -25,7 +25,6 @@ from .ring import (
     KPoly,
     RingElem,
     const_like,
-    elem_is_zero,
     elem_str,
     ipow,
     one_like,
@@ -50,7 +49,7 @@ class XPoly:
     def __post_init__(self):
         if self.coeffs:
             require_same_mode(*self.coeffs)
-            if elem_is_zero(self.coeffs[-1]):
+            if not self.coeffs[-1]:
                 raise ValueError("XPoly must be canonical (no trailing zero); use xpoly()")
 
     @property
@@ -78,7 +77,7 @@ class XPoly:
 def xpoly(coeffs: Sequence[RingElem]) -> XPoly:
     """Canonicalise a coefficient sequence (ascending powers of x)."""
     cs = list(coeffs)
-    while cs and elem_is_zero(cs[-1]):
+    while cs and not cs[-1]:
         cs.pop()
     return XPoly(tuple(cs))
 
@@ -119,7 +118,7 @@ def gf_expand(gf: RationalGF, count: int) -> List[RingElem]:
     dcs = gf.den.coeffs
     for n in range(count):
         c = gf.num.coefficient(n)
-        if elem_is_zero(c):
+        if not c:
             c = zero
         for j in range(1, len(dcs)):
             if n - j >= 0:
@@ -201,7 +200,7 @@ def xpoly_str(p: XPoly) -> str:
         return "0"
     parts: List[str] = []
     for d, c in enumerate(p.coeffs):
-        if elem_is_zero(c):
+        if not c:
             continue
         negative, body = _coeff_text(c, d)
         if not parts:

@@ -94,10 +94,6 @@ class KPoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def evaluate(self, value: int) -> int:
         """Horner evaluation at an integer point, exact."""
         acc = 0
@@ -267,10 +263,6 @@ def zero_like(template: RingElem) -> RingElem:
 
 def one_like(template: RingElem) -> RingElem:
     return const_like(1, template)
-
-
-def elem_is_zero(x: RingElem) -> bool:
-    return x.is_zero if isinstance(x, KPoly) else x == 0
 
 
 def ipow(x: RingElem, e: int) -> RingElem:

@@ -15,7 +15,7 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, List, Tuple
 
@@ -41,7 +41,6 @@ class Order2Rec:
     b: RingElem
     x0: RingElem
     x1: RingElem
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         require_same_mode(self.a, self.b, self.x0, self.x1)
@@ -57,13 +56,13 @@ def modified_k_fib(k: RingElem) -> Order2Rec:
     """The modified k-Fibonacci-like sequence: x(n+1) = k*x(n) + x(n-1), 2, 2."""
     require_valid_k(k)
     two = const_like(2, k)
-    return Order2Rec(a=k, b=one_like(k), x0=two, x1=two, label=f"M(k={k})")
+    return Order2Rec(a=k, b=one_like(k), x0=two, x1=two)
 
 
 def k_fib(k: RingElem) -> Order2Rec:
     """The k-Fibonacci sequence: same recurrence with x0 = 0, x1 = 1."""
     require_valid_k(k)
-    return Order2Rec(a=k, b=one_like(k), x0=zero_like(k), x1=one_like(k), label=f"F(k={k})")
+    return Order2Rec(a=k, b=one_like(k), x0=zero_like(k), x1=one_like(k))
 
 
 def iter_terms(rec: Order2Rec) -> Iterator[RingElem]:

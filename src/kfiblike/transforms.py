@@ -120,7 +120,7 @@ def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:
     else:
         a, b = scale(k, 3), one_like(k) - scale(ksq, 2)
         x1 = scale(k, 2) + two
-    return Order2Rec(a=a, b=b, x0=two, x1=x1, label=f"{kind.value}(k={k})")
+    return Order2Rec(a=a, b=b, x0=two, x1=x1)
 
 
 # ---------------------------------------------------------------------------

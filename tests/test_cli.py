@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,24 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def str_guard(limit):
+    """Run the block with CPython's ``str(int)`` digit limit at ``limit``; 0 lifts it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no guard before CPython 3.11
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+needs_str_guard = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                     reason="no str(int) guard before CPython 3.11")
 
 
 def run_subprocess(argv):
@@ -174,6 +193,30 @@ def test_gf_numeric_with_expansion(capsys):
 def test_gf_requires_k_or_symbolic():
     proc = run_subprocess(["gf", "binomial"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "modified", "--k", "2"],
+    ["gen", "modified", "--k", "2", "--fast"],
+    ["transform", "binomial", "--k", "2"],
+    ["transform", "binomial", "--k", "2", "--method", "direct"],
+    ["transform", "binomial", "--k", "2", "--verify"],
+    ["gf", "binomial", "--k", "2"],
+    ["gf", "binomial", "--symbolic"],
+])
+def test_count_past_maxsize_is_a_usage_error_before_any_term(capsys, monkeypatch, argv):
+    def no_terms(*args):
+        raise AssertionError("a term was computed")
+
+    for name in ("iter_terms", "term_fast", "terms", "transform_direct", "gf_expand"):
+        monkeypatch.setattr(cli, name, no_terms)
+    count = str(sys.maxsize + 1)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--count", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--count must be <= {sys.maxsize}, got {count}" in captured.err
 
 
 def test_gf_rejects_negative_count_before_output():
@@ -366,7 +409,39 @@ def test_huge_binet_exact_is_str_of_term_fast(capsys):
     code, out, _ = run_cli(capsys, ["binet", "binomial", "--k", "2", "--n", "200000", "--exact"])
     assert code == 0
     value = term_fast(transform_recurrence(TransformKind.BINOMIAL, 2), 200000)
-    assert out == str(value) + "\n"
+    with str_guard(0):
+        assert out == str(value) + "\n"
+
+
+def test_binet_exact_with_n_too_wide_for_a_float_is_a_usage_error(capsys):
+    n = 10**400
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["binet", "binomial", "--k", "2", "--n", str(n), "--exact"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kfiblike binet")
+    assert "has about inf digits, beyond the" in captured.err
+
+
+@needs_str_guard
+def test_main_leaves_the_str_guard_alone(capsys):
+    with str_guard(5000):
+        run_cli(capsys, ["gen", "modified", "--k", "2", "--count", "4"])
+        run_cli(capsys, ["binet", "rising", "--k", "10", "--n", "2200", "--exact"])
+        assert sys.get_int_max_str_digits() == 5000
+
+
+@needs_str_guard
+def test_k_past_the_str_guard_is_a_usage_error(capsys):
+    with str_guard(4300), pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "modified", "--k", "7" * 5000, "--count", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kfiblike gen")
+    assert "invalid int value" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("kind", list(TransformKind))

@@ -44,9 +44,9 @@ def assert_routes_match(rec, ns):
     qc = QuadChar.from_rec(rec)
     us = u_loop(qc.P, qc.Q, top + 2)
     for n in ns:
-        assert term_fast(rec, n) == seq[n], ("term_fast", rec.label, n)
-        assert binet_closed(rec, n) == seq[n], ("binet_closed", rec.label, n)
-        assert lucas_pair(qc.P, qc.Q, n) == (us[n], us[n + 1]), ("lucas_pair", rec.label, n)
+        assert term_fast(rec, n) == seq[n], ("term_fast", rec, n)
+        assert binet_closed(rec, n) == seq[n], ("binet_closed", rec, n)
+        assert lucas_pair(qc.P, qc.Q, n) == (us[n], us[n + 1]), ("lucas_pair", rec, n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 10])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from kfiblike.genfunc import derived_gf, gf_expand
 from kfiblike import transforms
 from kfiblike.ring import K, KPoly, ipow
-from kfiblike.sequences import modified_k_fib, terms
+from kfiblike.sequences import k_fib, modified_k_fib, terms
 from kfiblike.transforms import (
     KIND_ORDER,
     TransformKind,
@@ -167,6 +167,20 @@ def test_invalid_arguments():
         transform_direct(TransformKind.BINOMIAL, 2, -1)
     with pytest.raises(ValueError):
         transform_recurrence(TransformKind.BINOMIAL, -2)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no str(int) guard before CPython 3.11")
+def test_recurrences_of_a_k_past_the_str_guard_construct():
+    k = 7**6000  # 5071 digits
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert modified_k_fib(k).a == k_fib(k).a == k
+        for kind in TransformKind:
+            assert terms(transform_recurrence(kind, k), 2)[0] == 2
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_symbolic_weights_match_scaled_binomial():
