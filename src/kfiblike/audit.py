@@ -21,14 +21,16 @@ byte-identical for identical parameters.
 
 Each :func:`run_audit` call builds one private run that holds the config and,
 in ``functools.cache`` wrappers made for that run, the route values claims
-share: the direct sums ``transform_direct(kind, k, n)``, the transform
-recurrences and the prefixes of those recurrences and of M and F.  Each is
-computed on first use, and every later claim that needs it reads it from the
-run.  The run also keeps the derived and published generating-function series
-of each kind and k, expanded once so that the sweep of C15-C18 can index them
-by n; only the claim for that kind reads them.  The ``binet_closed`` values of
-C19-C22 and C26, the published Binet values and C25's symbolic terms of M are
-not shared: each claim computes its own.  A claim still compares two
+share: the direct sums of each kind and k, as one prefix that the difference
+table of :func:`~kfiblike.transforms.iter_direct` extends as far as a claim
+reads, the transform recurrences and the prefixes of those recurrences and
+of M and F.  Each is computed on first use, and every later claim that needs
+it reads it from the run.  The run also keeps the derived and published
+generating-function series of each kind and k, expanded once so that the
+sweep of C15-C18 can index them by n; only the claim for that kind reads
+them.  The ``binet_closed`` values of C19-C22 and C26, the published Binet
+values and C25's symbolic terms of M are not shared: each claim computes its
+own.  A claim still compares two
 independent routes; a value shared between claims means a broken route shows
 in every claim that reads it.  The run and its caches end with
 :func:`run_audit`; the config and the report are plain values.  Claims
@@ -41,6 +43,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from itertools import islice
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .closedform import binet_closed, binet_float, published_binet
@@ -58,8 +61,8 @@ from .transforms import (
     TransformKind,
     binomial_diff_identity,
     falling_diff_identity,
+    iter_direct,
     rising_even_index,
-    transform_direct,
     transform_recurrence,
     w_scaling,
 )
@@ -112,13 +115,15 @@ class AuditConfig:
 class _Run:
     """One audit run: its config and its route values, each computed on first use.
 
-    ``recurrence(kind, k)``, ``direct(kind, k, n)`` and ``prefix(rec)`` hold
+    ``direct(kind, k, n)``, ``recurrence(kind, k)`` and ``prefix(rec)`` hold
     the values claims share; ``series(builder, kind, k)``, the first
     coefficients of ``builder(kind, k)``, only the GF claim of that kind
-    reads.  Prefixes and series run to n_max, or to sym_n for symbolic k.
-    The routes are built from this module's functions when the run is made,
-    so a function patched in before :func:`run_audit` is the one the run
-    caches.
+    reads.  The direct sums of each (kind, k) are one list, extended from
+    that pair's :func:`~kfiblike.transforms.iter_direct` stream as far as a
+    claim reads, which may pass n_max: C05/C06 read n_max + 1, the table
+    fixtures n <= 5 at their own k.  Prefixes and series run to n_max, or to
+    sym_n for symbolic k.  A function of this module patched in before
+    :func:`run_audit` is the one the run caches.
     """
 
     def __init__(self, cfg: AuditConfig):
@@ -127,10 +132,17 @@ class _Run:
         def count(k: RingElem) -> int:
             return (cfg.sym_n if isinstance(k, KPoly) else cfg.n_max) + 1
 
+        self._direct_prefix = cache(lambda kind, k: ([], iter_direct(kind, k)))
         self.recurrence = cache(transform_recurrence)
-        self.direct = cache(transform_direct)
         self.prefix = cache(lambda rec: terms(rec, count(rec.a)))
         self.series = cache(lambda builder, kind, k: gf_expand(builder(kind, k), count(k)))
+
+    def direct(self, kind: TransformKind, k: RingElem, n: int) -> RingElem:
+        """Term n of the (kind, k) transform, by the definitional sum."""
+        values, stream = self._direct_prefix(kind, k)
+        if n >= len(values):
+            values.extend(islice(stream, n + 1 - len(values)))
+        return values[n]
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from .sequences import (
     term_iterative,
     terms,
 )
-from .transforms import TransformKind, transform_direct, transform_recurrence
+from .transforms import TransformKind, iter_direct, transform_direct, transform_recurrence
 
 FORMATS = ("plain", "csv", "json-lines", "bfile")
 
@@ -190,7 +190,7 @@ def _cmd_transform(args, parser, out) -> int:
     _check_count(parser, args.count)
     kind = _KIND_BY_NAME[args.kind]
     if args.verify:
-        direct = [transform_direct(kind, args.k, n) for n in range(args.count)]
+        direct = list(islice(iter_direct(kind, args.k), args.count))
         rec_vals = terms(transform_recurrence(kind, args.k), args.count)
         if direct != rec_vals:
             bad = next(n for n, (d, r) in enumerate(zip(direct, rec_vals)) if d != r)
@@ -207,9 +207,7 @@ def _cmd_transform(args, parser, out) -> int:
         )
         return 0
     if args.method == "direct":
-        values: Iterable[_Term] = (
-            transform_direct(kind, args.k, n) for n in range(args.count)
-        )
+        values: Iterable[_Term] = islice(iter_direct(kind, args.k), args.count)
     else:
         rec = _decimal_rec(transform_recurrence(kind, args.k))
         values = islice(iter_terms(rec), args.count)
@@ -250,7 +248,9 @@ def _cmd_binet(args, parser, out) -> int:
     if args.exact:
         digits = _digits_estimate(rec, args.n)
         if digits > _EXACT_DIGITS_CEILING:
-            parser.error(f"x({args.n}) has about {digits:.3g} digits, beyond the "
+            # a long n is named by its length, so the usage line stays short
+            shown = args.n if args.n < 10**20 else f"<{_digit_count(args.n)}-digit n>"
+            parser.error(f"x({shown}) has about {digits:.3g} digits, beyond the "
                          f"{_EXACT_DIGITS_CEILING:.3g}-digit ceiling of --exact")
         out.write(elem_str(binet_closed(rec, args.n)) + "\n")
         return 0
@@ -358,7 +358,10 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     p.add_argument("kind", choices=tuple(_KIND_BY_NAME))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--method", choices=("direct", "recurrence"), default="recurrence")
+    p.add_argument("--method", choices=("direct", "recurrence"), default="recurrence",
+                   help="recurrence: iterate the closed recurrence (default); "
+                        "direct: the definitional binomial sums, all from one "
+                        "difference table, O(count^2) additions")
     p.add_argument("--verify", action="store_true",
                    help="compute both routes and fail (exit 1) if they disagree")
     p.add_argument("--format", choices=FORMATS, default="plain")

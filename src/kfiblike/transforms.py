@@ -17,11 +17,17 @@ equality without trusting either side.  Each takes a ``direct=`` keyword, the
 route it reads its transform terms from: :func:`transform_direct` by default,
 or a caller's own table of those values (the audit passes its run's).
 
-Every direct sum, including the right-hand sides of the difference lemmas,
-is one pass of a single private kernel: it steps M's recurrence inline,
-takes C(n,i) from the exact multiplicative rule, and applies k^(n-i) by
-Horner's rule and k^i by a running power.  The module keeps no state between
-calls; a caller that reuses values (the audit) keeps its own table.  Weight
+The direct sums have two kernels, and the caller's shape picks one.  A single
+term, and each right-hand side of the difference lemmas, is one O(n) pass of
+a private kernel: it steps M's recurrence inline, takes C(n,i) from the exact
+multiplicative rule, and applies k^(n-i) by Horner's rule and k^i by a
+running power.  A whole prefix comes from :func:`iter_direct`, which yields
+term after term from Euler's difference table of M, one ring addition per
+cell and no binomial coefficient.  The lemma right-hand sides stay on the
+multiplicative kernel, so a lemma checked against the audit's prefixes
+compares two algorithms rather than restating Pascal's rule.  The module
+keeps no state between calls; a caller that reuses values (the audit) keeps
+its own table.  Weight
 domain is k >= 1 (or symbolic k), so the degenerate k = 0 branch some
 published definitions carry is deliberately out of scope.
 """
@@ -29,7 +35,7 @@ published definitions carry is deliberately out of scope.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from .ring import RingElem, const_like, ipow, one_like, scale, zero_like
 from .sequences import Order2Rec, modified_k_fib, require_valid_k, term_iterative
@@ -95,6 +101,45 @@ def _weighted_sum(kind: TransformKind, k: RingElem, n: int,
     if kind is TransformKind.K_BINOMIAL:
         acc = acc * ipow(k, n)
     return acc
+
+
+def iter_direct(kind: TransformKind, k: RingElem) -> Iterator[RingElem]:
+    """Terms n = 0, 1, 2, ... of the transform, by the online difference table.
+
+    Term n is (W^n x)(0), x = M, for one operator W: I + S for the plain and
+    k-binomial sums, kI + S for the falling one and I + kS for the rising one,
+    S the shift x(i) -> x(i+1) (Euler's table; Prodinger 1994, Spivey & Steil
+    2006).  ``row[j]`` holds (W^j x)(m-1-j); when x(m) arrives, each cell is
+    rebuilt from the old cell before it and the new cell before it, with one
+    ring addition (and, falling or rising, one product by k), and the last
+    cell is (W^m x)(0).  So a prefix of N terms costs about N^2/2 additions
+    and no binomial coefficient, where :func:`transform_direct` repeats an
+    O(n) pass for each n.  x steps M's recurrence inline, as there, and the
+    k-binomial term is the plain one times a running k^m.
+    """
+    require_valid_k(k)
+    falling = kind is TransformKind.FALLING_K
+    rising = kind is TransformKind.RISING_K
+    power = one_like(k) if kind is TransformKind.K_BINOMIAL else None
+    x = x_next = const_like(2, k)
+    row: List[RingElem] = []
+    while True:
+        cell = x
+        for j, up in enumerate(row):
+            row[j] = cell
+            if falling:
+                cell = k * up + cell
+            elif rising:
+                cell = up + k * cell
+            else:
+                cell = up + cell
+        row.append(cell)
+        if power is None:
+            yield cell
+        else:
+            yield cell * power
+            power = power * k
+        x, x_next = x_next, k * x_next + x
 
 
 def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:

@@ -2,13 +2,14 @@
 broken route and never carried from one run into the next."""
 
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
-from kfiblike import audit
+from kfiblike import audit, transforms
 from kfiblike.audit import Counterexample, Verdict, run_audit
 from kfiblike.ring import K
 from kfiblike.sequences import modified_k_fib, terms
-from kfiblike.transforms import TransformKind, transform_direct, transform_recurrence
+from kfiblike.transforms import TransformKind, iter_direct, transform_direct, transform_recurrence
 
 EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
@@ -35,11 +36,11 @@ def test_broken_direct_sum_fails_every_claim_that_reads_it(monkeypatch):
     truth = transform_direct(BAD_KIND, BAD_K, BAD_N)
     m_2n = terms(modified_k_fib(BAD_K), 2 * BAD_N + 1)[2 * BAD_N]
 
-    def broken(kind, k, n):
-        value = transform_direct(kind, k, n)
-        return value + 1 if (kind, k, n) == (BAD_KIND, BAD_K, BAD_N) else value
+    def broken(kind, k):
+        for n, value in enumerate(iter_direct(kind, k)):
+            yield value + 1 if (kind, k, n) == (BAD_KIND, BAD_K, BAD_N) else value
 
-    monkeypatch.setattr(audit, "transform_direct", broken)
+    monkeypatch.setattr(audit, "iter_direct", broken)
     changed = _changed(run_audit(**RANGE), healthy)
     assert changed == {
         "C03": (Verdict.FAIL, _ce(truth + 1, truth)),   # direct vs recurrence
@@ -69,23 +70,42 @@ def test_broken_recurrence_prefix_fails_every_claim_that_reads_it(monkeypatch):
     }
 
 
-def test_each_route_value_is_computed_once_per_run(monkeypatch):
-    direct_calls, prefix_calls = Counter(), Counter()
+def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
+    direct_streams, direct_reads, prefix_calls = Counter(), Counter(), Counter()
 
-    def counting_direct(kind, k, n):
-        direct_calls[kind, k, n] += 1
-        return transform_direct(kind, k, n)
+    def counting_direct(kind, k):
+        direct_streams[kind, k] += 1
+        for n, value in enumerate(iter_direct(kind, k)):
+            direct_reads[kind, k, n] += 1
+            yield value
 
     def counting_terms(rec, count):
         prefix_calls[rec] += 1
         return terms(rec, count)
 
-    monkeypatch.setattr(audit, "transform_direct", counting_direct)
+    monkeypatch.setattr(audit, "iter_direct", counting_direct)
     monkeypatch.setattr(audit, "terms", counting_terms)
     run_audit(**RANGE)
     prefix_calls[modified_k_fib(K)] -= 1  # C25 reads its own six symbolic terms of M
-    assert direct_calls and max(direct_calls.values()) == 1
+    assert direct_streams and max(direct_streams.values()) == 1
+    assert direct_reads and max(direct_reads.values()) == 1
+    # a stream is read only as far as a claim looks: C05/C06 read n_max + 1
+    reach = Counter()
+    for kind, k, n in direct_reads:
+        reach[kind, k] = max(reach[kind, k], n)
+    assert reach[TransformKind.BINOMIAL, 2] == RANGE["n_max"] + 1
+    assert reach[TransformKind.BINOMIAL, K] == RANGE["n_max"] + 1  # sym_n is n_max here
+    assert reach[TransformKind.RISING_K, 2] == RANGE["n_max"]
     assert prefix_calls and max(prefix_calls.values()) == 1
+
+
+def test_direct_prefix_reads_each_stream_in_order():
+    run = audit._Run(audit.AuditConfig(**RANGE))
+    kind = TransformKind.FALLING_K
+    assert run.direct(kind, 4, 7) == transform_direct(kind, 4, 7)
+    assert run.direct(kind, 4, 2) == transform_direct(kind, 4, 2)
+    assert run.direct(kind, 4, 9) == transform_direct(kind, 4, 9)
+    assert [run.direct(kind, 4, n) for n in range(10)] == list(islice(iter_direct(kind, 4), 10))
 
 
 def test_table_does_not_leak_between_runs():
@@ -98,3 +118,33 @@ def test_table_does_not_leak_between_runs():
     assert again == first
     assert again.to_text() == first.to_text()
     assert again.to_jsonl() == first.to_jsonl()
+
+
+def test_lemma_right_sides_stay_apart_from_the_direct_prefixes(monkeypatch):
+    """C05/C06 take their right sides from the multiplicative C(n,i) kernel and
+    their left sides from the run's difference-table prefixes: a fault in the
+    kernel fails the two lemmas and no claim that reads only the prefixes."""
+    healthy = run_audit(**RANGE)
+    weighted_sum = transforms._weighted_sum
+
+    def off_by_one(kind, k, n, x0, x1):
+        value = weighted_sum(kind, k, n, x0, x1)
+        return value + 1 if n >= 3 else value
+
+    monkeypatch.setattr(transforms, "_weighted_sum", off_by_one)
+    broken = run_audit(**RANGE)
+    assert set(_changed(broken, healthy)) == {"C05", "C06"}
+    for cid in ("C05", "C06"):
+        assert broken.result(cid).verdict is Verdict.FAIL
+        assert broken.result(cid).counterexamples[0].n == 3
+    for cid in ("C01", "C02", "C03", "C04"):
+        assert broken.result(cid).verdict is Verdict.PASS
+
+
+def test_jsonl_is_the_same_at_the_range_edges():
+    """jsonl carries no config, so a range that reaches every counterexample
+    gives the default bytes: n_max = 2 still reads fixtures up to n = 5, and
+    C05/C06 read n_max + 1 at every n_max."""
+    expected = (EXPECTED_DIR / "audit_default.jsonl").read_text(encoding="utf-8")
+    assert run_audit(n_max=2).to_jsonl() == expected
+    assert run_audit(n_max=128).to_jsonl() == expected

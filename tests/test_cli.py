@@ -208,7 +208,8 @@ def test_count_past_maxsize_is_a_usage_error_before_any_term(capsys, monkeypatch
     def no_terms(*args):
         raise AssertionError("a term was computed")
 
-    for name in ("iter_terms", "term_fast", "terms", "transform_direct", "gf_expand"):
+    for name in ("iter_terms", "iter_direct", "term_fast", "terms", "transform_direct",
+                 "gf_expand"):
         monkeypatch.setattr(cli, name, no_terms)
     count = str(sys.maxsize + 1)
     with pytest.raises(SystemExit) as exc:
@@ -422,6 +423,16 @@ def test_binet_exact_with_n_too_wide_for_a_float_is_a_usage_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: kfiblike binet")
     assert "has about inf digits, beyond the" in captured.err
+
+
+def test_binet_ceiling_error_names_a_long_n_by_its_length(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["binet", "binomial", "--k", "2", "--n", str(10**400), "--exact"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x(<401-digit n>) has about" in captured.err
+    assert max(len(line) for line in captured.err.splitlines()) < 200
 
 
 @needs_str_guard

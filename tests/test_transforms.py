@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from kfiblike.transforms import (
     TransformKind,
     binomial_diff_identity,
     falling_diff_identity,
+    iter_direct,
     rising_even_index,
     transform_direct,
     transform_recurrence,
@@ -243,3 +245,29 @@ def test_direct_sum_matches_recurrence_gf_and_symbolic_property(kind, k, n):
     assert value == gf_expand(derived_gf(kind, k), n + 1)[n]
     if n <= 16:
         assert transform_direct(kind, K, n).evaluate(k) == value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KIND_ORDER),
+    k=st.integers(min_value=1, max_value=60),
+    count=st.integers(min_value=0, max_value=70),
+)
+def test_direct_prefix_matches_each_term_and_the_recurrence_property(kind, k, count):
+    prefix = list(islice(iter_direct(kind, k), count))
+    assert prefix == [transform_direct(kind, k, n) for n in range(count)]
+    assert prefix == terms(transform_recurrence(kind, k), count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KIND_ORDER), count=st.integers(min_value=0, max_value=14))
+def test_symbolic_direct_prefix_matches_each_term_and_the_recurrence_property(kind, count):
+    prefix = list(islice(iter_direct(kind, K), count))
+    assert prefix == [transform_direct(kind, K, n) for n in range(count)]
+    assert prefix == terms(transform_recurrence(kind, K), count)
+
+
+def test_direct_prefix_rejects_k_below_one():
+    for kind in KIND_ORDER:
+        with pytest.raises(ValueError):
+            next(iter_direct(kind, 0))
