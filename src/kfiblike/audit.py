@@ -19,22 +19,24 @@ correct its subject.  Counterexamples follow a smallest-n-then-smallest-k
 policy so reruns always produce the same minimal repro, and report output is
 byte-identical for identical parameters.
 
-Each :func:`run_audit` call builds one private run that holds the config and,
-in ``functools.cache`` wrappers made for that run, the route values claims
-share: the direct sums of each kind and k, as one prefix that the difference
-table of :func:`~kfiblike.transforms.iter_direct` extends as far as a claim
-reads, the transform recurrences and the prefixes of those recurrences and
-of M and F.  Each is computed on first use, and every later claim that needs
-it reads it from the run.  The run also keeps the derived and published
-generating-function series of each kind and k, expanded once so that the
-sweep of C15-C18 can index them by n; only the claim for that kind reads
-them.  The ``binet_closed`` values of C19-C22 and C26, the published Binet
-values and C25's symbolic terms of M are not shared: each claim computes its
-own.  A claim still compares two
-independent routes; a value shared between claims means a broken route shows
-in every claim that reads it.  The run and its caches end with
-:func:`run_audit`; the config and the report are plain values.  Claims
-C01-C22 are each one sweep over the run.
+Each :func:`run_audit` call builds one private run that holds the config and
+the route values claims share, each computed on first use and held per
+(kind, k) or per k, prefixes as plain lists: the direct sums of each kind and k, as one
+prefix that the difference table of :func:`~kfiblike.transforms.iter_direct`
+extends as far as a claim reads; one prefix of M per k, extended to 2 n_max
+for C07's M(2n) and read by C09 and C10 as well; the transform recurrences and
+the prefixes of those recurrences and of F.  A sweep builds each claim's row
+once per k from these: it fetches the lists, the recurrence, the published
+Binet form of that (kind, k) or the generating-function series it needs, and
+C10's running alternating sums of M, one subtraction per n.  The point loop
+is then list indexing plus the compared computation itself, such as a lemma
+right-hand side, a Lucas doubling pass of ``binet_closed`` or of the
+published Binet form.  The ``binet_closed`` values of C19-C22 and C26, the
+published Binet values and C25's symbolic terms of M are not shared: each
+claim computes its own.  A claim still compares two independent routes; a
+value shared between claims means a broken route shows in every claim that
+reads it.  The run and its lists end with :func:`run_audit`; the config and
+the report are plain values.  Claims C01-C22 are each one sweep over the run.
 """
 
 from __future__ import annotations
@@ -44,20 +46,22 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from itertools import islice
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .closedform import binet_closed, binet_float, published_binet
+from .closedform import _published_binet_form, binet_closed, binet_float
 from .genfunc import derived_gf, gf_expand, published_gf
 from .ring import K, KPoly, RingElem, elem_str
 from .sequences import (
-    _f_from_m_terms,
+    _halved_alternating_sums,
     _m_from_f_terms,
+    iter_terms,
     k_fib,
     modified_k_fib,
     terms,
 )
 from .transforms import (
     KIND_ORDER,
+    DirectRoute,
     TransformKind,
     binomial_diff_identity,
     falling_diff_identity,
@@ -115,34 +119,56 @@ class AuditConfig:
 class _Run:
     """One audit run: its config and its route values, each computed on first use.
 
-    ``direct(kind, k, n)``, ``recurrence(kind, k)`` and ``prefix(rec)`` hold
-    the values claims share; ``series(builder, kind, k)``, the first
-    coefficients of ``builder(kind, k)``, only the GF claim of that kind
-    reads.  The direct sums of each (kind, k) are one list, extended from
-    that pair's :func:`~kfiblike.transforms.iter_direct` stream as far as a
-    claim reads, which may pass n_max: C05/C06 read n_max + 1, the table
-    fixtures n <= 5 at their own k.  Prefixes and series run to n_max, or to
-    sym_n for symbolic k.  A function of this module patched in before
-    :func:`run_audit` is the one the run caches.
+    Each value is held per (kind, k), per k or per recurrence, prefixes as
+    plain lists, which a claim's row fetches once per k and then indexes at
+    each n:
+
+    * ``direct_terms(kind, k, count)``: the definitional sums, one list
+      extended from that pair's :func:`~kfiblike.transforms.iter_direct`
+      stream as far as a claim reads, which may pass n_max: C05/C06 read
+      n_max + 1, the table fixtures n <= 5 at their own k;
+    * ``m_terms(k, count)``: M, one list extended from
+      :func:`~kfiblike.sequences.iter_terms` as far as a claim reads: C07
+      reads M(2n), so 2 n_max;
+    * ``recurrence(kind, k)``: the transform recurrences;
+    * ``prefix(rec)``: the prefix of a recurrence (a transform's, or F's),
+      keyed by the recurrence, so the four transforms share one at k = 1.
+
+    Prefixes run to n_max, or to sym_n for symbolic k (``count(k)`` terms).
+    A function of this module patched in before :func:`run_audit` is the one
+    the run calls.
     """
 
     def __init__(self, cfg: AuditConfig):
         self.cfg = cfg
-
-        def count(k: RingElem) -> int:
-            return (cfg.sym_n if isinstance(k, KPoly) else cfg.n_max) + 1
-
-        self._direct_prefix = cache(lambda kind, k: ([], iter_direct(kind, k)))
+        self._direct = cache(lambda kind, k: ([], iter_direct(kind, k)))
+        self._m = cache(lambda k: ([], iter_terms(modified_k_fib(k))))
         self.recurrence = cache(transform_recurrence)
-        self.prefix = cache(lambda rec: terms(rec, count(rec.a)))
-        self.series = cache(lambda builder, kind, k: gf_expand(builder(kind, k), count(k)))
+        self.prefix = cache(lambda rec: terms(rec, self.count(rec.a)))
+
+    def count(self, k: RingElem) -> int:
+        """How many terms, n = 0 .. n_max (or sym_n), a sweep at k compares."""
+        return (self.cfg.sym_n if isinstance(k, KPoly) else self.cfg.n_max) + 1
+
+    def direct_terms(self, kind: TransformKind, k: RingElem, count: int) -> List[RingElem]:
+        """At least the first ``count`` terms of the (kind, k) transform, by the definitional sum."""
+        return _extend(self._direct(kind, k), count)
 
     def direct(self, kind: TransformKind, k: RingElem, n: int) -> RingElem:
         """Term n of the (kind, k) transform, by the definitional sum."""
-        values, stream = self._direct_prefix(kind, k)
-        if n >= len(values):
-            values.extend(islice(stream, n + 1 - len(values)))
-        return values[n]
+        return self.direct_terms(kind, k, n + 1)[n]
+
+    def m_terms(self, k: RingElem, count: int) -> List[RingElem]:
+        """At least the first ``count`` terms of M at k."""
+        return _extend(self._m(k), count)
+
+
+def _extend(prefix: Tuple[List[RingElem], Iterator[RingElem]], count: int) -> List[RingElem]:
+    """The list of a (list, stream) pair, first extended from the stream to ``count`` values."""
+    values, stream = prefix
+    if count > len(values):
+        values.extend(islice(stream, count - len(values)))
+    return values
 
 
 @dataclass(frozen=True)
@@ -340,27 +366,31 @@ PUBLISHED_M_POLYS: Dict[int, Tuple[int, ...]] = {
 # checker helpers
 # ---------------------------------------------------------------------------
 
-_Pair = Callable[[_Run, RingElem, int], Tuple[RingElem, RingElem]]
+#: ``row(run, k)`` is one claim at one k: a function of n giving (expected, got).
+_Row = Callable[[_Run, RingElem], Callable[[int], Tuple[RingElem, RingElem]]]
 
 
-def _sweep(pair: _Pair, n_start: int = 0) -> Callable[[_Run], List[Counterexample]]:
+def _sweep(row: _Row, n_start: int = 0) -> Callable[[_Run], List[Counterexample]]:
     """A checker: the first (expected, got) disagreement, smallest n then smallest k.
 
-    ``pair(run, k, n)`` returns (expected, got), reading shared values from
-    the run; the numeric sweep runs first, the symbolic leg afterwards
-    (capped for polynomial-degree growth).
+    ``row(run, k)`` is built once per k, reading the route values it shares
+    from the run, so each point costs only its own comparison; the numeric
+    sweep runs first, the symbolic leg afterwards (capped for
+    polynomial-degree growth).
     """
     def checker(run: _Run) -> List[Counterexample]:
         cfg = run.cfg
+        pairs = [(k, row(run, k)) for k in cfg.ks]
         for n in range(n_start, cfg.n_max + 1):
-            for k in cfg.ks:
-                expected, got = pair(run, k, n)
+            for k, pair in pairs:
+                expected, got = pair(n)
                 if expected != got:
                     return [Counterexample(k=k, n=n,
                                            expected=elem_str(expected), got=elem_str(got))]
         if cfg.symbolic:
+            pair = row(run, K)
             for n in range(n_start, cfg.sym_n + 1):
-                expected, got = pair(run, K, n)
+                expected, got = pair(n)
                 if expected != got:
                     return [Counterexample(k="k", n=n, expected=elem_str(expected),
                                            got=elem_str(got), label="symbolic")]
@@ -369,38 +399,82 @@ def _sweep(pair: _Pair, n_start: int = 0) -> Callable[[_Run], List[Counterexampl
     return checker
 
 
-def _direct_vs_recurrence(kind: TransformKind) -> _Pair:
-    return lambda run, k, n: (run.direct(kind, k, n), run.prefix(run.recurrence(kind, k))[n])
+def _direct_vs_recurrence(kind: TransformKind) -> _Row:
+    def row(run: _Run, k: RingElem):
+        direct = run.direct_terms(kind, k, run.count(k))
+        rec = run.prefix(run.recurrence(kind, k))
+        return lambda n: (direct[n], rec[n])
+
+    return row
 
 
-def _identity_pair(lemma: Callable[..., Tuple[RingElem, RingElem]]) -> _Pair:
-    """A lemma pair whose transform terms come from the run's direct sums."""
-    return lambda run, k, n: lemma(k, n, direct=run.direct)
+def _direct_route(run: _Run, k: RingElem, reads: Sequence[TransformKind],
+                  count: int) -> DirectRoute:
+    """A lemma's ``direct=`` route at k: the run's lists of the kinds it reads."""
+    rows = {kind: run.direct_terms(kind, k, count) for kind in reads}
+    return lambda kind, _k, n: rows[kind][n]
 
 
-def _m_from_f(run: _Run, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
-    return run.prefix(modified_k_fib(k))[n], _m_from_f_terms(run.prefix(k_fib(k)), n)
+def _identity_pair(lemma: Callable[..., Tuple[RingElem, RingElem]],
+                   *reads: TransformKind, ahead: int = 0) -> _Row:
+    """A lemma pair whose transform terms, of the kinds it ``reads`` up to
+    ``ahead`` past the sweep's last n, come from the run's direct sums."""
+    def row(run: _Run, k: RingElem):
+        direct = _direct_route(run, k, reads, run.count(k) + ahead)
+        return lambda n: lemma(k, n, direct=direct)
+
+    return row
 
 
-def _f_from_m(run: _Run, k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
-    return run.prefix(k_fib(k))[n], _f_from_m_terms(run.prefix(modified_k_fib(k)), n)
+def _rising_even_index(run: _Run, k: RingElem):
+    """C07's pair: M(2n) read from the run's prefix of M, extended to 2 n_max."""
+    count = run.count(k)
+    direct = _direct_route(run, k, (TransformKind.RISING_K,), count)
+    ms = run.m_terms(k, 2 * count - 1)
+
+    def m(_k: RingElem, i: int) -> RingElem:
+        return ms[i]
+
+    return lambda n: rising_even_index(k, n, direct=direct, m=m)
 
 
-def _published_binet(kind: TransformKind) -> _Pair:
-    return lambda run, k, n: (run.direct(kind, k, n), published_binet(kind, k, n))
+def _m_from_f(run: _Run, k: RingElem):
+    ms, fs = run.m_terms(k, run.count(k)), run.prefix(k_fib(k))
+    return lambda n: (ms[n], _m_from_f_terms(fs, n))
 
 
-def _published_gf(kind: TransformKind) -> _Pair:
-    return lambda run, k, n: (run.series(derived_gf, kind, k)[n],
-                              run.series(published_gf, kind, k)[n])
+def _f_from_m(run: _Run, k: RingElem):
+    fs = run.prefix(k_fib(k))
+    halves = list(_halved_alternating_sums(run.m_terms(k, run.count(k))))
+    return lambda n: (fs[n], halves[n])
 
 
-def _exact_binet(kind: TransformKind) -> _Pair:
-    def pair(run: _Run, k: RingElem, n: int):
+def _published_binet(kind: TransformKind) -> _Row:
+    def row(run: _Run, k: RingElem):
+        direct = run.direct_terms(kind, k, run.count(k))
+        printed = _published_binet_form(kind, k)
+        return lambda n: (direct[n], printed(n))
+
+    return row
+
+
+def _published_gf(kind: TransformKind) -> _Row:
+    def row(run: _Run, k: RingElem):
+        count = run.count(k)
+        derived = gf_expand(derived_gf(kind, k), count)
+        printed = gf_expand(published_gf(kind, k), count)
+        return lambda n: (derived[n], printed[n])
+
+    return row
+
+
+def _exact_binet(kind: TransformKind) -> _Row:
+    def row(run: _Run, k: RingElem):
         rec = run.recurrence(kind, k)
-        return run.prefix(rec)[n], binet_closed(rec, n)
+        values = run.prefix(rec)
+        return lambda n: (values[n], binet_closed(rec, n))
 
-    return pair
+    return row
 
 
 def _check_fixtures(labels_prefixes: Sequence[str]):
@@ -436,11 +510,11 @@ def _check_float_binet(run: _Run) -> List[Counterexample]:
     cfg = run.cfg
     tol = 1e-9
     n_stop = min(cfg.n_max, FLOAT_N_CAP)
-    k_stop = min(cfg.k_max, FLOAT_K_CAP)
+    ks = range(cfg.k_min, min(cfg.k_max, FLOAT_K_CAP) + 1)
+    recs = [(k, [(kind, run.recurrence(kind, k)) for kind in KIND_ORDER]) for k in ks]
     for n in range(n_stop + 1):
-        for k in range(cfg.k_min, k_stop + 1):
-            for kind in KIND_ORDER:
-                rec = run.recurrence(kind, k)
+        for k, row in recs:
+            for kind, rec in row:
                 exact = binet_closed(rec, n)
                 approx = binet_float(rec, n)
                 if abs(approx - float(exact)) / float(exact) > tol:
@@ -481,28 +555,31 @@ def claim_registry() -> List[Claim]:
         description="difference lemma for the binomial transform",
         citation="b(n+1) - b(n) = sum_i C(n,i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(binomial_diff_identity)),
+        checker=_sweep(_identity_pair(binomial_diff_identity, TransformKind.BINOMIAL,
+                                      ahead=1)),
     ))
     claims.append(Claim(
         id="C06",
         description="difference lemma for the falling k-binomial transform",
         citation="f(n+1) - k f(n) = sum_i C(n,i) k^(n-i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(falling_diff_identity)),
+        checker=_sweep(_identity_pair(falling_diff_identity, TransformKind.FALLING_K,
+                                      ahead=1)),
     ))
     claims.append(Claim(
         id="C07",
         description="rising k-binomial transform walks the even-index subsequence",
         citation="sum_i C(n,i) k^i M(i) = M(2n)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(rising_even_index)),
+        checker=_sweep(_rising_even_index),
     ))
     claims.append(Claim(
         id="C08",
         description="k-binomial transform is the k^n-scaled binomial transform",
         citation="w(n) = k^n b(n)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(w_scaling)),
+        checker=_sweep(_identity_pair(w_scaling, TransformKind.K_BINOMIAL,
+                                      TransformKind.BINOMIAL)),
     ))
     claims.append(Claim(
         id="C09",

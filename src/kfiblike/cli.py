@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .audit import AuditConfig, run_audit
 from .closedform import QuadChar, binet_closed, binet_float
-from .genfunc import gf_expand, gf_from_rec, gf_str
+from .genfunc import gf_from_rec, gf_str, iter_gf
 from .ring import _EXACT_CONTEXT, K, RingElem, elem_str
 from .sequences import (
     Order2Rec,
@@ -236,7 +236,7 @@ def _cmd_gf(args, parser, out) -> int:
         # A numeric k expands a Decimal copy; a symbolic one stays in KPoly.
         expand_rec = _decimal_rec(rec) if isinstance(k, int) else rec
         with decimal.localcontext(_EXACT_CONTEXT):
-            _emit_terms(gf_expand(gf_from_rec(expand_rec), args.count), "plain", out)
+            _emit_terms(islice(iter_gf(gf_from_rec(expand_rec)), args.count), "plain", out)
     return 0
 
 

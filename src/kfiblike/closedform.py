@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .ring import KPoly, RingElem, const_like, require_same_mode, scale
 from .sequences import Order2Rec, lucas_pair
@@ -53,16 +54,16 @@ def binet_closed(rec: Order2Rec, n: int) -> RingElem:
     """Exact closed-form term: x(n) = x1*U(n) - Q*x0*U(n-1), x(0) = x0.
 
     O(log n) ring products: U(n-1) and U(n) come from one Lucas doubling
-    pass.  n = 0 is special-cased so U(-1) = -1/Q never materialises; the
-    carrier stays division free.
+    pass over P, Q = a, -b, which checks their mode.  n = 0 is special-cased
+    so U(-1) = -1/Q never materialises; the carrier stays division free.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
         return rec.x0
-    qc = QuadChar.from_rec(rec)
-    u_prev, u_cur = lucas_pair(qc.P, qc.Q, n - 1)
-    return rec.x1 * u_cur - qc.Q * (rec.x0 * u_prev)
+    q = -rec.b
+    u_prev, u_cur = lucas_pair(rec.a, q, n - 1)
+    return rec.x1 * u_cur - q * (rec.x0 * u_prev)
 
 
 def binet_float(rec: Order2Rec, n: int) -> float:
@@ -77,13 +78,13 @@ def binet_float(rec: Order2Rec, n: int) -> float:
         raise ValueError("index must be >= 0")
     if isinstance(rec.a, KPoly):
         raise ValueError("the floating-point Binet path needs a numeric recurrence")
-    qc = QuadChar.from_rec(rec)
-    disc = qc.discriminant
+    p, q = rec.a, -rec.b
+    disc = p * p - 4 * q
     if disc <= 0:
         raise ValueError(f"discriminant must be positive, got {disc}")
     sq = math.sqrt(disc)
-    r1 = (qc.P + sq) / 2.0
-    r2 = (qc.P - sq) / 2.0
+    r1 = (p + sq) / 2.0
+    r2 = (p - sq) / 2.0
     c1 = (rec.x1 - rec.x0 * r2) / (r1 - r2)
     c2 = (rec.x0 * r1 - rec.x1) / (r1 - r2)
     try:
@@ -109,12 +110,27 @@ def published_binet(kind: TransformKind, k: RingElem, n: int) -> RingElem:
     """
     if n < 1:
         raise ValueError("the printed Binet formulas are evaluated for n >= 1 only")
-    qc = QuadChar.from_rec(transform_recurrence(kind, k))
+    return _published_binet_form(kind, k)(n)
+
+
+def _published_binet_form(kind: TransformKind, k: RingElem) -> Callable[[int], RingElem]:
+    """The printed Binet formula of one (kind, k) as a function of n >= 1.
+
+    The recurrence, its P and Q and the printed coefficients are built once
+    here; each call is one Lucas doubling pass.  :func:`published_binet` is
+    one call of it, and the audit keeps one per (kind, k) for its sweep.
+    """
+    rec = transform_recurrence(kind, k)
+    p, q = rec.a, -rec.b
     if kind in (TransformKind.BINOMIAL, TransformKind.K_BINOMIAL):
         c1: RingElem = const_like(4, k)
         c2: RingElem = scale(k, -2)
     else:
         c1 = scale(k, 2) + const_like(2, k)
         c2 = const_like(-2, k)
-    u_prev, u_cur = lucas_pair(qc.P, qc.Q, n - 1)
-    return c1 * u_cur + c2 * u_prev
+
+    def term(n: int) -> RingElem:
+        u_prev, u_cur = lucas_pair(p, q, n - 1)
+        return c1 * u_cur + c2 * u_prev
+
+    return term

@@ -18,8 +18,10 @@ derivation-built ones.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import chain, islice, repeat
+from typing import Deque, Iterator, List, Sequence, Tuple
 
 from .ring import (
     KPoly,
@@ -105,26 +107,28 @@ def gf_from_rec(rec: Order2Rec) -> RationalGF:
     return RationalGF(num=num, den=den)
 
 
-def gf_expand(gf: RationalGF, count: int) -> List[RingElem]:
-    """First ``count`` series coefficients via the convolution recurrence.
+def iter_gf(gf: RationalGF) -> Iterator[RingElem]:
+    """Series coefficients c(0), c(1), c(2), ... forever, by the convolution recurrence.
 
-    c(n) = num(n) - sum_{j>=1} den(j) * c(n-j); streaming, O(deg den) ring
-    products per coefficient.
+    c(n) = num(n) - sum_{j>=1} den(j) * c(n-j): O(deg den) ring products per
+    coefficient.  Only the last deg(den) coefficients are kept, so however far
+    a stream runs it holds that many values.
     """
+    zero = zero_like(gf.den.coeffs[0])
+    tail = gf.den.coeffs[1:]
+    recent: Deque[RingElem] = deque(maxlen=len(tail))  # c(n-1), c(n-2), ...
+    for c in chain([c or zero for c in gf.num.coeffs], repeat(zero)):  # num(n)
+        for d, prev in zip(tail, recent):
+            c = c - d * prev
+        yield c
+        recent.appendleft(c)
+
+
+def gf_expand(gf: RationalGF, count: int) -> List[RingElem]:
+    """First ``count`` series coefficients of :func:`iter_gf`."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    zero = zero_like(gf.den.coeffs[0])
-    out: List[RingElem] = []
-    dcs = gf.den.coeffs
-    for n in range(count):
-        c = gf.num.coefficient(n)
-        if not c:
-            c = zero
-        for j in range(1, len(dcs)):
-            if n - j >= 0:
-                c = c - dcs[j] * out[n - j]
-        out.append(c)
-    return out
+    return list(islice(iter_gf(gf), count))
 
 
 def gf_equal(g1: RationalGF, g2: RationalGF) -> bool:

@@ -238,11 +238,13 @@ RingElem = Union[int, KPoly]
 
 def require_same_mode(*elems: RingElem) -> None:
     """Reject mixed numeric/symbolic operands before any arithmetic runs."""
-    symbolic = [isinstance(e, KPoly) for e in elems]
-    if any(symbolic) and not all(symbolic):
-        raise ModeMismatchError(
-            "cannot mix numeric (int) and symbolic (KPoly) values in one computation"
-        )
+    rest = iter(elems)
+    symbolic = isinstance(next(rest, None), KPoly)
+    for e in rest:
+        if isinstance(e, KPoly) is not symbolic:
+            raise ModeMismatchError(
+                "cannot mix numeric (int) and symbolic (KPoly) values in one computation"
+            )
 
 
 def scale(x: RingElem, c: int) -> RingElem:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .ring import (
     RingElem,
@@ -150,21 +150,27 @@ def _m_from_f_terms(fs: List[RingElem], n: int) -> RingElem:
 def f_from_m(k: RingElem, n: int) -> RingElem:
     """F(n) as the halved alternating sum of M(n), M(n-1), ..., M(1).
 
-    The sum is even for every valid input, so the exact halving cannot fail
-    unless the implementation itself is broken.
+    Read from :func:`_halved_alternating_sums` over M's terms, one ring
+    subtraction per index.  Each sum is even for every valid input, so the
+    exact halving cannot fail unless the implementation itself is broken.
     """
     require_valid_k(k)
     if n < 1:
         raise ValueError("the alternating-sum identity needs n >= 1")
-    return _f_from_m_terms(terms(modified_k_fib(k), n + 1), n)
+    sums = _halved_alternating_sums(iter_terms(modified_k_fib(k)))
+    return next(islice(sums, n, None))
 
 
-def _f_from_m_terms(ms: List[RingElem], n: int) -> RingElem:
-    """(1/2) sum_{i<n} (-1)^i M(n-i) read from a prefix holding at least M(0) .. M(n)."""
-    acc = zero_like(ms[0])
-    for i in range(n):
-        if i % 2 == 0:
-            acc = acc + ms[n - i]
-        else:
-            acc = acc - ms[n - i]
-    return exact_div_int(acc, 2)
+def _halved_alternating_sums(ms: Iterable[RingElem]) -> Iterator[RingElem]:
+    """(1/2) A(n) for n = 0, 1, 2, ..., from M(0), M(1), M(2), ...
+
+    A(n) = sum_{i<n} (-1)^i M(n-i) = M(n) - M(n-1) + ... +- M(1) is kept as
+    the running A(n) = M(n) - A(n-1) from the empty sum A(0) = 0, so each
+    term costs one subtraction and one exact halving; M(0) enters no sum.
+    """
+    rest = iter(ms)
+    acc = zero_like(next(rest))
+    yield acc
+    for m in rest:
+        acc = m - acc
+        yield exact_div_int(acc, 2)

@@ -15,7 +15,8 @@ k-binomial to the plain binomial transform) are exposed as pair-producing
 functions: each returns (lhs, rhs) computed separately so a caller can check
 equality without trusting either side.  Each takes a ``direct=`` keyword, the
 route it reads its transform terms from: :func:`transform_direct` by default,
-or a caller's own table of those values (the audit passes its run's).
+or a caller's own table of those values (the audit passes its run's).  The
+even-index lemma takes ``m=`` as well, the route it reads M(2n) from.
 
 The direct sums have two kernels, and the caller's shape picks one.  A single
 term, and each right-hand side of the difference lemmas, is one O(n) pass of
@@ -34,10 +35,11 @@ published definitions carry is deliberately out of scope.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import Callable, Iterator, List, Tuple
 
-from .ring import RingElem, const_like, ipow, one_like, scale, zero_like
+from .ring import KPoly, RingElem, const_like, ipow, one_like, scale, zero_like
 from .sequences import Order2Rec, modified_k_fib, require_valid_k, term_iterative
 
 
@@ -83,15 +85,17 @@ def _weighted_sum(kind: TransformKind, k: RingElem, n: int,
     x runs M's recurrence inline from (x0, x1), never through ``Order2Rec``,
     so this route stays independent of :func:`transform_recurrence`.  C(n,i)
     follows the exact multiplicative rule, k^(n-i) is applied by Horner's
-    rule, k^i by a running power, and k^n once at the end.
+    rule, k^i by a running power, and k^n once at the end.  The scalar
+    product of the mode is picked once, not dispatched per term.
     """
+    mul = KPoly.scale if isinstance(k, KPoly) else operator.mul
     horner = kind is TransformKind.FALLING_K
     power = one_like(k) if kind is TransformKind.RISING_K else None
     acc = zero_like(k)
     x, x_next = x0, x1
     c = 1
     for i in range(n + 1):
-        term = scale(x, c)
+        term = mul(x, c)
         if power is not None:
             term = term * power
             power = power * k
@@ -175,6 +179,14 @@ def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:
 #: The direct-sum route a lemma function reads its transform terms from.
 DirectRoute = Callable[[TransformKind, RingElem, int], RingElem]
 
+#: The route :func:`rising_even_index` reads M(n) from, as ``m(k, n)``.
+MRoute = Callable[[RingElem, int], RingElem]
+
+
+def _m_iterative(k: RingElem, n: int) -> RingElem:
+    """M(n) by plain iteration of M's recurrence, nothing kept between calls."""
+    return term_iterative(modified_k_fib(k), n)
+
 
 def _m1_m2(k: RingElem) -> Tuple[RingElem, RingElem]:
     """(M(1), M(2)) = (2, 2k + 2): the start of the shifted sums M(i+1)."""
@@ -198,11 +210,16 @@ def falling_diff_identity(k: RingElem, n: int, *,
     return lhs, _weighted_sum(TransformKind.FALLING_K, k, n, *_m1_m2(k))
 
 
-def rising_even_index(k: RingElem, n: int, *,
-                      direct: DirectRoute = transform_direct) -> Tuple[RingElem, RingElem]:
-    """(rising transform at n,  M(2n)): the rising sum walks the even indices."""
+def rising_even_index(k: RingElem, n: int, *, direct: DirectRoute = transform_direct,
+                      m: MRoute = _m_iterative) -> Tuple[RingElem, RingElem]:
+    """(rising transform at n,  M(2n)): the rising sum walks the even indices.
+
+    M(2n) comes from the ``m`` route: :func:`~kfiblike.sequences.term_iterative`
+    over :func:`~kfiblike.sequences.modified_k_fib` by default, or a caller's
+    own prefix of M (the audit passes its run's, read at every even index).
+    """
     require_valid_k(k)
-    return direct(TransformKind.RISING_K, k, n), term_iterative(modified_k_fib(k), 2 * n)
+    return direct(TransformKind.RISING_K, k, n), m(k, 2 * n)
 
 
 def w_scaling(k: RingElem, n: int, *,

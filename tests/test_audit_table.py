@@ -5,11 +5,17 @@ from collections import Counter
 from itertools import islice
 from pathlib import Path
 
-from kfiblike import audit, transforms
+from kfiblike import audit, closedform, genfunc, sequences, transforms
 from kfiblike.audit import Counterexample, Verdict, run_audit
 from kfiblike.ring import K
-from kfiblike.sequences import modified_k_fib, terms
-from kfiblike.transforms import TransformKind, iter_direct, transform_direct, transform_recurrence
+from kfiblike.sequences import iter_terms, k_fib, modified_k_fib, terms
+from kfiblike.transforms import (
+    KIND_ORDER,
+    TransformKind,
+    iter_direct,
+    transform_direct,
+    transform_recurrence,
+)
 
 EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
@@ -68,6 +74,71 @@ def test_broken_recurrence_prefix_fails_every_claim_that_reads_it(monkeypatch):
         "C03": (Verdict.FAIL, _ce(truth, truth + 1)),   # direct vs recurrence
         "C21": (Verdict.FAIL, _ce(truth + 1, truth)),   # iteration vs exact Binet
     }
+
+
+def test_broken_m_prefix_fails_exactly_the_claims_that_read_it(monkeypatch):
+    """M(2 BAD_N) off by 2 (so the alternating sums stay even): C07 reads it as
+    M(2n) at n = BAD_N, C09 as M(n) and C10 in every alternating sum from
+    n = 2 BAD_N on; the direct sums step M on their own and see nothing."""
+    healthy = run_audit(**RANGE)
+    bad = 2 * BAD_N
+    assert bad <= RANGE["n_max"]
+    bad_rec = modified_k_fib(BAD_K)
+    m_bad = terms(bad_rec, bad + 1)[bad]
+    f_bad = terms(k_fib(BAD_K), bad + 1)[bad]
+    rising = transform_direct(TransformKind.RISING_K, BAD_K, BAD_N)
+
+    def broken(rec):
+        for n, value in enumerate(iter_terms(rec)):
+            yield value + 2 if rec == bad_rec and n == bad else value
+
+    monkeypatch.setattr(audit, "iter_terms", broken)
+    changed = _changed(run_audit(**RANGE), healthy)
+    assert changed == {
+        "C07": (Verdict.FAIL, _ce(rising, m_bad + 2)),   # rising even-index lemma
+        "C09": (Verdict.FAIL, (Counterexample(            # M from F
+            k=BAD_K, n=bad, expected=str(m_bad + 2), got=str(m_bad)),)),
+        "C10": (Verdict.FAIL, (Counterexample(            # F from M's alternating sums
+            k=BAD_K, n=bad, expected=str(f_bad), got=str(f_bad + 1)),)),
+    }
+
+
+def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch):
+    """The recurrences of the transforms, of M and of F are built a number
+    of times that does not grow with n_max, at most a few per (kind, k), and
+    the audit reads M from its own prefix, never from term_iterative."""
+    built = Counter()
+
+    def counting(name, real):
+        def build(*args):
+            built[name] += 1
+            return real(*args)
+
+        return build
+
+    for name, real in (("transform_recurrence", transform_recurrence),
+                       ("modified_k_fib", modified_k_fib), ("k_fib", k_fib)):
+        for module in (audit, closedform, genfunc, sequences, transforms):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, real))
+
+    def forbidden(*args):
+        raise AssertionError("the audit called term_iterative")
+
+    for module in (sequences, transforms):
+        monkeypatch.setattr(module, "term_iterative", forbidden)
+
+    per_n_max = {}
+    for n_max in (12, 40):
+        built.clear()
+        run_audit(k_min=1, k_max=5, n_max=n_max)
+        per_n_max[n_max] = dict(built)
+    assert per_n_max[12] == per_n_max[40]
+    ks = 5 + 1  # k = 1..5 and the symbolic k
+    # one run recurrence, the published Binet form and the derived GF per (kind, k)
+    assert built["transform_recurrence"] <= 3 * len(KIND_ORDER) * ks
+    assert built["modified_k_fib"] <= ks + 1  # C25 builds its own symbolic M
+    assert built["k_fib"] <= 2 * ks           # C09 and C10 each look up F's prefix
 
 
 def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
@@ -148,3 +219,4 @@ def test_jsonl_is_the_same_at_the_range_edges():
     expected = (EXPECTED_DIR / "audit_default.jsonl").read_text(encoding="utf-8")
     assert run_audit(n_max=2).to_jsonl() == expected
     assert run_audit(n_max=128).to_jsonl() == expected
+    assert run_audit(n_max=256).to_jsonl() == expected

@@ -190,6 +190,43 @@ def test_gf_numeric_with_expansion(capsys):
     assert out == "(2 - 4x) / (1 - 4x + 2x^2)\n2,4,12,40,136,464\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gf", "binomial", "--k", "2"],
+    ["gf", "falling", "--symbolic"],
+])
+def test_gf_expansion_stops_when_the_reader_closes(monkeypatch, argv):
+    """``gf --count`` streams its series: a sink that breaks after some
+    coefficients stops the expansion there, however large the count."""
+    made = []
+    real_iter_gf = cli.iter_gf
+
+    def counting(gf):
+        for c in real_iter_gf(gf):
+            made.append(c)
+            yield c
+
+    class ClosingSink:
+        def __init__(self, limit):
+            self.limit, self.chunks = limit, []
+
+        def write(self, text):
+            if len(self.chunks) == self.limit:
+                raise BrokenPipeError(32, "Broken pipe")
+            self.chunks.append(text)
+            return len(text)
+
+    sink = ClosingSink(limit=20)
+    monkeypatch.setattr(cli, "iter_gf", counting)
+    monkeypatch.setattr(sys, "stdout", sink)
+    with pytest.raises(BrokenPipeError):
+        cli.main([*argv, "--count", str(10**12)])
+    written = sink.chunks[1::2]  # after the GF line: value, ",", value, ...
+    kind = TransformKind(argv[1])
+    k = K if "--symbolic" in argv else int(argv[3])
+    assert written == [elem_str(c) for c in gf_expand(derived_gf(kind, k), 10)]
+    assert len(made) == len(written) + 1  # the one whose separator met the closed pipe
+
+
 def test_gf_requires_k_or_symbolic():
     proc = run_subprocess(["gf", "binomial"])
     assert proc.returncode == 2
@@ -209,7 +246,7 @@ def test_count_past_maxsize_is_a_usage_error_before_any_term(capsys, monkeypatch
         raise AssertionError("a term was computed")
 
     for name in ("iter_terms", "iter_direct", "term_fast", "terms", "transform_direct",
-                 "gf_expand"):
+                 "iter_gf"):
         monkeypatch.setattr(cli, name, no_terms)
     count = str(sys.maxsize + 1)
     with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,14 @@
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kfiblike.ring import K, KPoly, ModeMismatchError
+from kfiblike.ring import K, KPoly, ModeMismatchError, zero_like
 from kfiblike.sequences import (
     Order2Rec,
+    _halved_alternating_sums,
     f_from_m,
     iter_terms,
     k_fib,
@@ -130,6 +134,26 @@ def test_inter_sequence_identities_symbolic():
     for n in range(1, 17):
         assert m_from_f(K, n) == ms[n]
         assert f_from_m(K, n) == fs[n]
+
+
+@settings(max_examples=120, deadline=None)
+@given(k=st.one_of(st.integers(min_value=1, max_value=60), st.just(K)),
+       count=st.integers(min_value=1, max_value=60))
+def test_running_alternating_sums_match_the_definitional_sums_property(k, count):
+    """The running kernel A(n) = M(n) - A(n-1), halved, against
+    (1/2) sum_{i<n} (-1)^i M(n-i) summed term by term, and against F."""
+    ms = terms(modified_k_fib(k), count)
+    halves = list(_halved_alternating_sums(ms))
+    assert len(halves) == count
+    assert list(islice(_halved_alternating_sums(iter_terms(modified_k_fib(k))), count)) == halves
+    fs = terms(k_fib(k), count)
+    for n in range(count):
+        acc = zero_like(k)
+        for i in range(n):
+            acc = acc + ms[n - i] if i % 2 == 0 else acc - ms[n - i]
+        twice = halves[n] + halves[n]
+        assert twice == acc, (k, n)
+        assert halves[n] == fs[n], (k, n)
 
 
 def test_identities_reject_n_zero():
