@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from functools import cache
 from itertools import islice
@@ -75,6 +76,14 @@ SYMBOLIC_N_CAP = 16  # polynomial degree growth keeps symbolic sweeps desk-scale
 FLOAT_K_CAP = 5      # documented validity range of the double-precision path
 FLOAT_N_CAP = 40
 
+# AuditConfig refuses a run whose work, estimated as n_max**2 * (k_max -
+# k_min + 1), is past this: each k checks about n_max points, and the C05/C06
+# right-hand sums and the difference tables cost O(n) at each.  On CPython
+# 3.11 a run at the ceiling takes 30-50 s: n_max = 1024 at k = 1..10 took
+# 28 s, n_max = 3162 at k = 1 took 52 s (the cost per unit grows as terms
+# widen with n), and the default range (4.1e4) takes about 0.1 s.
+AUDIT_WORK_CEILING = 10**7
+
 _KIND_NAMES = {
     TransformKind.BINOMIAL: "binomial",
     TransformKind.K_BINOMIAL: "k-binomial",
@@ -106,6 +115,11 @@ class AuditConfig:
             raise ValueError("need 1 <= k_min <= k_max")
         if self.n_max < 2:
             raise ValueError("need n_max >= 2")
+        work = self.n_max**2 * (self.k_max - self.k_min + 1)
+        if work > AUDIT_WORK_CEILING:
+            raise ValueError(
+                f"estimated work n_max^2 * (k_max - k_min + 1) = {Decimal(work):.3g} "
+                f"is past the audit ceiling of {Decimal(AUDIT_WORK_CEILING):.3g}")
 
     @property
     def ks(self) -> range:

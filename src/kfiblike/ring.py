@@ -12,10 +12,11 @@ integral, and the single 1/2 factor that occurs is handled by
 :func:`exact_div_int`, which fails loudly if divisibility is ever violated.
 
 ``KPoly`` arithmetic is the cost of every symbolic check.  Ring results
-are trusted (trimmed, not re-validated), and a product is a schoolbook loop
-over the sparser operand, or, when both operands are dense, one big-int
-product by Kronecker substitution (Schoenhage 1982; Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", 2009).
+are trusted (trimmed, not re-validated), and a product is one whole-row
+pass over the denser operand per nonzero coefficient of the sparser one,
+or, when both operands are dense, one big-int product by Kronecker
+substitution (Schoenhage 1982; Harvey, "Faster polynomial multiplication
+via multipoint Kronecker substitution", 2009).
 
 ``int`` is the numeric result type of every library function.  Its decimal
 output goes through exact ``decimal.Decimal`` arithmetic, in one context
@@ -56,10 +57,15 @@ class KPoly:
     are applied.
 
     Ring results skip the public constructor's per-coefficient type check
-    and are only trimmed.  ``*`` loops over the operand with fewer nonzero
-    coefficients, skipping zeros, so ``k**i * x`` is one pass over ``x``;
-    two operands with ``_KRONECKER_MIN_TERMS`` or more nonzero coefficients
-    each go through :func:`_kronecker_mul` instead.
+    and are only trimmed.  ``*`` makes one whole-row pass over the operand
+    with more nonzero coefficients for each nonzero coefficient c of the
+    other, in C (``map``), never a Python loop over the row: the first c
+    places its row at its degree (the operand itself when c is 1, else c
+    times it), and each later c adds its row in (subtracts the operand when
+    c is -1).  So ``k**i * x`` is one copy of ``x``, and ``(k + 2) * x``
+    two passes.  A row shorter than ``_ROW_PASS_MIN_LEN`` is multiplied in a
+    Python loop instead, and two operands with ``_KRONECKER_MIN_TERMS`` or
+    more nonzero coefficients each go through :func:`_kronecker_mul`.
     """
 
     __slots__ = ("coeffs",)
@@ -142,13 +148,32 @@ class KPoly:
             a, b, na = b, a, nb
         if na >= _KRONECKER_MIN_TERMS:
             return KPoly._trusted(_kronecker_mul(a, b))
-        out = [0] * (len(a) + len(b) - 1)
+        nb = len(b)
+        if nb < _ROW_PASS_MIN_LEN:
+            out = [0] * (len(a) + nb - 1)
+            for i, x in enumerate(a):
+                if x:
+                    j = i
+                    for y in b:
+                        out[j] += x * y
+                        j += 1
+            return KPoly._trusted(out)
+        # The first nonzero x places its row, zero padded to the product's
+        # length, so that each later row adds into a full slice.
+        out = None
         for i, x in enumerate(a):
-            if x:
-                j = i
-                for y in b:
-                    out[j] += x * y
-                    j += 1
+            if not x:
+                continue
+            if out is None:
+                out = [0] * i
+                out += b if x == 1 else map(operator.mul, b, repeat(x))
+                out += [0] * (len(a) - 1 - i)
+            elif x == 1:
+                out[i:i + nb] = map(operator.add, out[i:i + nb], b)
+            elif x == -1:
+                out[i:i + nb] = map(operator.sub, out[i:i + nb], b)
+            else:
+                out[i:i + nb] = map(operator.add, out[i:i + nb], map(operator.mul, b, repeat(x)))
         return KPoly._trusted(out)
 
     def __eq__(self, other):
@@ -186,10 +211,15 @@ class KPoly:
 
 
 # Both operands of a product need at least this many nonzero coefficients
-# before one big-int product beats the schoolbook loop.  Such products are
+# before one big-int product beats the row passes.  Such products are
 # the squarings and cross products of the Lucas doubling (term_fast,
 # binet_closed) at symbolic k.
 _KRONECKER_MIN_TERMS = 16
+
+# A row shorter than this is cheaper to multiply in a Python loop than to
+# set up the row passes for, at the small coefficients of the audit's
+# symbolic leg.
+_ROW_PASS_MIN_LEN = 16
 
 
 def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...]) -> List[int]:

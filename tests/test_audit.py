@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kfiblike import audit
 from kfiblike.audit import (
     TABLE_FIXTURES,
     AuditConfig,
@@ -139,6 +140,27 @@ def test_invalid_ranges_rejected():
         run_audit(k_min=1, k_max=3, n_max=1)
     with pytest.raises(ValueError):
         AuditConfig(k_min=2, k_max=1)
+
+
+def test_work_past_the_ceiling_is_refused(monkeypatch):
+    monkeypatch.setattr(audit, "AUDIT_WORK_CEILING", 1000)
+    AuditConfig(k_min=1, k_max=10, n_max=10)   # 10^2 * 10, at the ceiling
+    AuditConfig(k_min=3, k_max=5, n_max=18)    # 972
+    for k_min, k_max, n_max, shown in ((1, 10, 11, "1.21e+3"), (3, 5, 19, "1.08e+3"),
+                                       (1, 1001, 2, "4.00e+3")):
+        with pytest.raises(ValueError) as exc:
+            run_audit(k_min=k_min, k_max=k_max, n_max=n_max)
+        assert str(exc.value) == (f"estimated work n_max^2 * (k_max - k_min + 1) = {shown} "
+                                  "is past the audit ceiling of 1.00e+3")
+
+
+def test_shipped_ranges_are_under_the_work_ceiling():
+    # only configs are built: no run starts at these ranges
+    for n_max in (AuditConfig.n_max, 256):      # the default; the jsonl range edge
+        AuditConfig(n_max=n_max)
+    # an estimate too wide for a float is still named
+    with pytest.raises(ValueError, match=r"= 1\.00e\+8001 is past the audit ceiling"):
+        AuditConfig(n_max=10**4000)
 
 
 def test_table_fixtures_are_verbatim_transcriptions():

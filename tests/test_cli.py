@@ -294,6 +294,20 @@ def test_audit_defaults_are_the_config_defaults():
     assert AuditConfig(**{name: p.default for name, p in defaults.items()}) == AuditConfig()
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["--n-max", "100000000000"], "1.00e+23"),
+    (["--k-max", "1000000000"], "4.10e+12"),
+])
+def test_audit_past_the_work_ceiling_is_a_usage_error(capsys, argv, shown):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["audit", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kfiblike audit")
+    assert f"= {shown} is past the audit ceiling of 1.00e+7\n" in captured.err
+
+
 def test_audit_exit_zero_and_formats(capsys):
     code, out, _ = run_cli(
         capsys, ["audit", "--k-max", "3", "--n-max", "16", "--format", "jsonl"]

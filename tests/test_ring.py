@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kfiblike import ring
 from kfiblike.ring import (
@@ -257,17 +257,31 @@ def _assert_built_like_public(p, cs):
 # coefficients of any width up to about 2**300, either sign
 _WIDE_COEFFS = st.integers(0, 300).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
 _NONZERO_WIDE = _WIDE_COEFFS.filter(bool)
+# mostly -1, 0 and 1, the first nonzero at any degree below 40
+_unit_sparse = st.tuples(
+    st.integers(min_value=0, max_value=39),
+    st.lists(st.one_of(st.sampled_from((-1, 0, 0, 1)), st.sampled_from((-1, 0, 0, 1)),
+                       st.sampled_from((-1, 0, 0, 1)), _WIDE_COEFFS), max_size=40),
+).map(lambda t: ([0] * t[0] + t[1])[:40])
 _operands = st.tuples(
     st.one_of(
         st.lists(_WIDE_COEFFS, max_size=15),                              # short
         st.lists(_NONZERO_WIDE, min_size=16, max_size=40),                # dense
         st.lists(st.one_of(st.just(0), st.just(0), st.just(0), _WIDE_COEFFS),
                  max_size=40),                                            # mostly zero
+        _unit_sparse,
     ),
     st.integers(min_value=0, max_value=3),
 ).map(lambda t: t[0] + [0] * t[1])
 
 
+# The product's row passes, for rows of ring._ROW_PASS_MIN_LEN or more: the
+# first nonzero coefficient of the sparser operand, at any degree, places its
+# row (the other operand itself for 1); each later one adds its row
+# (subtracts it for -1).
+@example(ca=[0, 0, 1, 0, -1, 1, 5], cb=[3, -2, 0, 7, 1] * 4)
+@example(ca=[0, -1, 0, -1], cb=[-4, 2**70, 9] * 6)
+@example(ca=[0, 0, 0, 2**65, 1, -1], cb=[(-1) ** i * (2**40 + i) for i in range(24)])
 @settings(max_examples=300, deadline=None)
 @given(ca=_operands, cb=_operands)
 def test_kpoly_arithmetic_matches_reference_property(ca, cb):
@@ -305,6 +319,14 @@ def test_products_at_the_kronecker_threshold(monkeypatch, na, nb):
     calls.clear()
     _assert_built_like_public(KPoly(sparse) * KPoly(cb), _schoolbook(sparse, cb))
     assert not calls
+
+
+@pytest.mark.parametrize("delta", (-1, 0, 1))
+def test_products_around_the_row_pass_length(delta):
+    cb = _dense(ring._ROW_PASS_MIN_LEN + delta, start=2**64)
+    for ca in ([1], [-1], [0, 0, 3], [2, 1], [0, -1, 0, 1, -1], [1, 0, -2], [0] * 30 + [1]):
+        _assert_built_like_public(KPoly(ca) * KPoly(cb), _schoolbook(ca, cb))
+        _assert_built_like_public(KPoly(cb) * KPoly(ca), _schoolbook(ca, cb))
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 8))

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kfiblike.closedform import binet_closed
 from kfiblike.genfunc import derived_gf, gf_expand
 from kfiblike import transforms
 from kfiblike.ring import K, KPoly, ipow
-from kfiblike.sequences import k_fib, modified_k_fib, terms
+from kfiblike.sequences import k_fib, modified_k_fib, term_fast, terms
 from kfiblike.transforms import (
     KIND_ORDER,
     TransformKind,
@@ -66,6 +67,22 @@ def test_direct_equals_recurrence_symbolic(kind):
     rec_vals = terms(transform_recurrence(kind, K), 13)
     for n in range(13):
         assert transform_direct(kind, K, n) == rec_vals[n]
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
+def test_symbolic_routes_agree_at_depth(kind):
+    """Every symbolic route agrees at n = 120, where a term has 120 to 240
+    coefficients of about 160 bits, and so does the term at k = 3."""
+    n = 120
+    rec = transform_recurrence(kind, K)
+    prefix = terms(rec, n + 1)
+    assert gf_expand(derived_gf(kind, K), n + 1) == prefix
+    assert list(islice(iter_direct(kind, K), n + 1)) == prefix
+    x = prefix[n]
+    assert transform_direct(kind, K, n) == x
+    assert term_fast(rec, n) == x
+    assert binet_closed(rec, n) == x
+    assert x.evaluate(3) == terms(transform_recurrence(kind, 3), n + 1)[n]
 
 
 def test_kinds_collapse_at_k1():
