@@ -13,6 +13,10 @@ classes:
   indicts the source, not the code, and is reported as ``INFO-DISCREPANCY``
   so it can never be confused with an implementation failure.
 
+A claim whose checker finds no point of the configured ranges to check (C26
+at ``k_min > FLOAT_K_CAP``) is reported as ``NOT-CHECKED``: counted apart
+from ``PASS``, and not a failure.
+
 Table fixtures are transcribed exactly as printed, including the k-binomial
 lists that disagree with their own definition: an auditor must not silently
 correct its subject.  Counterexamples follow a smallest-n-then-smallest-k
@@ -47,7 +51,7 @@ from decimal import Decimal
 from enum import Enum
 from functools import cache
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .closedform import _published_binet_form, binet_closed, binet_float
 from .genfunc import derived_gf, gf_expand, published_gf
@@ -96,6 +100,7 @@ class Verdict(Enum):
     PASS = "PASS"
     FAIL = "FAIL"
     INFO_DISCREPANCY = "INFO-DISCREPANCY"
+    NOT_CHECKED = "NOT-CHECKED"
 
 
 class ClaimClass(Enum):
@@ -223,7 +228,8 @@ class Claim:
     description: str
     citation: str
     claim_class: ClaimClass
-    checker: Callable[[_Run], List[Counterexample]] = field(compare=False)
+    # the counterexamples found, or None when the ranges hold no point to check
+    checker: Callable[[_Run], Optional[List[Counterexample]]] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -250,9 +256,10 @@ class AuditReport:
 
     @property
     def counts(self) -> Dict[str, int]:
-        out = {v.value: 0 for v in Verdict}
+        """Claims per verdict; ``NOT-CHECKED`` appears only when some claim has it."""
+        out = {v.value: 0 for v in (Verdict.PASS, Verdict.FAIL, Verdict.INFO_DISCREPANCY)}
         for r in self.results:
-            out[r.verdict.value] += 1
+            out[r.verdict.value] = out.get(r.verdict.value, 0) + 1
         return out
 
     @property
@@ -276,7 +283,8 @@ class AuditReport:
             text = verdict.value
             if not color:
                 return text
-            code = {"PASS": "32", "FAIL": "31", "INFO-DISCREPANCY": "33"}[text]
+            code = {"PASS": "32", "FAIL": "31", "INFO-DISCREPANCY": "33",
+                    "NOT-CHECKED": "36"}[text]
             return f"\x1b[{code}m{text}\x1b[0m"
 
         bar = "=" * max(width, 20)
@@ -298,9 +306,11 @@ class AuditReport:
                 )
         counts = self.counts
         lines.append(bar)
+        not_checked = counts.get("NOT-CHECKED", 0)
         lines.append(
             f"{len(self.results)} claims: {counts['PASS']} PASS, "
             f"{counts['FAIL']} FAIL, {counts['INFO-DISCREPANCY']} INFO-DISCREPANCY"
+            + (f", {not_checked} NOT-CHECKED" if not_checked else "")
         )
         lines.append(
             "note: INFO-DISCREPANCY means a published value disagrees with independent"
@@ -315,6 +325,11 @@ class AuditReport:
             "one; for published formulas 'expected' is the computed truth and 'got' the"
         )
         lines.append("formula's output.")
+        if not_checked:
+            lines.append(
+                "note: NOT-CHECKED means the ranges hold no point the claim can check;"
+            )
+            lines.append("it is neither a pass nor a failure.")
         return "\n".join(lines) + "\n"
 
 
@@ -520,11 +535,13 @@ def _check_published_m_polys(run: _Run) -> List[Counterexample]:
     return ces
 
 
-def _check_float_binet(run: _Run) -> List[Counterexample]:
+def _check_float_binet(run: _Run) -> Optional[List[Counterexample]]:
     cfg = run.cfg
     tol = 1e-9
     n_stop = min(cfg.n_max, FLOAT_N_CAP)
     ks = range(cfg.k_min, min(cfg.k_max, FLOAT_K_CAP) + 1)
+    if not ks:
+        return None
     recs = [(k, [(kind, run.recurrence(kind, k)) for kind in KIND_ORDER]) for k in ks]
     for n in range(n_stop + 1):
         for k, row in recs:
@@ -703,7 +720,9 @@ def run_audit(
     results: List[ClaimResult] = []
     for claim in claim_registry():
         ces = claim.checker(run)
-        if not ces:
+        if ces is None:
+            verdict, ces = Verdict.NOT_CHECKED, []
+        elif not ces:
             verdict = Verdict.PASS
         elif claim.claim_class is ClaimClass.IDENTITY:
             verdict = Verdict.FAIL

@@ -26,14 +26,21 @@ exact ``Decimal`` by divide and conquer.  Both use ``ring``'s one exact
 context: unbounded precision, any rounding trapped, so a rounded value
 raises instead of being printed.  The CLI leaves CPython's ``str(int)`` guard
 as it is, so on 3.11+ an integer argument past 4300 digits is argparse's
-usage error.  A ``--count`` past ``sys.maxsize`` and a ``binet --exact`` term
-estimated past ``_EXACT_DIGITS_CEILING`` digits are too, before any output.
+usage error.  A ``--count`` past ``sys.maxsize``, and a ``binet --exact`` or
+``bench --n`` term estimated past ``_EXACT_DIGITS_CEILING`` digits, are too,
+before any output.
+
+:func:`main` can be called any number of times in one process, with
+``sys.stdout`` and ``sys.stderr`` read at each call.  Every call reuses the
+one parser tree :func:`build_parser` builds on the first, so a caller that
+runs many commands in process pays for argparse's setup once.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import math
 import os
@@ -70,7 +77,8 @@ EXIT_BROKEN_PIPE = 141
 # Report width bounds: the audit text rules off sections with "=" * width.
 MIN_WIDTH, MAX_WIDTH = 20, 1000
 
-# ``binet --exact`` refuses a term estimated longer than this many digits.
+# ``binet --exact`` and ``bench --n`` refuse a term estimated longer than
+# this many digits.
 # Lucas doubling and decimal output grow faster than the digits: binomial
 # k=2 at n=4e6 (2.1e6 digits) takes about 5.5 s on CPython 3.11, and each
 # doubling of n multiplies that by about 3.
@@ -168,6 +176,17 @@ def _check_count(parser: argparse.ArgumentParser, count: int) -> None:
         parser.error(f"--count must be <= {sys.maxsize}, got {count}")
 
 
+def _check_digits(parser: argparse.ArgumentParser, rec: Order2Rec, n: int,
+                  what: str) -> None:
+    """Refuse x(n) of ``rec`` if it is estimated past ``_EXACT_DIGITS_CEILING`` digits."""
+    digits = _digits_estimate(rec, n)
+    if digits > _EXACT_DIGITS_CEILING:
+        # a long n is named by its length, so the usage line stays short
+        shown = n if n < 10**20 else f"<{_digit_count(n)}-digit n>"
+        parser.error(f"x({shown}) has about {digits:.3g} digits, beyond the "
+                     f"{_EXACT_DIGITS_CEILING:.3g}-digit ceiling of {what}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -246,12 +265,7 @@ def _cmd_binet(args, parser, out) -> int:
         parser.error(f"--n must be >= 0, got {args.n}")
     rec = transform_recurrence(_KIND_BY_NAME[args.kind], args.k)
     if args.exact:
-        digits = _digits_estimate(rec, args.n)
-        if digits > _EXACT_DIGITS_CEILING:
-            # a long n is named by its length, so the usage line stays short
-            shown = args.n if args.n < 10**20 else f"<{_digit_count(args.n)}-digit n>"
-            parser.error(f"x({shown}) has about {digits:.3g} digits, beyond the "
-                         f"{_EXACT_DIGITS_CEILING:.3g}-digit ceiling of --exact")
+        _check_digits(parser, rec, args.n, "--exact")
         out.write(elem_str(binet_closed(rec, args.n)) + "\n")
         return 0
     try:
@@ -292,6 +306,8 @@ def _cmd_bench(args, parser, out) -> int:
         parser.error(f"--direct-cap must be >= 0, got {args.direct_cap}")
     kind = _KIND_BY_NAME[args.kind]
     rec = transform_recurrence(kind, args.k)
+    for n in ns:
+        _check_digits(parser, rec, n, "bench")
     out.write(f"benchmark: {args.kind} transform, k={args.k}\n")
     out.write(f"{'n':>10}  {'strategy':<14} {'seconds':>12}  {'digits':>8}  equal\n")
     all_equal = True
@@ -331,11 +347,15 @@ def _cmd_bench(args, parser, out) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and each subcommand's own parser by name.
 
     A handler reports range errors through its subcommand's parser, so they
     read ``kfiblike gen: error: ...`` as argparse's own errors there do.
+    Built on the first call and shared by every later one: parsing leaves a
+    parser as it was (an ``append`` option copies its default, each
+    subcommand's ``prog`` is fixed here, help is formatted when printed).
     """
     parser = argparse.ArgumentParser(
         prog="kfiblike",

@@ -13,7 +13,7 @@ integral, and the single 1/2 factor that occurs is handled by
 
 ``KPoly`` arithmetic is the cost of every symbolic check.  Ring results
 are trusted (trimmed, not re-validated), and a product is one whole-row
-pass over the denser operand per nonzero coefficient of the sparser one,
+pass over the longer operand per nonzero coefficient of the shorter one,
 or, when both operands are dense, one big-int product by Kronecker
 substitution (Schoenhage 1982; Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", 2009).
@@ -57,15 +57,17 @@ class KPoly:
     are applied.
 
     Ring results skip the public constructor's per-coefficient type check
-    and are only trimmed.  ``*`` makes one whole-row pass over the operand
-    with more nonzero coefficients for each nonzero coefficient c of the
-    other, in C (``map``), never a Python loop over the row: the first c
-    places its row at its degree (the operand itself when c is 1, else c
-    times it), and each later c adds its row in (subtracts the operand when
-    c is -1).  So ``k**i * x`` is one copy of ``x``, and ``(k + 2) * x``
-    two passes.  A row shorter than ``_ROW_PASS_MIN_LEN`` is multiplied in a
-    Python loop instead, and two operands with ``_KRONECKER_MIN_TERMS`` or
-    more nonzero coefficients each go through :func:`_kronecker_mul`.
+    and are only trimmed.  ``*`` makes one whole-row pass over the longer
+    operand for each nonzero coefficient c of the shorter (over the sparser
+    one instead when the shorter has ``_KRONECKER_MIN_TERMS`` or more
+    nonzero coefficients), in C (``map``), never a Python loop over the
+    row: the first c places its row at its degree (the operand itself when
+    c is 1, else c times it), and each later c adds its row in (subtracts
+    the operand when c is -1).  So ``k**i * x``, for an ``x`` at least as
+    long, is one copy of ``x``, and ``(k + 2) * x`` two passes.  A row
+    shorter than ``_ROW_PASS_MIN_LEN`` is multiplied in a Python loop
+    instead, and two operands with ``_KRONECKER_MIN_TERMS`` or more nonzero
+    coefficients each go through :func:`_kronecker_mul`.
     """
 
     __slots__ = ("coeffs",)
@@ -143,11 +145,15 @@ class KPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return KPoly._trusted([])
-        na, nb = len(a) - a.count(0), len(b) - b.count(0)
-        if na > nb:
-            a, b, na = b, a, nb
-        if na >= _KRONECKER_MIN_TERMS:
-            return KPoly._trusted(_kronecker_mul(a, b))
+        if len(a) > len(b):
+            a, b = b, a
+        # Zeros are counted only where they can change the path: a's when a
+        # is long enough for Kronecker, b's when a has enough nonzero
+        # coefficients for it.
+        if len(a) >= _KRONECKER_MIN_TERMS and len(a) - a.count(0) >= _KRONECKER_MIN_TERMS:
+            if len(b) - b.count(0) >= _KRONECKER_MIN_TERMS:
+                return KPoly._trusted(_kronecker_mul(a, b))
+            a, b = b, a
         nb = len(b)
         if nb < _ROW_PASS_MIN_LEN:
             out = [0] * (len(a) + nb - 1)

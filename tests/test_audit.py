@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -44,6 +45,46 @@ def test_verdicts(report):
             assert r.verdict is Verdict.PASS, (r.claim.id, r.counterexamples)
     assert not report.has_implementation_failure
     assert report.counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
+
+
+# run_audit(k_min=6, k_max=10, symbolic=False) before NOT-CHECKED existed,
+# when C26 reported PASS there after checking no point: sha256 of its bytes
+_NO_FLOAT_K_TEXT_SHA256 = "5946debcbcc41ea608447589ff84ae582c6f3a1ecab48a53255def2c0681a8a3"
+_NO_FLOAT_K_JSONL_SHA256 = "6893217ffbbfbb1b08163ed078bbd7aa171a022b8a3ea5496a7cef1725299a46"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_claim_with_no_point_in_range_is_not_checked(monkeypatch):
+    calls = []
+    real = audit.binet_float
+    monkeypatch.setattr(audit, "binet_float", lambda *a: calls.append(a) or real(*a))
+    report = run_audit(k_min=audit.FLOAT_K_CAP + 1, k_max=10, symbolic=False)
+    assert not calls
+    c26 = report.result("C26")
+    assert c26.verdict is Verdict.NOT_CHECKED and c26.counterexamples == ()
+    assert report.counts == {"PASS": 21, "FAIL": 0, "INFO-DISCREPANCY": 4, "NOT-CHECKED": 1}
+    assert not report.has_implementation_failure
+    # the rest of the report is the one pinned above, byte for byte
+    records = report.to_records()
+    assert records[-1]["verdict"] == "NOT-CHECKED"
+    records[-1]["verdict"] = "PASS"
+    assert _sha256("".join(json.dumps(r) + "\n" for r in records)) == _NO_FLOAT_K_JSONL_SHA256
+    note = ("note: NOT-CHECKED means the ranges hold no point the claim can check;\n"
+            "it is neither a pass nor a failure.\n")
+    text = report.to_text()
+    assert text.endswith(note)
+    before = (text[:-len(note)]
+              .replace("C26  NOT-CHECKED        ", "C26  PASS               ")
+              .replace("21 PASS, 0 FAIL, 4 INFO-DISCREPANCY, 1 NOT-CHECKED",
+                       "22 PASS, 0 FAIL, 4 INFO-DISCREPANCY"))
+    assert _sha256(before) == _NO_FLOAT_K_TEXT_SHA256
+    # one point in range is enough for a verdict
+    assert run_audit(k_min=audit.FLOAT_K_CAP, k_max=10,
+                     symbolic=False).result("C26").verdict is Verdict.PASS
+    assert calls
 
 
 def test_c12_counterexample(report):

@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import inspect
 import json
@@ -582,3 +583,112 @@ def test_default_audit_matches_expected_bytes(monkeypatch, argv, expected):
     proc = run_subprocess(argv)
     assert proc.returncode == 0
     assert proc.stdout == (REPO_ROOT / "perfbench" / "expected" / expected).read_bytes()
+
+
+def test_bench_refuses_a_term_past_the_ceiling_before_any_kernel(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_EXACT_DIGITS_CEILING", 100)
+    code, out, _ = run_cli(capsys, ["bench", "--k", "2", "--n", "150"])
+    assert code == 0 and "       150  decimal" in out
+
+    def kernel(*_args):
+        raise AssertionError("a kernel ran")
+
+    for name in ("term_iterative", "term_fast", "transform_direct", "elem_str"):
+        monkeypatch.setattr(cli, name, kernel)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--k", "2", "--n", "150", "--n", "200"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kfiblike bench")
+    assert "x(200) has about 107 digits, beyond the 100-digit ceiling of bench" in captured.err
+
+
+def test_audit_with_a_claim_not_checked_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, ["audit", "--k-min", "6", "--no-symbolic"])
+    assert code == 0
+    assert "C26  NOT-CHECKED" in out
+    assert "26 claims: 21 PASS, 0 FAIL, 4 INFO-DISCREPANCY, 1 NOT-CHECKED\n" in out
+
+
+# main() reuses one parser tree per process; parsing must leave it as it was.
+
+def _rows_without_timings(out):
+    # the seconds column is the only one that differs between runs
+    return [line[:27] + line[39:] for line in out.splitlines()]
+
+
+def test_repeated_append_option_does_not_pile_up(capsys):
+    argv = ["bench", "--k", "2", "--n", "5", "--n", "7"]
+    _, first, _ = run_cli(capsys, argv)
+    _, second, _ = run_cli(capsys, argv)
+    assert len(first.splitlines()) == 2 + 2 * 4 + 1
+    assert _rows_without_timings(second) == _rows_without_timings(first)
+    _, default, _ = run_cli(capsys, ["bench", "--k", "2", "--n", "9"])
+    assert [line.split()[0] for line in default.splitlines()[2:-1]] == ["9"] * 4
+
+
+def test_usage_error_then_a_valid_call(capsys):
+    bad = ["gen", "modified", "--k", "0", "--count", "3"]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+        assert run_cli(capsys, ["gen", "modified", "--k", "2", "--count", "4"]) == (
+            0, "2,2,6,14\n", "")
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: kfiblike gen [-h]")
+    assert errors[0].endswith("kfiblike gen: error: --k must be >= 1, got 0\n")
+
+
+_HELP_ARGVS = [["--help"]] + [[name, "--help"] for name in
+                              ("gen", "transform", "gf", "binet", "audit", "bench")]
+
+
+def _help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+def test_help_is_the_same_on_the_first_and_a_later_call(capsys):
+    cli.build_parser.cache_clear()
+    first = [_help(capsys, argv) for argv in _HELP_ARGVS]
+    run_cli(capsys, ["bench", "--k", "2", "--n", "5", "--n", "7"])
+    run_cli(capsys, ["transform", "falling", "--k", "3", "--count", "4", "--format", "csv"])
+    with pytest.raises(SystemExit):
+        cli.main(["gf", "binomial"])
+    capsys.readouterr()
+    assert [_help(capsys, argv) for argv in _HELP_ARGVS] == first
+    assert first[0].startswith("usage: kfiblike [-h]")
+    for argv, text in zip(_HELP_ARGVS[1:], first[1:]):
+        assert text.startswith(f"usage: kfiblike {argv[0]} [-h]")
+
+
+def test_main_builds_the_parser_tree_once(capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (["gen", "modified", "--k", "2", "--count", "4"],
+                 ["transform", "binomial", "--k", "2", "--count", "3"],
+                 ["gf", "rising", "--symbolic"],
+                 ["binet", "binomial", "--k", "2", "--n", "5", "--exact"],
+                 ["gen", "kfib", "--k", "1", "--count", "5"]):
+        run_cli(capsys, argv)
+    with pytest.raises(SystemExit):
+        cli.main(["gen", "modified", "--k", "0", "--count", "3"])
+    # one tree in the first call, or none if an earlier call built it
+    tree = ["kfiblike"] + [f"kfiblike {argv[0]}" for argv in _HELP_ARGVS[1:]]
+    assert built in ([], tree)

@@ -321,6 +321,42 @@ def test_products_at_the_kronecker_threshold(monkeypatch, na, nb):
     assert not calls
 
 
+class _CountingTuple(tuple):
+    """Coefficients that record each ``count`` call made on them."""
+
+    def count(self, value):
+        self.calls.append(value)
+        return super().count(value)
+
+
+def _spied(cs):
+    p = object.__new__(KPoly)
+    coeffs = _CountingTuple(cs)
+    coeffs.calls = []
+    object.__setattr__(p, "coeffs", coeffs)
+    return p, coeffs.calls
+
+
+@pytest.mark.parametrize("short, long_, counts, kronecker", [
+    ([2, 1], _dense(40), (0, 0), False),                 # k + 2 times a long row
+    (_dense(15), _dense(40), (0, 0), False),             # shorter than the threshold
+    ([0] * 14 + _dense(15), _dense(40), (1, 0), False),  # long, too few nonzero terms
+    (_dense(16), _dense(40), (1, 1), True),              # both dense enough
+    (_dense(16), [0] * 39 + [7], (1, 1), False),         # the long row is sparse
+])
+def test_products_count_zeros_only_where_the_path_can_change(
+        monkeypatch, short, long_, counts, kronecker):
+    kron = []
+    real = ring._kronecker_mul
+    monkeypatch.setattr(ring, "_kronecker_mul", lambda a, b: kron.append(1) or real(a, b))
+    for swap in (False, True):
+        (a, a_calls), (b, b_calls) = _spied(short), _spied(long_)
+        product = b * a if swap else a * b
+        _assert_built_like_public(product, _schoolbook(short, long_))
+        assert (len(a_calls), len(b_calls)) == counts
+    assert len(kron) == 2 * kronecker
+
+
 @pytest.mark.parametrize("delta", (-1, 0, 1))
 def test_products_around_the_row_pass_length(delta):
     cb = _dense(ring._ROW_PASS_MIN_LEN + delta, start=2**64)
