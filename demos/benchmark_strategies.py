@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Compare the three evaluation strategies on one transform term.
+"""Compare the evaluation strategies on one transform term.
 
 Runs ``kfiblike bench --k 2`` on the binomial transform at n = 100, 1000,
-10000 and 100000:
+10000 and 100000, one row per strategy:
 
 iterative        plain recurrence iteration, O(n) ring operations
 lucas-doubling   Lucas doubling over (U(n), U(n+1)), O(log n) products
+decimal          decimal text of the Lucas-doubling value, checked against
+                 its digit count
 direct-sum       the definitional weighted binomial sum, O(n) fat products
 
 The direct sum is definitionally correct but hopeless at large n (its

@@ -15,7 +15,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from kfiblike import (  # noqa: E402
     KIND_ORDER,
-    QuadChar,
     TransformKind,
     binet_closed,
     binet_float,
@@ -32,8 +31,9 @@ from kfiblike import K  # noqa: E402
 from kfiblike.sequences import lucas_pair  # noqa: E402
 
 for kind in KIND_ORDER:
-    qc = QuadChar.from_rec(transform_recurrence(kind, K))
-    print(f"  {kind.value:<10} x^2 - ({qc.P})x + ({qc.Q}),  discriminant {qc.discriminant}")
+    rec = transform_recurrence(kind, K)
+    P, Q = rec.a, -rec.b
+    print(f"  {kind.value:<10} x^2 - ({P})x + ({Q}),  discriminant {P * P - Q.scale(4)}")
 print()
 
 print("Lucas sequence U(P,Q) realises the root quotient (r1^n - r2^n)/(r1 - r2)")

@@ -32,7 +32,6 @@ from .transforms import (
     w_scaling,
 )
 from .closedform import (
-    QuadChar,
     binet_closed,
     binet_float,
     published_binet,

@@ -25,29 +25,36 @@ byte-identical for identical parameters.
 
 Each :func:`run_audit` call builds one private run that holds the config and
 the route values claims share, each computed on first use and held per
-(kind, k) or per k, prefixes as plain lists: the direct sums of each kind and k, as one
-prefix that the difference table of :func:`~kfiblike.transforms.iter_direct`
-extends as far as a claim reads; one prefix of M per k, extended to 2 n_max
-for C07's M(2n) and read by C09 and C10 as well; the transform recurrences and
-the prefixes of those recurrences and of F.  A sweep builds each claim's row
-once per k from these: it fetches the lists, the recurrence, the published
-Binet form of that (kind, k) or the generating-function series it needs, and
-C10's running alternating sums of M, one subtraction per n.  The point loop
-is then list indexing plus the compared computation itself, such as a lemma
-right-hand side, a Lucas doubling pass of ``binet_closed`` or of the
-published Binet form.  The ``binet_closed`` values of C19-C22 and C26, the
-published Binet values and C25's symbolic terms of M are not shared: each
-claim computes its own.  A claim still compares two independent routes; a
-value shared between claims means a broken route shows in every claim that
-reads it.  The run and its lists end with :func:`run_audit`; the config and
-the report are plain values.  Claims C01-C22 are each one sweep over the run.
+(kind, k), per k or per recurrence, prefixes as plain lists:
+
+* the direct sums of each kind and k: one prefix that the difference table of
+  :func:`~kfiblike.transforms.iter_direct` extends as far as a claim reads,
+  which may pass n_max (C05/C06 read n_max + 1, and C23/C24 read each table
+  fixture's n <= 5 at its own k);
+* M at each k: one prefix of :func:`~kfiblike.sequences.iter_terms`, extended
+  likewise.  C07 reads M(2n), so 2 n_max; C09 and C10 read it too, and so
+  does C25, its first six terms at symbolic k;
+* the transform recurrences, and the prefixes of those and of F, n <= n_max
+  (or sym_n at symbolic k).
+
+A sweep builds each claim's row once per k from these: it fetches the lists,
+the recurrence, the published Binet form of that (kind, k) or the
+generating-function series it needs, and C10's running alternating sums of
+M, one subtraction per n.  The point loop is then list indexing plus the
+compared computation itself, such as a lemma right-hand side or a Lucas
+doubling pass.  The values of C11-C14 (the published Binet forms), C19-C22
+and C26 (``binet_closed``) are not shared: each claim computes its own.  A
+claim still compares two independent routes; a value shared between claims
+means a broken route shows in every claim that reads it.  The run and its
+lists end with :func:`run_audit`; the config and the report are plain
+values.  Claims C01-C22 are each one sweep over the run.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from enum import Enum
 from functools import cache
 from itertools import islice
@@ -80,13 +87,21 @@ SYMBOLIC_N_CAP = 16  # polynomial degree growth keeps symbolic sweeps desk-scale
 FLOAT_K_CAP = 5      # documented validity range of the double-precision path
 FLOAT_N_CAP = 40
 
-# AuditConfig refuses a run whose work, estimated as n_max**2 * (k_max -
-# k_min + 1), is past this: each k checks about n_max points, and the C05/C06
-# right-hand sums and the difference tables cost O(n) at each.  On CPython
-# 3.11 a run at the ceiling takes 30-50 s: n_max = 1024 at k = 1..10 took
-# 28 s, n_max = 3162 at k = 1 took 52 s (the cost per unit grows as terms
-# widen with n), and the default range (4.1e4) takes about 0.1 s.
-AUDIT_WORK_CEILING = 10**7
+# AuditConfig refuses a run whose work estimate, in ring operations on narrow
+# terms (about 0.6-0.9 us each on CPython 3.11), is past this.  Per k it
+# counts a fixed setup of 1000 and, at each of the n_max points, 150 for its
+# Lucas doubling passes and series reads, n_max for the lemma sums and
+# difference tables, n_max^2 * W / 10^6 for those sums' products with C(n, i),
+# and (W / 42)^1.585 for Karatsuba products of full-width terms.  W = n_max *
+# log10(k_max^2 + 2) is about the digit count of the widest compared term,
+# since the rising transform grows like (k^2 + 2)^n.  The constants were fitted
+# to runs of at most 1/100 of the ceiling.  Runs just under it, without the
+# symbolic leg, took 36-46 s: n_max = 1160 at k = 1..10 38 s, n_max = 3162 at
+# k = 1 46 s, n_max = 2 at k = 1..46000 36 s (and 381 MB), n_max = 108 at
+# k = 10^800 45 s.  The default range (1.5e5) takes about 0.1 s.
+AUDIT_WORK_CEILING = 6 * 10**7
+_KARATSUBA = Decimal("1.585")  # log2(3)
+_WORK_CONTEXT = Context(prec=8, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 _KIND_NAMES = {
     TransformKind.BINOMIAL: "binomial",
@@ -120,11 +135,11 @@ class AuditConfig:
             raise ValueError("need 1 <= k_min <= k_max")
         if self.n_max < 2:
             raise ValueError("need n_max >= 2")
-        work = self.n_max**2 * (self.k_max - self.k_min + 1)
+        work = _work_estimate(self.k_min, self.k_max, self.n_max)
         if work > AUDIT_WORK_CEILING:
             raise ValueError(
-                f"estimated work n_max^2 * (k_max - k_min + 1) = {Decimal(work):.3g} "
-                f"is past the audit ceiling of {Decimal(AUDIT_WORK_CEILING):.3g}")
+                f"estimated work of {work:.3g} ring operations is past "
+                f"the audit ceiling of {Decimal(AUDIT_WORK_CEILING):.3g}")
 
     @property
     def ks(self) -> range:
@@ -135,26 +150,22 @@ class AuditConfig:
         return min(self.n_max, SYMBOLIC_N_CAP)
 
 
+def _work_estimate(k_min: int, k_max: int, n_max: int) -> Decimal:
+    """Ring operations a run over k_min..k_max and n <= n_max takes; see
+    ``AUDIT_WORK_CEILING``.  Decimal, so that a range too wide for a float
+    still gets a number."""
+    with localcontext(_WORK_CONTEXT):
+        n = Decimal(n_max)
+        width = n * Decimal(k_max * k_max + 2).log10()
+        per_k = 1000 + n * (150 + n + n * n * width / 10**6 + (width / 42) ** _KARATSUBA)
+        return (k_max - k_min + 1) * per_k
+
+
 class _Run:
-    """One audit run: its config and its route values, each computed on first use.
-
-    Each value is held per (kind, k), per k or per recurrence, prefixes as
-    plain lists, which a claim's row fetches once per k and then indexes at
-    each n:
-
-    * ``direct_terms(kind, k, count)``: the definitional sums, one list
-      extended from that pair's :func:`~kfiblike.transforms.iter_direct`
-      stream as far as a claim reads, which may pass n_max: C05/C06 read
-      n_max + 1, the table fixtures n <= 5 at their own k;
-    * ``m_terms(k, count)``: M, one list extended from
-      :func:`~kfiblike.sequences.iter_terms` as far as a claim reads: C07
-      reads M(2n), so 2 n_max;
-    * ``recurrence(kind, k)``: the transform recurrences;
-    * ``prefix(rec)``: the prefix of a recurrence (a transform's, or F's),
-      keyed by the recurrence, so the four transforms share one at k = 1.
-
-    Prefixes run to n_max, or to sym_n for symbolic k (``count(k)`` terms).
-    A function of this module patched in before :func:`run_audit` is the one
+    """One audit run: its config and the route values the module docstring
+    lists, each computed on first use.  Prefixes run to n_max, or to sym_n
+    for symbolic k (``count(k)`` terms), unless a claim reads further.  A
+    function of this module patched in before :func:`run_audit` is the one
     the run calls.
     """
 
@@ -172,10 +183,6 @@ class _Run:
     def direct_terms(self, kind: TransformKind, k: RingElem, count: int) -> List[RingElem]:
         """At least the first ``count`` terms of the (kind, k) transform, by the definitional sum."""
         return _extend(self._direct(kind, k), count)
-
-    def direct(self, kind: TransformKind, k: RingElem, n: int) -> RingElem:
-        """Term n of the (kind, k) transform, by the definitional sum."""
-        return self.direct_terms(kind, k, n + 1)[n]
 
     def m_terms(self, k: RingElem, count: int) -> List[RingElem]:
         """At least the first ``count`` terms of M at k."""
@@ -512,8 +519,8 @@ def _check_fixtures(labels_prefixes: Sequence[str]):
         for fx in TABLE_FIXTURES:
             if not any(fx.label.startswith(p) for p in labels_prefixes):
                 continue
-            for n, printed in enumerate(fx.values):
-                computed = run.direct(fx.kind, fx.k, n)
+            direct = run.direct_terms(fx.kind, fx.k, len(fx.values))
+            for n, (printed, computed) in enumerate(zip(fx.values, direct)):
                 if printed != computed:
                     ces.append(Counterexample(k=fx.k, n=n, expected=str(printed),
                                               got=elem_str(computed), label=fx.label))
@@ -524,7 +531,7 @@ def _check_fixtures(labels_prefixes: Sequence[str]):
 
 
 def _check_published_m_polys(run: _Run) -> List[Counterexample]:
-    seq = terms(modified_k_fib(K), 6)
+    seq = run.m_terms(K, 6)
     ces: List[Counterexample] = []
     for n in sorted(PUBLISHED_M_POLYS):
         printed = KPoly(PUBLISHED_M_POLYS[n])

@@ -51,7 +51,7 @@ from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .audit import AuditConfig, run_audit
-from .closedform import QuadChar, binet_closed, binet_float
+from .closedform import binet_closed, binet_float
 from .genfunc import gf_from_rec, gf_str, iter_gf
 from .ring import _EXACT_CONTEXT, K, RingElem, elem_str
 from .sequences import (
@@ -114,12 +114,12 @@ def _decimal_rec(rec: Order2Rec) -> Order2Rec:
 def _digits_estimate(rec: Order2Rec, n: int) -> float:
     """About ``len(str(x(n)))``: n*log10 r1, r1 the dominant characteristic root.
 
-    r1 = (|P| + sqrt(disc)) / 2 is taken in ints scaled by 2**64, with
+    r1 = (|a| + sqrt(a^2 + 4b)) / 2 is taken in ints scaled by 2**64, with
     ``isqrt``, so that it stays accurate for a k too large for a float; an
     n too large for a float gives infinity.
     """
-    qc = QuadChar.from_rec(rec)
-    r1_scaled = (abs(qc.P) << 64) + math.isqrt(qc.discriminant << 128)
+    disc = rec.a * rec.a + 4 * rec.b
+    r1_scaled = (abs(rec.a) << 64) + math.isqrt(disc << 128)
     try:
         return n * (math.log10(r1_scaled) - 65 * _LOG10_2)
     except OverflowError:

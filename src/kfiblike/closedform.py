@@ -22,32 +22,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
-from .ring import KPoly, RingElem, const_like, require_same_mode, scale
+from .ring import KPoly, RingElem, const_like, scale
 from .sequences import Order2Rec, lucas_pair
 from .transforms import TransformKind, transform_recurrence
-
-
-@dataclass(frozen=True)
-class QuadChar:
-    """Monic characteristic x^2 - P x + Q of a second-order recurrence."""
-
-    P: RingElem
-    Q: RingElem
-
-    def __post_init__(self):
-        require_same_mode(self.P, self.Q)
-
-    @classmethod
-    def from_rec(cls, rec: Order2Rec) -> "QuadChar":
-        # x(n+1) = a x(n) + b x(n-1)  <->  x^2 - a x - b
-        return cls(P=rec.a, Q=-rec.b)
-
-    @property
-    def discriminant(self) -> RingElem:
-        return self.P * self.P - scale(self.Q, 4)
 
 
 def binet_closed(rec: Order2Rec, n: int) -> RingElem:

@@ -86,12 +86,7 @@ def term_iterative(rec: Order2Rec, n: int) -> RingElem:
     """x(n) by plain iteration, keeping only a rolling pair of values."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    if n == 0:
-        return rec.x0
-    prev, cur = rec.x0, rec.x1
-    for _ in range(n - 1):
-        prev, cur = cur, rec.a * cur + rec.b * prev
-    return cur
+    return next(islice(iter_terms(rec), n, None))
 
 
 def lucas_pair(P: RingElem, Q: RingElem, n: int) -> Tuple[RingElem, RingElem]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -184,24 +185,42 @@ def test_invalid_ranges_rejected():
 
 
 def test_work_past_the_ceiling_is_refused(monkeypatch):
-    monkeypatch.setattr(audit, "AUDIT_WORK_CEILING", 1000)
-    AuditConfig(k_min=1, k_max=10, n_max=10)   # 10^2 * 10, at the ceiling
-    AuditConfig(k_min=3, k_max=5, n_max=18)    # 972
-    for k_min, k_max, n_max, shown in ((1, 10, 11, "1.21e+3"), (3, 5, 19, "1.08e+3"),
-                                       (1, 1001, 2, "4.00e+3")):
+    monkeypatch.setattr(audit, "AUDIT_WORK_CEILING", 1500)
+    AuditConfig(k_min=1, k_max=1, n_max=2)     # 1304: the setup of one k and two points
+    AuditConfig(k_min=1, k_max=1, n_max=3)     # 1459
+    for k_min, k_max, n_max, shown in ((1, 1, 4, "1.62e+3"), (1, 2, 2, "2.61e+3"),
+                                       (1, 10, 11, "2.78e+4"), (3, 5, 19, "1.27e+4"),
+                                       (1, 1001, 2, "1.31e+6")):
         with pytest.raises(ValueError) as exc:
             run_audit(k_min=k_min, k_max=k_max, n_max=n_max)
-        assert str(exc.value) == (f"estimated work n_max^2 * (k_max - k_min + 1) = {shown} "
-                                  "is past the audit ceiling of 1.00e+3")
+        assert str(exc.value) == (f"estimated work of {shown} ring operations "
+                                  "is past the audit ceiling of 1.50e+3")
 
 
 def test_shipped_ranges_are_under_the_work_ceiling():
     # only configs are built: no run starts at these ranges
-    for n_max in (AuditConfig.n_max, 256):      # the default; the jsonl range edge
+    for n_max in (AuditConfig.n_max, 8, 128, 256):  # the default; 256 is the jsonl range edge
         AuditConfig(n_max=n_max)
     # an estimate too wide for a float is still named
-    with pytest.raises(ValueError, match=r"= 1\.00e\+8001 is past the audit ceiling"):
+    with pytest.raises(ValueError, match=r" 2\.01e\+15995 ring operations is past the audit"):
         AuditConfig(n_max=10**4000)
+
+
+@pytest.mark.parametrize("k_min, k_max, n_max, shown", [
+    (1, 2_500_000, 2, "3.26e+9"),         # many k: a fixed cost per k
+    (10**800, 10**800, 256, "5.45e+8"),   # one k, terms of about 4e5 digits
+])
+def test_cost_per_k_and_term_width_count_towards_the_ceiling(k_min, k_max, n_max, shown):
+    # n_max^2 * |ks| admitted both (1.0e7 and 6.6e4); only configs are built
+    with pytest.raises(ValueError, match=f" {re.escape(shown)} ring operations is past"):
+        AuditConfig(k_min=k_min, k_max=k_max, n_max=n_max)
+
+
+def test_work_estimate_grows_with_each_bound():
+    estimate = audit._work_estimate
+    assert estimate(1, 10, 64) < estimate(1, 11, 64) < estimate(1, 11, 65)
+    assert estimate(1, 10, 64) < estimate(2, 11, 64)    # same count of k, wider terms
+    assert estimate(10**50, 10**50, 64) > 10 * estimate(1, 1, 64)  # 0.1 s vs 0.01 s
 
 
 def test_table_fixtures_are_verbatim_transcriptions():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from kfiblike import audit, closedform, genfunc, sequences, transforms
 from kfiblike.audit import Counterexample, Verdict, run_audit
-from kfiblike.ring import K
+from kfiblike.ring import K, KPoly, elem_str
 from kfiblike.sequences import iter_terms, k_fib, modified_k_fib, terms
 from kfiblike.transforms import (
     KIND_ORDER,
@@ -103,6 +103,35 @@ def test_broken_m_prefix_fails_exactly_the_claims_that_read_it(monkeypatch):
     }
 
 
+def test_broken_symbolic_m_prefix_fails_the_published_m_polys_too(monkeypatch):
+    """Symbolic M(4) off by 2: the symbolic legs of C07, C09 and C10 fail, and
+    C25, which reads the same list, reports its printed M(k, 4) as wrong."""
+    healthy = run_audit(**RANGE)
+    sym_rec = modified_k_fib(K)
+    ms = terms(sym_rec, 5)
+    f4 = terms(k_fib(K), 5)[4]
+    rising = transform_direct(TransformKind.RISING_K, K, 2)
+    bad_m4 = ms[4] + KPoly((2,))
+
+    def broken(rec):
+        for n, value in enumerate(iter_terms(rec)):
+            yield value + KPoly((2,)) if rec == sym_rec and n == 4 else value
+
+    def symbolic(n, expected, got):
+        return (Counterexample(k="k", n=n, expected=elem_str(expected), got=elem_str(got),
+                               label="symbolic"),)
+
+    monkeypatch.setattr(audit, "iter_terms", broken)
+    changed = _changed(run_audit(**RANGE), healthy)
+    assert changed == {
+        "C07": (Verdict.FAIL, symbolic(2, rising, bad_m4)),
+        "C09": (Verdict.FAIL, symbolic(4, bad_m4, ms[4])),
+        "C10": (Verdict.FAIL, symbolic(4, f4, f4 + KPoly((1,)))),
+        "C25": (Verdict.INFO_DISCREPANCY, (Counterexample(
+            k="k", n=4, expected=elem_str(ms[4]), got=elem_str(bad_m4)),)),
+    }
+
+
 def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch):
     """The recurrences of the transforms, of M and of F are built a number
     of times that does not grow with n_max, at most a few per (kind, k), and
@@ -137,7 +166,7 @@ def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch):
     ks = 5 + 1  # k = 1..5 and the symbolic k
     # one run recurrence, the published Binet form and the derived GF per (kind, k)
     assert built["transform_recurrence"] <= 3 * len(KIND_ORDER) * ks
-    assert built["modified_k_fib"] <= ks + 1  # C25 builds its own symbolic M
+    assert built["modified_k_fib"] <= ks
     assert built["k_fib"] <= 2 * ks           # C09 and C10 each look up F's prefix
 
 
@@ -157,7 +186,6 @@ def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
     monkeypatch.setattr(audit, "iter_direct", counting_direct)
     monkeypatch.setattr(audit, "terms", counting_terms)
     run_audit(**RANGE)
-    prefix_calls[modified_k_fib(K)] -= 1  # C25 reads its own six symbolic terms of M
     assert direct_streams and max(direct_streams.values()) == 1
     assert direct_reads and max(direct_reads.values()) == 1
     # a stream is read only as far as a claim looks: C05/C06 read n_max + 1
@@ -173,10 +201,10 @@ def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
 def test_direct_prefix_reads_each_stream_in_order():
     run = audit._Run(audit.AuditConfig(**RANGE))
     kind = TransformKind.FALLING_K
-    assert run.direct(kind, 4, 7) == transform_direct(kind, 4, 7)
-    assert run.direct(kind, 4, 2) == transform_direct(kind, 4, 2)
-    assert run.direct(kind, 4, 9) == transform_direct(kind, 4, 9)
-    assert [run.direct(kind, 4, n) for n in range(10)] == list(islice(iter_direct(kind, 4), 10))
+    assert run.direct_terms(kind, 4, 8)[7] == transform_direct(kind, 4, 7)
+    assert run.direct_terms(kind, 4, 3)[2] == transform_direct(kind, 4, 2)
+    assert run.direct_terms(kind, 4, 10)[9] == transform_direct(kind, 4, 9)
+    assert run.direct_terms(kind, 4, 10) == list(islice(iter_direct(kind, 4), 10))
 
 
 def test_table_does_not_leak_between_runs():

@@ -2,6 +2,7 @@ import argparse
 import decimal
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -296,8 +297,8 @@ def test_audit_defaults_are_the_config_defaults():
 
 
 @pytest.mark.parametrize("argv, shown", [
-    (["--n-max", "100000000000"], "1.00e+23"),
-    (["--k-max", "1000000000"], "4.10e+12"),
+    (["--n-max", "100000000000"], "2.01e+39"),
+    (["--k-max", "1000000000"], "2.72e+13"),
 ])
 def test_audit_past_the_work_ceiling_is_a_usage_error(capsys, argv, shown):
     with pytest.raises(SystemExit) as exc:
@@ -306,7 +307,7 @@ def test_audit_past_the_work_ceiling_is_a_usage_error(capsys, argv, shown):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: kfiblike audit")
-    assert f"= {shown} is past the audit ceiling of 1.00e+7\n" in captured.err
+    assert f" {shown} ring operations is past the audit ceiling of 6.00e+7\n" in captured.err
 
 
 def test_audit_exit_zero_and_formats(capsys):
@@ -516,6 +517,33 @@ def test_digits_estimate_tracks_the_length(kind):
         for n in (1, 2, 3, 5, 10, 50, 100, 200, 400):
             digits = len(elem_str(term_fast(rec, n)))
             assert abs(cli._digits_estimate(rec, n) - digits) <= len(str(k)) + 1
+
+
+# _digits_estimate at n = 1, 1000, 10**6 for k = 1, 2, 10**50, 10**4000
+DIGITS_ESTIMATES = {
+    "binomial": [(0.4179752804999559, 417.97528049995594, 417975.28049995593),
+                 (0.5332906831698523, 533.2906831698523, 533290.6831698522),
+                 (50.0, 50000.0, 50000000.0), (4000.0, 4000000.0, 4000000000.0)],
+    "kbinomial": [(0.4179752804999559, 417.97528049995594, 417975.28049995593),
+                  (0.8343206788338335, 834.3206788338335, 834320.6788338335),
+                  (100.0, 100000.0, 100000000.0), (8000.0, 8000000.0, 8000000000.0)],
+    "rising": [(0.4179752804999559, 417.97528049995594, 417975.28049995593),
+               (0.7655513706757269, 765.5513706757268, 765551.3706757269),
+               (100.0, 100000.0, 100000000.0), (8000.0, 8000000.0, 8000000000.0)],
+    "falling": [(0.4179752804999559, 417.97528049995594, 417975.28049995593),
+                (0.6448533407686625, 644.8533407686625, 644853.3407686625),
+                (50.30102999566398, 50301.02999566398, 50301029.99566398),
+                (4000.3010299956636, 4000301.0299956636, 4000301029.9956636)],
+}
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+def test_digits_estimate_pinned(kind):
+    for k, row in zip((1, 2, 10**50, 10**4000), DIGITS_ESTIMATES[kind.value]):
+        rec = transform_recurrence(kind, k)
+        got = tuple(cli._digits_estimate(rec, n) for n in (1, 1000, 10**6))
+        assert got == pytest.approx(row, rel=1e-12)
+        assert cli._digits_estimate(rec, 10**400) == math.inf
 
 
 def test_binet_exact_refuses_a_term_past_the_ceiling(capsys, monkeypatch):

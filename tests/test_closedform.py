@@ -3,7 +3,6 @@ import random
 import pytest
 
 from kfiblike.closedform import (
-    QuadChar,
     binet_closed,
     binet_float,
     published_binet,
@@ -41,20 +40,12 @@ def test_lucas_determinant_identity():
         assert lhs == -ipow(Q, n - 1)
 
 
-def test_quadchar_from_rec():
-    rec = transform_recurrence(TransformKind.BINOMIAL, K)
-    qc = QuadChar.from_rec(rec)
-    assert qc.P == KPoly((2, 1))  # k+2
-    assert qc.Q == K
-    # discriminant (k+2)^2 - 4k = k^2 + 4
-    assert qc.discriminant == KPoly((4, 0, 1))
-
-
 def test_discriminants_positive_for_all_kinds():
     for kind in KIND_ORDER:
         for k in range(1, 11):
-            qc = QuadChar.from_rec(transform_recurrence(kind, k))
-            assert qc.discriminant > 0
+            rec = transform_recurrence(kind, k)
+            P, Q = rec.a, -rec.b
+            assert P * P - 4 * Q > 0
 
 
 def test_binet_closed_examples():

@@ -22,7 +22,7 @@ PUBLIC_NAMES = {
     "KIND_ORDER", "TransformKind", "binomial_diff_identity", "falling_diff_identity",
     "rising_even_index", "transform_direct", "transform_recurrence", "w_scaling",
     # closedform
-    "QuadChar", "binet_closed", "binet_float", "published_binet",
+    "binet_closed", "binet_float", "published_binet",
     # genfunc
     "RationalGF", "XPoly", "derived_gf", "gf_equal", "gf_expand", "gf_from_rec",
     "gf_str", "published_gf", "xpoly",
