@@ -24,30 +24,39 @@ policy so reruns always produce the same minimal repro, and report output is
 byte-identical for identical parameters.
 
 Each :func:`run_audit` call builds one private run that holds the config and
-the route values claims share, each computed on first use and held per
-(kind, k), per k or per recurrence, prefixes as plain lists:
+the route values claims share.  Each is built once, in full, on first use, and
+held per (kind, k), per k or per recurrence as a plain list that reaches as
+far as any claim reads it:
 
-* the direct sums of each kind and k: one prefix that the difference table of
-  :func:`~kfiblike.transforms.iter_direct` extends as far as a claim reads,
-  which may pass n_max (C05/C06 read n_max + 1, and C23/C24 read each table
-  fixture's n <= 5 at its own k);
-* M at each k: one prefix of :func:`~kfiblike.sequences.iter_terms`, extended
-  likewise.  C07 reads M(2n), so 2 n_max; C09 and C10 read it too, and so
-  does C25, its first six terms at symbolic k;
-* the transform recurrences, and the prefixes of those and of F, n <= n_max
-  (or sym_n at symbolic k).
+* the direct sums of each kind and k, from the difference table of
+  :func:`~kfiblike.transforms.iter_direct`: n <= n_max + 1, since C05/C06
+  read one term past the sweep, and at least the longest printed table,
+  n <= 5, which C23/C24 read at each fixture's own k (only that far at a
+  fixture's k outside the run's k range, where no sweep reads);
+* M at each k, from :func:`~kfiblike.sequences.iter_terms`: M(0) .. M(2 n_max),
+  since C07 reads M(2n), and at least M(0) .. M(5), which C25 reads at
+  symbolic k; C09 and C10 read it too;
+* the transform recurrences, and the prefixes of those and of F, n <= n_max.
+
+At symbolic k, sym_n takes the place of n_max.  Each list is read from its
+stream in one go, and the stream is dropped then, so no generator stays open
+from one claim to the next.  A lemma gets all four kinds' lists at its k, so
+only the lemma functions of :mod:`~kfiblike.transforms` say which terms they
+read.
 
 A sweep builds each claim's row once per k from these: it fetches the lists,
-the recurrence, the published Binet form of that (kind, k) or the
-generating-function series it needs, and C10's running alternating sums of
-M, one subtraction per n.  The point loop is then list indexing plus the
-compared computation itself, such as a lemma right-hand side or a Lucas
-doubling pass.  The values of C11-C14 (the published Binet forms), C19-C22
-and C26 (``binet_closed``) are not shared: each claim computes its own.  A
-claim still compares two independent routes; a value shared between claims
-means a broken route shows in every claim that reads it.  The run and its
-lists end with :func:`run_audit`; the config and the report are plain
-values.  Claims C01-C22 are each one sweep over the run.
+the recurrence and the published Binet form or generating-function series of
+that (kind, k) it needs, and C10's running alternating sums of M, one
+subtraction per n.  The point loop is then list indexing plus the compared
+computation itself, such as a lemma right-hand side or a Lucas doubling pass.
+The values of C11-C18 (the published Binet forms and generating functions),
+C19-C22 and C26 (``binet_closed``) are not shared: each claim computes its
+own.  C15-C18 compare the printed series with the recurrence prefix, so a
+fault in :func:`~kfiblike.genfunc.gf_expand` shows.  A claim still compares
+two independent routes; a value shared between claims means a broken route
+shows in every claim that reads it.  The run and its lists end with
+:func:`run_audit`; the config and the report are plain values.  Claims
+C01-C22 are each one sweep over the run.
 """
 
 from __future__ import annotations
@@ -58,10 +67,10 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from enum import Enum
 from functools import cache
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .closedform import _published_binet_form, binet_closed, binet_float
-from .genfunc import derived_gf, gf_expand, published_gf
+from .genfunc import gf_expand, published_gf
 from .ring import K, KPoly, RingElem, elem_str
 from .sequences import (
     _halved_alternating_sums,
@@ -163,38 +172,26 @@ def _work_estimate(k_min: int, k_max: int, n_max: int) -> Decimal:
 
 class _Run:
     """One audit run: its config and the route values the module docstring
-    lists, each computed on first use.  Prefixes run to n_max, or to sym_n
-    for symbolic k (``count(k)`` terms), unless a claim reads further.  A
-    function of this module patched in before :func:`run_audit` is the one
-    the run calls.
+    lists, each built once, in full, on first use, as far as any claim reads
+    it; ``count(k)`` is a sweep's share of that.  A function of this module
+    patched in before :func:`run_audit` is the one the run calls.
     """
 
     def __init__(self, cfg: AuditConfig):
         self.cfg = cfg
-        self._direct = cache(lambda kind, k: ([], iter_direct(kind, k)))
-        self._m = cache(lambda k: ([], iter_terms(modified_k_fib(k))))
+        self.direct = cache(lambda kind, k: list(islice(
+            iter_direct(kind, k), max(self.count(k) + 1, _TABLE_LEN))))
+        self.m = cache(lambda k: list(islice(
+            iter_terms(modified_k_fib(k)), max(2 * self.count(k) - 1, _M_POLYS_LEN))))
         self.recurrence = cache(transform_recurrence)
-        self.prefix = cache(lambda rec: terms(rec, self.count(rec.a)))
+        self.prefix = cache(lambda rec, k: terms(rec, self.count(k)))
 
     def count(self, k: RingElem) -> int:
-        """How many terms, n = 0 .. n_max (or sym_n), a sweep at k compares."""
-        return (self.cfg.sym_n if isinstance(k, KPoly) else self.cfg.n_max) + 1
-
-    def direct_terms(self, kind: TransformKind, k: RingElem, count: int) -> List[RingElem]:
-        """At least the first ``count`` terms of the (kind, k) transform, by the definitional sum."""
-        return _extend(self._direct(kind, k), count)
-
-    def m_terms(self, k: RingElem, count: int) -> List[RingElem]:
-        """At least the first ``count`` terms of M at k."""
-        return _extend(self._m(k), count)
-
-
-def _extend(prefix: Tuple[List[RingElem], Iterator[RingElem]], count: int) -> List[RingElem]:
-    """The list of a (list, stream) pair, first extended from the stream to ``count`` values."""
-    values, stream = prefix
-    if count > len(values):
-        values.extend(islice(stream, count - len(values)))
-    return values
+        """How many terms, n = 0 .. n_max (or sym_n), a sweep at k compares:
+        none at a k past the run's range, which only a table fixture reads."""
+        if isinstance(k, KPoly):
+            return self.cfg.sym_n + 1
+        return self.cfg.n_max + 1 if k in self.cfg.ks else 0
 
 
 @dataclass(frozen=True)
@@ -397,6 +394,9 @@ PUBLISHED_M_POLYS: Dict[int, Tuple[int, ...]] = {
     5: (2, 4, 6, 2, 2),
 }
 
+_TABLE_LEN = max(len(fx.values) for fx in TABLE_FIXTURES)  # C23/C24 read this far
+_M_POLYS_LEN = max(PUBLISHED_M_POLYS) + 1                    # C25 reads this far
+
 
 # ---------------------------------------------------------------------------
 # checker helpers
@@ -437,57 +437,48 @@ def _sweep(row: _Row, n_start: int = 0) -> Callable[[_Run], List[Counterexample]
 
 def _direct_vs_recurrence(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
-        direct = run.direct_terms(kind, k, run.count(k))
-        rec = run.prefix(run.recurrence(kind, k))
+        direct = run.direct(kind, k)
+        rec = run.prefix(run.recurrence(kind, k), k)
         return lambda n: (direct[n], rec[n])
 
     return row
 
 
-def _direct_route(run: _Run, k: RingElem, reads: Sequence[TransformKind],
-                  count: int) -> DirectRoute:
-    """A lemma's ``direct=`` route at k: the run's lists of the kinds it reads."""
-    rows = {kind: run.direct_terms(kind, k, count) for kind in reads}
+def _direct_route(run: _Run, k: RingElem) -> DirectRoute:
+    """A lemma's ``direct=`` route at k: the run's lists of all four kinds."""
+    rows = {kind: run.direct(kind, k) for kind in KIND_ORDER}
     return lambda kind, _k, n: rows[kind][n]
 
 
-def _identity_pair(lemma: Callable[..., Tuple[RingElem, RingElem]],
-                   *reads: TransformKind, ahead: int = 0) -> _Row:
-    """A lemma pair whose transform terms, of the kinds it ``reads`` up to
-    ``ahead`` past the sweep's last n, come from the run's direct sums."""
+def _identity_pair(lemma: Callable[..., Tuple[RingElem, RingElem]]) -> _Row:
+    """A lemma pair whose transform terms come from the run's direct sums."""
     def row(run: _Run, k: RingElem):
-        direct = _direct_route(run, k, reads, run.count(k) + ahead)
+        direct = _direct_route(run, k)
         return lambda n: lemma(k, n, direct=direct)
 
     return row
 
 
 def _rising_even_index(run: _Run, k: RingElem):
-    """C07's pair: M(2n) read from the run's prefix of M, extended to 2 n_max."""
-    count = run.count(k)
-    direct = _direct_route(run, k, (TransformKind.RISING_K,), count)
-    ms = run.m_terms(k, 2 * count - 1)
-
-    def m(_k: RingElem, i: int) -> RingElem:
-        return ms[i]
-
-    return lambda n: rising_even_index(k, n, direct=direct, m=m)
+    """C07's pair: M(2n) read from the run's prefix of M."""
+    direct, ms = _direct_route(run, k), run.m(k)
+    return lambda n: rising_even_index(k, n, direct=direct, m=lambda _k, i: ms[i])
 
 
 def _m_from_f(run: _Run, k: RingElem):
-    ms, fs = run.m_terms(k, run.count(k)), run.prefix(k_fib(k))
+    ms, fs = run.m(k), run.prefix(k_fib(k), k)
     return lambda n: (ms[n], _m_from_f_terms(fs, n))
 
 
 def _f_from_m(run: _Run, k: RingElem):
-    fs = run.prefix(k_fib(k))
-    halves = list(_halved_alternating_sums(run.m_terms(k, run.count(k))))
+    fs = run.prefix(k_fib(k), k)
+    halves = list(_halved_alternating_sums(run.m(k)[:run.count(k)]))
     return lambda n: (fs[n], halves[n])
 
 
 def _published_binet(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
-        direct = run.direct_terms(kind, k, run.count(k))
+        direct = run.direct(kind, k)
         printed = _published_binet_form(kind, k)
         return lambda n: (direct[n], printed(n))
 
@@ -496,9 +487,8 @@ def _published_binet(kind: TransformKind) -> _Row:
 
 def _published_gf(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
-        count = run.count(k)
-        derived = gf_expand(derived_gf(kind, k), count)
-        printed = gf_expand(published_gf(kind, k), count)
+        derived = run.prefix(run.recurrence(kind, k), k)
+        printed = gf_expand(published_gf(kind, k), run.count(k))
         return lambda n: (derived[n], printed[n])
 
     return row
@@ -507,7 +497,7 @@ def _published_gf(kind: TransformKind) -> _Row:
 def _exact_binet(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
         rec = run.recurrence(kind, k)
-        values = run.prefix(rec)
+        values = run.prefix(rec, k)
         return lambda n: (values[n], binet_closed(rec, n))
 
     return row
@@ -519,7 +509,7 @@ def _check_fixtures(labels_prefixes: Sequence[str]):
         for fx in TABLE_FIXTURES:
             if not any(fx.label.startswith(p) for p in labels_prefixes):
                 continue
-            direct = run.direct_terms(fx.kind, fx.k, len(fx.values))
+            direct = run.direct(fx.kind, fx.k)
             for n, (printed, computed) in enumerate(zip(fx.values, direct)):
                 if printed != computed:
                     ces.append(Counterexample(k=fx.k, n=n, expected=str(printed),
@@ -531,7 +521,7 @@ def _check_fixtures(labels_prefixes: Sequence[str]):
 
 
 def _check_published_m_polys(run: _Run) -> List[Counterexample]:
-    seq = run.m_terms(K, 6)
+    seq = run.m(K)
     ces: List[Counterexample] = []
     for n in sorted(PUBLISHED_M_POLYS):
         printed = KPoly(PUBLISHED_M_POLYS[n])
@@ -593,16 +583,14 @@ def claim_registry() -> List[Claim]:
         description="difference lemma for the binomial transform",
         citation="b(n+1) - b(n) = sum_i C(n,i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(binomial_diff_identity, TransformKind.BINOMIAL,
-                                      ahead=1)),
+        checker=_sweep(_identity_pair(binomial_diff_identity)),
     ))
     claims.append(Claim(
         id="C06",
         description="difference lemma for the falling k-binomial transform",
         citation="f(n+1) - k f(n) = sum_i C(n,i) k^(n-i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(falling_diff_identity, TransformKind.FALLING_K,
-                                      ahead=1)),
+        checker=_sweep(_identity_pair(falling_diff_identity)),
     ))
     claims.append(Claim(
         id="C07",
@@ -616,8 +604,7 @@ def claim_registry() -> List[Claim]:
         description="k-binomial transform is the k^n-scaled binomial transform",
         citation="w(n) = k^n b(n)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(w_scaling, TransformKind.K_BINOMIAL,
-                                      TransformKind.BINOMIAL)),
+        checker=_sweep(_identity_pair(w_scaling)),
     ))
     claims.append(Claim(
         id="C09",

@@ -1,13 +1,14 @@
 """The audit's per-run table of route values: shared, but never masking a
 broken route and never carried from one run into the next."""
 
+import dataclasses
 from collections import Counter
 from itertools import islice
 from pathlib import Path
 
 from kfiblike import audit, closedform, genfunc, sequences, transforms
 from kfiblike.audit import Counterexample, Verdict, run_audit
-from kfiblike.ring import K, KPoly, elem_str
+from kfiblike.ring import K, KPoly, const_like, elem_str
 from kfiblike.sequences import iter_terms, k_fib, modified_k_fib, terms
 from kfiblike.transforms import (
     KIND_ORDER,
@@ -72,8 +73,31 @@ def test_broken_recurrence_prefix_fails_every_claim_that_reads_it(monkeypatch):
     changed = _changed(run_audit(**RANGE), healthy)
     assert changed == {
         "C03": (Verdict.FAIL, _ce(truth, truth + 1)),   # direct vs recurrence
+        # the published rising GF is right, so a broken recurrence prefix
+        # shows as a disagreement with its series
+        "C17": (Verdict.INFO_DISCREPANCY, _ce(truth + 1, truth)),
         "C21": (Verdict.FAIL, _ce(truth + 1, truth)),   # iteration vs exact Binet
     }
+
+
+def test_broken_gf_expansion_shows_in_the_gf_claims(monkeypatch):
+    """C15-C18 read their derived side from the recurrence prefixes, so a
+    fault in gf_expand reaches only the printed side and cannot cancel.  C15
+    disagrees at n = 1 already, which the fault leaves as it is."""
+    rng = dict(k_min=1, k_max=3, n_max=8)
+    healthy = run_audit(**rng)
+    expand = audit.gf_expand
+
+    def broken(gf, count):
+        values = expand(gf, count)
+        if len(values) > 3:
+            values[3] += const_like(2, values[3])
+        return values
+
+    monkeypatch.setattr(audit, "gf_expand", broken)
+    changed = _changed(run_audit(**rng), healthy)
+    ce = (Counterexample(k=1, n=3, expected="26", got="28"),)
+    assert changed == {cid: (Verdict.INFO_DISCREPANCY, ce) for cid in ("C16", "C17", "C18")}
 
 
 def test_broken_m_prefix_fails_exactly_the_claims_that_read_it(monkeypatch):
@@ -164,8 +188,8 @@ def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch):
         per_n_max[n_max] = dict(built)
     assert per_n_max[12] == per_n_max[40]
     ks = 5 + 1  # k = 1..5 and the symbolic k
-    # one run recurrence, the published Binet form and the derived GF per (kind, k)
-    assert built["transform_recurrence"] <= 3 * len(KIND_ORDER) * ks
+    # one run recurrence and the published Binet form per (kind, k)
+    assert built["transform_recurrence"] <= 2 * len(KIND_ORDER) * ks
     assert built["modified_k_fib"] <= ks
     assert built["k_fib"] <= 2 * ks           # C09 and C10 each look up F's prefix
 
@@ -188,23 +212,72 @@ def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
     run_audit(**RANGE)
     assert direct_streams and max(direct_streams.values()) == 1
     assert direct_reads and max(direct_reads.values()) == 1
-    # a stream is read only as far as a claim looks: C05/C06 read n_max + 1
+    # each list is built at its full reach on first use: C05/C06 read
+    # n_max + 1, and every kind's list at a k goes that far
     reach = Counter()
     for kind, k, n in direct_reads:
         reach[kind, k] = max(reach[kind, k], n)
-    assert reach[TransformKind.BINOMIAL, 2] == RANGE["n_max"] + 1
-    assert reach[TransformKind.BINOMIAL, K] == RANGE["n_max"] + 1  # sym_n is n_max here
-    assert reach[TransformKind.RISING_K, 2] == RANGE["n_max"]
+    ks = (*range(RANGE["k_min"], RANGE["k_max"] + 1), K)  # sym_n is n_max here
+    assert reach == {(kind, k): RANGE["n_max"] + 1 for kind in KIND_ORDER for k in ks}
     assert prefix_calls and max(prefix_calls.values()) == 1
 
 
-def test_direct_prefix_reads_each_stream_in_order():
+def test_each_route_list_is_built_at_its_full_reach():
+    """A direct-sum list reaches one term past the sweep, and at least the
+    longest printed table; a list of M reaches M(2 n_max), and at least
+    M(5) for the printed polynomials.  A k the run does not sweep, which only
+    a table fixture reads, gets the table's length."""
+    n_max = RANGE["n_max"]
     run = audit._Run(audit.AuditConfig(**RANGE))
-    kind = TransformKind.FALLING_K
-    assert run.direct_terms(kind, 4, 8)[7] == transform_direct(kind, 4, 7)
-    assert run.direct_terms(kind, 4, 3)[2] == transform_direct(kind, 4, 2)
-    assert run.direct_terms(kind, 4, 10)[9] == transform_direct(kind, 4, 9)
-    assert run.direct_terms(kind, 4, 10) == list(islice(iter_direct(kind, 4), 10))
+    for kind in KIND_ORDER:
+        assert run.direct(kind, 4) == list(islice(iter_direct(kind, 4), n_max + 2))
+        assert run.direct(kind, 4)[n_max + 1] == transform_direct(kind, 4, n_max + 1)
+        assert run.direct(kind, 7) == list(islice(iter_direct(kind, 7), 6))
+    assert run.m(3) == terms(modified_k_fib(3), 2 * n_max + 1)
+    assert run.m(K) == terms(modified_k_fib(K), 2 * n_max + 1)
+
+    short = audit._Run(audit.AuditConfig(n_max=2))
+    assert short.direct(TransformKind.FALLING_K, 4) == list(
+        islice(iter_direct(TransformKind.FALLING_K, 4), 6))
+    assert len(short.m(K)) == 6
+    assert len(audit._Run(audit.AuditConfig()).m(K)) == 33   # M(0) .. M(2 sym_n)
+
+
+def test_no_stream_stays_open_after_a_claim(monkeypatch):
+    """Every direct-sum or M stream the audit opens is read to its list's
+    length and dropped before the claim that opened it returns."""
+    opened, still_open = Counter(), set()
+
+    def tracked(real):
+        def stream(*args):
+            token = object()
+            opened[real.__name__] += 1
+            still_open.add(token)
+            try:
+                yield from real(*args)
+            finally:
+                still_open.discard(token)
+
+        return stream
+
+    monkeypatch.setattr(audit, "iter_direct", tracked(iter_direct))
+    monkeypatch.setattr(audit, "iter_terms", tracked(iter_terms))
+    registry = audit.claim_registry
+    left_open = {}
+
+    def wrapped(claim):
+        def checker(run):
+            try:
+                return claim.checker(run)
+            finally:
+                left_open[claim.id] = len(still_open)
+
+        return dataclasses.replace(claim, checker=checker)
+
+    monkeypatch.setattr(audit, "claim_registry", lambda: [wrapped(c) for c in registry()])
+    run_audit(**RANGE)
+    assert opened["iter_direct"] and opened["iter_terms"]
+    assert left_open == {claim.id: 0 for claim in registry()}
 
 
 def test_table_does_not_leak_between_runs():
