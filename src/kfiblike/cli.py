@@ -28,7 +28,13 @@ raises instead of being printed.  The CLI leaves CPython's ``str(int)`` guard
 as it is, so on 3.11+ an integer argument past 4300 digits is argparse's
 usage error.  A ``--count`` past ``sys.maxsize``, and a ``binet --exact`` or
 ``bench --n`` term estimated past ``_EXACT_DIGITS_CEILING`` digits, are too,
-before any output.
+before any output.  A ``json-lines`` row, ``{"index": n, "value": "<term>"}``,
+is written directly, not through ``json``: its bytes are what
+``json.dumps`` gives, since a term's text is digits and ``-``, which JSON
+never escapes.
+
+Only ``audit`` loads :mod:`kfiblike.audit`, when it runs; every other
+subcommand needs just the arithmetic modules and this one.
 
 :func:`main` can be called any number of times in one process, with
 ``sys.stdout`` and ``sys.stderr`` read at each call.  Every call reuses the
@@ -41,7 +47,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
-import json
 import math
 import os
 import sys
@@ -50,7 +55,6 @@ from decimal import Decimal
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .audit import AuditConfig, run_audit
 from .closedform import binet_closed, binet_float
 from .genfunc import gf_from_rec, gf_str, iter_gf
 from .ring import _EXACT_CONTEXT, K, RingElem, elem_str
@@ -155,8 +159,9 @@ def _emit_terms(values: Iterable[_Term], fmt: str, out) -> None:
         for n, v in enumerate(values):
             out.write(f"{n},{elem_str(v)}\n")
     elif fmt == "json-lines":
+        # what json.dumps writes: a term's text is digits and "-", never escaped
         for n, v in enumerate(values):
-            out.write(json.dumps({"index": n, "value": elem_str(v)}) + "\n")
+            out.write(f'{{"index": {n}, "value": "{elem_str(v)}"}}\n')
     elif fmt == "bfile":
         for n, v in enumerate(values):
             out.write(f"{n} {elem_str(v)}\n")
@@ -277,10 +282,13 @@ def _cmd_binet(args, parser, out) -> int:
 
 
 def _cmd_audit(args, parser, out) -> int:
+    from .audit import run_audit
+
+    # a flag not given is absent from args, and run_audit's default applies
+    given = {name: getattr(args, name) for name in ("k_min", "k_max", "n_max", "symbolic")
+             if hasattr(args, name)}
     try:
-        report = run_audit(
-            k_min=args.k_min, k_max=args.k_max, n_max=args.n_max, symbolic=args.symbolic
-        )
+        report = run_audit(**given)
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "jsonl":
@@ -402,11 +410,13 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
                    help="exact Lucas-sequence value instead of double precision")
 
     p = sub.add_parser("audit", help="run the published-claim audit")
-    p.add_argument("--k-min", type=int, default=AuditConfig.k_min)
-    p.add_argument("--k-max", type=int, default=AuditConfig.k_max)
-    p.add_argument("--n-max", type=int, default=AuditConfig.n_max)
+    # no defaults here: AuditConfig's apply, and building the parser does
+    # not load the audit
+    p.add_argument("--k-min", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--k-max", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--n-max", type=int, default=argparse.SUPPRESS)
     p.add_argument("--symbolic", action=argparse.BooleanOptionalAction,
-                   default=AuditConfig.symbolic)
+                   default=argparse.SUPPRESS)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p = sub.add_parser("bench", help="time iterative vs lucas-doubling vs direct-sum, "

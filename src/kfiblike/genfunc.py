@@ -19,11 +19,11 @@ derivation-built ones.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Deque, Iterator, List, Sequence, Tuple
 
 from .ring import (
+    Frozen,
     KPoly,
     RingElem,
     const_like,
@@ -38,21 +38,22 @@ from .sequences import Order2Rec
 from .transforms import TransformKind, transform_recurrence
 
 
-@dataclass(frozen=True)
-class XPoly:
+class XPoly(Frozen):
     """Polynomial in the formal variable x with RingElem coefficients.
 
     Canonical: no trailing zero coefficient; all coefficients share a mode.
     Build through :func:`xpoly`, which normalises.
     """
 
-    coeffs: Tuple[RingElem, ...]
+    _fields = ("coeffs",)
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if self.coeffs:
-            require_same_mode(*self.coeffs)
-            if not self.coeffs[-1]:
+    def __init__(self, coeffs: Tuple[RingElem, ...]):
+        if coeffs:
+            require_same_mode(*coeffs)
+            if not coeffs[-1]:
                 raise ValueError("XPoly must be canonical (no trailing zero); use xpoly()")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -84,20 +85,21 @@ def xpoly(coeffs: Sequence[RingElem]) -> XPoly:
     return XPoly(tuple(cs))
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Frozen):
     """num/den with den(0) = 1, so the power series is well-defined exactly."""
 
-    num: XPoly
-    den: XPoly
+    _fields = ("num", "den")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if not self.den.coeffs:
+    def __init__(self, num: XPoly, den: XPoly):
+        if not den.coeffs:
             raise ValueError("denominator must be nonzero")
-        c0 = self.den.coeffs[0]
+        c0 = den.coeffs[0]
         if c0 != one_like(c0):
             raise ValueError("denominator constant term must be 1")
-        require_same_mode(*(self.num.coeffs + self.den.coeffs))
+        require_same_mode(*(num.coeffs + den.coeffs))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
 
 def gf_from_rec(rec: Order2Rec) -> RationalGF:

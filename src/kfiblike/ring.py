@@ -45,6 +45,47 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact integer division does not divide evenly."""
 
 
+class Frozen:
+    """Base of an immutable value with the fields named in ``_fields``.
+
+    It behaves as a frozen dataclass over those fields: equal only to an
+    instance of the same class with equal fields, hashed, printed as
+    ``Name(field=value, ...)`` and copied or pickled through them; assigning
+    or deleting an attribute raises ``AttributeError``.  A subclass names
+    its fields in ``_fields`` and ``__slots__``, and its ``__init__``
+    validates its arguments and sets each field once with
+    ``object.__setattr__``.  It keeps ``dataclasses`` (and the ``inspect`` it
+    loads) off the import of the package.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 class KPoly:
     """Dense polynomial in k with integer coefficients, ascending degree.
 

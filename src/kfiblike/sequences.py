@@ -15,11 +15,11 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, List, Tuple
 
 from .ring import (
+    Frozen,
     RingElem,
     const_like,
     exact_div_int,
@@ -30,20 +30,21 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
-class Order2Rec:
+class Order2Rec(Frozen):
     """The recurrence x(n+1) = a*x(n) + b*x(n-1) with initial values x0, x1.
 
     All four coefficients must live in one mode (all int or all KPoly).
     """
 
-    a: RingElem
-    b: RingElem
-    x0: RingElem
-    x1: RingElem
+    _fields = ("a", "b", "x0", "x1")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        require_same_mode(self.a, self.b, self.x0, self.x1)
+    def __init__(self, a: RingElem, b: RingElem, x0: RingElem, x1: RingElem):
+        require_same_mode(a, b, x0, x1)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x1", x1)
 
 
 def require_valid_k(k: RingElem) -> None:

@@ -287,11 +287,19 @@ def test_binet_float_overflow_is_usage_error():
     assert b"Traceback" not in proc.stderr
 
 
-def test_audit_defaults_are_the_config_defaults():
+def test_audit_defaults_are_the_config_defaults(monkeypatch, capsys):
+    # the audit flags have no defaults of their own: run_audit gets only the
+    # flags given, so its defaults, which are AuditConfig's, apply
     parser, _ = cli.build_parser()
-    args = parser.parse_args(["audit"])
-    assert AuditConfig(k_min=args.k_min, k_max=args.k_max, n_max=args.n_max,
-                       symbolic=args.symbolic) == AuditConfig()
+    assert vars(parser.parse_args(["audit"])) == {"command": "audit", "format": "text"}
+    calls = []
+    monkeypatch.setattr("kfiblike.audit.run_audit",
+                        lambda **given: calls.append(given) or run_audit(n_max=2))
+    for argv in (["audit"], ["audit", "--k-min", "2", "--no-symbolic"],
+                 ["audit", "--k-max", "3", "--n-max", "5", "--symbolic"]):
+        run_cli(capsys, argv)
+    assert calls == [{}, {"k_min": 2, "symbolic": False},
+                     {"k_max": 3, "n_max": 5, "symbolic": True}]
     defaults = inspect.signature(run_audit).parameters
     assert AuditConfig(**{name: p.default for name, p in defaults.items()}) == AuditConfig()
 

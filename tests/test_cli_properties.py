@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -30,6 +31,13 @@ def expected_text(values, fmt):
     return "".join(f"{n} {v}\n" for n, v in enumerate(text))
 
 
+def stream(seq, k):
+    """The recurrence a ``gen`` or ``transform`` stream prints, and its argv head."""
+    if seq in ("modified", "kfib"):
+        return (modified_k_fib(k) if seq == "modified" else k_fib(k)), ["gen", seq]
+    return transform_recurrence(TransformKind(seq), k), ["transform", seq]
+
+
 def run_cli(argv):
     out = io.StringIO()
     with redirect_stdout(out):
@@ -42,15 +50,32 @@ def run_cli(argv):
        count=st.integers(0, 400), fmt=st.sampled_from(cli.FORMATS))
 @example(seq="kfib", k=1, count=1, fmt="plain")
 def test_streams_print_the_int_terms(seq, k, count, fmt):
-    if seq in ("modified", "kfib"):
-        rec = modified_k_fib(k) if seq == "modified" else k_fib(k)
-        argv = ["gen", seq]
-    else:
-        rec = transform_recurrence(TransformKind(seq), k)
-        argv = ["transform", seq]
+    rec, argv = stream(seq, k)
     out = run_cli([*argv, "--k", str(k), "--count", str(count), "--format", fmt])
     # the kfib family's zero term must read "0", as str(0) does, never "-0"
     assert out == expected_text(terms(rec, count), fmt)
+
+
+STREAM_CASES = [
+    *[(seq, k, 40) for seq in ("modified", "kfib", *KINDS) for k in (1, 3, 10)],
+    ("rising", 10, 2200),  # terms past 4300 digits: elem_str's Decimal conversion
+]
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("seq, k, count", STREAM_CASES)
+def test_every_format_matches_its_str_and_json_reference(seq, k, count, fmt):
+    rec, argv = stream(seq, k)
+    out = run_cli([*argv, "--k", str(k), "--count", str(count), "--format", fmt])
+    values = terms(rec, count)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # the reference's own str() of a long term
+    try:
+        assert out == expected_text(values, fmt)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 @settings(max_examples=40, deadline=None)

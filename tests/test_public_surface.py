@@ -1,13 +1,21 @@
 """The names ``kfiblike`` exports, and the names its known users import."""
 
 import ast
+import copy
 import importlib
 import importlib.util
+import os
+import pickle
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import kfiblike
+from kfiblike import K, ModeMismatchError, Order2Rec, RationalGF, XPoly, xpoly
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,9 +41,26 @@ PUBLIC_NAMES = {
 
 
 def test_root_exports_exactly_the_public_names():
-    exported = {name for name, value in vars(kfiblike).items()
-                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert exported == PUBLIC_NAMES
+    # the audit's names are resolved on first use, so read dir(), not vars()
+    listed = {name for name in dir(kfiblike) if not name.startswith("_")
+              and not isinstance(getattr(kfiblike, name), types.ModuleType)}
+    assert len(kfiblike.__all__) == len(PUBLIC_NAMES)
+    assert set(kfiblike.__all__) == listed == PUBLIC_NAMES
+    assert all(getattr(kfiblike, name) is not None for name in PUBLIC_NAMES)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from kfiblike import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+
+
+def test_audit_names_are_the_audit_modules_own():
+    import kfiblike.audit
+
+    assert kfiblike.run_audit is kfiblike.audit.run_audit
+    assert kfiblike.AuditConfig is kfiblike.audit.AuditConfig
+    assert kfiblike.claim_registry is kfiblike.audit.claim_registry
 
 
 def test_claim_is_defined_in_audit_but_not_exported():
@@ -43,6 +68,97 @@ def test_claim_is_defined_in_audit_but_not_exported():
     from kfiblike.audit import Claim  # perfbench's worker replaces its checker
 
     assert all(isinstance(c, Claim) for c in kfiblike.claim_registry())
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        kfiblike.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from kfiblike import Claim", {})
+
+
+# Runs in a fresh interpreter: the modules each step adds to sys.modules.
+FOOTPRINT_PROBE = r"""
+import sys
+start = set(sys.modules)
+import kfiblike
+imported = set(sys.modules)
+import argparse
+argparse.ArgumentParser().parse_args([])
+with_argparse = set(sys.modules)
+from kfiblike import cli
+assert cli.main(["gen", "modified", "--k", "2", "--count", "5"]) == 0
+print(sorted(imported - start), sorted(with_argparse - imported),
+      sorted(set(sys.modules) - with_argparse), sep="\n")
+assert kfiblike.audit.run_audit is kfiblike.run_audit  # the submodule loads on use too
+"""
+
+UNUSED_BY_ONE_SHOT_COMMANDS = {"kfiblike.audit", "dataclasses", "inspect", "json"}
+
+
+def test_import_and_a_gen_command_load_only_what_they_use():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE], capture_output=True,
+                          text=True, env=env, cwd=REPO_ROOT, timeout=120, check=True)
+    out, by_import, by_argparse, by_gen = proc.stdout.splitlines()
+    assert out == "2,2,6,14,34"
+    by_import = set(ast.literal_eval(by_import))
+    assert {"kfiblike", "kfiblike.ring", "kfiblike.genfunc"} <= by_import
+    assert not by_import & (UNUSED_BY_ONE_SHOT_COMMANDS | {"kfiblike.cli", "argparse"})
+    # a gen command adds the CLI module and what argparse itself loads, nothing else
+    assert not set(ast.literal_eval(by_argparse)) & UNUSED_BY_ONE_SHOT_COMMANDS
+    assert ast.literal_eval(by_gen) == ["kfiblike.cli"]
+
+
+def _sample_values():
+    """One value of each class that is a frozen record, with its fields' tuple."""
+    rec = Order2Rec(a=3, b=1, x0=2, x1=2)
+    num, den = xpoly([2, -4]), xpoly([1, -3, -1])
+    return [
+        (rec, (3, 1, 2, 2), "Order2Rec(a=3, b=1, x0=2, x1=2)",
+         lambda: Order2Rec(a=3, b=1, x0=2, x1=2)),
+        (num, ((2, -4),), "XPoly(coeffs=(2, -4))", lambda: XPoly((2, -4))),
+        (RationalGF(num=num, den=den), (num, den),
+         "RationalGF(num=XPoly(coeffs=(2, -4)), den=XPoly(coeffs=(1, -3, -1)))",
+         lambda: RationalGF(num=xpoly([2, -4]), den=xpoly([1, -3, -1]))),
+    ]
+
+
+@pytest.mark.parametrize("value, fields, text, rebuild", _sample_values(),
+                         ids=["Order2Rec", "XPoly", "RationalGF"])
+def test_frozen_records_keep_their_dataclass_semantics(value, fields, text, rebuild):
+    assert repr(value) == text
+    twin = rebuild()
+    assert twin == value and hash(twin) == hash(value) and twin is not value
+    assert value != fields and fields != value
+    others = [v for v, *_ in _sample_values() if type(v) is not type(value)]
+    assert all(value != other for other in others)
+    subclass = type("Subclass", (type(value),), {"__slots__": ()})
+    assert value != subclass(*fields)  # as a dataclass: equal only to its own class
+    name = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    assert {value: 1}[twin] == 1
+
+
+def test_frozen_records_keep_their_validation():
+    with pytest.raises(ModeMismatchError):
+        Order2Rec(a=K, b=1, x0=2, x1=2)
+    with pytest.raises(ModeMismatchError):
+        XPoly((1, K))
+    with pytest.raises(ValueError, match="canonical"):
+        XPoly((1, 0))
+    with pytest.raises(ValueError, match="constant term must be 1"):
+        RationalGF(num=xpoly([1]), den=xpoly([2, 1]))
+    with pytest.raises(ValueError, match="nonzero"):
+        RationalGF(num=xpoly([1]), den=xpoly([]))
+    with pytest.raises(ModeMismatchError):
+        RationalGF(num=xpoly([K]), den=xpoly([1, 1]))
 
 
 def _kfiblike_imports(source):
