@@ -19,7 +19,8 @@ derivation-built ones.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, islice, repeat
+from itertools import islice
+from operator import mul
 from typing import Deque, Iterator, List, Sequence, Tuple
 
 from .ring import (
@@ -112,16 +113,29 @@ def gf_from_rec(rec: Order2Rec) -> RationalGF:
 def iter_gf(gf: RationalGF) -> Iterator[RingElem]:
     """Series coefficients c(0), c(1), c(2), ... forever, by the convolution recurrence.
 
-    c(n) = num(n) - sum_{j>=1} den(j) * c(n-j): O(deg den) ring products per
-    coefficient.  Only the last deg(den) coefficients are kept, so however far
-    a stream runs it holds that many values.
+    c(n) = num(n) + sum_{j>=1} (-den(j)) * c(n-j), the denominator's tail
+    negated once per expansion: at most deg(den) ring products and as many
+    additions per coefficient, none of them a subtraction from zero.  A zero
+    coefficient is the typed zero, never the ``Decimal('-0')`` that the CLI's
+    ``Decimal`` copy would otherwise print.  Only the last deg(den)
+    coefficients are kept, so however far a stream runs it holds that many
+    values.
     """
     zero = zero_like(gf.den.coeffs[0])
-    tail = gf.den.coeffs[1:]
+    tail = [-d for d in gf.den.coeffs[1:]]  # -den(1), -den(2), ...
     recent: Deque[RingElem] = deque(maxlen=len(tail))  # c(n-1), c(n-2), ...
-    for c in chain([c or zero for c in gf.num.coeffs], repeat(zero)):  # num(n)
-        for d, prev in zip(tail, recent):
-            c = c - d * prev
+    for c in gf.num.coeffs:
+        for p in map(mul, tail, recent):
+            c = c + p
+        c = c or zero
+        yield c
+        recent.appendleft(c)
+    while True:
+        products = map(mul, tail, recent)
+        c = next(products, zero)
+        for p in products:
+            c = c + p
+        c = c or zero
         yield c
         recent.appendleft(c)
 

@@ -12,11 +12,14 @@ integral, and the single 1/2 factor that occurs is handled by
 :func:`exact_div_int`, which fails loudly if divisibility is ever violated.
 
 ``KPoly`` arithmetic is the cost of every symbolic check.  Ring results
-are trusted (trimmed, not re-validated), and a product is one whole-row
+are trusted (trimmed, not re-validated) and built without ``__init__``,
+their one slot filled through its descriptor.  A product is one whole-row
 pass over the longer operand per nonzero coefficient of the shorter one,
 or, when both operands are dense, one big-int product by Kronecker
 substitution (Schoenhage 1982; Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", 2009).
+via multipoint Kronecker substitution", 2009).  A dense square ``p * p``,
+as in the Lucas doubling and :func:`ipow`, packs ``p`` once and squares the
+int.
 
 ``int`` is the numeric result type of every library function.  Its decimal
 output goes through exact ``decimal.Decimal`` arithmetic, in one context
@@ -108,7 +111,9 @@ class KPoly:
     long, is one copy of ``x``, and ``(k + 2) * x`` two passes.  A row
     shorter than ``_ROW_PASS_MIN_LEN`` is multiplied in a Python loop
     instead, and two operands with ``_KRONECKER_MIN_TERMS`` or more nonzero
-    coefficients each go through :func:`_kronecker_mul`.
+    coefficients each go through :func:`_kronecker_mul`.  For a square
+    (both operands the same coefficient tuple) the zeros are counted once
+    and the operand is packed once.
     """
 
     __slots__ = ("coeffs",)
@@ -120,19 +125,23 @@ class KPoly:
                 raise TypeError(f"KPoly coefficients must be int, got {type(c).__name__}")
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_coeffs(self, tuple(cs))
 
-    @classmethod
-    def _trusted(cls, cs: List[int]) -> "KPoly":
+    @staticmethod
+    def _trusted(cs: List[int]) -> "KPoly":
         """A KPoly from a list of ints, which it trims in place; no type check."""
         while cs and not cs[-1]:
             cs.pop()
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(cs))
+        p = _new(KPoly)
+        _set_coeffs(p, tuple(cs))
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("KPoly is immutable")
+
+    def __reduce__(self):
+        """Copy and pickle through the constructor, not the blocked ``__setattr__``."""
+        return KPoly, (self.coeffs,)
 
     @classmethod
     def constant(cls, c: int) -> "KPoly":
@@ -190,9 +199,9 @@ class KPoly:
             a, b = b, a
         # Zeros are counted only where they can change the path: a's when a
         # is long enough for Kronecker, b's when a has enough nonzero
-        # coefficients for it.
+        # coefficients for it and b is not a itself (a square).
         if len(a) >= _KRONECKER_MIN_TERMS and len(a) - a.count(0) >= _KRONECKER_MIN_TERMS:
-            if len(b) - b.count(0) >= _KRONECKER_MIN_TERMS:
+            if a is b or len(b) - b.count(0) >= _KRONECKER_MIN_TERMS:
                 return KPoly._trusted(_kronecker_mul(a, b))
             a, b = b, a
         nb = len(b)
@@ -257,6 +266,11 @@ class KPoly:
         return "".join(parts)
 
 
+# Ring results skip __init__ and fill their slot through its descriptor,
+# past the blocking __setattr__.
+_new = object.__new__
+_set_coeffs = KPoly.coeffs.__set__
+
 # Both operands of a product need at least this many nonzero coefficients
 # before one big-int product beats the row passes.  Such products are
 # the squarings and cross products of the Lucas doubling (term_fast,
@@ -277,13 +291,18 @@ def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...]) -> List[int]:
     both polynomials at k = 256**width, multiply the two ints, and read the
     product's coefficients back from its base-256**width digits.  Every
     product coefficient has magnitude below 2**(8*width - 1), so a slot
-    holds it with its sign.
+    holds it with its sign.  When ``a`` is ``b`` the product is a square:
+    its operand is packed once and squared, which CPython does faster than
+    a product of two ints.
     """
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length())
-    width = (bits + 8) // 8
+    square = a is b
+    a_bits = max(map(abs, a)).bit_length()
+    b_bits = a_bits if square else max(map(abs, b)).bit_length()
+    width = (a_bits + b_bits + min(len(a), len(b)).bit_length() + 8) // 8
     size = width * (len(a) + len(b) - 1)
-    buf = (_pack(a, width) * _pack(b, width)).to_bytes(size, "little", signed=True)
+    x = _pack(a, width)
+    prod = x * x if square else x * _pack(b, width)
+    buf = prod.to_bytes(size, "little", signed=True)
     half = 1 << (8 * width - 1)
     full = half << 1
     out = []
@@ -356,8 +375,9 @@ def ipow(x: RingElem, e: int) -> RingElem:
     while n:
         if n & 1:
             acc = acc * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return acc
 
 

@@ -1,6 +1,10 @@
+import decimal
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -13,12 +17,13 @@ from kfiblike.genfunc import (
     gf_expand,
     gf_from_rec,
     gf_str,
+    iter_gf,
     published_gf,
     xpoly,
     xpoly_str,
 )
-from kfiblike.ring import K, KPoly
-from kfiblike.sequences import terms
+from kfiblike.ring import _EXACT_CONTEXT, K, KPoly
+from kfiblike.sequences import Order2Rec, k_fib, terms
 from kfiblike.transforms import KIND_ORDER, TransformKind, transform_recurrence
 
 
@@ -41,13 +46,59 @@ def test_gf_expand_examples():
         [2, 12, 126, 1566]
 
 
-@pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
-def test_round_trip_recurrence_to_series(kind):
-    for k in range(1, 11):
-        rec = transform_recurrence(kind, k)
-        assert gf_expand(gf_from_rec(rec), 33) == terms(rec, 33)
-    rec = transform_recurrence(kind, K)
-    assert gf_expand(gf_from_rec(rec), 13) == terms(rec, 13)
+# Each transform, and the k-Fibonacci sequence, whose numerator has a zero
+# constant term.
+@pytest.mark.parametrize("make", [*(partial(transform_recurrence, kind) for kind in KIND_ORDER),
+                                  k_fib],
+                         ids=[*(kind.value for kind in KIND_ORDER), "k_fib"])
+def test_round_trip_recurrence_to_series(make):
+    for k in (*range(1, 11), K):
+        rec = make(k)
+        assert gf_expand(gf_from_rec(rec), 40) == terms(rec, 40)
+
+
+def _assert_series_of(gf, series):
+    """``series`` times the denominator is the numerator, to the series' length."""
+    den, num = gf.den.coeffs, gf.num.coeffs
+    zero = series[0] - series[0]
+    for n in range(len(series)):
+        acc = zero
+        for j in range(min(n, len(den) - 1) + 1):
+            acc = acc + den[j] * series[n - j]
+        assert acc == (num[n] if n < len(num) else zero)
+
+
+@pytest.mark.parametrize("num, den", [
+    ([1, 2, 3, 4, 5, -6, 0, 7], [1, -1, -1]),  # numerator past the denominator's tail
+    ([0, 0, 5], [1, 3, 0, -2]),
+    ([], [1, 3]),                              # the zero series
+    ([K, KPoly(), KPoly((1, 2, 3)), -K, KPoly((9,))], [KPoly((1,)), -K, KPoly((-1,))]),
+    ([KPoly((0, 0, 4))], [KPoly((1,)), KPoly((2, 1)), KPoly(), KPoly((0, -3))]),
+])
+def test_hand_built_expansions_divide_out(num, den):
+    gf = RationalGF(num=xpoly(num), den=xpoly(den))
+    series = gf_expand(gf, 40)
+    _assert_series_of(gf, series)
+    mode = KPoly if isinstance(den[0], KPoly) else int
+    assert all(type(c) is mode for c in series)
+
+
+@pytest.mark.parametrize("num, zero", [([3, 0, -1], 0),
+                                       ([K, KPoly(), KPoly((5, -1))], KPoly())])
+def test_a_unit_denominator_gives_the_numerator_then_typed_zeros(num, zero):
+    one = KPoly((1,)) if isinstance(zero, KPoly) else 1
+    series = gf_expand(RationalGF(num=xpoly(num), den=xpoly([one])), 8)
+    assert series == num + [zero] * 5
+    assert all(type(c) is type(zero) for c in series)
+
+
+def test_a_decimal_expansion_prints_no_negative_zero():
+    # A negated denominator coefficient times a zero term is Decimal("-0").
+    rec = Order2Rec(a=Decimal(-2), b=Decimal(-1), x0=Decimal(0), x1=Decimal(0))
+    with decimal.localcontext(_EXACT_CONTEXT):
+        series = list(islice(iter_gf(gf_from_rec(rec)), 6))
+        assert str(Decimal(-3) * Decimal(0)) == "-0"
+    assert [str(c) for c in series] == ["0"] * 6
 
 
 def test_published_binomial_gf_diverges_at_index_one():

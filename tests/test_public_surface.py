@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import kfiblike
-from kfiblike import K, ModeMismatchError, Order2Rec, RationalGF, XPoly, xpoly
+from kfiblike import (K, KPoly, ModeMismatchError, Order2Rec, RationalGF, XPoly, gf_from_rec,
+                      modified_k_fib, xpoly)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,9 +112,13 @@ def test_import_and_a_gen_command_load_only_what_they_use():
 
 
 def _sample_values():
-    """One value of each class that is a frozen record, with its fields' tuple."""
+    """One value of each class that is a frozen record, numeric and symbolic,
+    with its fields' tuple."""
     rec = Order2Rec(a=3, b=1, x0=2, x1=2)
     num, den = xpoly([2, -4]), xpoly([1, -3, -1])
+    one, two = KPoly((1,)), KPoly((2,))
+    rec_k = Order2Rec(a=K, b=one, x0=two, x1=two)
+    num_k, den_k = xpoly([two, KPoly((2, -2))]), xpoly([one, -K, -one])
     return [
         (rec, (3, 1, 2, 2), "Order2Rec(a=3, b=1, x0=2, x1=2)",
          lambda: Order2Rec(a=3, b=1, x0=2, x1=2)),
@@ -121,11 +126,21 @@ def _sample_values():
         (RationalGF(num=num, den=den), (num, den),
          "RationalGF(num=XPoly(coeffs=(2, -4)), den=XPoly(coeffs=(1, -3, -1)))",
          lambda: RationalGF(num=xpoly([2, -4]), den=xpoly([1, -3, -1]))),
+        (rec_k, (K, one, two, two),
+         "Order2Rec(a=KPoly((0, 1)), b=KPoly((1,)), x0=KPoly((2,)), x1=KPoly((2,)))",
+         lambda: modified_k_fib(K)),
+        (num_k, ((two, KPoly((2, -2))),), "XPoly(coeffs=(KPoly((2,)), KPoly((2, -2))))",
+         lambda: gf_from_rec(modified_k_fib(K)).num),
+        (RationalGF(num=num_k, den=den_k), (num_k, den_k),
+         "RationalGF(num=XPoly(coeffs=(KPoly((2,)), KPoly((2, -2)))), "
+         "den=XPoly(coeffs=(KPoly((1,)), KPoly((0, -1)), KPoly((-1,)))))",
+         lambda: gf_from_rec(modified_k_fib(K))),
     ]
 
 
 @pytest.mark.parametrize("value, fields, text, rebuild", _sample_values(),
-                         ids=["Order2Rec", "XPoly", "RationalGF"])
+                         ids=["Order2Rec", "XPoly", "RationalGF",
+                              "Order2Rec-K", "XPoly-K", "RationalGF-K"])
 def test_frozen_records_keep_their_dataclass_semantics(value, fields, text, rebuild):
     assert repr(value) == text
     twin = rebuild()
@@ -142,8 +157,28 @@ def test_frozen_records_keep_their_dataclass_semantics(value, fields, text, rebu
         delattr(value, name)
     with pytest.raises(AttributeError):
         value.extra = 1
-    assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    for dup in _copies(value):
+        assert dup == value and hash(dup) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(dup, name, getattr(dup, name))
     assert {value: 1}[twin] == 1
+
+
+def _copies(value):
+    """``value`` through ``copy.copy``, ``copy.deepcopy`` and a pickle round trip."""
+    return [copy.copy(value), copy.deepcopy(value),
+            *(pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+
+
+@pytest.mark.parametrize("value", [K, KPoly(()), KPoly((3, -(2**200), 0, 5))],
+                         ids=["K", "zero", "wide"])
+def test_kpoly_copies_and_pickles_as_an_equal_immutable_value(value):
+    for dup in _copies(value):
+        assert type(dup) is KPoly and type(dup.coeffs) is tuple
+        assert dup.coeffs == value.coeffs and dup == value and hash(dup) == hash(value)
+        with pytest.raises(AttributeError):
+            dup.coeffs = ()
 
 
 def test_frozen_records_keep_their_validation():

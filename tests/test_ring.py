@@ -378,10 +378,40 @@ def test_products_around_a_slot_width(m):
                 for ca, cb in ((same, same), (same, mixed), (mixed, alternating),
                                (alternating, [y] * (n + 5)), (mixed, mixed)):
                     _assert_built_like_public(KPoly(ca) * KPoly(cb), _schoolbook(ca, cb))
-    # 31 * 15 * (2**(8m-1) - 1) needs all but the top bit of its slot
+                # squares: one operand, packed once
+                for ca in (same, mixed, alternating):
+                    p = KPoly(ca)
+                    _assert_built_like_public(p * p, _schoolbook(ca, ca))
+    # 31 * 15 * (2**(8m-1) - 1) needs all but the top bit of its slot, and so
+    # do the middle coefficients of the squares of 31 and 32 equal terms
     for x in values:
         for ca, cb in (([x] * 31, [15] * 31), ([x] * 31, [-15] * 31)):
             _assert_built_like_public(KPoly(ca) * KPoly(cb), _schoolbook(ca, cb))
+        for ca in ([x] * 31, [x] * 32):
+            p = KPoly(ca)
+            _assert_built_like_public(p * p, _schoolbook(ca, ca))
+
+
+def test_a_square_packs_its_operand_once(monkeypatch):
+    packs = []
+    real = ring._pack
+    monkeypatch.setattr(ring, "_pack", lambda a, width: packs.append(a) or real(a, width))
+    ca = _dense(20, start=2**40)
+    p, q = KPoly(ca), KPoly(ca)
+    _assert_built_like_public(p * p, _schoolbook(ca, ca))
+    assert len(packs) == 1
+    packs.clear()
+    _assert_built_like_public(p * q, _schoolbook(ca, ca))
+    assert len(packs) == 2
+    # a square counts its operand's zeros once
+    sq, counts = _spied(ca)
+    packs.clear()
+    _assert_built_like_public(sq * sq, _schoolbook(ca, ca))
+    assert counts == [0] and len(packs) == 1
+    # ipow squares its base the same way, and not past its top bit
+    packs.clear()
+    _assert_built_like_public(ring.ipow(p, 2), _schoolbook(ca, ca))
+    assert len(packs) == 1
 
 
 def test_monomial_times_dense_in_both_orders():
