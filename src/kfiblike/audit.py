@@ -107,7 +107,7 @@ FLOAT_N_CAP = 40
 # to runs of at most 1/100 of the ceiling.  Runs just under it, without the
 # symbolic leg, took 36-46 s: n_max = 1160 at k = 1..10 38 s, n_max = 3162 at
 # k = 1 46 s, n_max = 2 at k = 1..46000 36 s (and 381 MB), n_max = 108 at
-# k = 10^800 45 s.  The default range (1.5e5) takes about 0.1 s.
+# k = 10^800 45 s.  The default range (1.5e5) takes about 90 ms in process.
 AUDIT_WORK_CEILING = 6 * 10**7
 _KARATSUBA = Decimal("1.585")  # log2(3)
 _WORK_CONTEXT = Context(prec=8, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -173,25 +173,29 @@ def _work_estimate(k_min: int, k_max: int, n_max: int) -> Decimal:
 class _Run:
     """One audit run: its config and the route values the module docstring
     lists, each built once, in full, on first use, as far as any claim reads
-    it; ``count(k)`` is a sweep's share of that.  A function of this module
-    patched in before :func:`run_audit` is the one the run calls.
+    it; ``count(k)`` is :func:`_count` of its config.  The builders close over
+    the config, not the run, so the run is no reference cycle and its lists
+    go with it.  A function of this module patched in before
+    :func:`run_audit` is the one the run calls.
     """
 
     def __init__(self, cfg: AuditConfig):
         self.cfg = cfg
+        self.count = count = lambda k: _count(cfg, k)
         self.direct = cache(lambda kind, k: list(islice(
-            iter_direct(kind, k), max(self.count(k) + 1, _TABLE_LEN))))
+            iter_direct(kind, k), max(count(k) + 1, _TABLE_LEN))))
         self.m = cache(lambda k: list(islice(
-            iter_terms(modified_k_fib(k)), max(2 * self.count(k) - 1, _M_POLYS_LEN))))
+            iter_terms(modified_k_fib(k)), max(2 * count(k) - 1, _M_POLYS_LEN))))
         self.recurrence = cache(transform_recurrence)
-        self.prefix = cache(lambda rec, k: terms(rec, self.count(k)))
+        self.prefix = cache(lambda rec, k: terms(rec, count(k)))
 
-    def count(self, k: RingElem) -> int:
-        """How many terms, n = 0 .. n_max (or sym_n), a sweep at k compares:
-        none at a k past the run's range, which only a table fixture reads."""
-        if isinstance(k, KPoly):
-            return self.cfg.sym_n + 1
-        return self.cfg.n_max + 1 if k in self.cfg.ks else 0
+
+def _count(cfg: AuditConfig, k: RingElem) -> int:
+    """How many terms, n = 0 .. n_max (or sym_n), a sweep at k compares: none
+    at a k past the run's range, which only a table fixture reads."""
+    if isinstance(k, KPoly):
+        return cfg.sym_n + 1
+    return cfg.n_max + 1 if k in cfg.ks else 0
 
 
 @dataclass(frozen=True)

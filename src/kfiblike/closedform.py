@@ -1,6 +1,7 @@
 """Closed (Binet-style) forms for second-order recurrences.
 
-Three evaluators with very different trust levels:
+Three evaluators with very different trust levels; the two exact ones are
+one form, c1*U(n) + c2*U(n-1), with different coefficient pairs:
 
 * :func:`binet_closed` -- the exact closed form.  Root quotients of the
   characteristic polynomial x^2 - P x + Q are carried algebraically by the
@@ -16,12 +17,17 @@ Three evaluators with very different trust levels:
   binomial and k-binomial families; 2k+2 and -2 for the rising and falling
   families).  Evaluated faithfully and *not* assumed correct: the audit
   compares it against ground truth and records where it breaks.
+
+``sequences.term_fast`` keeps its own x0*U(n+1) + (x1 - a*x0)*U(n): the
+benchmark checks ``binet_closed`` against it, a check only while the two
+stay separate routes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 from typing import Callable
 
 from .ring import KPoly, RingElem, const_like, scale
@@ -40,9 +46,7 @@ def binet_closed(rec: Order2Rec, n: int) -> RingElem:
         raise ValueError("index must be >= 0")
     if n == 0:
         return rec.x0
-    q = -rec.b
-    u_prev, u_cur = lucas_pair(rec.a, q, n - 1)
-    return rec.x1 * u_cur - q * (rec.x0 * u_prev)
+    return _binet_form(rec, rec.x1, rec.b * rec.x0, n)
 
 
 def binet_float(rec: Order2Rec, n: int) -> float:
@@ -95,21 +99,20 @@ def published_binet(kind: TransformKind, k: RingElem, n: int) -> RingElem:
 def _published_binet_form(kind: TransformKind, k: RingElem) -> Callable[[int], RingElem]:
     """The printed Binet formula of one (kind, k) as a function of n >= 1.
 
-    The recurrence, its P and Q and the printed coefficients are built once
-    here; each call is one Lucas doubling pass.  :func:`published_binet` is
-    one call of it, and the audit keeps one per (kind, k) for its sweep.
+    The recurrence and the printed coefficients are built once here.
+    :func:`published_binet` is one call of it, and the audit keeps one per
+    (kind, k) for its sweep.
     """
-    rec = transform_recurrence(kind, k)
-    p, q = rec.a, -rec.b
     if kind in (TransformKind.BINOMIAL, TransformKind.K_BINOMIAL):
         c1: RingElem = const_like(4, k)
         c2: RingElem = scale(k, -2)
     else:
         c1 = scale(k, 2) + const_like(2, k)
         c2 = const_like(-2, k)
+    return partial(_binet_form, transform_recurrence(kind, k), c1, c2)
 
-    def term(n: int) -> RingElem:
-        u_prev, u_cur = lucas_pair(p, q, n - 1)
-        return c1 * u_cur + c2 * u_prev
 
-    return term
+def _binet_form(rec: Order2Rec, c1: RingElem, c2: RingElem, n: int) -> RingElem:
+    """c1*U(n) + c2*U(n-1) over U(a, -b), n >= 1: one Lucas doubling pass."""
+    u_prev, u_cur = lucas_pair(rec.a, -rec.b, n - 1)
+    return c1 * u_cur + c2 * u_prev

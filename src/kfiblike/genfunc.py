@@ -56,15 +56,6 @@ class XPoly(Frozen):
                 raise ValueError("XPoly must be canonical (no trailing zero); use xpoly()")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, i: int) -> RingElem:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return zero_like(self.coeffs[0]) if self.coeffs else 0
-
     def __mul__(self, other):
         if not isinstance(other, XPoly):
             return NotImplemented

@@ -5,7 +5,8 @@ Two carriers, never mixed inside one computation:
 * numeric mode -- plain Python ``int`` (already arbitrary precision), used
   when k is a concrete integer >= 1;
 * symbolic mode -- :class:`KPoly`, a dense polynomial in the indeterminate k
-  with integer coefficients, used to check identities for *every* k at once.
+  with integer coefficients, used to check identities for *every* k at once;
+  an immutable :class:`Frozen` value, like the records built on it.
 
 There is deliberately no rational carrier: every identity in scope stays
 integral, and the single 1/2 factor that occurs is handled by
@@ -57,7 +58,8 @@ class Frozen:
     or deleting an attribute raises ``AttributeError``.  A subclass names
     its fields in ``_fields`` and ``__slots__``, and its ``__init__``
     validates its arguments and sets each field once with
-    ``object.__setattr__``.  It keeps ``dataclasses`` (and the ``inspect`` it
+    ``object.__setattr__`` (:class:`KPoly`, on its hot path, through its
+    slot's descriptor).  It keeps ``dataclasses`` (and the ``inspect`` it
     loads) off the import of the package.
     """
 
@@ -89,11 +91,12 @@ class Frozen:
         return type(self), self._values()
 
 
-class KPoly:
+class KPoly(Frozen):
     """Dense polynomial in k with integer coefficients, ascending degree.
 
     Canonical form: no trailing zero coefficient; the zero polynomial is the
-    empty coefficient tuple.  Instances are immutable and hashable.
+    empty coefficient tuple.  A :class:`Frozen` value over ``coeffs``, equal
+    and hashed by the coefficient tuple alone and printed as ``KPoly(...)``.
     Arithmetic operators accept KPoly operands only -- combining a KPoly with
     a plain int via ``+``, ``-`` or ``*`` is a mode violation and raises
     ``TypeError``.  Scalar integers enter only through the explicit
@@ -106,17 +109,17 @@ class KPoly:
     one instead when the shorter has ``_KRONECKER_MIN_TERMS`` or more
     nonzero coefficients), in C (``map``), never a Python loop over the
     row: the first c places its row at its degree (the operand itself when
-    c is 1, else c times it), and each later c adds its row in (subtracts
-    the operand when c is -1).  So ``k**i * x``, for an ``x`` at least as
-    long, is one copy of ``x``, and ``(k + 2) * x`` two passes.  A row
-    shorter than ``_ROW_PASS_MIN_LEN`` is multiplied in a Python loop
-    instead, and two operands with ``_KRONECKER_MIN_TERMS`` or more nonzero
-    coefficients each go through :func:`_kronecker_mul`.  For a square
-    (both operands the same coefficient tuple) the zeros are counted once
-    and the operand is packed once.
+    c is 1, else c times it), and each later c adds its row in.  So
+    ``k**i * x``, for an ``x`` at least as long, is one copy of ``x``, and
+    ``(k + 2) * x`` two passes.  A row shorter than ``_ROW_PASS_MIN_LEN`` is
+    multiplied in a Python loop instead, and two operands with
+    ``_KRONECKER_MIN_TERMS`` or more nonzero coefficients each go through
+    :func:`_kronecker_mul`.  For a square (both operands the same
+    coefficient tuple) the zeros are counted once and the operand is packed
+    once.
     """
 
-    __slots__ = ("coeffs",)
+    _fields = __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
@@ -135,13 +138,6 @@ class KPoly:
         p = _new(KPoly)
         _set_coeffs(p, tuple(cs))
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KPoly is immutable")
-
-    def __reduce__(self):
-        """Copy and pickle through the constructor, not the blocked ``__setattr__``."""
-        return KPoly, (self.coeffs,)
 
     @classmethod
     def constant(cls, c: int) -> "KPoly":
@@ -226,8 +222,6 @@ class KPoly:
                 out += [0] * (len(a) - 1 - i)
             elif x == 1:
                 out[i:i + nb] = map(operator.add, out[i:i + nb], b)
-            elif x == -1:
-                out[i:i + nb] = map(operator.sub, out[i:i + nb], b)
             else:
                 out[i:i + nb] = map(operator.add, out[i:i + nb], map(operator.mul, b, repeat(x)))
         return KPoly._trusted(out)
@@ -266,8 +260,8 @@ class KPoly:
         return "".join(parts)
 
 
-# Ring results skip __init__ and fill their slot through its descriptor,
-# past the blocking __setattr__.
+# Ring results skip __init__, and every KPoly fills its slot through the
+# slot's descriptor, past Frozen's blocking __setattr__.
 _new = object.__new__
 _set_coeffs = KPoly.coeffs.__set__
 

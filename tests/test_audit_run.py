@@ -1,8 +1,10 @@
 """Each audit run owns its state: the config is a plain value, every checker of
 one run receives that run's object, and C15-C18 sweep their generating-function
-series, numeric and symbolic, like every other claim from C01 to C22."""
+series, numeric and symbolic, like every other claim from C01 to C22.  A run
+holds nothing once :func:`run_audit` returns."""
 
 import dataclasses
+import gc
 
 from kfiblike import audit
 from kfiblike.audit import AuditConfig, Counterexample, Verdict, run_audit
@@ -67,7 +69,7 @@ def test_symbolic_gf_leg_reports_the_first_differing_coefficient(monkeypatch):
         bump = const_like(1, k)
         for j in range(1, 6):
             bump = bump * (k - const_like(j, k))
-        num = xpoly([gf.num.coefficient(0), gf.num.coefficient(1) + bump])
+        num = xpoly([gf.num.coeffs[0], gf.num.coeffs[1] + bump])
         return RationalGF(num=num, den=gf.den)
 
     monkeypatch.setattr(audit, "published_gf", broken)
@@ -77,3 +79,15 @@ def test_symbolic_gf_leg_reports_the_first_differing_coefficient(monkeypatch):
             k="k", n=1, expected="2k+2", got="k^5-15k^4+85k^3-225k^2+276k-118",
             label="symbolic"),)),
     }
+
+
+def test_a_finished_run_leaves_nothing_for_the_collector():
+    """The run's route lists are freed by reference counts alone when it
+    returns: a run caught in a reference cycle would wait for the collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        run_audit()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -174,11 +174,21 @@ def _copies(value):
 @pytest.mark.parametrize("value", [K, KPoly(()), KPoly((3, -(2**200), 0, 5))],
                          ids=["K", "zero", "wide"])
 def test_kpoly_copies_and_pickles_as_an_equal_immutable_value(value):
+    coeffs = value.coeffs
+    with pytest.raises(AttributeError):
+        del value.coeffs
+    assert value.coeffs is coeffs
     for dup in _copies(value):
         assert type(dup) is KPoly and type(dup.coeffs) is tuple
         assert dup.coeffs == value.coeffs and dup == value and hash(dup) == hash(value)
         with pytest.raises(AttributeError):
             dup.coeffs = ()
+        with pytest.raises(AttributeError):
+            del dup.coeffs
+        assert dup.coeffs == coeffs
+    # the indeterminate every symbolic computation starts from still computes
+    assert (K * K + K).coeffs == (0, 1, 1)
+    assert str(modified_k_fib(K).a * K) == "k^2"
 
 
 def test_frozen_records_keep_their_validation():

@@ -277,8 +277,7 @@ _operands = st.tuples(
 
 # The product's row passes, for rows of ring._ROW_PASS_MIN_LEN or more: the
 # first nonzero coefficient of the sparser operand, at any degree, places its
-# row (the other operand itself for 1); each later one adds its row
-# (subtracts it for -1).
+# row (the other operand itself for 1); each later one adds its row.
 @example(ca=[0, 0, 1, 0, -1, 1, 5], cb=[3, -2, 0, 7, 1] * 4)
 @example(ca=[0, -1, 0, -1], cb=[-4, 2**70, 9] * 6)
 @example(ca=[0, 0, 0, 2**65, 1, -1], cb=[(-1) ** i * (2**40 + i) for i in range(24)])
