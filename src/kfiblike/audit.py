@@ -44,19 +44,24 @@ from one claim to the next.  A lemma gets all four kinds' lists at its k, so
 only the lemma functions of :mod:`~kfiblike.transforms` say which terms they
 read.
 
-A sweep builds each claim's row once per k from these: it fetches the lists,
-the recurrence and the published Binet form or generating-function series of
-that (kind, k) it needs, and C10's running alternating sums of M, one
-subtraction per n.  The point loop is then list indexing plus the compared
-computation itself, such as a lemma right-hand side or a Lucas doubling pass.
-The values of C11-C18 (the published Binet forms and generating functions),
-C19-C22 and C26 (``binet_closed``) are not shared: each claim computes its
-own.  C15-C18 compare the printed series with the recurrence prefix, so a
-fault in :func:`~kfiblike.genfunc.gf_expand` shows.  A claim still compares
-two independent routes; a value shared between claims means a broken route
-shows in every claim that reads it.  The run and its lists end with
-:func:`run_audit`; the config and the report are plain values.  Claims
-C01-C22 are each one sweep over the run.
+A sweep builds each claim's row once per k from these: it fetches the lists
+and the recurrence of that (kind, k) it needs, opens the Binet sweep or
+expands the generating-function series it compares, and computes C10's
+running alternating sums of M, one subtraction per n.  The point loop is then
+list indexing plus the compared computation itself, such as a lemma
+right-hand side.  A Binet claim reads its values at ascending n from its own
+sweep over the run's recurrence, :func:`~kfiblike.closedform.binet_sweep`
+(C19-C22, C26) or :func:`~kfiblike.closedform.published_binet_sweep`
+(C11-C14), so each value costs one Lucas doubling step from the pair of U at
+half its index, not a fresh pass of log2 n steps.  The values of C11-C18
+(the published Binet forms and generating functions), C19-C22 and C26 (the
+exact Binet form) are not shared: each claim keeps its own sweep or series
+per (kind, k) and computes its own.  C15-C18 compare the printed series with
+the recurrence prefix, so a fault in :func:`~kfiblike.genfunc.gf_expand`
+shows.  A claim still compares two independent routes; a value shared
+between claims means a broken route shows in every claim that reads it.  The
+run and its lists end with :func:`run_audit`; the config and the report are
+plain values.  Claims C01-C22 are each one sweep over the run.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from functools import cache
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .closedform import _published_binet_form, binet_closed, binet_float
+from .closedform import binet_float, binet_sweep, published_binet_sweep
 from .genfunc import gf_expand, published_gf
 from .ring import K, KPoly, RingElem, elem_str
 from .sequences import (
@@ -99,7 +104,7 @@ FLOAT_N_CAP = 40
 # AuditConfig refuses a run whose work estimate, in ring operations on narrow
 # terms (about 0.6-0.9 us each on CPython 3.11), is past this.  Per k it
 # counts a fixed setup of 1000 and, at each of the n_max points, 150 for its
-# Lucas doubling passes and series reads, n_max for the lemma sums and
+# Binet values and series reads, n_max for the lemma sums and
 # difference tables, n_max^2 * W / 10^6 for those sums' products with C(n, i),
 # and (W / 42)^1.585 for Karatsuba products of full-width terms.  W = n_max *
 # log10(k_max^2 + 2) is about the digit count of the widest compared term,
@@ -107,7 +112,10 @@ FLOAT_N_CAP = 40
 # to runs of at most 1/100 of the ceiling.  Runs just under it, without the
 # symbolic leg, took 36-46 s: n_max = 1160 at k = 1..10 38 s, n_max = 3162 at
 # k = 1 46 s, n_max = 2 at k = 1..46000 36 s (and 381 MB), n_max = 108 at
-# k = 10^800 45 s.  The default range (1.5e5) takes about 90 ms in process.
+# k = 10^800 45 s.  The 150 was fitted while each Binet value took a Lucas
+# doubling pass of log2 n steps; since they take one step each it is an upper
+# bound, kept so that the admitted and refused ranges stay the same.  The
+# default range (1.5e5) takes about 45-60 ms in process.
 AUDIT_WORK_CEILING = 6 * 10**7
 _KARATSUBA = Decimal("1.585")  # log2(3)
 _WORK_CONTEXT = Context(prec=8, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -406,7 +414,8 @@ _M_POLYS_LEN = max(PUBLISHED_M_POLYS) + 1                    # C25 reads this fa
 # checker helpers
 # ---------------------------------------------------------------------------
 
-#: ``row(run, k)`` is one claim at one k: a function of n giving (expected, got).
+#: ``row(run, k)`` is one claim at one k: a function of n giving (expected, got),
+#: called at ascending n, once each.
 _Row = Callable[[_Run, RingElem], Callable[[int], Tuple[RingElem, RingElem]]]
 
 
@@ -414,9 +423,12 @@ def _sweep(row: _Row, n_start: int = 0) -> Callable[[_Run], List[Counterexample]
     """A checker: the first (expected, got) disagreement, smallest n then smallest k.
 
     ``row(run, k)`` is built once per k, reading the route values it shares
-    from the run, so each point costs only its own comparison; the numeric
-    sweep runs first, the symbolic leg afterwards (capped for
-    polynomial-degree growth).
+    from the run, so each point costs only its own comparison.  A row is read
+    at n = n_start, n_start + 1, ... in that order, once each, so it may step
+    an iterator instead of evaluating each n afresh: the Binet rows take the
+    next value of their sweep, one Lucas doubling step.  The numeric sweep
+    runs first, the symbolic leg afterwards (capped for polynomial-degree
+    growth).
     """
     def checker(run: _Run) -> List[Counterexample]:
         cfg = run.cfg
@@ -483,8 +495,8 @@ def _f_from_m(run: _Run, k: RingElem):
 def _published_binet(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
         direct = run.direct(kind, k)
-        printed = _published_binet_form(kind, k)
-        return lambda n: (direct[n], printed(n))
+        printed = published_binet_sweep(kind, k, run.recurrence(kind, k))
+        return lambda n: (direct[n], next(printed))
 
     return row
 
@@ -501,8 +513,8 @@ def _published_gf(kind: TransformKind) -> _Row:
 def _exact_binet(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
         rec = run.recurrence(kind, k)
-        values = run.prefix(rec, k)
-        return lambda n: (values[n], binet_closed(rec, n))
+        values, closed = run.prefix(rec, k), binet_sweep(rec)
+        return lambda n: (values[n], next(closed))
 
     return row
 
@@ -544,10 +556,11 @@ def _check_float_binet(run: _Run) -> Optional[List[Counterexample]]:
     if not ks:
         return None
     recs = [(k, [(kind, run.recurrence(kind, k)) for kind in KIND_ORDER]) for k in ks]
+    rows = [(k, [(kind, rec, binet_sweep(rec)) for kind, rec in row]) for k, row in recs]
     for n in range(n_stop + 1):
-        for k, row in recs:
-            for kind, rec in row:
-                exact = binet_closed(rec, n)
+        for k, row in rows:
+            for kind, rec, closed in row:
+                exact = next(closed)
                 approx = binet_float(rec, n)
                 if abs(approx - float(exact)) / float(exact) > tol:
                     return [Counterexample(k=k, n=n, expected=str(exact),

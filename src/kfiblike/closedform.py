@@ -18,6 +18,12 @@ one form, c1*U(n) + c2*U(n-1), with different coefficient pairs:
   families).  Evaluated faithfully and *not* assumed correct: the audit
   compares it against ground truth and records where it breaks.
 
+Each exact form also has a sweep, :func:`binet_sweep` and
+:func:`published_binet_sweep`, that yields its values at n = 0, 1, 2, ...
+(1, 2, ... for the printed one) from ``sequences.lucas_sweep``: one doubling
+step per term in place of a fresh O(log n) pass, the same values.  The
+audit reads its Binet claims through them.
+
 ``sequences.term_fast`` keeps its own x0*U(n+1) + (x1 - a*x0)*U(n): the
 benchmark checks ``binet_closed`` against it, a check only while the two
 stay separate routes.
@@ -27,11 +33,11 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
-from typing import Callable
+from itertools import chain
+from typing import Iterator, Tuple
 
 from .ring import KPoly, RingElem, const_like, scale
-from .sequences import Order2Rec, lucas_pair
+from .sequences import Order2Rec, lucas_pair, lucas_sweep
 from .transforms import TransformKind, transform_recurrence
 
 
@@ -46,7 +52,12 @@ def binet_closed(rec: Order2Rec, n: int) -> RingElem:
         raise ValueError("index must be >= 0")
     if n == 0:
         return rec.x0
-    return _binet_form(rec, rec.x1, rec.b * rec.x0, n)
+    return _binet_term(*_exact_coefficients(rec), *lucas_pair(rec.a, -rec.b, n - 1))
+
+
+def binet_sweep(rec: Order2Rec) -> Iterator[RingElem]:
+    """``binet_closed(rec, n)`` for n = 0, 1, 2, ...: one doubling step per term."""
+    return chain((rec.x0,), _binet_terms(rec, *_exact_coefficients(rec)))
 
 
 def binet_float(rec: Order2Rec, n: int) -> float:
@@ -93,26 +104,42 @@ def published_binet(kind: TransformKind, k: RingElem, n: int) -> RingElem:
     """
     if n < 1:
         raise ValueError("the printed Binet formulas are evaluated for n >= 1 only")
-    return _published_binet_form(kind, k)(n)
+    rec = transform_recurrence(kind, k)
+    return _binet_term(*_printed_coefficients(kind, k), *lucas_pair(rec.a, -rec.b, n - 1))
 
 
-def _published_binet_form(kind: TransformKind, k: RingElem) -> Callable[[int], RingElem]:
-    """The printed Binet formula of one (kind, k) as a function of n >= 1.
+def published_binet_sweep(kind: TransformKind, k: RingElem,
+                          rec: Order2Rec) -> Iterator[RingElem]:
+    """``published_binet(kind, k, n)`` for n = 1, 2, 3, ...: one doubling step per term.
 
-    The recurrence and the printed coefficients are built once here.
-    :func:`published_binet` is one call of it, and the audit keeps one per
-    (kind, k) for its sweep.
+    ``rec`` is the family's recurrence, ``transform_recurrence(kind, k)``, as
+    the caller already holds it.
     """
+    return _binet_terms(rec, *_printed_coefficients(kind, k))
+
+
+def _exact_coefficients(rec: Order2Rec) -> Tuple[RingElem, RingElem]:
+    """(c1, c2) of x(n) = x1*U(n) + b*x0*U(n-1), the true coefficients."""
+    return rec.x1, rec.b * rec.x0
+
+
+def _printed_coefficients(kind: TransformKind, k: RingElem) -> Tuple[RingElem, RingElem]:
+    """(c1, c2) as printed for one (kind, k)."""
     if kind in (TransformKind.BINOMIAL, TransformKind.K_BINOMIAL):
         c1: RingElem = const_like(4, k)
         c2: RingElem = scale(k, -2)
     else:
         c1 = scale(k, 2) + const_like(2, k)
         c2 = const_like(-2, k)
-    return partial(_binet_form, transform_recurrence(kind, k), c1, c2)
+    return c1, c2
 
 
-def _binet_form(rec: Order2Rec, c1: RingElem, c2: RingElem, n: int) -> RingElem:
-    """c1*U(n) + c2*U(n-1) over U(a, -b), n >= 1: one Lucas doubling pass."""
-    u_prev, u_cur = lucas_pair(rec.a, -rec.b, n - 1)
+def _binet_terms(rec: Order2Rec, c1: RingElem, c2: RingElem) -> Iterator[RingElem]:
+    """:func:`_binet_term` at n = 1, 2, ..., over the Lucas sweep of U(a, -b)."""
+    for u_prev, u_cur in lucas_sweep(rec.a, -rec.b):
+        yield _binet_term(c1, c2, u_prev, u_cur)
+
+
+def _binet_term(c1: RingElem, c2: RingElem, u_prev: RingElem, u_cur: RingElem) -> RingElem:
+    """c1*U(n) + c2*U(n-1) from (U(n-1), U(n)): the one place a form is evaluated."""
     return c1 * u_cur + c2 * u_prev

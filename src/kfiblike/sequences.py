@@ -7,14 +7,18 @@ closed forms, generating functions) is expressed over :class:`Order2Rec`, so
 the four transform recurrences reuse the same machinery.
 
 ``terms``/``iter_terms`` are the deliberately simple ground truth.  The
-logarithmic path is Lucas doubling: :func:`lucas_pair` is the one kernel
-behind :func:`term_fast` here and the exact Binet forms in ``closedform``.
-It is never used implicitly, so cross-checks against iteration stay
-meaningful.
+logarithmic path is Lucas doubling, one loop of three identities that makes
+the pair (U(m), U(m+1)) from the pair at m >> 1 in one step.  Two entry
+points read it: :func:`lucas_pair` walks the bits of one n, O(log n) steps,
+for :func:`term_fast` here and the single-n Binet forms in ``closedform``;
+:func:`lucas_sweep` yields every m in turn, one step per m, for the audit's
+Binet sweeps.  Neither uses the plain U recurrence, and neither is used
+implicitly, so cross-checks against iteration stay meaningful.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import islice
 from typing import Iterable, Iterator, List, Tuple
 
@@ -94,23 +98,53 @@ def lucas_pair(P: RingElem, Q: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(U(n), U(n+1)) of the Lucas sequence U0 = 0, U1 = 1, U(m+1) = P*U(m) - Q*U(m-1).
 
     Left-to-right doubling over the bits of n after the leading one, from
-    (U(1), U(2)) = (1, P), in O(log n) ring products:
-
-        U(2m)   = U(m) * (2*U(m+1) - P*U(m))
-        U(2m+1) = U(m+1)^2 - Q*U(m)^2
-        U(2m+2) = U(m+1) * (P*U(m+1) - 2*Q*U(m))
-
-    (Joye & Quisquater, "Efficient computation of full Lucas sequences",
-    Electronics Letters, 1996.)  Only ``+ - *`` and no division, so the same
-    code runs on int and KPoly; the mode is checked once, here.
+    (U(1), U(2)) = (1, P): one :func:`_doubling` pass, O(log n) ring
+    products.  The mode is checked once, here.
     """
     require_same_mode(P, Q)
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
         return zero_like(P), one_like(P)
-    u, v = one_like(P), P
-    for bit in bin(n)[3:]:
+    return _doubling(P, Q, one_like(P), P, bin(n)[3:])
+
+
+def lucas_sweep(P: RingElem, Q: RingElem) -> Iterator[Tuple[RingElem, RingElem]]:
+    """(U(m), U(m+1)) for m = 0, 1, 2, ..., the pairs :func:`lucas_pair` gives.
+
+    The pair at j is the parent of those at 2j and 2j + 1: each pair from
+    m = 2 on is one :func:`_doubling` step from its parent, so a sweep of m
+    pairs costs m - 2 steps, not a pass of log2 m steps per pair.  A pair is
+    kept only until its second child is made, about m/2 pairs at m.  Nothing
+    is built before the first read, which checks the mode.
+    """
+    require_same_mode(P, Q)
+    one = one_like(P)
+    yield zero_like(P), one
+    yield one, P
+    parents = deque([(one, P)])
+    while True:
+        parent = parents.popleft()
+        for bit in "01":
+            pair = _doubling(P, Q, *parent, bit)
+            parents.append(pair)
+            yield pair
+
+
+def _doubling(P: RingElem, Q: RingElem, u: RingElem, v: RingElem,
+              bits: str) -> Tuple[RingElem, RingElem]:
+    """The doubling loop: from (u, v) = (U(j), U(j+1)), one step per bit of
+    ``bits`` to (U(m), U(m+1)), where m is j with ``bits`` appended in binary:
+
+        U(2j)   = U(j) * (2*U(j+1) - P*U(j))
+        U(2j+1) = U(j+1)^2 - Q*U(j)^2
+        U(2j+2) = U(j+1) * (P*U(j+1) - 2*Q*U(j))
+
+    (Joye & Quisquater, "Efficient computation of full Lucas sequences",
+    Electronics Letters, 1996.)  Only ``+ - *`` and no division, so the same
+    code runs on int and KPoly.
+    """
+    for bit in bits:
         odd = v * v - Q * (u * u)
         if bit == "1":
             qu = Q * u

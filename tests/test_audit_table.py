@@ -6,8 +6,11 @@ from collections import Counter
 from itertools import islice
 from pathlib import Path
 
+import pytest
+
 from kfiblike import audit, closedform, genfunc, sequences, transforms
 from kfiblike.audit import Counterexample, Verdict, run_audit
+from kfiblike.closedform import binet_float
 from kfiblike.ring import K, KPoly, const_like, elem_str
 from kfiblike.sequences import iter_terms, k_fib, modified_k_fib, terms
 from kfiblike.transforms import (
@@ -100,6 +103,35 @@ def test_broken_gf_expansion_shows_in_the_gf_claims(monkeypatch):
     assert changed == {cid: (Verdict.INFO_DISCREPANCY, ce) for cid in ("C16", "C17", "C18")}
 
 
+@pytest.mark.parametrize("m", [6, 7])   # U(m) at an even and at an odd m
+def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch, m):
+    """U(m) off by one in the rising k = 3 sweep: the printed form (C13), the
+    exact form (C21) and the double-precision check (C26) each read it as
+    U(n - 1) at n = m + 1, where both forms have c2 = -2.  Only the swept
+    pair is broken, not the pairs the sweep derives from it."""
+    healthy = run_audit(**RANGE)
+    rec = transform_recurrence(BAD_KIND, BAD_K)
+    P, Q = rec.a, -rec.b
+    n = m + 1
+    truth = terms(rec, n + 1)[n]
+    sweep = closedform.lucas_sweep
+
+    def broken(p, q):
+        for i, (u, u_next) in enumerate(sweep(p, q)):
+            yield (u + 1 if (p, q) == (P, Q) and i == m else u), u_next
+
+    monkeypatch.setattr(closedform, "lucas_sweep", broken)
+    changed = _changed(run_audit(**RANGE), healthy)
+    ce = (Counterexample(k=BAD_K, n=n, expected=str(truth), got=str(truth - 2)),)
+    assert changed == {
+        "C13": (Verdict.INFO_DISCREPANCY, ce),   # printed rising Binet form
+        "C21": (Verdict.FAIL, ce),               # iteration vs exact Binet
+        "C26": (Verdict.FAIL, (Counterexample(    # exact vs double-precision Binet
+            k=BAD_K, n=n, expected=str(truth - 2), got=repr(binet_float(rec, n)),
+            label=BAD_KIND.value),)),
+    }
+
+
 def test_broken_m_prefix_fails_exactly_the_claims_that_read_it(monkeypatch):
     """M(2 BAD_N) off by 2 (so the alternating sums stay even): C07 reads it as
     M(2n) at n = BAD_N, C09 as M(n) and C10 in every alternating sum from
@@ -188,8 +220,8 @@ def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch):
         per_n_max[n_max] = dict(built)
     assert per_n_max[12] == per_n_max[40]
     ks = 5 + 1  # k = 1..5 and the symbolic k
-    # one run recurrence and the published Binet form per (kind, k)
-    assert built["transform_recurrence"] <= 2 * len(KIND_ORDER) * ks
+    # one run recurrence per (kind, k), which the published Binet forms read too
+    assert built["transform_recurrence"] <= len(KIND_ORDER) * ks
     assert built["modified_k_fib"] <= ks
     assert built["k_fib"] <= 2 * ks           # C09 and C10 each look up F's prefix
 

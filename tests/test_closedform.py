@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -6,6 +7,7 @@ from kfiblike.closedform import (
     binet_closed,
     binet_float,
     published_binet,
+    published_binet_sweep,
 )
 from kfiblike.ring import K, KPoly, ipow
 from kfiblike.sequences import Order2Rec, lucas_pair, terms
@@ -108,6 +110,15 @@ def test_published_binet_examples():
     # the printed falling coefficients break one step later
     assert published_binet(TransformKind.FALLING_K, 2, 2) == 34
     assert transform_direct(TransformKind.FALLING_K, 2, 2) == 22
+
+
+def test_published_binet_sweep_gives_the_single_n_values():
+    """The sweep yields published_binet at n = 1, 2, ..., the wrong families
+    included, over the recurrence its caller passes in."""
+    for kind in KIND_ORDER:
+        for k in (1, 2, 7, K):
+            sweep = published_binet_sweep(kind, k, transform_recurrence(kind, k))
+            assert list(islice(sweep, 40)) == [published_binet(kind, k, n) for n in range(1, 41)]
 
 
 def test_published_binet_rejects_n_zero():

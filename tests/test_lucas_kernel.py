@@ -1,18 +1,31 @@
 """The Lucas doubling kernel against independent plain iteration.
 
-``term_fast`` and ``binet_closed`` both read one kernel, ``lucas_pair``, so
-agreeing with each other proves little.  Every check here
-compares them with ``terms`` (the ground-truth iteration) or with the
-U-sequence loop written out below, at the bit patterns the doubling loop
-branches on: around each power of two, where the loop gains a step.
+``term_fast``, ``binet_closed`` and the audit's Binet sweeps all read one
+doubling loop, ``sequences._doubling``: ``lucas_pair`` runs it over the bits
+of one n, ``lucas_sweep`` one step per m from the pair at m >> 1.  So
+agreeing with each other proves little.  Every check here compares them with
+``terms`` (the ground-truth iteration) or with the U-sequence loop written
+out below, at the bit patterns the doubling loop branches on: around each
+power of two, where the loop gains a step.
 """
+
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kfiblike.closedform import binet_closed
+from kfiblike import closedform, sequences
+from kfiblike.audit import run_audit
+from kfiblike.closedform import binet_closed, binet_sweep
 from kfiblike.ring import K, ModeMismatchError, one_like, zero_like
-from kfiblike.sequences import k_fib, lucas_pair, modified_k_fib, term_fast, terms
+from kfiblike.sequences import (
+    k_fib,
+    lucas_pair,
+    lucas_sweep,
+    modified_k_fib,
+    term_fast,
+    terms,
+)
 from kfiblike.transforms import KIND_ORDER, TransformKind, transform_recurrence
 
 FAMILIES = [kind.value for kind in KIND_ORDER] + ["modified", "kfib"]
@@ -20,6 +33,7 @@ FAMILIES = [kind.value for kind in KIND_ORDER] + ["modified", "kfib"]
 BIT_EDGE_NS = sorted(
     {0, 1, 2} | {m for j in range(1, 13) for m in (2**j - 1, 2**j, 2**j + 1)}
 )
+SWEEP_LEN = 300  # the sweeps are compared at m < 300, or up to the largest n
 
 
 def family_rec(name, k):
@@ -47,6 +61,10 @@ def assert_routes_match(rec, ns):
         assert term_fast(rec, n) == seq[n], ("term_fast", rec, n)
         assert binet_closed(rec, n) == seq[n], ("binet_closed", rec, n)
         assert lucas_pair(P, Q, n) == (us[n], us[n + 1]), ("lucas_pair", rec, n)
+    reach = min(top + 1, SWEEP_LEN)
+    for m, pair in enumerate(islice(lucas_sweep(P, Q), reach)):
+        assert pair == lucas_pair(P, Q, m) == (us[m], us[m + 1]), ("lucas_sweep", rec, m)
+    assert list(islice(binet_sweep(rec), reach)) == seq[:reach], ("binet_sweep", rec)
 
 
 @pytest.mark.parametrize("k", [1, 2, 10])
@@ -72,6 +90,56 @@ def test_lucas_pair_rejects_mixed_modes_and_negative_index():
             lucas_pair(P, Q, n)
     with pytest.raises(ValueError):
         lucas_pair(3, 1, -1)
+
+
+def test_lucas_sweep_rejects_mixed_modes_at_the_first_read():
+    # the first two pairs take no doubling step, so only the entry check can
+    # catch it
+    for P, Q in ((K, 1), (3, K)):
+        sweep = lucas_sweep(P, Q)
+        with pytest.raises(ModeMismatchError):
+            next(sweep)
+
+
+def _spy_on_the_doubling_loop(monkeypatch):
+    """Replace the one doubling loop with a copy that records how many steps
+    each call takes."""
+    steps = []
+    doubling = sequences._doubling
+
+    def spy(P, Q, u, v, bits):
+        steps.append(len(bits))
+        return doubling(P, Q, u, v, bits)
+
+    monkeypatch.setattr(sequences, "_doubling", spy)
+    return steps
+
+
+def test_a_sweep_takes_one_doubling_step_per_pair(monkeypatch):
+    steps = _spy_on_the_doubling_loop(monkeypatch)
+    for count in (0, 1, 2, 3, 4, 64, 65, 300):
+        steps.clear()
+        list(islice(lucas_sweep(3, -1), count))
+        assert sum(steps) == max(count - 2, 0), count
+        assert set(steps) <= {1}
+    # a single n pays one step per bit after the leading one
+    steps.clear()
+    lucas_pair(3, -1, 300)
+    assert steps == [8]
+
+
+def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch):
+    """Every Binet claim of the audit walks a sweep: no point starts a fresh
+    O(log n) pass through the single-n lucas_pair."""
+    def forbidden(*args):
+        raise AssertionError("the audit called the single-n lucas_pair")
+
+    for module in (sequences, closedform):
+        monkeypatch.setattr(module, "lucas_pair", forbidden)
+    steps = _spy_on_the_doubling_loop(monkeypatch)
+    report = run_audit(k_min=1, k_max=5, n_max=12)
+    assert report.counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
+    assert steps and set(steps) == {1}
 
 
 @settings(max_examples=150, deadline=None)
