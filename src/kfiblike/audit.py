@@ -35,38 +35,42 @@ far as any claim reads it:
   fixture's k outside the run's k range, where no sweep reads);
 * M at each k, from :func:`~kfiblike.sequences.iter_terms`: M(0) .. M(2 n_max),
   since C07 reads M(2n), and at least M(0) .. M(5), which C25 reads at
-  symbolic k; C09 and C10 read it too;
+  symbolic k; C05, C06, C09 and C10 read it too;
 * the transform recurrences, and the prefixes of those and of F, n <= n_max.
 
 At symbolic k, sym_n takes the place of n_max.  Each list is read from its
 stream in one go, and the stream is dropped then, so no generator stays open
-from one claim to the next.  A lemma gets all four kinds' lists at its k, so
-only the lemma functions of :mod:`~kfiblike.transforms` say which terms they
-read.
+from one claim to the next.  The lemmas C07 and C08 go through the lemma
+functions of :mod:`~kfiblike.transforms`, which get all four kinds' lists at
+their k, so only those functions say which terms they read.
 
 A sweep builds each claim's row once per k from these: it fetches the lists
 and the recurrence of that (kind, k) it needs, opens the Binet sweep or
 expands the generating-function series it compares, and computes C10's
 running alternating sums of M, one subtraction per n.  The point loop is then
-list indexing plus the compared computation itself, such as a lemma
-right-hand side.  A Binet claim reads its values at ascending n from its own
-sweep over the run's recurrence, :func:`~kfiblike.closedform.binet_sweep`
-(C19-C22, C26) or :func:`~kfiblike.closedform.published_binet_sweep`
-(C11-C14), so each value costs one Lucas doubling step from the pair of U at
-half its index, not a fresh pass of log2 n steps.  The values of C11-C18
-(the published Binet forms and generating functions), C19-C22 and C26 (the
-exact Binet form) are not shared: each claim keeps its own sweep or series
-per (kind, k) and computes its own.  C15-C18 compare the printed series with
-the recurrence prefix, so a fault in :func:`~kfiblike.genfunc.gf_expand`
-shows.  A claim still compares two independent routes; a value shared
-between claims means a broken route shows in every claim that reads it.  The
-run and its lists end with :func:`run_audit`; the config and the report are
-plain values.  Claims C01-C22 are each one sweep over the run.
+list indexing plus the compared computation itself.  C05 and C06 take their
+right-hand sums from the run's M and one Pascal row per (claim, k), made from
+the row before at each n, and their left sides from the direct sums, so the
+two sides share no route.  A Binet claim reads its values at ascending n from
+its own sweep over the run's recurrence,
+:func:`~kfiblike.closedform.binet_sweep` (C19-C22, C26) or
+:func:`~kfiblike.closedform.published_binet_sweep` (C11-C14), so each value
+costs one Lucas doubling step from the pair of U at half its index, not a
+fresh pass of log2 n steps.  The values of C11-C18 (the published Binet forms
+and generating functions), C19-C22 and C26 (the exact Binet form) are not
+shared: each claim keeps its own sweep or series per (kind, k) and computes
+its own.  C15-C18 compare the printed series with the recurrence prefix, so a
+fault in :func:`~kfiblike.genfunc.gf_expand` shows.  A claim still compares
+two independent routes; a value shared between claims means a broken route
+shows in every claim that reads it.  The run and its lists end with
+:func:`run_audit`; the config and the report are plain values.  Claims
+C01-C22 are each one sweep over the run.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from enum import Enum
@@ -76,7 +80,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .closedform import binet_float, binet_sweep, published_binet_sweep
 from .genfunc import gf_expand, published_gf
-from .ring import K, KPoly, RingElem, elem_str
+from .ring import K, KPoly, RingElem, elem_str, zero_like
 from .sequences import (
     _halved_alternating_sums,
     _m_from_f_terms,
@@ -89,8 +93,6 @@ from .transforms import (
     KIND_ORDER,
     DirectRoute,
     TransformKind,
-    binomial_diff_identity,
-    falling_diff_identity,
     iter_direct,
     rising_even_index,
     transform_recurrence,
@@ -112,10 +114,11 @@ FLOAT_N_CAP = 40
 # to runs of at most 1/100 of the ceiling.  Runs just under it, without the
 # symbolic leg, took 36-46 s: n_max = 1160 at k = 1..10 38 s, n_max = 3162 at
 # k = 1 46 s, n_max = 2 at k = 1..46000 36 s (and 381 MB), n_max = 108 at
-# k = 10^800 45 s.  The 150 was fitted while each Binet value took a Lucas
-# doubling pass of log2 n steps; since they take one step each it is an upper
-# bound, kept so that the admitted and refused ranges stay the same.  The
-# default range (1.5e5) takes about 45-60 ms in process.
+# k = 10^800 45 s.  Two terms are upper bounds now, kept so that the admitted
+# and refused ranges stay the same: the 150 was fitted while each Binet value
+# took log2 n Lucas doubling steps (now one), and n_max^2 * W / 10^6 while
+# C05/C06 took each C(n, i) by a big-int division (now one addition in a
+# Pascal row).  The default range (1.5e5) takes about 40-65 ms in process.
 AUDIT_WORK_CEILING = 6 * 10**7
 _KARATSUBA = Decimal("1.585")  # log2(3)
 _WORK_CONTEXT = Context(prec=8, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -475,6 +478,34 @@ def _identity_pair(lemma: Callable[..., Tuple[RingElem, RingElem]]) -> _Row:
     return row
 
 
+def _difference_lemma(kind: TransformKind) -> _Row:
+    """C05's or C06's pair: b(n+1) - b(n) or f(n+1) - k f(n) from the run's
+    direct sums, and the sum of C(n,i) M(i+1), weighted by k^(n-i) through
+    Horner's rule for C06, over the run's M and a Pascal row made from the
+    one before."""
+    falling = kind is TransformKind.FALLING_K
+
+    def row(run: _Run, k: RingElem):
+        direct, ms, zero = run.direct(kind, k), run.m(k), zero_like(k)
+        mul = KPoly.scale if isinstance(k, KPoly) else operator.mul
+        c: List[int] = []
+
+        def pair(n: int):
+            nonlocal c
+            c = [1, *map(operator.add, c, c[1:]), 1] if c else [1]
+            products = map(mul, ms[1:n + 2], c)
+            if not falling:
+                return direct[n + 1] - direct[n], sum(products, zero)
+            acc = zero
+            for term in products:
+                acc = acc * k + term
+            return direct[n + 1] - k * direct[n], acc
+
+        return pair
+
+    return row
+
+
 def _rising_even_index(run: _Run, k: RingElem):
     """C07's pair: M(2n) read from the run's prefix of M."""
     direct, ms = _direct_route(run, k), run.m(k)
@@ -600,14 +631,14 @@ def claim_registry() -> List[Claim]:
         description="difference lemma for the binomial transform",
         citation="b(n+1) - b(n) = sum_i C(n,i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(binomial_diff_identity)),
+        checker=_sweep(_difference_lemma(TransformKind.BINOMIAL)),
     ))
     claims.append(Claim(
         id="C06",
         description="difference lemma for the falling k-binomial transform",
         citation="f(n+1) - k f(n) = sum_i C(n,i) k^(n-i) M(i+1)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(falling_diff_identity)),
+        checker=_sweep(_difference_lemma(TransformKind.FALLING_K)),
     ))
     claims.append(Claim(
         id="C07",

@@ -24,13 +24,15 @@ a private kernel: it steps M's recurrence inline, takes C(n,i) from the exact
 multiplicative rule, and applies k^(n-i) by Horner's rule and k^i by a
 running power.  A whole prefix comes from :func:`iter_direct`, which yields
 term after term from Euler's difference table of M, one ring addition per
-cell and no binomial coefficient.  The lemma right-hand sides stay on the
-multiplicative kernel, so a lemma checked against the audit's prefixes
-compares two algorithms rather than restating Pascal's rule.  The module
-keeps no state between calls; a caller that reuses values (the audit) keeps
-its own table.  Weight
-domain is k >= 1 (or symbolic k), so the degenerate k = 0 branch some
-published definitions carry is deliberately out of scope.
+cell and no binomial coefficient.  The lemma functions' right-hand sides
+stay on the multiplicative kernel, so a lemma checked against a prefix from
+the difference table compares two algorithms rather than restating it.  The
+audit does not run this kernel: its C05/C06 right-hand sides are the same
+sums over its own prefix of M and one Pascal row per n, and their left sides
+come from :func:`iter_direct`.  The module keeps no state between calls; a
+caller that reuses values (the audit) keeps its own table.  Weight domain is
+k >= 1 (or symbolic k), so the degenerate k = 0 branch some published
+definitions carry is deliberately out of scope.
 """
 
 from __future__ import annotations

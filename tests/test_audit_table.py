@@ -7,6 +7,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kfiblike import audit, closedform, genfunc, sequences, transforms
 from kfiblike.audit import Counterexample, Verdict, run_audit
@@ -16,6 +17,8 @@ from kfiblike.sequences import iter_terms, k_fib, modified_k_fib, terms
 from kfiblike.transforms import (
     KIND_ORDER,
     TransformKind,
+    binomial_diff_identity,
+    falling_diff_identity,
     iter_direct,
     transform_direct,
     transform_recurrence,
@@ -132,54 +135,78 @@ def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch
     }
 
 
-def test_broken_m_prefix_fails_exactly_the_claims_that_read_it(monkeypatch):
-    """M(2 BAD_N) off by 2 (so the alternating sums stay even): C07 reads it as
-    M(2n) at n = BAD_N, C09 as M(n) and C10 in every alternating sum from
-    n = 2 BAD_N on; the direct sums step M on their own and see nothing."""
-    healthy = run_audit(**RANGE)
-    bad = 2 * BAD_N
-    assert bad <= RANGE["n_max"]
+def _break_m(monkeypatch, rec, bad, delta):
+    """M(bad) of ``rec``'s stream off by ``delta``, as the audit reads it."""
+    def broken(r):
+        for n, value in enumerate(iter_terms(r)):
+            yield value + delta if r == rec and n == bad else value
+
+    monkeypatch.setattr(audit, "iter_terms", broken)
+
+
+def _lemmas_off_by(k, n, delta):
+    """C05's and C06's counterexamples at (k, n) when M(n+1) is off by delta:
+    it enters both right sides with weight C(n,n) k^0 = 1."""
+    symbolic = isinstance(k, KPoly)
+    return {cid: (Verdict.FAIL, (Counterexample(
+        k="k" if symbolic else k, n=n, expected=elem_str(lhs), got=elem_str(rhs + delta),
+        label="symbolic" if symbolic else ""),)) for cid, (lhs, rhs) in (
+            ("C05", binomial_diff_identity(k, n)), ("C06", falling_diff_identity(k, n)))}
+
+
+def _m_fault_footprint(bad):
+    """M(bad) at BAD_K off by 2 (so the alternating sums stay even): C05 and
+    C06 read it as M(n+1) at n = bad - 1, C09 as M(n) and C10 in every
+    alternating sum from n = bad on, and C07, which reads M(2n), only at an
+    even index; the direct sums step M on their own and see nothing."""
     bad_rec = modified_k_fib(BAD_K)
     m_bad = terms(bad_rec, bad + 1)[bad]
     f_bad = terms(k_fib(BAD_K), bad + 1)[bad]
-    rising = transform_direct(TransformKind.RISING_K, BAD_K, BAD_N)
-
-    def broken(rec):
-        for n, value in enumerate(iter_terms(rec)):
-            yield value + 2 if rec == bad_rec and n == bad else value
-
-    monkeypatch.setattr(audit, "iter_terms", broken)
-    changed = _changed(run_audit(**RANGE), healthy)
-    assert changed == {
-        "C07": (Verdict.FAIL, _ce(rising, m_bad + 2)),   # rising even-index lemma
+    footprint = {
+        **_lemmas_off_by(BAD_K, bad - 1, 2),
         "C09": (Verdict.FAIL, (Counterexample(            # M from F
             k=BAD_K, n=bad, expected=str(m_bad + 2), got=str(m_bad)),)),
         "C10": (Verdict.FAIL, (Counterexample(            # F from M's alternating sums
             k=BAD_K, n=bad, expected=str(f_bad), got=str(f_bad + 1)),)),
     }
+    if bad % 2 == 0:                                      # rising even-index lemma
+        rising = transform_direct(TransformKind.RISING_K, BAD_K, bad // 2)
+        footprint["C07"] = (Verdict.FAIL, (Counterexample(
+            k=BAD_K, n=bad // 2, expected=str(rising), got=str(m_bad + 2)),))
+    return footprint
+
+
+def test_broken_m_prefix_fails_exactly_the_claims_that_read_it(monkeypatch):
+    healthy = run_audit(**RANGE)
+    for bad, footprint in ((2 * BAD_N, {"C05", "C06", "C07", "C09", "C10"}),
+                           (2 * BAD_N - 3, {"C05", "C06", "C09", "C10"})):
+        assert bad <= RANGE["n_max"]
+        _break_m(monkeypatch, modified_k_fib(BAD_K), bad, 2)
+        changed = _changed(run_audit(**RANGE), healthy)
+        assert set(changed) == footprint
+        assert changed == _m_fault_footprint(bad)
 
 
 def test_broken_symbolic_m_prefix_fails_the_published_m_polys_too(monkeypatch):
-    """Symbolic M(4) off by 2: the symbolic legs of C07, C09 and C10 fail, and
-    C25, which reads the same list, reports its printed M(k, 4) as wrong."""
+    """Symbolic M(4) off by 2: the symbolic legs of C05, C06, C07, C09 and C10
+    fail, and C25, which reads the same list, reports its printed M(k, 4) as
+    wrong."""
     healthy = run_audit(**RANGE)
     sym_rec = modified_k_fib(K)
     ms = terms(sym_rec, 5)
     f4 = terms(k_fib(K), 5)[4]
     rising = transform_direct(TransformKind.RISING_K, K, 2)
-    bad_m4 = ms[4] + KPoly((2,))
-
-    def broken(rec):
-        for n, value in enumerate(iter_terms(rec)):
-            yield value + KPoly((2,)) if rec == sym_rec and n == 4 else value
+    two = KPoly((2,))
+    bad_m4 = ms[4] + two
 
     def symbolic(n, expected, got):
         return (Counterexample(k="k", n=n, expected=elem_str(expected), got=elem_str(got),
                                label="symbolic"),)
 
-    monkeypatch.setattr(audit, "iter_terms", broken)
+    _break_m(monkeypatch, sym_rec, 4, two)
     changed = _changed(run_audit(**RANGE), healthy)
     assert changed == {
+        **_lemmas_off_by(K, 3, two),
         "C07": (Verdict.FAIL, symbolic(2, rising, bad_m4)),
         "C09": (Verdict.FAIL, symbolic(4, bad_m4, ms[4])),
         "C10": (Verdict.FAIL, symbolic(4, f4, f4 + KPoly((1,)))),
@@ -325,10 +352,14 @@ def test_table_does_not_leak_between_runs():
 
 
 def test_lemma_right_sides_stay_apart_from_the_direct_prefixes(monkeypatch):
-    """C05/C06 take their right sides from the multiplicative C(n,i) kernel and
-    their left sides from the run's difference-table prefixes: a fault in the
-    kernel fails the two lemmas and no claim that reads only the prefixes."""
+    """C05/C06 take their left sides from the run's difference-table prefixes
+    and their right sides from Pascal rows over the run's M (pinned by the
+    M-prefix faults above).  The multiplicative C(n,i) kernel that
+    transform_direct and the library's lemma functions use is no audit
+    route: a fault in it changes no claim, yet still breaks those functions."""
     healthy = run_audit(**RANGE)
+    lemmas = (binomial_diff_identity, falling_diff_identity)
+    truths = [lemma(BAD_K, n) for lemma in lemmas for n in (2, 3)]
     weighted_sum = transforms._weighted_sum
 
     def off_by_one(kind, k, n, x0, x1):
@@ -336,13 +367,62 @@ def test_lemma_right_sides_stay_apart_from_the_direct_prefixes(monkeypatch):
         return value + 1 if n >= 3 else value
 
     monkeypatch.setattr(transforms, "_weighted_sum", off_by_one)
-    broken = run_audit(**RANGE)
-    assert set(_changed(broken, healthy)) == {"C05", "C06"}
-    for cid in ("C05", "C06"):
-        assert broken.result(cid).verdict is Verdict.FAIL
-        assert broken.result(cid).counterexamples[0].n == 3
-    for cid in ("C01", "C02", "C03", "C04"):
-        assert broken.result(cid).verdict is Verdict.PASS
+    assert _changed(run_audit(**RANGE), healthy) == {}
+    # transform_direct, the lemmas' default left-side route, runs the kernel
+    # too: terms 3 and 4 are off by one, and so is each right side at n = 3
+    (b2, b2r), (b3, b3r), (f2, f2r), (f3, f3r) = truths
+    assert [lemma(BAD_K, n) for lemma in lemmas for n in (2, 3)] == [
+        (b2 + 1, b2r), (b3, b3r + 1), (f2 + 1, f2r), (f3 + 1 - BAD_K, f3r + 1)]
+
+
+# the ranges whose audit bytes a change to the audit's kernels must keep
+REPORT_RANGES = (
+    {}, dict(n_max=2), dict(n_max=5), dict(n_max=128), dict(k_min=6, k_max=10),
+    dict(symbolic=False), dict(k_min=3, k_max=3, n_max=2), dict(k_min=2, k_max=4, n_max=20),
+    dict(k_min=1, k_max=1, n_max=3),
+)
+
+
+@pytest.mark.parametrize("rng", REPORT_RANGES, ids=lambda rng: str(rng) if rng else "default")
+def test_pascal_row_lemmas_report_as_the_multiplicative_kernel_did(monkeypatch, rng):
+    """C05/C06 over Pascal rows and the run's M give the report bytes that the
+    lemma functions' multiplicative kernel gave when it ran their right sides."""
+    report = run_audit(**rng)
+    registry = audit.claim_registry
+    kernel = {"C05": audit._sweep(audit._identity_pair(binomial_diff_identity)),
+              "C06": audit._sweep(audit._identity_pair(falling_diff_identity))}
+    monkeypatch.setattr(audit, "claim_registry", lambda: [
+        dataclasses.replace(c, checker=kernel.get(c.id, c.checker)) for c in registry()])
+    multiplicative = run_audit(**rng)
+    assert report.to_text() == multiplicative.to_text()
+    assert report.to_jsonl() == multiplicative.to_jsonl()
+
+
+def _assert_lemma_rows_match(k, n):
+    """Both C05/C06 rows at k, read at 0..n, give the lemma functions' pairs."""
+    numeric = not isinstance(k, KPoly)
+    run = audit._Run(audit.AuditConfig(k_min=k if numeric else 1, k_max=k if numeric else 1,
+                                       n_max=max(n, 2)))
+    for kind, lemma in ((TransformKind.BINOMIAL, binomial_diff_identity),
+                        (TransformKind.FALLING_K, falling_diff_identity)):
+        pair = audit._difference_lemma(kind)(run, k)
+        assert [pair(i) for i in range(n + 1)] == [lemma(k, i) for i in range(n + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(min_value=1, max_value=10**4), n=st.integers(min_value=0, max_value=80))
+def test_lemma_rows_equal_the_lemma_functions(k, n):
+    _assert_lemma_rows_match(k, n)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(min_value=0, max_value=16))
+def test_symbolic_lemma_rows_equal_the_lemma_functions(n):
+    _assert_lemma_rows_match(K, n)
+
+
+def test_lemma_rows_equal_the_lemma_functions_at_n_256():
+    _assert_lemma_rows_match(10, 256)
 
 
 def test_jsonl_is_the_same_at_the_range_edges():
