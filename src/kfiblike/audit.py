@@ -25,8 +25,8 @@ byte-identical for identical parameters.
 
 Each :func:`run_audit` call builds one private run that holds the config and
 the route values claims share.  Each is built once, in full, on first use, and
-held per (kind, k), per k or per recurrence as a plain list that reaches as
-far as any claim reads it:
+held per (kind, k) or per k as a plain list that reaches as far as any
+claim reads it:
 
 * the direct sums of each kind and k, from the difference table of
   :func:`~kfiblike.transforms.iter_direct`: n <= n_max + 1, since C05/C06
@@ -197,8 +197,9 @@ class _Run:
             iter_direct(kind, k), max(count(k) + 1, _TABLE_LEN))))
         self.m = cache(lambda k: list(islice(
             iter_terms(modified_k_fib(k)), max(2 * count(k) - 1, _M_POLYS_LEN))))
-        self.recurrence = cache(transform_recurrence)
-        self.prefix = cache(lambda rec, k: terms(rec, count(k)))
+        self.recurrence = recurrence = cache(transform_recurrence)
+        self.prefix = cache(lambda kind, k: terms(recurrence(kind, k), count(k)))
+        self.f = cache(lambda k: terms(k_fib(k), count(k)))
 
 
 def _count(cfg: AuditConfig, k: RingElem) -> int:
@@ -457,7 +458,7 @@ def _sweep(row: _Row, n_start: int = 0) -> Callable[[_Run], List[Counterexample]
 def _direct_vs_recurrence(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
         direct = run.direct(kind, k)
-        rec = run.prefix(run.recurrence(kind, k), k)
+        rec = run.prefix(kind, k)
         return lambda n: (direct[n], rec[n])
 
     return row
@@ -513,12 +514,12 @@ def _rising_even_index(run: _Run, k: RingElem):
 
 
 def _m_from_f(run: _Run, k: RingElem):
-    ms, fs = run.m(k), run.prefix(k_fib(k), k)
+    ms, fs = run.m(k), run.f(k)
     return lambda n: (ms[n], _m_from_f_terms(fs, n))
 
 
 def _f_from_m(run: _Run, k: RingElem):
-    fs = run.prefix(k_fib(k), k)
+    fs = run.f(k)
     halves = list(_halved_alternating_sums(run.m(k)[:run.count(k)]))
     return lambda n: (fs[n], halves[n])
 
@@ -534,7 +535,7 @@ def _published_binet(kind: TransformKind) -> _Row:
 
 def _published_gf(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
-        derived = run.prefix(run.recurrence(kind, k), k)
+        derived = run.prefix(kind, k)
         printed = gf_expand(published_gf(kind, k), run.count(k))
         return lambda n: (derived[n], printed[n])
 
@@ -543,8 +544,7 @@ def _published_gf(kind: TransformKind) -> _Row:
 
 def _exact_binet(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
-        rec = run.recurrence(kind, k)
-        values, closed = run.prefix(rec, k), binet_sweep(rec)
+        values, closed = run.prefix(kind, k), binet_sweep(run.recurrence(kind, k))
         return lambda n: (values[n], next(closed))
 
     return row

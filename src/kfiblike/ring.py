@@ -15,12 +15,12 @@ integral, and the single 1/2 factor that occurs is handled by
 ``KPoly`` arithmetic is the cost of every symbolic check.  Ring results
 are trusted (trimmed, not re-validated) and built without ``__init__``,
 their one slot filled through its descriptor.  A product is one whole-row
-pass over the longer operand per nonzero coefficient of the shorter one,
-or, when both operands are dense, one big-int product by Kronecker
-substitution (Schoenhage 1982; Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", 2009).  A dense square ``p * p``,
-as in the Lucas doubling and :func:`ipow`, packs ``p`` once and squares the
-int.
+pass over the longer operand per nonzero coefficient of the shorter one.
+A whole single value (``sequences.lucas_pair``, the direct sum of
+``transforms``, :func:`ipow`) is instead computed on ints at k = 256**w and
+read back once by :meth:`KPoly.from_kronecker`: Kronecker substitution
+(Schoenhage 1982; Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", 2009).
 
 ``int`` is the numeric result type of every library function.  Its decimal
 output goes through exact ``decimal.Decimal`` arithmetic, in one context
@@ -105,18 +105,14 @@ class KPoly(Frozen):
 
     Ring results skip the public constructor's per-coefficient type check
     and are only trimmed.  ``*`` makes one whole-row pass over the longer
-    operand for each nonzero coefficient c of the shorter (over the sparser
-    one instead when the shorter has ``_KRONECKER_MIN_TERMS`` or more
-    nonzero coefficients), in C (``map``), never a Python loop over the
-    row: the first c places its row at its degree (the operand itself when
-    c is 1, else c times it), and each later c adds its row in.  So
-    ``k**i * x``, for an ``x`` at least as long, is one copy of ``x``, and
-    ``(k + 2) * x`` two passes.  A row shorter than ``_ROW_PASS_MIN_LEN`` is
-    multiplied in a Python loop instead, and two operands with
-    ``_KRONECKER_MIN_TERMS`` or more nonzero coefficients each go through
-    :func:`_kronecker_mul`.  For a square (both operands the same
-    coefficient tuple) the zeros are counted once and the operand is packed
-    once.
+    operand (the right one, at equal lengths) for each nonzero coefficient
+    c of the other, in C (``map``), never a Python loop over the row: the
+    first c places its row at its degree (the operand itself when c is 1,
+    else c times it), and each later c adds its row in.  So ``k**i * x``,
+    for an ``x`` at least as long, is one copy of ``x``, and ``(k + 2) * x``
+    two passes.  A row shorter than ``_ROW_PASS_MIN_LEN`` is multiplied in
+    a Python loop instead.  There is no per-product Kronecker path: the
+    dense products it served, the Lucas doubling's, run on ints instead.
     """
 
     _fields = __slots__ = ("coeffs",)
@@ -155,6 +151,28 @@ class KPoly(Frozen):
             acc = acc * value + c
         return acc
 
+    def norm(self) -> int:
+        """The l1 norm: the sum of the coefficients' magnitudes."""
+        return sum(map(abs, self.coeffs))
+
+    @staticmethod
+    def from_kronecker(value: int, width: int) -> "KPoly":
+        """The KPoly whose value at k = 256**width is ``value``, read back as
+        balanced base-256**width digits: each coefficient must lie in
+        [-2**(8*width - 1), 2**(8*width - 1)), as :func:`kronecker_width`
+        makes sure."""
+        size = (value.bit_length() // (8 * width) + 1) * width
+        buf = value.to_bytes(size, "little", signed=True)
+        half = 1 << (8 * width - 1)
+        full = half << 1
+        out = []
+        borrow = 0
+        for i in range(0, size, width):
+            c = int.from_bytes(buf[i:i + width], "little") + borrow
+            borrow = c >= half
+            out.append(c - full if borrow else c)
+        return KPoly._trusted(out)
+
     def scale(self, c: int) -> "KPoly":
         """Multiply by an integer scalar."""
         if not isinstance(c, int):
@@ -192,13 +210,6 @@ class KPoly(Frozen):
         if not a or not b:
             return KPoly._trusted([])
         if len(a) > len(b):
-            a, b = b, a
-        # Zeros are counted only where they can change the path: a's when a
-        # is long enough for Kronecker, b's when a has enough nonzero
-        # coefficients for it and b is not a itself (a square).
-        if len(a) >= _KRONECKER_MIN_TERMS and len(a) - a.count(0) >= _KRONECKER_MIN_TERMS:
-            if a is b or len(b) - b.count(0) >= _KRONECKER_MIN_TERMS:
-                return KPoly._trusted(_kronecker_mul(a, b))
             a, b = b, a
         nb = len(b)
         if nb < _ROW_PASS_MIN_LEN:
@@ -265,59 +276,16 @@ class KPoly(Frozen):
 _new = object.__new__
 _set_coeffs = KPoly.coeffs.__set__
 
-# Both operands of a product need at least this many nonzero coefficients
-# before one big-int product beats the row passes.  Such products are
-# the squarings and cross products of the Lucas doubling (term_fast,
-# binet_closed) at symbolic k.
-_KRONECKER_MIN_TERMS = 16
-
 # A row shorter than this is cheaper to multiply in a Python loop than to
 # set up the row passes for, at the small coefficients of the audit's
 # symbolic leg.
 _ROW_PASS_MIN_LEN = 16
 
 
-def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...]) -> List[int]:
-    """Coefficients of the product of two nonzero coefficient tuples.
-
-    Kronecker substitution (Schoenhage 1982; Harvey, "Faster polynomial
-    multiplication via multipoint Kronecker substitution", 2009): evaluate
-    both polynomials at k = 256**width, multiply the two ints, and read the
-    product's coefficients back from its base-256**width digits.  Every
-    product coefficient has magnitude below 2**(8*width - 1), so a slot
-    holds it with its sign.  When ``a`` is ``b`` the product is a square:
-    its operand is packed once and squared, which CPython does faster than
-    a product of two ints.
-    """
-    square = a is b
-    a_bits = max(map(abs, a)).bit_length()
-    b_bits = a_bits if square else max(map(abs, b)).bit_length()
-    width = (a_bits + b_bits + min(len(a), len(b)).bit_length() + 8) // 8
-    size = width * (len(a) + len(b) - 1)
-    x = _pack(a, width)
-    prod = x * x if square else x * _pack(b, width)
-    buf = prod.to_bytes(size, "little", signed=True)
-    half = 1 << (8 * width - 1)
-    full = half << 1
-    out = []
-    borrow = 0
-    for i in range(0, size, width):
-        c = int.from_bytes(buf[i:i + width], "little") + borrow
-        borrow = c >= half
-        out.append(c - full if borrow else c)
-    return out
-
-
-def _pack(a: Tuple[int, ...], width: int) -> int:
-    """The value of ``a`` at k = 256**width, each |coefficient| < 256**width."""
-    zero = bytes(width)
-    pos = int.from_bytes(b"".join(c.to_bytes(width, "little") if c > 0 else zero
-                                  for c in a), "little")
-    if min(a) >= 0:
-        return pos
-    neg = int.from_bytes(b"".join((-c).to_bytes(width, "little") if c < 0 else zero
-                                  for c in a), "little")
-    return pos - neg
+def kronecker_width(bound: int) -> int:
+    """The fewest bytes w whose slot at k = 256**w holds, with its sign, every
+    coefficient of magnitude at most ``bound``: 2**(8w - 1) > bound."""
+    return (bound.bit_length() + 8) // 8
 
 
 #: The indeterminate itself: pass this as k to run any computation symbolically.
@@ -358,21 +326,14 @@ def one_like(template: RingElem) -> RingElem:
 
 
 def ipow(x: RingElem, e: int) -> RingElem:
-    """x**e for a non-negative integer exponent, either mode."""
+    """x**e for a non-negative integer exponent, either mode; a KPoly power
+    is one int power at k = 256**w, since ||x**e|| <= ||x||**e in the l1 norm."""
     if e < 0:
         raise ValueError("exponent must be >= 0")
     if isinstance(x, int):
         return x**e
-    acc = KPoly.constant(1)
-    base = x
-    n = e
-    while n:
-        if n & 1:
-            acc = acc * base
-        n >>= 1
-        if n:
-            base = base * base
-    return acc
+    width = kronecker_width(x.norm() ** e)
+    return KPoly.from_kronecker(x.evaluate(256**width) ** e, width)
 
 
 def exact_div_int(x: RingElem, d: int) -> RingElem:

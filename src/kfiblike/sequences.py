@@ -9,8 +9,9 @@ the four transform recurrences reuse the same machinery.
 ``terms``/``iter_terms`` are the deliberately simple ground truth.  The
 logarithmic path is Lucas doubling, one loop of three identities that makes
 the pair (U(m), U(m+1)) from the pair at m >> 1 in one step.  Two entry
-points read it: :func:`lucas_pair` walks the bits of one n, O(log n) steps,
-for :func:`term_fast` here and the single-n Binet forms in ``closedform``;
+points read it: :func:`lucas_pair` walks the bits of one n, O(log n) steps
+(on ints at one Kronecker point when P and Q are symbolic), for
+:func:`term_fast` here and the single-n Binet forms in ``closedform``;
 :func:`lucas_sweep` yields every m in turn, one step per m, for the audit's
 Binet sweeps.  Neither uses the plain U recurrence, and neither is used
 implicitly, so cross-checks against iteration stay meaningful.
@@ -24,9 +25,11 @@ from typing import Iterable, Iterator, List, Tuple
 
 from .ring import (
     Frozen,
+    KPoly,
     RingElem,
     const_like,
     exact_div_int,
+    kronecker_width,
     one_like,
     require_same_mode,
     scale,
@@ -98,15 +101,25 @@ def lucas_pair(P: RingElem, Q: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(U(n), U(n+1)) of the Lucas sequence U0 = 0, U1 = 1, U(m+1) = P*U(m) - Q*U(m-1).
 
     Left-to-right doubling over the bits of n after the leading one, from
-    (U(1), U(2)) = (1, P): one :func:`_doubling` pass, O(log n) ring
-    products.  The mode is checked once, here.
+    (U(1), U(2)) = (1, P): one :func:`_doubling` pass, O(log n) products.
+    The mode is checked once, here.  Symbolic P and Q run the pass on ints at
+    k = 256**w, and the pair is read back once.  ||U(m+1)|| <= ||P|| ||U(m)||
+    + ||Q|| ||U(m-1)|| in the l1 norm, so the pass at (||P||, -||Q||) bounds
+    every coefficient, and fixes w.
     """
     require_same_mode(P, Q)
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
         return zero_like(P), one_like(P)
-    return _doubling(P, Q, one_like(P), P, bin(n)[3:])
+    bits = bin(n)[3:]
+    if isinstance(P, KPoly):
+        p = P.norm()
+        width = kronecker_width(max(_doubling(p, -Q.norm(), 1, p, bits)))
+        x = P.evaluate(256**width)
+        u, v = _doubling(x, Q.evaluate(256**width), 1, x, bits)
+        return KPoly.from_kronecker(u, width), KPoly.from_kronecker(v, width)
+    return _doubling(P, Q, 1, P, bits)
 
 
 def lucas_sweep(P: RingElem, Q: RingElem) -> Iterator[Tuple[RingElem, RingElem]]:

@@ -21,8 +21,10 @@ even-index lemma takes ``m=`` as well, the route it reads M(2n) from.
 The direct sums have two kernels, and the caller's shape picks one.  A single
 term, and each right-hand side of the difference lemmas, is one O(n) pass of
 a private kernel: it steps M's recurrence inline, takes C(n,i) from the exact
-multiplicative rule, and applies k^(n-i) by Horner's rule and k^i by a
-running power.  A whole prefix comes from :func:`iter_direct`, which yields
+multiplicative rule, and applies k^(n-i) by Horner's rule and k^i by
+stepping k^i M(i) in place of M(i).  It runs on ints: at symbolic k, once at
+k = 256**w, read back into a ``KPoly`` once (Kronecker substitution, see
+``ring``).  A whole prefix comes from :func:`iter_direct`, which yields
 term after term from Euler's difference table of M, one ring addition per
 cell and no binomial coefficient.  The lemma functions' right-hand sides
 stay on the multiplicative kernel, so a lemma checked against a prefix from
@@ -37,11 +39,10 @@ definitions carry is deliberately out of scope.
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 from typing import Callable, Iterator, List, Tuple
 
-from .ring import KPoly, RingElem, const_like, ipow, one_like, scale, zero_like
+from .ring import KPoly, RingElem, const_like, ipow, kronecker_width, one_like, scale
 from .sequences import Order2Rec, modified_k_fib, require_valid_k, term_iterative
 
 
@@ -87,25 +88,30 @@ def _weighted_sum(kind: TransformKind, k: RingElem, n: int,
     x runs M's recurrence inline from (x0, x1), never through ``Order2Rec``,
     so this route stays independent of :func:`transform_recurrence`.  C(n,i)
     follows the exact multiplicative rule, k^(n-i) is applied by Horner's
-    rule, k^i by a running power, and k^n once at the end.  The scalar
-    product of the mode is picked once, not dispatched per term.
+    rule, and k^n once at the end; for k^i, y(i) = k^i x(i) steps in place
+    of x, as y(i+1) = k^2 (y(i) + y(i-1)).  The loop runs on ints: a
+    symbolic sum runs at k = 256**w and is read back once.  It only adds and
+    multiplies, with C(n,i) >= 0, so the sum at the l1 norms of k, x0 and x1
+    bounds every coefficient, and fixes w.
     """
-    mul = KPoly.scale if isinstance(k, KPoly) else operator.mul
+    if isinstance(k, KPoly):
+        width = kronecker_width(_weighted_sum(kind, k.norm(), n, x0.norm(), x1.norm()))
+        point = 256**width
+        value = _weighted_sum(kind, k.evaluate(point), n, x0.evaluate(point), x1.evaluate(point))
+        return KPoly.from_kronecker(value, width)
     horner = kind is TransformKind.FALLING_K
-    power = one_like(k) if kind is TransformKind.RISING_K else None
-    acc = zero_like(k)
-    x, x_next = x0, x1
+    rising = kind is TransformKind.RISING_K
+    ksq = k * k
+    acc = 0
+    x, x_next = x0, k * x1 if rising else x1
     c = 1
     for i in range(n + 1):
-        term = mul(x, c)
-        if power is not None:
-            term = term * power
-            power = power * k
+        term = x * c
         acc = acc * k + term if horner else acc + term
-        x, x_next = x_next, k * x_next + x
+        x, x_next = x_next, ksq * (x_next + x) if rising else k * x_next + x
         c = c * (n - i) // (i + 1)
     if kind is TransformKind.K_BINOMIAL:
-        acc = acc * ipow(k, n)
+        acc = acc * k**n
     return acc
 
 

@@ -250,7 +250,7 @@ def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch):
     # one run recurrence per (kind, k), which the published Binet forms read too
     assert built["transform_recurrence"] <= len(KIND_ORDER) * ks
     assert built["modified_k_fib"] <= ks
-    assert built["k_fib"] <= 2 * ks           # C09 and C10 each look up F's prefix
+    assert built["k_fib"] <= ks               # F's prefix, shared by C09 and C10
 
 
 def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
@@ -278,7 +278,23 @@ def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
         reach[kind, k] = max(reach[kind, k], n)
     ks = (*range(RANGE["k_min"], RANGE["k_max"] + 1), K)  # sym_n is n_max here
     assert reach == {(kind, k): RANGE["n_max"] + 1 for kind in KIND_ORDER for k in ks}
-    assert prefix_calls and max(prefix_calls.values()) == 1
+    # one recurrence prefix per (kind, k) and one of F per k; the four kinds'
+    # recurrences are equal at k = 1, and each kind builds its own there
+    expected = Counter(transform_recurrence(kind, k) for kind in KIND_ORDER for k in ks)
+    expected.update(k_fib(k) for k in ks)
+    assert prefix_calls == expected
+
+
+def test_route_lists_are_not_keyed_by_recurrence_records(monkeypatch):
+    """The run's caches key a prefix by (kind, k), or F's by k, so no row
+    hashes a recurrence record: a Frozen hash builds a tuple per call."""
+    hashes = []
+    real = sequences.Order2Rec.__hash__
+    monkeypatch.setattr(sequences.Order2Rec, "__hash__",
+                        lambda self: hashes.append(1) or real(self))
+    report = run_audit(k_min=1, k_max=200, n_max=2, symbolic=False)
+    assert report.counts["FAIL"] == 0
+    assert not hashes
 
 
 def test_each_route_list_is_built_at_its_full_reach():

@@ -458,6 +458,24 @@ def test_bench_reports_mismatch_as_failure(capsys, monkeypatch):
     assert "VALUE MISMATCH" in out
 
 
+def test_bench_decimal_row_catches_one_wrong_digit(capsys, monkeypatch):
+    from kfiblike import cli as cli_mod
+
+    def one_digit_off(x):
+        text = elem_str(x)
+        mid = len(text) // 2
+        return text[:mid] + str((int(text[mid]) + 1) % 10) + text[mid + 1:]
+
+    monkeypatch.setattr(cli_mod, "elem_str", one_digit_off)
+    code, out, _ = run_cli(capsys, ["bench", "--k", "2", "--n", "90"])
+    assert code == 1
+    equal = {line.split()[1]: line.split()[-1] for line in out.splitlines()
+             if line.startswith("        90")}
+    assert equal == {"iterative": "ref", "lucas-doubling": "yes", "decimal": "NO",
+                     "direct-sum": "yes"}
+    assert out.endswith("VALUE MISMATCH between strategies\n")
+
+
 def test_large_value_prints_full_decimal(capsys):
     # values beyond CPython's default int-to-str guard must still print
     code, out, _ = run_cli(capsys, ["binet", "rising", "--k", "10", "--n", "2200", "--exact"])

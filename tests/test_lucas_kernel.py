@@ -12,12 +12,12 @@ power of two, where the loop gains a step.
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kfiblike import closedform, sequences
 from kfiblike.audit import run_audit
 from kfiblike.closedform import binet_closed, binet_sweep
-from kfiblike.ring import K, ModeMismatchError, one_like, zero_like
+from kfiblike.ring import K, KPoly, ModeMismatchError, one_like, zero_like
 from kfiblike.sequences import (
     k_fib,
     lucas_pair,
@@ -128,6 +128,25 @@ def test_a_sweep_takes_one_doubling_step_per_pair(monkeypatch):
     assert steps == [8]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_symbolic_single_values_run_the_doubling_loop_on_ints(monkeypatch, family):
+    """term_fast and binet_closed at symbolic k make no KPoly product inside
+    the doubling loop: it runs on ints at one point, twice (the bound, then
+    the value), and each result is read back once."""
+    rec = family_rec(family, K)
+    expected = terms(rec, 101)[100]
+    seen = []
+    doubling = sequences._doubling
+
+    def spy(P, Q, u, v, bits):
+        seen.append(type(P))
+        return doubling(P, Q, u, v, bits)
+
+    monkeypatch.setattr(sequences, "_doubling", spy)
+    assert term_fast(rec, 100) == binet_closed(rec, 100) == expected
+    assert seen == [int] * 4
+
+
 def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch):
     """Every Binet claim of the audit walks a sweep: no point starts a fresh
     O(log n) pass through the single-n lucas_pair."""
@@ -150,3 +169,25 @@ def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch):
 )
 def test_kernel_matches_iteration_property(family, k, n):
     assert_routes_match(family_rec(family, k), [n])
+
+
+# small or wide coefficients of either sign, and the zero polynomial
+_POLYS = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)),
+                  max_size=4).map(KPoly)
+
+
+@example(P=KPoly((1,)), Q=KPoly((1000,)), n=1)       # Q needs more than its slot
+@example(P=KPoly((1,)), Q=KPoly((0, 10**30)), n=2)
+@example(P=KPoly(()), Q=KPoly((-5, 2**80)), n=9)
+@example(P=KPoly((-(2**70), 1)), Q=KPoly(()), n=33)
+@settings(max_examples=150, deadline=None)
+@given(P=_POLYS, Q=_POLYS, n=st.integers(min_value=0, max_value=40))
+def test_symbolic_lucas_pair_matches_the_ring_ops_property(P, Q, n):
+    """A symbolic pair, evaluated at one point and read back, is the pair the
+    doubling loop makes on KPoly ring ops and the pair of the plain U loop."""
+    us = u_loop(P, Q, n + 2)
+    pair = lucas_pair(P, Q, n)
+    assert pair == (us[n], us[n + 1])
+    if n:
+        assert pair == sequences._doubling(P, Q, one_like(P), P, bin(n)[3:])
+

@@ -300,62 +300,6 @@ def _dense(n, sign=1, start=1):
     return [sign * (start + i) * (-1) ** i for i in range(n)]
 
 
-@pytest.mark.parametrize("na", (15, 16, 17))
-@pytest.mark.parametrize("nb", (15, 16, 17))
-def test_products_at_the_kronecker_threshold(monkeypatch, na, nb):
-    calls = []
-    real = ring._kronecker_mul
-    monkeypatch.setattr(ring, "_kronecker_mul", lambda a, b: calls.append(1) or real(a, b))
-    ca, cb = _dense(na, start=3), _dense(nb, sign=-1, start=10**20)
-    _assert_built_like_public(KPoly(ca) * KPoly(cb), _schoolbook(ca, cb))
-    assert len(calls) == (min(na, nb) >= ring._KRONECKER_MIN_TERMS)
-    # zeros do not count: spread 16 nonzero terms out and hide one
-    sparse = [0] * 40
-    for i in range(0, 32, 2):
-        sparse[i] = 2**70 + i
-    _assert_built_like_public(KPoly(sparse) * KPoly(cb), _schoolbook(sparse, cb))
-    sparse[0] = 0
-    calls.clear()
-    _assert_built_like_public(KPoly(sparse) * KPoly(cb), _schoolbook(sparse, cb))
-    assert not calls
-
-
-class _CountingTuple(tuple):
-    """Coefficients that record each ``count`` call made on them."""
-
-    def count(self, value):
-        self.calls.append(value)
-        return super().count(value)
-
-
-def _spied(cs):
-    p = object.__new__(KPoly)
-    coeffs = _CountingTuple(cs)
-    coeffs.calls = []
-    object.__setattr__(p, "coeffs", coeffs)
-    return p, coeffs.calls
-
-
-@pytest.mark.parametrize("short, long_, counts, kronecker", [
-    ([2, 1], _dense(40), (0, 0), False),                 # k + 2 times a long row
-    (_dense(15), _dense(40), (0, 0), False),             # shorter than the threshold
-    ([0] * 14 + _dense(15), _dense(40), (1, 0), False),  # long, too few nonzero terms
-    (_dense(16), _dense(40), (1, 1), True),              # both dense enough
-    (_dense(16), [0] * 39 + [7], (1, 1), False),         # the long row is sparse
-])
-def test_products_count_zeros_only_where_the_path_can_change(
-        monkeypatch, short, long_, counts, kronecker):
-    kron = []
-    real = ring._kronecker_mul
-    monkeypatch.setattr(ring, "_kronecker_mul", lambda a, b: kron.append(1) or real(a, b))
-    for swap in (False, True):
-        (a, a_calls), (b, b_calls) = _spied(short), _spied(long_)
-        product = b * a if swap else a * b
-        _assert_built_like_public(product, _schoolbook(short, long_))
-        assert (len(a_calls), len(b_calls)) == counts
-    assert len(kron) == 2 * kronecker
-
-
 @pytest.mark.parametrize("delta", (-1, 0, 1))
 def test_products_around_the_row_pass_length(delta):
     cb = _dense(ring._ROW_PASS_MIN_LEN + delta, start=2**64)
@@ -364,6 +308,8 @@ def test_products_around_the_row_pass_length(delta):
         _assert_built_like_public(KPoly(cb) * KPoly(ca), _schoolbook(ca, cb))
 
 
+# Coefficients at the edges of an m-byte slot, as a Kronecker read-back
+# would hold them, through the row passes and the short-row loop.
 @pytest.mark.parametrize("m", (1, 2, 3, 8))
 def test_products_around_a_slot_width(m):
     edges = [2**(8 * m - 1) - 1, 2**(8 * m - 1), 2**(8 * m)]
@@ -377,12 +323,12 @@ def test_products_around_a_slot_width(m):
                 for ca, cb in ((same, same), (same, mixed), (mixed, alternating),
                                (alternating, [y] * (n + 5)), (mixed, mixed)):
                     _assert_built_like_public(KPoly(ca) * KPoly(cb), _schoolbook(ca, cb))
-                # squares: one operand, packed once
+                # squares: one operand
                 for ca in (same, mixed, alternating):
                     p = KPoly(ca)
                     _assert_built_like_public(p * p, _schoolbook(ca, ca))
-    # 31 * 15 * (2**(8m-1) - 1) needs all but the top bit of its slot, and so
-    # do the middle coefficients of the squares of 31 and 32 equal terms
+    # long sums of products of edge values: the middle coefficients of these
+    # products and squares each add 31 or 32 of them
     for x in values:
         for ca, cb in (([x] * 31, [15] * 31), ([x] * 31, [-15] * 31)):
             _assert_built_like_public(KPoly(ca) * KPoly(cb), _schoolbook(ca, cb))
@@ -391,26 +337,43 @@ def test_products_around_a_slot_width(m):
             _assert_built_like_public(p * p, _schoolbook(ca, ca))
 
 
-def test_a_square_packs_its_operand_once(monkeypatch):
-    packs = []
-    real = ring._pack
-    monkeypatch.setattr(ring, "_pack", lambda a, width: packs.append(a) or real(a, width))
-    ca = _dense(20, start=2**40)
-    p, q = KPoly(ca), KPoly(ca)
-    _assert_built_like_public(p * p, _schoolbook(ca, ca))
-    assert len(packs) == 1
-    packs.clear()
-    _assert_built_like_public(p * q, _schoolbook(ca, ca))
-    assert len(packs) == 2
-    # a square counts its operand's zeros once
-    sq, counts = _spied(ca)
-    packs.clear()
-    _assert_built_like_public(sq * sq, _schoolbook(ca, ca))
-    assert counts == [0] and len(packs) == 1
-    # ipow squares its base the same way, and not past its top bit
-    packs.clear()
-    _assert_built_like_public(ring.ipow(p, 2), _schoolbook(ca, ca))
-    assert len(packs) == 1
+@pytest.mark.parametrize("m", (1, 2, 3, 8))
+def test_kronecker_read_back_at_the_slot_edges(m):
+    inside, edge = 2**(8 * m - 1) - 1, 2**(8 * m - 1)
+    assert ring.kronecker_width(inside) == m
+    assert ring.kronecker_width(edge) == ring.kronecker_width(2**(8 * m) - 1) == m + 1
+    values = [inside, edge, 2**(8 * m)]
+    values += [-v for v in values]
+    for x in values:
+        for y in values + [0, 1, -1]:
+            for cs in ([x], [y, x], [x, 0, 0, y], [x, y] * 5, [0, 0, x, -y, y, -x]):
+                p = KPoly(cs)
+                width = ring.kronecker_width(max(map(abs, cs)))
+                assert KPoly.from_kronecker(p.evaluate(256**width), width) == p, (cs, width)
+    # an m-byte slot holds -2**(8m-1) .. 2**(8m-1) - 1 and nothing past them
+    for cs in ([inside, -edge], [-edge, -edge], [-edge, inside, -1]):
+        p = KPoly(cs)
+        assert KPoly.from_kronecker(p.evaluate(256**m), m) == p
+    for cs in ([edge], [1, edge], [-edge - 1, 3]):
+        p = KPoly(cs)
+        assert KPoly.from_kronecker(p.evaluate(256**m), m) != p
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=st.lists(_WIDE_COEFFS, max_size=20), width=st.integers(1, 50))
+def test_kronecker_read_back_inverts_the_value_at_256_to_the_width_property(cs, width):
+    """Reading back the value at k = 256**w gives the polynomial whenever w
+    holds its coefficients, and ipow, one int power read back, is repeated
+    multiplication."""
+    p = KPoly(cs)
+    assert p.norm() == sum(map(abs, cs))
+    fits = ring.kronecker_width(max(map(abs, cs), default=0))
+    for w in (fits, fits + 1, max(fits, width)):
+        assert KPoly.from_kronecker(p.evaluate(256**w), w) == p
+    power = KPoly((1,))
+    for e in range(4):
+        assert ipow(p, e) == power
+        power = power * p
 
 
 def test_monomial_times_dense_in_both_orders():

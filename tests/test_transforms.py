@@ -288,3 +288,36 @@ def test_direct_prefix_rejects_k_below_one():
     for kind in KIND_ORDER:
         with pytest.raises(ValueError):
             next(iter_direct(kind, 0))
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
+def test_symbolic_direct_sum_makes_no_kpoly_product(monkeypatch, kind):
+    """At symbolic k the direct sum runs on ints at one point and is read
+    back once: no KPoly product, where the ring ops would make O(n) of them."""
+    expected = terms(transform_recurrence(kind, K), 61)[60]
+    products = []
+    real = KPoly.__mul__
+    monkeypatch.setattr(KPoly, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    assert transform_direct(kind, K, 60) == expected
+    assert not products
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KIND_ORDER),
+    k=st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)),
+               max_size=3).map(KPoly),
+    n=st.integers(min_value=0, max_value=16),
+)
+def test_symbolic_direct_sum_and_lemmas_at_any_polynomial_k_property(kind, k, n):
+    """The direct sum, evaluated at one point and read back, and the lemmas'
+    right-hand sides agree with the difference table at any polynomial k,
+    negative and wide coefficients included."""
+    rows = {kd: list(islice(iter_direct(kd, k), n + 2)) for kd in
+            (kind, TransformKind.BINOMIAL, TransformKind.FALLING_K)}
+    assert transform_direct(kind, k, n) == rows[kind][n]
+    direct = lambda kd, _k, i: rows[kd][i]
+    for lemma in (binomial_diff_identity, falling_diff_identity):
+        lhs, rhs = lemma(k, n, direct=direct)
+        assert lhs == rhs, lemma.__name__
+
