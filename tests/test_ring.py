@@ -300,6 +300,29 @@ def _dense(n, sign=1, start=1):
     return [sign * (start + i) * (-1) ** i for i in range(n)]
 
 
+# Products once switched to a packed integer product at 16 nonzero terms.
+# Around that old threshold they now stay on the row passes: the values match
+# the schoolbook, and no product reads anything back from k = 256**w.
+@pytest.mark.parametrize("na", (15, 16, 17))
+@pytest.mark.parametrize("nb", (15, 16, 17))
+def test_products_at_the_kronecker_threshold(monkeypatch, na, nb):
+    calls = []
+    real = KPoly.from_kronecker
+    monkeypatch.setattr(KPoly, "from_kronecker",
+                        staticmethod(lambda v, w: calls.append(1) or real(v, w)))
+    ca, cb = _dense(na, start=3), _dense(nb, sign=-1, start=10**20)
+    _assert_built_like_public(KPoly(ca) * KPoly(cb), _schoolbook(ca, cb))
+    _assert_built_like_public(KPoly(cb) * KPoly(ca), _schoolbook(ca, cb))
+    # 16 nonzero terms spread out, then with one hidden
+    sparse = [0] * 40
+    for i in range(0, 32, 2):
+        sparse[i] = 2**70 + i
+    _assert_built_like_public(KPoly(sparse) * KPoly(cb), _schoolbook(sparse, cb))
+    sparse[0] = 0
+    _assert_built_like_public(KPoly(sparse) * KPoly(cb), _schoolbook(sparse, cb))
+    assert not calls
+
+
 @pytest.mark.parametrize("delta", (-1, 0, 1))
 def test_products_around_the_row_pass_length(delta):
     cb = _dense(ring._ROW_PASS_MIN_LEN + delta, start=2**64)
