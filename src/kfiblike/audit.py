@@ -40,9 +40,7 @@ claim reads it:
 
 At symbolic k, sym_n takes the place of n_max.  Each list is read from its
 stream in one go, and the stream is dropped then, so no generator stays open
-from one claim to the next.  The lemmas C07 and C08 go through the lemma
-functions of :mod:`~kfiblike.transforms`, which get all four kinds' lists at
-their k, so only those functions say which terms they read.
+from one claim to the next.
 
 A sweep builds each claim's row once per k from these: it fetches the lists
 and the recurrence of that (kind, k) it needs, opens the Binet sweep or
@@ -51,9 +49,10 @@ running alternating sums of M, one subtraction per n.  The point loop is then
 list indexing plus the compared computation itself.  C05 and C06 take their
 right-hand sums from the run's M and one Pascal row per (claim, k), made from
 the row before at each n, and their left sides from the direct sums, so the
-two sides share no route.  A Binet claim reads its values at ascending n from
-its own sweep over the run's recurrence,
-:func:`~kfiblike.closedform.binet_sweep` (C19-C22, C26) or
+two sides share no route.  C07 compares the rising direct sums with M at even
+indices, and C08 the k-binomial direct sums with k^n times the binomial ones.
+A Binet claim reads its values at ascending n from its own sweep over the
+run's recurrence, :func:`~kfiblike.closedform.binet_sweep` (C19-C22, C26) or
 :func:`~kfiblike.closedform.published_binet_sweep` (C11-C14), so each value
 costs one Lucas doubling step from the pair of U at half its index, not a
 fresh pass of log2 n steps.  The values of C11-C18 (the published Binet forms
@@ -80,7 +79,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .closedform import binet_float, binet_sweep, published_binet_sweep
 from .genfunc import gf_expand, published_gf
-from .ring import K, KPoly, RingElem, elem_str, zero_like
+from .ring import K, KPoly, RingElem, elem_str, ipow, zero_like
 from .sequences import (
     _halved_alternating_sums,
     _m_from_f_terms,
@@ -89,15 +88,7 @@ from .sequences import (
     modified_k_fib,
     terms,
 )
-from .transforms import (
-    KIND_ORDER,
-    DirectRoute,
-    TransformKind,
-    iter_direct,
-    rising_even_index,
-    transform_recurrence,
-    w_scaling,
-)
+from .transforms import KIND_ORDER, TransformKind, iter_direct, transform_recurrence
 
 SYMBOLIC_N_CAP = 16  # polynomial degree growth keeps symbolic sweeps desk-scale
 FLOAT_K_CAP = 5      # documented validity range of the double-precision path
@@ -464,21 +455,6 @@ def _direct_vs_recurrence(kind: TransformKind) -> _Row:
     return row
 
 
-def _direct_route(run: _Run, k: RingElem) -> DirectRoute:
-    """A lemma's ``direct=`` route at k: the run's lists of all four kinds."""
-    rows = {kind: run.direct(kind, k) for kind in KIND_ORDER}
-    return lambda kind, _k, n: rows[kind][n]
-
-
-def _identity_pair(lemma: Callable[..., Tuple[RingElem, RingElem]]) -> _Row:
-    """A lemma pair whose transform terms come from the run's direct sums."""
-    def row(run: _Run, k: RingElem):
-        direct = _direct_route(run, k)
-        return lambda n: lemma(k, n, direct=direct)
-
-    return row
-
-
 def _difference_lemma(kind: TransformKind) -> _Row:
     """C05's or C06's pair: b(n+1) - b(n) or f(n+1) - k f(n) from the run's
     direct sums, and the sum of C(n,i) M(i+1), weighted by k^(n-i) through
@@ -508,9 +484,15 @@ def _difference_lemma(kind: TransformKind) -> _Row:
 
 
 def _rising_even_index(run: _Run, k: RingElem):
-    """C07's pair: M(2n) read from the run's prefix of M."""
-    direct, ms = _direct_route(run, k), run.m(k)
-    return lambda n: rising_even_index(k, n, direct=direct, m=lambda _k, i: ms[i])
+    """C07's pair: the rising direct sum at n and M(2n) from the run's M."""
+    rising, ms = run.direct(TransformKind.RISING_K, k), run.m(k)
+    return lambda n: (rising[n], ms[2 * n])
+
+
+def _k_scaling(run: _Run, k: RingElem):
+    """C08's pair: the k-binomial direct sum at n and k^n times the binomial one."""
+    scaled, plain = run.direct(TransformKind.K_BINOMIAL, k), run.direct(TransformKind.BINOMIAL, k)
+    return lambda n: (scaled[n], ipow(k, n) * plain[n])
 
 
 def _m_from_f(run: _Run, k: RingElem):
@@ -652,7 +634,7 @@ def claim_registry() -> List[Claim]:
         description="k-binomial transform is the k^n-scaled binomial transform",
         citation="w(n) = k^n b(n)",
         claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_identity_pair(w_scaling)),
+        checker=_sweep(_k_scaling),
     ))
     claims.append(Claim(
         id="C09",

@@ -144,13 +144,14 @@ def _digit_count(x: int) -> int:
     return digits + (x < 0)
 
 
-def _decimal_agrees(text: str, x: int) -> bool:
-    """Whether ``text`` agrees with ``x`` in length, last 18 digits, digit sum
-    mod 9 and alternating digit sum mod 11 (a digit at an odd place from the
-    end weighs 10**odd = -1), with no decimal conversion of ``x``.  One wrong
-    digit moves the sums by 1 to 9 either way, which 11 never divides."""
+def _decimal_agrees(text: str, x: int, x_digits: int) -> bool:
+    """Whether ``text`` agrees with ``x`` in length (``x_digits``, which is
+    ``_digit_count(x)``), last 18 digits, digit sum mod 9 and alternating
+    digit sum mod 11 (a digit at an odd place from the end weighs
+    10**odd = -1), with no decimal conversion of ``x``.  One wrong digit moves
+    the sums by 1 to 9 either way, which 11 never divides."""
     digits, m = text.lstrip("-"), abs(x)
-    if len(text) != _digit_count(x) or int(digits[-18:]) != m % 10**18:
+    if len(text) != x_digits or int(digits[-18:]) != m % 10**18:
         return False
     even, odd = digits[::-2], digits[-2::-2]
     total = alternating = 0
@@ -337,24 +338,33 @@ def _cmd_bench(args, parser, out) -> int:
     all_equal = True
     for n in sorted(ns):
         t_iter, v_iter = _time_call(term_iterative, rec, n)
-        rows = [("iterative", t_iter, v_iter, "ref")]
+        ref_digits = _digit_count(v_iter)
+        rows = [("iterative", t_iter, ref_digits, "ref")]
+
+        def check(value: int) -> Tuple[int, str]:
+            """(digit count, equal column) of a value checked against v_iter."""
+            if value == v_iter:
+                return ref_digits, "yes"
+            return _digit_count(value), "NO"
+
         t_fast, v_fast = _time_call(term_fast, rec, n)
-        rows.append(("lucas-doubling", t_fast, v_fast, "yes" if v_fast == v_iter else "NO"))
+        fast_digits, fast_equal = check(v_fast)
+        rows.append(("lucas-doubling", t_fast, fast_digits, fast_equal))
         t_dec, text = _time_call(elem_str, v_fast)
-        rows.append(("decimal", t_dec, v_fast, "yes" if _decimal_agrees(text, v_fast) else "NO"))
+        dec_equal = "yes" if _decimal_agrees(text, v_fast, fast_digits) else "NO"
+        rows.append(("decimal", t_dec, fast_digits, dec_equal))
         if n <= args.direct_cap:
             t_dir, v_dir = _time_call(transform_direct, kind, args.k, n)
-            rows.append(("direct-sum", t_dir, v_dir, "yes" if v_dir == v_iter else "NO"))
+            rows.append(("direct-sum", t_dir, *check(v_dir)))
         else:
             rows.append(("direct-sum", None, None, ""))
-        for name, secs, value, equal in rows:
+        for name, secs, digits, equal in rows:
             if secs is None:
                 out.write(
                     f"{n:>10}  {name:<14} "
                     f"{'skipped (n > direct cap %d)' % args.direct_cap}\n"
                 )
                 continue
-            digits = _digit_count(value)
             out.write(f"{n:>10}  {name:<14} {secs:>12.6f}  {digits:>8}  {equal}\n")
             if equal == "NO":
                 all_equal = False

@@ -13,10 +13,10 @@ The lemma-level identities (consecutive-difference forms, the even-index
 collapse of the rising transform, and the k^n scaling that links the
 k-binomial to the plain binomial transform) are exposed as pair-producing
 functions: each returns (lhs, rhs) computed separately so a caller can check
-equality without trusting either side.  Each takes a ``direct=`` keyword, the
-route it reads its transform terms from: :func:`transform_direct` by default,
-or a caller's own table of those values (the audit passes its run's).  The
-even-index lemma takes ``m=`` as well, the route it reads M(2n) from.
+equality without trusting either side.  Each reads its transform terms from
+:func:`transform_direct`, and the even-index lemma reads M(2n) from
+:func:`~kfiblike.sequences.term_iterative`.  The audit calls none of them: it
+checks the same identities over its own lists.
 
 The direct sums have two kernels, and the caller's shape picks one.  A single
 term, and each right-hand side of the difference lemmas, is one O(n) pass of
@@ -40,7 +40,7 @@ definitions carry is deliberately out of scope.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from .ring import KPoly, RingElem, const_like, ipow, kronecker_width, one_like, scale
 from .sequences import Order2Rec, modified_k_fib, require_valid_k, term_iterative
@@ -184,55 +184,36 @@ def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:
 # lemma-level identities, each side computed independently
 # ---------------------------------------------------------------------------
 
-#: The direct-sum route a lemma function reads its transform terms from.
-DirectRoute = Callable[[TransformKind, RingElem, int], RingElem]
-
-#: The route :func:`rising_even_index` reads M(n) from, as ``m(k, n)``.
-MRoute = Callable[[RingElem, int], RingElem]
-
-
-def _m_iterative(k: RingElem, n: int) -> RingElem:
-    """M(n) by plain iteration of M's recurrence, nothing kept between calls."""
-    return term_iterative(modified_k_fib(k), n)
-
-
 def _m1_m2(k: RingElem) -> Tuple[RingElem, RingElem]:
     """(M(1), M(2)) = (2, 2k + 2): the start of the shifted sums M(i+1)."""
     two = const_like(2, k)
     return two, scale(k, 2) + two
 
 
-def binomial_diff_identity(k: RingElem, n: int, *,
-                           direct: DirectRoute = transform_direct) -> Tuple[RingElem, RingElem]:
+def binomial_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(b(n+1) - b(n),  sum_i C(n,i) * M(i+1))."""
-    require_valid_k(k)
-    lhs = direct(TransformKind.BINOMIAL, k, n + 1) - direct(TransformKind.BINOMIAL, k, n)
+    lhs = (transform_direct(TransformKind.BINOMIAL, k, n + 1)
+           - transform_direct(TransformKind.BINOMIAL, k, n))
     return lhs, _weighted_sum(TransformKind.BINOMIAL, k, n, *_m1_m2(k))
 
 
-def falling_diff_identity(k: RingElem, n: int, *,
-                          direct: DirectRoute = transform_direct) -> Tuple[RingElem, RingElem]:
+def falling_diff_identity(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(f(n+1) - k*f(n),  sum_i C(n,i) * k^(n-i) * M(i+1))."""
-    require_valid_k(k)
-    lhs = direct(TransformKind.FALLING_K, k, n + 1) - k * direct(TransformKind.FALLING_K, k, n)
+    lhs = (transform_direct(TransformKind.FALLING_K, k, n + 1)
+           - k * transform_direct(TransformKind.FALLING_K, k, n))
     return lhs, _weighted_sum(TransformKind.FALLING_K, k, n, *_m1_m2(k))
 
 
-def rising_even_index(k: RingElem, n: int, *, direct: DirectRoute = transform_direct,
-                      m: MRoute = _m_iterative) -> Tuple[RingElem, RingElem]:
+def rising_even_index(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(rising transform at n,  M(2n)): the rising sum walks the even indices.
 
-    M(2n) comes from the ``m`` route: :func:`~kfiblike.sequences.term_iterative`
-    over :func:`~kfiblike.sequences.modified_k_fib` by default, or a caller's
-    own prefix of M (the audit passes its run's, read at every even index).
+    M(2n) comes from :func:`~kfiblike.sequences.term_iterative` over
+    :func:`~kfiblike.sequences.modified_k_fib`.
     """
-    require_valid_k(k)
-    return direct(TransformKind.RISING_K, k, n), m(k, 2 * n)
+    return transform_direct(TransformKind.RISING_K, k, n), term_iterative(modified_k_fib(k), 2 * n)
 
 
-def w_scaling(k: RingElem, n: int, *,
-              direct: DirectRoute = transform_direct) -> Tuple[RingElem, RingElem]:
+def w_scaling(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(k-binomial transform at n,  k^n * binomial transform at n)."""
-    require_valid_k(k)
-    lhs = direct(TransformKind.K_BINOMIAL, k, n)
-    return lhs, ipow(k, n) * direct(TransformKind.BINOMIAL, k, n)
+    lhs = transform_direct(TransformKind.K_BINOMIAL, k, n)
+    return lhs, ipow(k, n) * transform_direct(TransformKind.BINOMIAL, k, n)

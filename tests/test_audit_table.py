@@ -44,24 +44,62 @@ def _ce(expected, got):
     return (Counterexample(k=BAD_K, n=BAD_N, expected=str(expected), got=str(got)),)
 
 
-def test_broken_direct_sum_fails_every_claim_that_reads_it(monkeypatch):
+def _direct_fault_footprint(kind):
+    """Each claim that a direct sum of ``kind``, one too big at (BAD_K, BAD_N),
+    changes, with its new verdict and counterexamples."""
+    B, W = TransformKind.BINOMIAL, TransformKind.K_BINOMIAL
+    FAIL, INFO = Verdict.FAIL, Verdict.INFO_DISCREPANCY
+    truth = transform_direct(kind, BAD_K, BAD_N)
+    vs_truth = _ce(truth + 1, truth)
+
+    def difference_lemma(lhs):
+        # C05/C06 at n = BAD_N - 1 read term BAD_N on their left side
+        return FAIL, (Counterexample(k=BAD_K, n=BAD_N - 1, expected=str(lhs + 1),
+                                     got=str(lhs)),)
+
+    def fixture(label):
+        return INFO, (Counterexample(k=BAD_K, n=BAD_N, expected=str(truth),
+                                     got=str(truth + 1), label=label),)
+
+    before = transform_direct(kind, BAD_K, BAD_N - 1)
+    if kind is B:
+        return {
+            "C01": (FAIL, vs_truth),                                # direct vs recurrence
+            "C05": difference_lemma(truth - before),                # b(n+1) - b(n)
+            "C08": (FAIL, _ce(transform_direct(W, BAD_K, BAD_N),    # w(n) = k^n b(n)
+                              BAD_K**BAD_N * (truth + 1))),
+            # the published binomial Binet form and the printed B_3 are right,
+            # so a broken direct sum shows as a disagreement with them
+            "C11": (INFO, vs_truth),
+            "C23": fixture("B_3"),
+        }
+    if kind is W:
+        b = transform_direct(B, BAD_K, BAD_N)
+        return {"C02": (FAIL, vs_truth), "C08": (FAIL, _ce(truth + 1, BAD_K**BAD_N * b))}
+    if kind is TransformKind.RISING_K:
+        m_2n = terms(modified_k_fib(BAD_K), 2 * BAD_N + 1)[2 * BAD_N]
+        return {
+            "C03": (FAIL, vs_truth),
+            "C07": (FAIL, _ce(truth + 1, m_2n)),                    # rising even-index lemma
+            "C13": (INFO, vs_truth),
+        }
+    return {
+        "C04": (FAIL, vs_truth),
+        "C06": difference_lemma(truth - BAD_K * before),            # f(n+1) - k f(n)
+        "C23": fixture("F_3"),
+    }
+
+
+@pytest.mark.parametrize("bad_kind", KIND_ORDER, ids=lambda kd: kd.value)
+def test_broken_direct_sum_fails_every_claim_that_reads_it(monkeypatch, bad_kind):
     healthy = run_audit(**RANGE)
-    truth = transform_direct(BAD_KIND, BAD_K, BAD_N)
-    m_2n = terms(modified_k_fib(BAD_K), 2 * BAD_N + 1)[2 * BAD_N]
 
     def broken(kind, k):
         for n, value in enumerate(iter_direct(kind, k)):
-            yield value + 1 if (kind, k, n) == (BAD_KIND, BAD_K, BAD_N) else value
+            yield value + 1 if (kind, k, n) == (bad_kind, BAD_K, BAD_N) else value
 
     monkeypatch.setattr(audit, "iter_direct", broken)
-    changed = _changed(run_audit(**RANGE), healthy)
-    assert changed == {
-        "C03": (Verdict.FAIL, _ce(truth + 1, truth)),   # direct vs recurrence
-        "C07": (Verdict.FAIL, _ce(truth + 1, m_2n)),    # rising even-index lemma
-        # the published rising Binet form is right, so a broken direct sum
-        # shows as a disagreement with it
-        "C13": (Verdict.INFO_DISCREPANCY, _ce(truth + 1, truth)),
-    }
+    assert _changed(run_audit(**RANGE), healthy) == _direct_fault_footprint(bad_kind)
 
 
 def test_broken_recurrence_prefix_fails_every_claim_that_reads_it(monkeypatch):
@@ -403,10 +441,20 @@ REPORT_RANGES = (
 def test_pascal_row_lemmas_report_as_the_multiplicative_kernel_did(monkeypatch, rng):
     """C05/C06 over Pascal rows and the run's M give the report bytes that the
     lemma functions' multiplicative kernel gave when it ran their right sides."""
+    def kernel_row(kind, lemma):
+        falling = kind is TransformKind.FALLING_K
+
+        def row(run, k):
+            direct = run.direct(kind, k)
+            return lambda n: (direct[n + 1] - (k * direct[n] if falling else direct[n]),
+                              lemma(k, n)[1])
+
+        return row
+
     report = run_audit(**rng)
     registry = audit.claim_registry
-    kernel = {"C05": audit._sweep(audit._identity_pair(binomial_diff_identity)),
-              "C06": audit._sweep(audit._identity_pair(falling_diff_identity))}
+    kernel = {"C05": audit._sweep(kernel_row(TransformKind.BINOMIAL, binomial_diff_identity)),
+              "C06": audit._sweep(kernel_row(TransformKind.FALLING_K, falling_diff_identity))}
     monkeypatch.setattr(audit, "claim_registry", lambda: [
         dataclasses.replace(c, checker=kernel.get(c.id, c.checker)) for c in registry()])
     multiplicative = run_audit(**rng)

