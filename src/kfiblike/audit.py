@@ -1,9 +1,11 @@
 """Executable audit of the published claims about the four transforms.
 
 Every published statement in scope -- recurrences, lemma identities, Binet
-formulas, generating functions, numeric tables, symbolic prefixes -- is
-encoded as a :class:`Claim` with a deterministic checker.  Claims come in two
-classes:
+formulas, generating functions, numeric tables, symbolic prefixes -- is a row
+of one declaration table, ``_DECLARATIONS``, from which :func:`claim_registry`
+builds each :class:`Claim` with a deterministic checker.  A family row states
+one statement for each of the four transforms (C01-C04, C11-C14, C15-C18,
+C19-C22); each other claim is a row of its own.  Claims come in two classes:
 
 * identity claims (C01-C10, C19-C22, C26): two routes the mathematics says
   must agree are computed independently and compared.  A mismatch would mean
@@ -63,7 +65,7 @@ fault in :func:`~kfiblike.genfunc.gf_expand` shows.  A claim still compares
 two independent routes; a value shared between claims means a broken route
 shows in every claim that reads it.  The run and its lists end with
 :func:`run_audit`; the config and the report are plain values.  Claims
-C01-C22 are each one sweep over the run.
+C01-C22 are each one sweep over the run, from the n_start their row declares.
 """
 
 from __future__ import annotations
@@ -585,150 +587,72 @@ def _check_float_binet(run: _Run) -> Optional[List[Counterexample]]:
 # the registry
 # ---------------------------------------------------------------------------
 
+#: Every claim, in id order.  A family row declares one claim per kind in
+#: ``KIND_ORDER``, with ids from its first on: (first id, class, description
+#: template over the kind's name, row builder of the kind, n_start, the four
+#: citations).  A stand-alone row declares one claim: (id, class, description,
+#: row, n_start, citation).  A row with n_start is checked by :func:`_sweep`
+#: from that n on; one without is a checker of the whole run.
+_DECLARATIONS = (
+    (1, ClaimClass.IDENTITY, "{} transform: direct sum equals closed recurrence",
+     _direct_vs_recurrence, 0, (
+         "published recurrence b(n+1) = (k+2) b(n) - k b(n-1), b0 = 2, b1 = 4",
+         "published recurrence w(n+1) = k(k+2) w(n) - k^3 w(n-1), w0 = 2, w1 = 4k",
+         "published recurrence r(n+1) = (k^2+2) r(n) - r(n-1), r0 = 2, r1 = 2k+2",
+         "published recurrence f(n+1) = 3k f(n) - (2k^2-1) f(n-1), f0 = 2, f1 = 2k+2")),
+    (5, ClaimClass.IDENTITY, "difference lemma for the binomial transform",
+     _difference_lemma(TransformKind.BINOMIAL), 0, "b(n+1) - b(n) = sum_i C(n,i) M(i+1)"),
+    (6, ClaimClass.IDENTITY, "difference lemma for the falling k-binomial transform",
+     _difference_lemma(TransformKind.FALLING_K), 0,
+     "f(n+1) - k f(n) = sum_i C(n,i) k^(n-i) M(i+1)"),
+    (7, ClaimClass.IDENTITY, "rising k-binomial transform walks the even-index subsequence",
+     _rising_even_index, 0, "sum_i C(n,i) k^i M(i) = M(2n)"),
+    (8, ClaimClass.IDENTITY, "k-binomial transform is the k^n-scaled binomial transform",
+     _k_scaling, 0, "w(n) = k^n b(n)"),
+    (9, ClaimClass.IDENTITY, "M recovered from consecutive k-Fibonacci numbers",
+     _m_from_f, 1, "M(n) = 2 (F(n) + F(n-1)) for n >= 1"),
+    (10, ClaimClass.IDENTITY, "k-Fibonacci recovered from the alternating sum of M",
+     _f_from_m, 1, "F(n) = (1/2) sum_{i=0..n-1} (-1)^i M(n-i)"),
+    (11, ClaimClass.PUBLISHED, "published Binet formula, {} transform, vs ground truth",
+     _published_binet, 1, (
+         "published Binet form b(n) = 4 U(n) - 2k U(n-1), roots of x^2-(k+2)x+k",
+         "published Binet form w(n) = 4 U(n) - 2k U(n-1), roots of x^2-k(k+2)x+k^3",
+         "published Binet form r(n) = (2k+2) U(n) - 2 U(n-1), roots of x^2-(k^2+2)x+1",
+         "published Binet form f(n) = (2k+2) U(n) - 2 U(n-1), roots of x^2-3kx+(2k^2-1)")),
+    (15, ClaimClass.PUBLISHED,
+     "published generating function, {} transform, vs the recurrence-derived one",
+     _published_gf, 0, (
+         "published generating function 2(1-2kx) / (1-(k+2)x+kx^2)",
+         "published generating function 2(1-k^2 x) / (1-k(k+2)x+k^3 x^2)",
+         "published generating function (2-(2k^2-2k+2)x) / (1-(k^2+2)x+x^2)",
+         "published generating function (2+(2-4k)x) / (1-3kx+(2k^2-1)x^2)")),
+    (19, ClaimClass.IDENTITY, "exact Lucas-sequence Binet equals iteration, {} transform",
+     _exact_binet, 0,
+     ("x(n) = x1 U(n) - Q x0 U(n-1) over the family's characteristic roots",) * 4),
+    (23, ClaimClass.PUBLISHED, "published tables for the binomial, rising and falling transforms",
+     _check_fixtures(("B_", "R_", "F_")), None, "printed lists B_1..B_5, R_1..R_5, F_1..F_5"),
+    (24, ClaimClass.PUBLISHED, "published tables for the k-binomial transform",
+     _check_fixtures(("W_",)), None, "printed lists W_1..W_5"),
+    (25, ClaimClass.PUBLISHED, "published closed forms of M(k,2)..M(k,5) as polynomials in k",
+     _check_published_m_polys, None,
+     "printed polynomials 2k+2, 2k^2+2k+2, 2k^3+2k^2+4k+2, 2k^4+2k^3+6k^2+4k+2"),
+    (26, ClaimClass.IDENTITY, "double-precision Binet within 1e-9 relative of exact values",
+     _check_float_binet, None, f"root-formula evaluation, k <= {FLOAT_K_CAP}, n <= {FLOAT_N_CAP}"),
+)
+
+
 def claim_registry() -> List[Claim]:
-    """The fixed list of 26 claims, ordered by id."""
+    """The fixed list of 26 claims, ordered by id, built from ``_DECLARATIONS``."""
     claims: List[Claim] = []
-
-    rec_citations = {
-        TransformKind.BINOMIAL:
-            "published recurrence b(n+1) = (k+2) b(n) - k b(n-1), b0 = 2, b1 = 4",
-        TransformKind.K_BINOMIAL:
-            "published recurrence w(n+1) = k(k+2) w(n) - k^3 w(n-1), w0 = 2, w1 = 4k",
-        TransformKind.RISING_K:
-            "published recurrence r(n+1) = (k^2+2) r(n) - r(n-1), r0 = 2, r1 = 2k+2",
-        TransformKind.FALLING_K:
-            "published recurrence f(n+1) = 3k f(n) - (2k^2-1) f(n-1), f0 = 2, f1 = 2k+2",
-    }
-    for i, kind in enumerate(KIND_ORDER):
-        claims.append(Claim(
-            id=f"C{i + 1:02d}",
-            description=f"{_KIND_NAMES[kind]} transform: direct sum equals closed recurrence",
-            citation=rec_citations[kind],
-            claim_class=ClaimClass.IDENTITY,
-            checker=_sweep(_direct_vs_recurrence(kind)),
-        ))
-
-    claims.append(Claim(
-        id="C05",
-        description="difference lemma for the binomial transform",
-        citation="b(n+1) - b(n) = sum_i C(n,i) M(i+1)",
-        claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_difference_lemma(TransformKind.BINOMIAL)),
-    ))
-    claims.append(Claim(
-        id="C06",
-        description="difference lemma for the falling k-binomial transform",
-        citation="f(n+1) - k f(n) = sum_i C(n,i) k^(n-i) M(i+1)",
-        claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_difference_lemma(TransformKind.FALLING_K)),
-    ))
-    claims.append(Claim(
-        id="C07",
-        description="rising k-binomial transform walks the even-index subsequence",
-        citation="sum_i C(n,i) k^i M(i) = M(2n)",
-        claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_rising_even_index),
-    ))
-    claims.append(Claim(
-        id="C08",
-        description="k-binomial transform is the k^n-scaled binomial transform",
-        citation="w(n) = k^n b(n)",
-        claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_k_scaling),
-    ))
-    claims.append(Claim(
-        id="C09",
-        description="M recovered from consecutive k-Fibonacci numbers",
-        citation="M(n) = 2 (F(n) + F(n-1)) for n >= 1",
-        claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_m_from_f, n_start=1),
-    ))
-    claims.append(Claim(
-        id="C10",
-        description="k-Fibonacci recovered from the alternating sum of M",
-        citation="F(n) = (1/2) sum_{i=0..n-1} (-1)^i M(n-i)",
-        claim_class=ClaimClass.IDENTITY,
-        checker=_sweep(_f_from_m, n_start=1),
-    ))
-
-    binet_citations = {
-        TransformKind.BINOMIAL:
-            "published Binet form b(n) = 4 U(n) - 2k U(n-1), roots of x^2-(k+2)x+k",
-        TransformKind.K_BINOMIAL:
-            "published Binet form w(n) = 4 U(n) - 2k U(n-1), roots of x^2-k(k+2)x+k^3",
-        TransformKind.RISING_K:
-            "published Binet form r(n) = (2k+2) U(n) - 2 U(n-1), roots of x^2-(k^2+2)x+1",
-        TransformKind.FALLING_K:
-            "published Binet form f(n) = (2k+2) U(n) - 2 U(n-1), roots of x^2-3kx+(2k^2-1)",
-    }
-    for i, kind in enumerate(KIND_ORDER):
-        claims.append(Claim(
-            id=f"C{i + 11:02d}",
-            description=f"published Binet formula, {_KIND_NAMES[kind]} transform, vs ground truth",
-            citation=binet_citations[kind],
-            claim_class=ClaimClass.PUBLISHED,
-            checker=_sweep(_published_binet(kind), n_start=1),
-        ))
-
-    gf_citations = {
-        TransformKind.BINOMIAL:
-            "published generating function 2(1-2kx) / (1-(k+2)x+kx^2)",
-        TransformKind.K_BINOMIAL:
-            "published generating function 2(1-k^2 x) / (1-k(k+2)x+k^3 x^2)",
-        TransformKind.RISING_K:
-            "published generating function (2-(2k^2-2k+2)x) / (1-(k^2+2)x+x^2)",
-        TransformKind.FALLING_K:
-            "published generating function (2+(2-4k)x) / (1-3kx+(2k^2-1)x^2)",
-    }
-    for i, kind in enumerate(KIND_ORDER):
-        claims.append(Claim(
-            id=f"C{i + 15:02d}",
-            description=f"published generating function, {_KIND_NAMES[kind]} transform, "
-                        "vs the recurrence-derived one",
-            citation=gf_citations[kind],
-            claim_class=ClaimClass.PUBLISHED,
-            checker=_sweep(_published_gf(kind)),
-        ))
-
-    for i, kind in enumerate(KIND_ORDER):
-        claims.append(Claim(
-            id=f"C{i + 19:02d}",
-            description=f"exact Lucas-sequence Binet equals iteration, "
-                        f"{_KIND_NAMES[kind]} transform",
-            citation="x(n) = x1 U(n) - Q x0 U(n-1) over the family's characteristic roots",
-            claim_class=ClaimClass.IDENTITY,
-            checker=_sweep(_exact_binet(kind)),
-        ))
-
-    claims.append(Claim(
-        id="C23",
-        description="published tables for the binomial, rising and falling transforms",
-        citation="printed lists B_1..B_5, R_1..R_5, F_1..F_5",
-        claim_class=ClaimClass.PUBLISHED,
-        checker=_check_fixtures(("B_", "R_", "F_")),
-    ))
-    claims.append(Claim(
-        id="C24",
-        description="published tables for the k-binomial transform",
-        citation="printed lists W_1..W_5",
-        claim_class=ClaimClass.PUBLISHED,
-        checker=_check_fixtures(("W_",)),
-    ))
-    claims.append(Claim(
-        id="C25",
-        description="published closed forms of M(k,2)..M(k,5) as polynomials in k",
-        citation="printed polynomials 2k+2, 2k^2+2k+2, 2k^3+2k^2+4k+2, 2k^4+2k^3+6k^2+4k+2",
-        claim_class=ClaimClass.PUBLISHED,
-        checker=_check_published_m_polys,
-    ))
-    claims.append(Claim(
-        id="C26",
-        description="double-precision Binet within 1e-9 relative of exact values",
-        citation=f"root-formula evaluation, k <= {FLOAT_K_CAP}, n <= {FLOAT_N_CAP}",
-        claim_class=ClaimClass.IDENTITY,
-        checker=_check_float_binet,
-    ))
-
+    for first, claim_class, text, row, n_start, cited in _DECLARATIONS:
+        if isinstance(cited, str):
+            entries = [(text, row, cited)]
+        else:
+            entries = [(text.format(_KIND_NAMES[kind]), row(kind), citation)
+                       for kind, citation in zip(KIND_ORDER, cited, strict=True)]
+        for i, (description, check, citation) in enumerate(entries):
+            claims.append(Claim(f"C{first + i:02d}", description, citation, claim_class,
+                                check if n_start is None else _sweep(check, n_start)))
     return claims
 
 

@@ -35,7 +35,7 @@ from .ring import (
     scale,
     zero_like,
 )
-from .sequences import Order2Rec
+from .sequences import Order2Rec, require_valid_k
 from .transforms import TransformKind, transform_recurrence
 
 
@@ -157,6 +157,7 @@ def published_gf(kind: TransformKind, k: RingElem) -> RationalGF:
     gives 2-2kx, and the audit records the resulting series divergence rather
     than silently repairing it.  The other three match their derivations.
     """
+    require_valid_k(k)
     two = const_like(2, k)
     one = one_like(k)
     ksq = k * k

@@ -55,8 +55,13 @@ class Order2Rec(Frozen):
 
 
 def require_valid_k(k: RingElem) -> None:
-    """Reject a numeric k < 1; symbolic k is always valid."""
-    if isinstance(k, int) and k < 1:
+    """Reject a k that is neither a ``KPoly`` nor an int (a bool is no int
+    here), and a numeric k < 1; symbolic k is always valid."""
+    if isinstance(k, KPoly):
+        return
+    if type(k) is bool or not isinstance(k, int):
+        raise TypeError(f"k must be an int or a KPoly, got {type(k).__name__}")
+    if k < 1:
         raise ValueError(f"numeric k must be >= 1, got {k}")
 
 

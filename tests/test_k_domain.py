@@ -1,0 +1,70 @@
+"""The domain of k across the public API, and identities at random k.
+
+Every public function that takes k accepts an int k >= 1 and the symbolic
+``K``, refuses an int k < 1 with ``ValueError``, and refuses anything else
+(a float, a bool, a string, None) with ``TypeError`` before any arithmetic.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kfiblike.closedform import published_binet
+from kfiblike.genfunc import derived_gf, published_gf
+from kfiblike.ring import K
+from kfiblike.sequences import f_from_m, k_fib, m_from_f, modified_k_fib, terms
+from kfiblike.transforms import (
+    TransformKind,
+    binomial_diff_identity,
+    falling_diff_identity,
+    iter_direct,
+    rising_even_index,
+    transform_direct,
+    transform_recurrence,
+    w_scaling,
+)
+
+KIND = TransformKind.RISING_K
+
+#: One call of each public function that takes k, at that k.
+TAKES_K = {
+    "modified_k_fib": modified_k_fib,
+    "k_fib": k_fib,
+    "m_from_f": lambda k: m_from_f(k, 3),
+    "f_from_m": lambda k: f_from_m(k, 3),
+    "transform_direct": lambda k: transform_direct(KIND, k, 3),
+    "iter_direct": lambda k: next(iter_direct(KIND, k)),
+    "transform_recurrence": lambda k: transform_recurrence(KIND, k),
+    "binomial_diff_identity": lambda k: binomial_diff_identity(k, 3),
+    "falling_diff_identity": lambda k: falling_diff_identity(k, 3),
+    "rising_even_index": lambda k: rising_even_index(k, 3),
+    "w_scaling": lambda k: w_scaling(k, 3),
+    "published_binet": lambda k: published_binet(KIND, k, 3),
+    "published_gf": lambda k: published_gf(KIND, k),
+    "derived_gf": lambda k: derived_gf(KIND, k),
+}
+
+BOUNDARY = [(1.5, TypeError), (True, TypeError), ("x", TypeError), (None, TypeError),
+            (0, ValueError), (-3, ValueError), (1, None), (K, None)]
+
+
+@pytest.mark.parametrize("k, error", BOUNDARY, ids=[repr(k) for k, _ in BOUNDARY])
+@pytest.mark.parametrize("name", sorted(TAKES_K))
+def test_k_boundary(name, k, error):
+    call = TAKES_K[name]
+    if error is None:
+        call(k)
+    else:
+        with pytest.raises(error, match="k must be"):
+            call(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 10**4), n=st.integers(1, 80))
+def test_identities_at_random_k(k, n):
+    lhs, rhs = rising_even_index(k, n)
+    assert lhs == rhs
+    lhs, rhs = w_scaling(k, n)
+    assert lhs == rhs
+    assert m_from_f(k, n) == terms(modified_k_fib(k), n + 1)[n]
+    assert f_from_m(k, n) == terms(k_fib(k), n + 1)[n]
