@@ -38,33 +38,36 @@ claim reads it:
 * M at each k, from :func:`~kfiblike.sequences.iter_terms`: M(0) .. M(2 n_max),
   since C07 reads M(2n), and at least M(0) .. M(5), which C25 reads at
   symbolic k; C05, C06, C09 and C10 read it too;
-* the transform recurrences, and the prefixes of those and of F, n <= n_max.
+* the transform recurrences, and the prefixes of those and of F, n <= n_max;
+* U(0) .. U(n_max) of each transform recurrence's Lucas sequence U(a, -b),
+  from :func:`~kfiblike.sequences.lucas_sweep`, one doubling step per value
+  from the pair at half its index: every Binet claim reads it.
 
 At symbolic k, sym_n takes the place of n_max.  Each list is read from its
 stream in one go, and the stream is dropped then, so no generator stays open
-from one claim to the next.
+from one claim to the next.  The run also holds one Pascal row, C(n, 0) ..
+C(n, n), which C05 and C06 read: a sweep reads it at n = 0, 1, 2, ..., and
+each row is made from the one before, once per sweep and n, whatever the
+number of k; the whole triangle is never held.
 
 A sweep builds each claim's row once per k from these: it fetches the lists
-and the recurrence of that (kind, k) it needs, opens the Binet sweep or
-expands the generating-function series it compares, and computes C10's
-running alternating sums of M, one subtraction per n.  The point loop is then
-list indexing plus the compared computation itself.  C05 and C06 take their
-right-hand sums from the run's M and one Pascal row per (claim, k), made from
-the row before at each n, and their left sides from the direct sums, so the
-two sides share no route.  C07 compares the rising direct sums with M at even
-indices, and C08 the k-binomial direct sums with k^n times the binomial ones.
-A Binet claim reads its values at ascending n from its own sweep over the
-run's recurrence, :func:`~kfiblike.closedform.binet_sweep` (C19-C22, C26) or
-:func:`~kfiblike.closedform.published_binet_sweep` (C11-C14), so each value
-costs one Lucas doubling step from the pair of U at half its index, not a
-fresh pass of log2 n steps.  The values of C11-C18 (the published Binet forms
+and the recurrence of that (kind, k) it needs, expands the generating-function
+series it compares, and computes C10's running alternating sums of M, one
+subtraction per n.  The point loop is then list indexing plus the compared
+computation itself.  C05 and C06 take their right-hand sums from the run's M
+and Pascal row, and their left sides from the direct sums, so the two sides
+share no route.  C07 compares the rising direct sums with M at even indices,
+and C08 the k-binomial direct sums with k^n times the binomial ones.  The
+Binet claims evaluate their forms at each n from the run's U list, through
+``closedform``'s one evaluator, with the printed coefficients (C11-C14) or the
+exact ones (C19-C22, C26).  The values of C11-C18 (the published Binet forms
 and generating functions), C19-C22 and C26 (the exact Binet form) are not
-shared: each claim keeps its own sweep or series per (kind, k) and computes
-its own.  C15-C18 compare the printed series with the recurrence prefix, so a
-fault in :func:`~kfiblike.genfunc.gf_expand` shows.  A claim still compares
-two independent routes; a value shared between claims means a broken route
-shows in every claim that reads it.  The run and its lists end with
-:func:`run_audit`; the config and the report are plain values.  Claims
+shared: each claim computes its own from the shared lists, and C15-C18 expand
+their own series.  C15-C18 compare the printed series with the recurrence
+prefix, so a fault in :func:`~kfiblike.genfunc.gf_expand` shows.  A claim
+still compares two independent routes; a value shared between claims means a
+broken route shows in every claim that reads it.  The run and its lists end
+with :func:`run_audit`; the config and the report are plain values.  Claims
 C01-C22 are each one sweep over the run, from the n_start their row declares.
 """
 
@@ -79,14 +82,16 @@ from functools import cache
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .closedform import binet_float, binet_sweep, published_binet_sweep
+from .closedform import _binet_term, _exact_coefficients, _printed_coefficients, binet_float
 from .genfunc import gf_expand, published_gf
 from .ring import K, KPoly, RingElem, elem_str, ipow, zero_like
 from .sequences import (
+    Order2Rec,
     _halved_alternating_sums,
     _m_from_f_terms,
     iter_terms,
     k_fib,
+    lucas_sweep,
     modified_k_fib,
     terms,
 )
@@ -109,9 +114,11 @@ FLOAT_N_CAP = 40
 # k = 1 46 s, n_max = 2 at k = 1..46000 36 s (and 381 MB), n_max = 108 at
 # k = 10^800 45 s.  Two terms are upper bounds now, kept so that the admitted
 # and refused ranges stay the same: the 150 was fitted while each Binet value
-# took log2 n Lucas doubling steps (now one), and n_max^2 * W / 10^6 while
-# C05/C06 took each C(n, i) by a big-int division (now one addition in a
-# Pascal row).  The default range (1.5e5) takes about 40-65 ms in process.
+# took log2 n Lucas doubling steps of its own claim (now one step per (kind,
+# k) and n, in one U list that all Binet claims read), and n_max^2 * W / 10^6
+# while C05/C06 took each C(n, i) by a big-int division (now one addition in
+# a Pascal row built once per n, not per k).  The default range (1.5e5) takes
+# about 30-50 ms in process.
 AUDIT_WORK_CEILING = 6 * 10**7
 _KARATSUBA = Decimal("1.585")  # log2(3)
 _WORK_CONTEXT = Context(prec=8, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -192,7 +199,9 @@ class _Run:
             iter_terms(modified_k_fib(k)), max(2 * count(k) - 1, _M_POLYS_LEN))))
         self.recurrence = recurrence = cache(transform_recurrence)
         self.prefix = cache(lambda kind, k: terms(recurrence(kind, k), count(k)))
+        self.u = cache(lambda kind, k: _lucas_list(recurrence(kind, k), count(k)))
         self.f = cache(lambda k: terms(k_fib(k), count(k)))
+        self.pascal = _pascal_rows()
 
 
 def _count(cfg: AuditConfig, k: RingElem) -> int:
@@ -201,6 +210,35 @@ def _count(cfg: AuditConfig, k: RingElem) -> int:
     if isinstance(k, KPoly):
         return cfg.sym_n + 1
     return cfg.n_max + 1 if k in cfg.ks else 0
+
+
+def _lucas_list(rec: Order2Rec, count: int) -> List[RingElem]:
+    """U(0) .. U(count - 1) of U(a, -b), the Lucas sequence of ``rec``'s Binet
+    forms, one doubling step each."""
+    return [u for u, _ in islice(lucas_sweep(rec.a, -rec.b), count)]
+
+
+def _pascal_rows() -> Callable[[int], List[int]]:
+    """``row(n)``: the Pascal row C(n, 0) .. C(n, n).  Only the last row read
+    is held; a larger n is made from it, one :func:`_pascal_step` per row,
+    and a smaller n starts again from row 0, so a sweep that reads n = 0, 1,
+    2, ... builds each row once, whatever its number of k."""
+    row: List[int] = []
+
+    def at(n: int) -> List[int]:
+        nonlocal row
+        if n < len(row) - 1:
+            row = []
+        while len(row) <= n:
+            row = _pascal_step(row)
+        return row
+
+    return at
+
+
+def _pascal_step(row: List[int]) -> List[int]:
+    """The Pascal row after ``row``, one addition per entry; [1] after []."""
+    return [1, *map(operator.add, row, row[1:]), 1] if row else [1]
 
 
 @dataclass(frozen=True)
@@ -421,10 +459,10 @@ def _sweep(row: _Row, n_start: int = 0) -> Callable[[_Run], List[Counterexample]
 
     ``row(run, k)`` is built once per k, reading the route values it shares
     from the run, so each point costs only its own comparison.  A row is read
-    at n = n_start, n_start + 1, ... in that order, once each, so it may step
-    an iterator instead of evaluating each n afresh: the Binet rows take the
-    next value of their sweep, one Lucas doubling step.  The numeric sweep
-    runs first, the symbolic leg afterwards (capped for polynomial-degree
+    at n = n_start, n_start + 1, ... in that order, once each, and all k at
+    one n before the next n, so the difference lemmas read one Pascal row
+    per n from the run, made from the row before.  The numeric sweep runs
+    first, the symbolic leg afterwards (capped for polynomial-degree
     growth).
     """
     def checker(run: _Run) -> List[Counterexample]:
@@ -460,19 +498,15 @@ def _direct_vs_recurrence(kind: TransformKind) -> _Row:
 def _difference_lemma(kind: TransformKind) -> _Row:
     """C05's or C06's pair: b(n+1) - b(n) or f(n+1) - k f(n) from the run's
     direct sums, and the sum of C(n,i) M(i+1), weighted by k^(n-i) through
-    Horner's rule for C06, over the run's M and a Pascal row made from the
-    one before."""
+    Horner's rule for C06, over the run's M and its Pascal row at n."""
     falling = kind is TransformKind.FALLING_K
 
     def row(run: _Run, k: RingElem):
-        direct, ms, zero = run.direct(kind, k), run.m(k), zero_like(k)
+        direct, ms, zero, pascal = run.direct(kind, k), run.m(k), zero_like(k), run.pascal
         mul = KPoly.scale if isinstance(k, KPoly) else operator.mul
-        c: List[int] = []
 
         def pair(n: int):
-            nonlocal c
-            c = [1, *map(operator.add, c, c[1:]), 1] if c else [1]
-            products = map(mul, ms[1:n + 2], c)
+            products = map(mul, ms[1:n + 2], pascal(n))
             if not falling:
                 return direct[n + 1] - direct[n], sum(products, zero)
             acc = zero
@@ -508,11 +542,25 @@ def _f_from_m(run: _Run, k: RingElem):
     return lambda n: (fs[n], halves[n])
 
 
+def _exact_form(rec: Order2Rec, us: List[RingElem]) -> Callable[[int], RingElem]:
+    """``binet_closed(rec, n)`` as a function of n, from U(n - 1) and U(n) in
+    ``us``, the list of :func:`_lucas_list`."""
+    c1, c2 = _exact_coefficients(rec)
+    return lambda n: _binet_term(c1, c2, us[n - 1], us[n]) if n else rec.x0
+
+
+def _printed_form(kind: TransformKind, k: RingElem,
+                  us: List[RingElem]) -> Callable[[int], RingElem]:
+    """``published_binet(kind, k, n)`` as a function of n >= 1, from U(n - 1)
+    and U(n) in ``us``, the list of :func:`_lucas_list`."""
+    c1, c2 = _printed_coefficients(kind, k)
+    return lambda n: _binet_term(c1, c2, us[n - 1], us[n])
+
+
 def _published_binet(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
-        direct = run.direct(kind, k)
-        printed = published_binet_sweep(kind, k, run.recurrence(kind, k))
-        return lambda n: (direct[n], next(printed))
+        direct, printed = run.direct(kind, k), _printed_form(kind, k, run.u(kind, k))
+        return lambda n: (direct[n], printed(n))
 
     return row
 
@@ -528,8 +576,9 @@ def _published_gf(kind: TransformKind) -> _Row:
 
 def _exact_binet(kind: TransformKind) -> _Row:
     def row(run: _Run, k: RingElem):
-        values, closed = run.prefix(kind, k), binet_sweep(run.recurrence(kind, k))
-        return lambda n: (values[n], next(closed))
+        values = run.prefix(kind, k)
+        closed = _exact_form(run.recurrence(kind, k), run.u(kind, k))
+        return lambda n: (values[n], closed(n))
 
     return row
 
@@ -571,11 +620,12 @@ def _check_float_binet(run: _Run) -> Optional[List[Counterexample]]:
     if not ks:
         return None
     recs = [(k, [(kind, run.recurrence(kind, k)) for kind in KIND_ORDER]) for k in ks]
-    rows = [(k, [(kind, rec, binet_sweep(rec)) for kind, rec in row]) for k, row in recs]
+    rows = [(k, [(kind, rec, _exact_form(rec, run.u(kind, k))) for kind, rec in row])
+            for k, row in recs]
     for n in range(n_stop + 1):
         for k, row in rows:
             for kind, rec, closed in row:
-                exact = next(closed)
+                exact = closed(n)
                 approx = binet_float(rec, n)
                 if abs(approx - float(exact)) / float(exact) > tol:
                     return [Counterexample(k=k, n=n, expected=str(exact),

@@ -18,11 +18,11 @@ one form, c1*U(n) + c2*U(n-1), with different coefficient pairs:
   families).  Evaluated faithfully and *not* assumed correct: the audit
   compares it against ground truth and records where it breaks.
 
-Each exact form also has a sweep, :func:`binet_sweep` and
-:func:`published_binet_sweep`, that yields its values at n = 0, 1, 2, ...
-(1, 2, ... for the printed one) from ``sequences.lucas_sweep``: one doubling
-step per term in place of a fresh O(log n) pass, the same values.  The
-audit reads its Binet claims through them.
+Both exact forms are one evaluator, :func:`_binet_term`, over a coefficient
+pair (:func:`_exact_coefficients` or :func:`_printed_coefficients`) and the
+pair (U(n-1), U(n)).  The audit reads them at ascending n from its own list
+of U, made once per (kind, k) by ``sequences.lucas_sweep``: one doubling step
+per value in place of a fresh O(log n) pass, the same values.
 
 ``sequences.term_fast`` keeps its own x0*U(n+1) + (x1 - a*x0)*U(n): the
 benchmark checks ``binet_closed`` against it, a check only while the two
@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from .ring import KPoly, RingElem, const_like, scale
-from .sequences import Order2Rec, lucas_pair, lucas_sweep
+from .sequences import Order2Rec, lucas_pair
 from .transforms import TransformKind, transform_recurrence
 
 
@@ -53,11 +52,6 @@ def binet_closed(rec: Order2Rec, n: int) -> RingElem:
     if n == 0:
         return rec.x0
     return _binet_term(*_exact_coefficients(rec), *lucas_pair(rec.a, -rec.b, n - 1))
-
-
-def binet_sweep(rec: Order2Rec) -> Iterator[RingElem]:
-    """``binet_closed(rec, n)`` for n = 0, 1, 2, ...: one doubling step per term."""
-    return chain((rec.x0,), _binet_terms(rec, *_exact_coefficients(rec)))
 
 
 def binet_float(rec: Order2Rec, n: int) -> float:
@@ -108,16 +102,6 @@ def published_binet(kind: TransformKind, k: RingElem, n: int) -> RingElem:
     return _binet_term(*_printed_coefficients(kind, k), *lucas_pair(rec.a, -rec.b, n - 1))
 
 
-def published_binet_sweep(kind: TransformKind, k: RingElem,
-                          rec: Order2Rec) -> Iterator[RingElem]:
-    """``published_binet(kind, k, n)`` for n = 1, 2, 3, ...: one doubling step per term.
-
-    ``rec`` is the family's recurrence, ``transform_recurrence(kind, k)``, as
-    the caller already holds it.
-    """
-    return _binet_terms(rec, *_printed_coefficients(kind, k))
-
-
 def _exact_coefficients(rec: Order2Rec) -> Tuple[RingElem, RingElem]:
     """(c1, c2) of x(n) = x1*U(n) + b*x0*U(n-1), the true coefficients."""
     return rec.x1, rec.b * rec.x0
@@ -132,12 +116,6 @@ def _printed_coefficients(kind: TransformKind, k: RingElem) -> Tuple[RingElem, R
         c1 = scale(k, 2) + const_like(2, k)
         c2 = const_like(-2, k)
     return c1, c2
-
-
-def _binet_terms(rec: Order2Rec, c1: RingElem, c2: RingElem) -> Iterator[RingElem]:
-    """:func:`_binet_term` at n = 1, 2, ..., over the Lucas sweep of U(a, -b)."""
-    for u_prev, u_cur in lucas_sweep(rec.a, -rec.b):
-        yield _binet_term(c1, c2, u_prev, u_cur)
 
 
 def _binet_term(c1: RingElem, c2: RingElem, u_prev: RingElem, u_cur: RingElem) -> RingElem:

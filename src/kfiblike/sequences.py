@@ -13,7 +13,7 @@ points read it: :func:`lucas_pair` walks the bits of one n, O(log n) steps
 (on ints at one Kronecker point when P and Q are symbolic), for
 :func:`term_fast` here and the single-n Binet forms in ``closedform``;
 :func:`lucas_sweep` yields every m in turn, one step per m, for the audit's
-Binet sweeps.  Neither uses the plain U recurrence, and neither is used
+lists of U.  Neither uses the plain U recurrence, and neither is used
 implicitly, so cross-checks against iteration stay meaningful.
 """
 

@@ -25,8 +25,8 @@ multiplicative rule, and applies k^(n-i) by Horner's rule and k^i by
 stepping k^i M(i) in place of M(i).  It runs on ints: at symbolic k, once at
 k = 256**w, read back into a ``KPoly`` once (Kronecker substitution, see
 ``ring``).  A whole prefix comes from :func:`iter_direct`, which yields
-term after term from Euler's difference table of M, one ring addition per
-cell and no binomial coefficient.  The lemma functions' right-hand sides
+term after term from Euler's difference table of M (of k^i M(i) for the
+rising sum), one ring addition per cell and no binomial coefficient.  The lemma functions' right-hand sides
 stay on the multiplicative kernel, so a lemma checked against a prefix from
 the difference table compares two algorithms rather than restating it.  The
 audit does not run this kernel: its C05/C06 right-hand sides are the same
@@ -118,32 +118,36 @@ def _weighted_sum(kind: TransformKind, k: RingElem, n: int,
 def iter_direct(kind: TransformKind, k: RingElem) -> Iterator[RingElem]:
     """Terms n = 0, 1, 2, ... of the transform, by the online difference table.
 
-    Term n is (W^n x)(0), x = M, for one operator W: I + S for the plain and
-    k-binomial sums, kI + S for the falling one and I + kS for the rising one,
-    S the shift x(i) -> x(i+1) (Euler's table; Prodinger 1994, Spivey & Steil
-    2006).  ``row[j]`` holds (W^j x)(m-1-j); when x(m) arrives, each cell is
-    rebuilt from the old cell before it and the new cell before it, with one
-    ring addition (and, falling or rising, one product by k), and the last
-    cell is (W^m x)(0).  So a prefix of N terms costs about N^2/2 additions
-    and no binomial coefficient, where :func:`transform_direct` repeats an
-    O(n) pass for each n.  x steps M's recurrence inline, as there, and the
-    k-binomial term is the plain one times a running k^m.
+    Term n is (W^n x)(0) for one operator W and one sequence x: W = I + S
+    over x = M for the plain and k-binomial sums, kI + S over M for the
+    falling one, and I + S over y(i) = k^i M(i) for the rising one, since
+    I + kS acting on M is I + S acting on y (S the shift x(i) -> x(i+1);
+    Euler's table, Prodinger 1994, Spivey & Steil 2006).  ``row[j]`` holds
+    (W^j x)(m-1-j); when x(m) arrives, each cell is rebuilt from the old cell
+    before it and the new cell before it, with one ring addition (and,
+    falling, one product by k), and the last cell is (W^m x)(0).  So a prefix
+    of N terms costs about N^2/2 additions and no binomial coefficient, where
+    :func:`transform_direct` repeats an O(n) pass for each n.  x steps M's
+    recurrence inline, as there, and y steps as y(i+1) = k^2 (y(i) + y(i-1));
+    the k-binomial term is the plain one times a running k^m.
     """
     require_valid_k(k)
     falling = kind is TransformKind.FALLING_K
     rising = kind is TransformKind.RISING_K
     power = one_like(k) if kind is TransformKind.K_BINOMIAL else None
-    x = x_next = const_like(2, k)
+    ksq = k * k
+    x = const_like(2, k)
+    x_next = scale(k, 2) if rising else x
     row: List[RingElem] = []
     while True:
         cell = x
-        for j, up in enumerate(row):
-            row[j] = cell
-            if falling:
+        if falling:
+            for j, up in enumerate(row):
+                row[j] = cell
                 cell = k * up + cell
-            elif rising:
-                cell = up + k * cell
-            else:
+        else:
+            for j, up in enumerate(row):
+                row[j] = cell
                 cell = up + cell
         row.append(cell)
         if power is None:
@@ -151,7 +155,7 @@ def iter_direct(kind: TransformKind, k: RingElem) -> Iterator[RingElem]:
         else:
             yield cell * power
             power = power * k
-        x, x_next = x_next, k * x_next + x
+        x, x_next = x_next, ksq * (x_next + x) if rising else k * x_next + x
 
 
 def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:

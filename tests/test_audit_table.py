@@ -2,6 +2,7 @@
 broken route and never carried from one run into the next."""
 
 import dataclasses
+import math
 from collections import Counter
 from itertools import islice
 from pathlib import Path
@@ -146,29 +147,29 @@ def test_broken_gf_expansion_shows_in_the_gf_claims(monkeypatch):
 
 @pytest.mark.parametrize("m", [6, 7])   # U(m) at an even and at an odd m
 def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch, m):
-    """U(m) off by one in the rising k = 3 sweep: the printed form (C13), the
-    exact form (C21) and the double-precision check (C26) each read it as
-    U(n - 1) at n = m + 1, where both forms have c2 = -2.  Only the swept
-    pair is broken, not the pairs the sweep derives from it."""
+    """U(m) off by one in the run's rising k = 3 list: the printed form
+    (C13), the exact form (C21) and the double-precision check (C26) each
+    read it first as U(n) at n = m, where both forms have c1 = 2k + 2.  Only
+    the swept pair is broken, not the pairs the sweep derives from it."""
     healthy = run_audit(**RANGE)
     rec = transform_recurrence(BAD_KIND, BAD_K)
     P, Q = rec.a, -rec.b
-    n = m + 1
-    truth = terms(rec, n + 1)[n]
-    sweep = closedform.lucas_sweep
+    truth = terms(rec, m + 1)[m]
+    wrong = truth + 2 * BAD_K + 2
+    sweep = audit.lucas_sweep
 
     def broken(p, q):
         for i, (u, u_next) in enumerate(sweep(p, q)):
             yield (u + 1 if (p, q) == (P, Q) and i == m else u), u_next
 
-    monkeypatch.setattr(closedform, "lucas_sweep", broken)
+    monkeypatch.setattr(audit, "lucas_sweep", broken)
     changed = _changed(run_audit(**RANGE), healthy)
-    ce = (Counterexample(k=BAD_K, n=n, expected=str(truth), got=str(truth - 2)),)
+    ce = (Counterexample(k=BAD_K, n=m, expected=str(truth), got=str(wrong)),)
     assert changed == {
         "C13": (Verdict.INFO_DISCREPANCY, ce),   # printed rising Binet form
         "C21": (Verdict.FAIL, ce),               # iteration vs exact Binet
         "C26": (Verdict.FAIL, (Counterexample(    # exact vs double-precision Binet
-            k=BAD_K, n=n, expected=str(truth - 2), got=repr(binet_float(rec, n)),
+            k=BAD_K, n=m, expected=str(wrong), got=repr(binet_float(rec, m)),
             label=BAD_KIND.value),)),
     }
 
@@ -487,6 +488,42 @@ def test_symbolic_lemma_rows_equal_the_lemma_functions(n):
 
 def test_lemma_rows_equal_the_lemma_functions_at_n_256():
     _assert_lemma_rows_match(10, 256)
+
+
+def _count_pascal_steps(monkeypatch):
+    steps = []
+    step = audit._pascal_step
+
+    def spy(row):
+        steps.append(len(row))
+        return step(row)
+
+    monkeypatch.setattr(audit, "_pascal_step", spy)
+    return steps
+
+
+def test_the_run_holds_one_pascal_row_made_from_the_one_before(monkeypatch):
+    """Row n is made from row n - 1, one step each; reading the same n again
+    costs nothing, and a smaller n starts again from row 0."""
+    steps = _count_pascal_steps(monkeypatch)
+    rows = audit._pascal_rows()
+    for n, new_steps in ((3, 4), (3, 0), (4, 1), (7, 3), (1, 2), (1, 0), (0, 1)):
+        steps.clear()
+        assert rows(n) == [math.comb(n, i) for i in range(n + 1)]
+        assert len(steps) == new_steps, n
+
+
+def test_pascal_rows_built_do_not_grow_with_the_number_of_k(monkeypatch):
+    """C05 and C06 share one row per sweep and n: each of their numeric
+    (n <= 64) and symbolic (n <= 16) sweeps builds each row once, at k_max 1
+    as at k_max 10."""
+    steps = _count_pascal_steps(monkeypatch)
+    built = []
+    for k_max in (1, 10):
+        steps.clear()
+        run_audit(k_max=k_max)
+        built.append(len(steps))
+    assert built == [2 * (65 + 17)] * 2
 
 
 def test_jsonl_is_the_same_at_the_range_edges():

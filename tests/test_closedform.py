@@ -1,13 +1,12 @@
 import random
-from itertools import islice
 
 import pytest
 
+from kfiblike import audit
 from kfiblike.closedform import (
     binet_closed,
     binet_float,
     published_binet,
-    published_binet_sweep,
 )
 from kfiblike.ring import K, KPoly, ipow
 from kfiblike.sequences import Order2Rec, lucas_pair, terms
@@ -112,13 +111,21 @@ def test_published_binet_examples():
     assert transform_direct(TransformKind.FALLING_K, 2, 2) == 22
 
 
-def test_published_binet_sweep_gives_the_single_n_values():
-    """The sweep yields published_binet at n = 1, 2, ..., the wrong families
-    included, over the recurrence its caller passes in."""
+def test_forms_over_the_run_s_u_list_give_the_single_n_values():
+    """The audit's printed and exact forms over its run's U list are
+    published_binet (the wrong families included) and binet_closed at every
+    n it holds: n <= 40 numeric, n <= 16 at K."""
+    run = audit._Run(audit.AuditConfig(k_min=1, k_max=7, n_max=40))
     for kind in KIND_ORDER:
         for k in (1, 2, 7, K):
-            sweep = published_binet_sweep(kind, k, transform_recurrence(kind, k))
-            assert list(islice(sweep, 40)) == [published_binet(kind, k, n) for n in range(1, 41)]
+            rec = transform_recurrence(kind, k)
+            us = run.u(kind, k)
+            ns = range(len(us))
+            assert len(us) == (17 if k is K else 41)
+            printed, exact = audit._printed_form(kind, k, us), audit._exact_form(rec, us)
+            assert [printed(n) for n in ns[1:]] == [published_binet(kind, k, n) for n in ns[1:]]
+            assert [exact(n) for n in ns] == [binet_closed(rec, n) for n in ns]
+            assert [exact(n) for n in ns] == terms(rec, len(us))
 
 
 def test_published_binet_rejects_n_zero():

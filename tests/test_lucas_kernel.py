@@ -1,6 +1,6 @@
 """The Lucas doubling kernel against independent plain iteration.
 
-``term_fast``, ``binet_closed`` and the audit's Binet sweeps all read one
+``term_fast``, ``binet_closed`` and the audit's lists of U all read one
 doubling loop, ``sequences._doubling``: ``lucas_pair`` runs it over the bits
 of one n, ``lucas_sweep`` one step per m from the pair at m >> 1.  So
 agreeing with each other proves little.  Every check here compares them with
@@ -9,14 +9,15 @@ out below, at the bit patterns the doubling loop branches on: around each
 power of two, where the loop gains a step.
 """
 
+from collections import Counter
 from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kfiblike import closedform, sequences
+from kfiblike import audit, closedform, sequences
 from kfiblike.audit import run_audit
-from kfiblike.closedform import binet_closed, binet_sweep
+from kfiblike.closedform import binet_closed
 from kfiblike.ring import K, KPoly, ModeMismatchError, one_like, zero_like
 from kfiblike.sequences import (
     k_fib,
@@ -64,7 +65,10 @@ def assert_routes_match(rec, ns):
     reach = min(top + 1, SWEEP_LEN)
     for m, pair in enumerate(islice(lucas_sweep(P, Q), reach)):
         assert pair == lucas_pair(P, Q, m) == (us[m], us[m + 1]), ("lucas_sweep", rec, m)
-    assert list(islice(binet_sweep(rec), reach)) == seq[:reach], ("binet_sweep", rec)
+    listed = audit._lucas_list(rec, reach)
+    assert listed == us[:reach], ("the audit's U list", rec)
+    form = audit._exact_form(rec, listed)
+    assert [form(n) for n in range(reach)] == seq[:reach], ("exact form over the U list", rec)
 
 
 @pytest.mark.parametrize("k", [1, 2, 10])
@@ -159,6 +163,21 @@ def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch):
     report = run_audit(k_min=1, k_max=5, n_max=12)
     assert report.counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
     assert steps and set(steps) == {1}
+
+
+def test_a_default_run_sweeps_each_kind_and_k_once(monkeypatch):
+    """C11-C14, C19-C22 and C26 share one U list per (kind, k): four kinds at
+    k = 1..10, and four at symbolic k."""
+    calls = Counter()
+    sweep = audit.lucas_sweep
+
+    def spy(P, Q):
+        calls["symbolic" if isinstance(P, KPoly) else "numeric"] += 1
+        return sweep(P, Q)
+
+    monkeypatch.setattr(audit, "lucas_sweep", spy)
+    assert run_audit().counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
+    assert calls == {"numeric": 40, "symbolic": 4}
 
 
 @settings(max_examples=150, deadline=None)

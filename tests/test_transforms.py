@@ -242,6 +242,16 @@ def test_direct_prefix_matches_each_term_and_the_recurrence_property(kind, k, co
     assert prefix == terms(transform_recurrence(kind, k), count)
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(min_value=1, max_value=10**4), count=st.integers(min_value=0, max_value=70))
+def test_rising_direct_prefix_at_wide_k_property(k, count):
+    """The rising table runs over y(i) = k^i M(i), whose terms are wider
+    than M's: up to k = 10^4 it still gives each term and the recurrence."""
+    prefix = list(islice(iter_direct(TransformKind.RISING_K, k), count))
+    assert prefix == [transform_direct(TransformKind.RISING_K, k, n) for n in range(count)]
+    assert prefix == terms(transform_recurrence(TransformKind.RISING_K, k), count)
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(KIND_ORDER), count=st.integers(min_value=0, max_value=14))
 def test_symbolic_direct_prefix_matches_each_term_and_the_recurrence_property(kind, count):
