@@ -50,25 +50,30 @@ C(n, n), which C05 and C06 read: a sweep reads it at n = 0, 1, 2, ..., and
 each row is made from the one before, once per sweep and n, whatever the
 number of k; the whole triangle is never held.
 
-A sweep builds each claim's row once per k from these: it fetches the lists
-and the recurrence of that (kind, k) it needs, expands the generating-function
-series it compares, and computes C10's running alternating sums of M, one
-subtraction per n.  The point loop is then list indexing plus the compared
-computation itself.  C05 and C06 take their right-hand sums from the run's M
+A claim's row is a plain function ``row(run, k)``, or ``row(kind, run, k)``
+for a family row, whose kind the registry binds.  A sweep calls it once per
+k.  It fetches the lists and the recurrence of that (kind, k) it needs,
+expands the generating-function series it compares, computes C10's running
+alternating sums of M, one subtraction per n, and returns the function of n
+that the point loop reads: list indexing plus the compared computation
+itself.  C05 and C06 take their right-hand sums from the run's M
 and Pascal row, and their left sides from the direct sums, so the two sides
 share no route.  C07 compares the rising direct sums with M at even indices,
 and C08 the k-binomial direct sums with k^n times the binomial ones.  The
-Binet claims evaluate their forms at each n from the run's U list, through
-``closedform``'s one evaluator, with the printed coefficients (C11-C14) or the
-exact ones (C19-C22, C26).  The values of C11-C18 (the published Binet forms
-and generating functions), C19-C22 and C26 (the exact Binet form) are not
-shared: each claim computes its own from the shared lists, and C15-C18 expand
-their own series.  C15-C18 compare the printed series with the recurrence
-prefix, so a fault in :func:`~kfiblike.genfunc.gf_expand` shows.  A claim
-still compares two independent routes; a value shared between claims means a
-broken route shows in every claim that reads it.  The run and its lists end
-with :func:`run_audit`; the config and the report are plain values.  Claims
-C01-C22 are each one sweep over the run, from the n_start their row declares.
+Binet claims evaluate one form, c1 U(n) + c2 U(n-1), at each n from the run's
+U list, through ``closedform``'s one evaluator, with the printed coefficients
+(C11-C14) or the exact ones and x0 at n = 0 (C19-C22, C26).  The values of
+C11-C18 (the published Binet forms and generating functions), C19-C22 and
+C26 (the exact Binet form) are not shared: each claim computes its own from
+the shared lists, and C15-C18 expand their own series.  C15-C18 compare the
+printed series with the recurrence prefix, so a fault in
+:func:`~kfiblike.genfunc.gf_expand` shows.  A claim still compares two
+independent routes; a value shared between claims means a broken route shows
+in every claim that reads it.  Claims C01-C22 are each one sweep over the
+run, from the n_start their row declares.  C23-C25 compare each printed list
+(the table fixtures, the polynomials M(k, 2) .. M(k, 5)) with the run's values
+through one helper that reports its first differing entry.  The run and its
+lists end with :func:`run_audit`; the config and the report are plain values.
 """
 
 from __future__ import annotations
@@ -78,9 +83,9 @@ import operator
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .closedform import _binet_term, _exact_coefficients, _printed_coefficients, binet_float
 from .genfunc import gf_expand, published_gf
@@ -151,6 +156,10 @@ class AuditConfig:
     symbolic: bool = True
 
     def __post_init__(self):
+        for name in ("k_min", "k_max", "n_max"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if not (1 <= self.k_min <= self.k_max):
             raise ValueError("need 1 <= k_min <= k_max")
         if self.n_max < 2:
@@ -390,47 +399,32 @@ class AuditReport:
 
 _OEIS_B1 = "A052995-{0} or A055819-{1}"
 
-TABLE_FIXTURES: Tuple[TableFixture, ...] = (
-    TableFixture("B_1", TransformKind.BINOMIAL, 1, (2, 4, 10, 26, 68, 178),
-                 "published binomial-transform list B_1", _OEIS_B1),
-    TableFixture("B_2", TransformKind.BINOMIAL, 2, (2, 4, 12, 40, 136, 464),
-                 "published binomial-transform list B_2", "A056236"),
-    TableFixture("B_3", TransformKind.BINOMIAL, 3, (2, 4, 14, 58, 248, 1066),
-                 "published binomial-transform list B_3"),
-    TableFixture("B_4", TransformKind.BINOMIAL, 4, (2, 4, 16, 80, 416, 2176),
-                 "published binomial-transform list B_4"),
-    TableFixture("B_5", TransformKind.BINOMIAL, 5, (2, 4, 18, 106, 652, 4034),
-                 "published binomial-transform list B_5"),
-    TableFixture("W_1", TransformKind.K_BINOMIAL, 1, (2, 4, 10, 26, 68, 178),
-                 "published k-binomial-transform list W_1", _OEIS_B1),
-    TableFixture("W_2", TransformKind.K_BINOMIAL, 2, (2, 8, 96, 320, 1088, 3712),
-                 "published k-binomial-transform list W_2"),
-    TableFixture("W_3", TransformKind.K_BINOMIAL, 3, (2, 12, 378, 1566, 6696, 28782),
-                 "published k-binomial-transform list W_3"),
-    TableFixture("W_4", TransformKind.K_BINOMIAL, 4, (2, 16, 1024, 5120, 26624),
-                 "published k-binomial-transform list W_4"),
-    TableFixture("W_5", TransformKind.K_BINOMIAL, 5, (2, 20, 2250, 13250, 81500),
-                 "published k-binomial-transform list W_5"),
-    TableFixture("R_1", TransformKind.RISING_K, 1, (2, 4, 10, 26, 68, 178),
-                 "published rising-transform list R_1", _OEIS_B1),
-    TableFixture("R_2", TransformKind.RISING_K, 2, (2, 6, 34, 198, 1154, 6726),
-                 "published rising-transform list R_2"),
-    TableFixture("R_3", TransformKind.RISING_K, 3, (2, 8, 86, 938, 10232),
-                 "published rising-transform list R_3"),
-    TableFixture("R_4", TransformKind.RISING_K, 4, (2, 10, 178, 3194, 57314),
-                 "published rising-transform list R_4"),
-    TableFixture("R_5", TransformKind.RISING_K, 5, (2, 12, 322, 8682, 234092),
-                 "published rising-transform list R_5"),
-    TableFixture("F_1", TransformKind.FALLING_K, 1, (2, 4, 10, 26, 68, 178),
-                 "published falling-transform list F_1", _OEIS_B1),
-    TableFixture("F_2", TransformKind.FALLING_K, 2, (2, 6, 22, 90, 386, 1686),
-                 "published falling-transform list F_2"),
-    TableFixture("F_3", TransformKind.FALLING_K, 3, (2, 8, 38, 206, 1208, 7370),
-                 "published falling-transform list F_3"),
-    TableFixture("F_4", TransformKind.FALLING_K, 4, (2, 10, 58, 386, 2834, 22042),
-                 "published falling-transform list F_4"),
-    TableFixture("F_5", TransformKind.FALLING_K, 5, (2, 12, 82, 642, 5612, 52722),
-                 "published falling-transform list F_5"),
+#: One row per letter: (letter, kind, the list's name in its citation, the
+#: printed lists at k = 1..5, OEIS notes by k).
+_PRINTED_LISTS = (
+    ("B", TransformKind.BINOMIAL, "binomial-transform", (
+        (2, 4, 10, 26, 68, 178), (2, 4, 12, 40, 136, 464), (2, 4, 14, 58, 248, 1066),
+        (2, 4, 16, 80, 416, 2176), (2, 4, 18, 106, 652, 4034)),
+     {1: _OEIS_B1, 2: "A056236"}),
+    ("W", TransformKind.K_BINOMIAL, "k-binomial-transform", (
+        (2, 4, 10, 26, 68, 178), (2, 8, 96, 320, 1088, 3712), (2, 12, 378, 1566, 6696, 28782),
+        (2, 16, 1024, 5120, 26624), (2, 20, 2250, 13250, 81500)),
+     {1: _OEIS_B1}),
+    ("R", TransformKind.RISING_K, "rising-transform", (
+        (2, 4, 10, 26, 68, 178), (2, 6, 34, 198, 1154, 6726), (2, 8, 86, 938, 10232),
+        (2, 10, 178, 3194, 57314), (2, 12, 322, 8682, 234092)),
+     {1: _OEIS_B1}),
+    ("F", TransformKind.FALLING_K, "falling-transform", (
+        (2, 4, 10, 26, 68, 178), (2, 6, 22, 90, 386, 1686), (2, 8, 38, 206, 1208, 7370),
+        (2, 10, 58, 386, 2834, 22042), (2, 12, 82, 642, 5612, 52722)),
+     {1: _OEIS_B1}),
+)
+
+TABLE_FIXTURES: Tuple[TableFixture, ...] = tuple(
+    TableFixture(f"{letter}_{k}", kind, k, values, f"published {name} list {letter}_{k}",
+                 notes.get(k, ""))
+    for letter, kind, name, lists, notes in _PRINTED_LISTS
+    for k, values in enumerate(lists, start=1)
 )
 
 #: Printed closed forms of M(k, 2) .. M(k, 5), ascending coefficients.
@@ -486,37 +480,29 @@ def _sweep(row: _Row, n_start: int = 0) -> Callable[[_Run], List[Counterexample]
     return checker
 
 
-def _direct_vs_recurrence(kind: TransformKind) -> _Row:
-    def row(run: _Run, k: RingElem):
-        direct = run.direct(kind, k)
-        rec = run.prefix(kind, k)
-        return lambda n: (direct[n], rec[n])
-
-    return row
+def _direct_vs_recurrence(kind: TransformKind, run: _Run, k: RingElem):
+    direct, rec = run.direct(kind, k), run.prefix(kind, k)
+    return lambda n: (direct[n], rec[n])
 
 
-def _difference_lemma(kind: TransformKind) -> _Row:
+def _difference_lemma(kind: TransformKind, run: _Run, k: RingElem):
     """C05's or C06's pair: b(n+1) - b(n) or f(n+1) - k f(n) from the run's
     direct sums, and the sum of C(n,i) M(i+1), weighted by k^(n-i) through
     Horner's rule for C06, over the run's M and its Pascal row at n."""
     falling = kind is TransformKind.FALLING_K
+    direct, ms, zero, pascal = run.direct(kind, k), run.m(k), zero_like(k), run.pascal
+    mul = KPoly.scale if isinstance(k, KPoly) else operator.mul
 
-    def row(run: _Run, k: RingElem):
-        direct, ms, zero, pascal = run.direct(kind, k), run.m(k), zero_like(k), run.pascal
-        mul = KPoly.scale if isinstance(k, KPoly) else operator.mul
+    def pair(n: int):
+        products = map(mul, ms[1:n + 2], pascal(n))
+        if not falling:
+            return direct[n + 1] - direct[n], sum(products, zero)
+        acc = zero
+        for term in products:
+            acc = acc * k + term
+        return direct[n + 1] - k * direct[n], acc
 
-        def pair(n: int):
-            products = map(mul, ms[1:n + 2], pascal(n))
-            if not falling:
-                return direct[n + 1] - direct[n], sum(products, zero)
-            acc = zero
-            for term in products:
-                acc = acc * k + term
-            return direct[n + 1] - k * direct[n], acc
-
-        return pair
-
-    return row
+    return pair
 
 
 def _rising_even_index(run: _Run, k: RingElem):
@@ -542,74 +528,61 @@ def _f_from_m(run: _Run, k: RingElem):
     return lambda n: (fs[n], halves[n])
 
 
-def _exact_form(rec: Order2Rec, us: List[RingElem]) -> Callable[[int], RingElem]:
-    """``binet_closed(rec, n)`` as a function of n, from U(n - 1) and U(n) in
-    ``us``, the list of :func:`_lucas_list`."""
-    c1, c2 = _exact_coefficients(rec)
-    return lambda n: _binet_term(c1, c2, us[n - 1], us[n]) if n else rec.x0
+def _binet_form(coefficients: Tuple[RingElem, RingElem], us: List[RingElem],
+                x0: Optional[RingElem] = None) -> Callable[[int], Optional[RingElem]]:
+    """c1 U(n) + c2 U(n - 1) as a function of n, from U(n - 1) and U(n) in
+    ``us``, the list of :func:`_lucas_list`, and ``x0`` at n = 0: the exact
+    form with :func:`~kfiblike.closedform._exact_coefficients` and its x0,
+    the printed one (read from n = 1) with ``_printed_coefficients``."""
+    c1, c2 = coefficients
+    return lambda n: _binet_term(c1, c2, us[n - 1], us[n]) if n else x0
 
 
-def _printed_form(kind: TransformKind, k: RingElem,
-                  us: List[RingElem]) -> Callable[[int], RingElem]:
-    """``published_binet(kind, k, n)`` as a function of n >= 1, from U(n - 1)
-    and U(n) in ``us``, the list of :func:`_lucas_list`."""
-    c1, c2 = _printed_coefficients(kind, k)
-    return lambda n: _binet_term(c1, c2, us[n - 1], us[n])
+def _published_binet(kind: TransformKind, run: _Run, k: RingElem):
+    direct = run.direct(kind, k)
+    printed = _binet_form(_printed_coefficients(kind, k), run.u(kind, k))
+    return lambda n: (direct[n], printed(n))
 
 
-def _published_binet(kind: TransformKind) -> _Row:
-    def row(run: _Run, k: RingElem):
-        direct, printed = run.direct(kind, k), _printed_form(kind, k, run.u(kind, k))
-        return lambda n: (direct[n], printed(n))
-
-    return row
+def _published_gf(kind: TransformKind, run: _Run, k: RingElem):
+    derived = run.prefix(kind, k)
+    printed = gf_expand(published_gf(kind, k), run.count(k))
+    return lambda n: (derived[n], printed[n])
 
 
-def _published_gf(kind: TransformKind) -> _Row:
-    def row(run: _Run, k: RingElem):
-        derived = run.prefix(kind, k)
-        printed = gf_expand(published_gf(kind, k), run.count(k))
-        return lambda n: (derived[n], printed[n])
-
-    return row
+def _exact_binet(kind: TransformKind, run: _Run, k: RingElem):
+    values, rec = run.prefix(kind, k), run.recurrence(kind, k)
+    closed = _binet_form(_exact_coefficients(rec), run.u(kind, k), rec.x0)
+    return lambda n: (values[n], closed(n))
 
 
-def _exact_binet(kind: TransformKind) -> _Row:
-    def row(run: _Run, k: RingElem):
-        values = run.prefix(kind, k)
-        closed = _exact_form(run.recurrence(kind, k), run.u(kind, k))
-        return lambda n: (values[n], closed(n))
+def _first_mismatch(k: object, label: str,
+                    rows: Iterable[Tuple[int, RingElem, RingElem]]) -> List[Counterexample]:
+    """The first (n, printed, computed) of ``rows`` whose two values differ,
+    as a list of one counterexample at k as shown; [] when none does."""
+    for n, printed, computed in rows:
+        if printed != computed:
+            return [Counterexample(k=k, n=n, expected=elem_str(printed),
+                                   got=elem_str(computed), label=label)]
+    return []
 
-    return row
 
-
-def _check_fixtures(labels_prefixes: Sequence[str]):
-    def checker(run: _Run) -> List[Counterexample]:
-        ces: List[Counterexample] = []
-        for fx in TABLE_FIXTURES:
-            if not any(fx.label.startswith(p) for p in labels_prefixes):
-                continue
+def _check_fixtures(letters: str, run: _Run) -> List[Counterexample]:
+    """C23's or C24's check: each printed list whose letter is in ``letters``
+    against the run's direct sums, one counterexample per list at most."""
+    ces: List[Counterexample] = []
+    for fx in TABLE_FIXTURES:
+        if fx.label[0] in letters:
             direct = run.direct(fx.kind, fx.k)
-            for n, (printed, computed) in enumerate(zip(fx.values, direct)):
-                if printed != computed:
-                    ces.append(Counterexample(k=fx.k, n=n, expected=str(printed),
-                                              got=elem_str(computed), label=fx.label))
-                    break
-        return ces
-
-    return checker
+            ces += _first_mismatch(fx.k, fx.label,
+                                   ((n, printed, direct[n]) for n, printed in enumerate(fx.values)))
+    return ces
 
 
 def _check_published_m_polys(run: _Run) -> List[Counterexample]:
-    seq = run.m(K)
-    ces: List[Counterexample] = []
-    for n in sorted(PUBLISHED_M_POLYS):
-        printed = KPoly(PUBLISHED_M_POLYS[n])
-        if seq[n] != printed:
-            ces.append(Counterexample(k="k", n=n, expected=str(printed),
-                                      got=elem_str(seq[n])))
-            break
-    return ces
+    ms = run.m(K)
+    return _first_mismatch("k", "", ((n, KPoly(coeffs), ms[n])
+                                     for n, coeffs in sorted(PUBLISHED_M_POLYS.items())))
 
 
 def _check_float_binet(run: _Run) -> Optional[List[Counterexample]]:
@@ -620,7 +593,8 @@ def _check_float_binet(run: _Run) -> Optional[List[Counterexample]]:
     if not ks:
         return None
     recs = [(k, [(kind, run.recurrence(kind, k)) for kind in KIND_ORDER]) for k in ks]
-    rows = [(k, [(kind, rec, _exact_form(rec, run.u(kind, k))) for kind, rec in row])
+    rows = [(k, [(kind, rec, _binet_form(_exact_coefficients(rec), run.u(kind, k), rec.x0))
+                 for kind, rec in row])
             for k, row in recs]
     for n in range(n_stop + 1):
         for k, row in rows:
@@ -639,10 +613,11 @@ def _check_float_binet(run: _Run) -> Optional[List[Counterexample]]:
 
 #: Every claim, in id order.  A family row declares one claim per kind in
 #: ``KIND_ORDER``, with ids from its first on: (first id, class, description
-#: template over the kind's name, row builder of the kind, n_start, the four
-#: citations).  A stand-alone row declares one claim: (id, class, description,
-#: row, n_start, citation).  A row with n_start is checked by :func:`_sweep`
-#: from that n on; one without is a checker of the whole run.
+#: template over the kind's name, ``row(kind, run, k)``, n_start, the four
+#: citations); the registry binds each kind with ``partial``.  A stand-alone
+#: row declares one claim: (id, class, description, row, n_start, citation).
+#: A row with n_start is checked by :func:`_sweep` from that n on; one without
+#: is a checker of the whole run.
 _DECLARATIONS = (
     (1, ClaimClass.IDENTITY, "{} transform: direct sum equals closed recurrence",
      _direct_vs_recurrence, 0, (
@@ -651,9 +626,10 @@ _DECLARATIONS = (
          "published recurrence r(n+1) = (k^2+2) r(n) - r(n-1), r0 = 2, r1 = 2k+2",
          "published recurrence f(n+1) = 3k f(n) - (2k^2-1) f(n-1), f0 = 2, f1 = 2k+2")),
     (5, ClaimClass.IDENTITY, "difference lemma for the binomial transform",
-     _difference_lemma(TransformKind.BINOMIAL), 0, "b(n+1) - b(n) = sum_i C(n,i) M(i+1)"),
+     partial(_difference_lemma, TransformKind.BINOMIAL), 0,
+     "b(n+1) - b(n) = sum_i C(n,i) M(i+1)"),
     (6, ClaimClass.IDENTITY, "difference lemma for the falling k-binomial transform",
-     _difference_lemma(TransformKind.FALLING_K), 0,
+     partial(_difference_lemma, TransformKind.FALLING_K), 0,
      "f(n+1) - k f(n) = sum_i C(n,i) k^(n-i) M(i+1)"),
     (7, ClaimClass.IDENTITY, "rising k-binomial transform walks the even-index subsequence",
      _rising_even_index, 0, "sum_i C(n,i) k^i M(i) = M(2n)"),
@@ -680,9 +656,9 @@ _DECLARATIONS = (
      _exact_binet, 0,
      ("x(n) = x1 U(n) - Q x0 U(n-1) over the family's characteristic roots",) * 4),
     (23, ClaimClass.PUBLISHED, "published tables for the binomial, rising and falling transforms",
-     _check_fixtures(("B_", "R_", "F_")), None, "printed lists B_1..B_5, R_1..R_5, F_1..F_5"),
+     partial(_check_fixtures, "BRF"), None, "printed lists B_1..B_5, R_1..R_5, F_1..F_5"),
     (24, ClaimClass.PUBLISHED, "published tables for the k-binomial transform",
-     _check_fixtures(("W_",)), None, "printed lists W_1..W_5"),
+     partial(_check_fixtures, "W"), None, "printed lists W_1..W_5"),
     (25, ClaimClass.PUBLISHED, "published closed forms of M(k,2)..M(k,5) as polynomials in k",
      _check_published_m_polys, None,
      "printed polynomials 2k+2, 2k^2+2k+2, 2k^3+2k^2+4k+2, 2k^4+2k^3+6k^2+4k+2"),
@@ -698,7 +674,7 @@ def claim_registry() -> List[Claim]:
         if isinstance(cited, str):
             entries = [(text, row, cited)]
         else:
-            entries = [(text.format(_KIND_NAMES[kind]), row(kind), citation)
+            entries = [(text.format(_KIND_NAMES[kind]), partial(row, kind), citation)
                        for kind, citation in zip(KIND_ORDER, cited, strict=True)]
         for i, (description, check, citation) in enumerate(entries):
             claims.append(Claim(f"C{first + i:02d}", description, citation, claim_class,

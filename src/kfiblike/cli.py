@@ -299,15 +299,17 @@ def _cmd_binet(args, parser, out) -> int:
 
 
 def _cmd_audit(args, parser, out) -> int:
-    from .audit import run_audit
+    from .audit import AuditConfig, run_audit
 
     # a flag not given is absent from args, and run_audit's default applies
     given = {name: getattr(args, name) for name in ("k_min", "k_max", "n_max", "symbolic")
              if hasattr(args, name)}
+    # only a range error is a usage error: one raised inside a claim is a fault
     try:
-        report = run_audit(**given)
+        AuditConfig(**given)
     except ValueError as exc:
         parser.error(str(exc))
+    report = run_audit(**given)
     if args.format == "jsonl":
         out.write(report.to_jsonl())
     else:

@@ -182,6 +182,14 @@ def test_invalid_ranges_rejected():
         run_audit(k_min=1, k_max=3, n_max=1)
     with pytest.raises(ValueError):
         AuditConfig(k_min=2, k_max=1)
+    # a bool or a non-int is named, before any range or ceiling check
+    for given, shown in ((dict(k_min=True), "k_min must be an int, got bool"),
+                         (dict(k_max=10.5), "k_max must be an int, got float"),
+                         (dict(n_max=64.0), "n_max must be an int, got float"),
+                         (dict(n_max="64"), "n_max must be an int, got str"),
+                         (dict(k_min=1.0, n_max=1), "k_min must be an int, got float")):
+        with pytest.raises(TypeError, match=f"^{shown}$"):
+            run_audit(**given)
 
 
 def test_work_past_the_ceiling_is_refused(monkeypatch):
@@ -229,7 +237,9 @@ def test_table_fixtures_are_verbatim_transcriptions():
     assert by_label["B_2"].values == (2, 4, 12, 40, 136, 464)
     assert by_label["B_2"].oeis_note == "A056236"
     assert by_label["W_2"].values == (2, 8, 96, 320, 1088, 3712)
+    assert by_label["W_3"].values == (2, 12, 378, 1566, 6696, 28782)
     assert by_label["W_4"].values == (2, 16, 1024, 5120, 26624)
+    assert by_label["W_5"].values == (2, 20, 2250, 13250, 81500)
     assert by_label["R_3"].values == (2, 8, 86, 938, 10232)
     assert by_label["F_5"].values == (2, 12, 82, 642, 5612, 52722)
     assert "A052995" in by_label["B_1"].oeis_note

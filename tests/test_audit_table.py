@@ -174,6 +174,25 @@ def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch
     }
 
 
+def test_broken_pascal_row_fails_exactly_the_difference_lemmas(monkeypatch):
+    """C(4, 2) one too big in the run's Pascal row: C05 and C06, the only
+    claims that read it, fail at k = 1, n = 4, where it weights M(3) = 6 on
+    both right sides (k^(n-i) = 1): b(5) - b(4) = f(5) - f(4) = 110."""
+    healthy = run_audit(**RANGE)
+    step = audit._pascal_step
+
+    def broken(row):
+        new = step(row)
+        if len(new) == 5:
+            new[2] += 1
+        return new
+
+    monkeypatch.setattr(audit, "_pascal_step", broken)
+    ce = (Counterexample(k=1, n=4, expected="110", got="116"),)
+    assert _changed(run_audit(**RANGE), healthy) == {
+        "C05": (Verdict.FAIL, ce), "C06": (Verdict.FAIL, ce)}
+
+
 def _break_m(monkeypatch, rec, bad, delta):
     """M(bad) of ``rec``'s stream off by ``delta``, as the audit reads it."""
     def broken(r):
@@ -470,7 +489,7 @@ def _assert_lemma_rows_match(k, n):
                                        n_max=max(n, 2)))
     for kind, lemma in ((TransformKind.BINOMIAL, binomial_diff_identity),
                         (TransformKind.FALLING_K, falling_diff_identity)):
-        pair = audit._difference_lemma(kind)(run, k)
+        pair = audit._difference_lemma(kind, run, k)
         assert [pair(i) for i in range(n + 1)] == [lemma(k, i) for i in range(n + 1)]
 
 

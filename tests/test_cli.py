@@ -362,6 +362,22 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert captured.err == "kfiblike: internal error: RuntimeError: boom\n"
 
 
+def test_value_error_inside_a_claim_exits_3(capsys, monkeypatch):
+    """Only the range check is a usage error: a ValueError raised inside a
+    claim is a fault, reported as one line with exit 3."""
+    def broken(rec, n):
+        raise ValueError("no float here")
+
+    monkeypatch.setattr("kfiblike.audit.binet_float", broken)
+    monkeypatch.setattr(sys, "argv", ["kfiblike", "audit", "--k-max", "2", "--n-max", "8"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "kfiblike: internal error: ValueError: no float here\n"
+
+
 def _cli_command(argv):
     """The ``python -m kfiblike`` command line and an environment to run it in.
 

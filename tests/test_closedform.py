@@ -4,6 +4,8 @@ import pytest
 
 from kfiblike import audit
 from kfiblike.closedform import (
+    _exact_coefficients,
+    _printed_coefficients,
     binet_closed,
     binet_float,
     published_binet,
@@ -95,10 +97,18 @@ def test_binet_float_rejects_symbolic():
 
 
 def test_binet_float_rejects_nonpositive_discriminant():
-    # x(n+1) = -x(n-1): characteristic x^2 + 1, discriminant -4
-    rec = Order2Rec(a=0, b=-1, x0=1, x1=1)
-    with pytest.raises(ValueError):
-        binet_float(rec, 3)
+    for a, b, disc in ((0, -1, -4),    # x(n+1) = -x(n-1): characteristic x^2 + 1
+                       (2, -1, 0)):    # x(n+1) = 2x(n) - x(n-1): a double root at 1
+        rec = Order2Rec(a=a, b=b, x0=1, x1=1)
+        with pytest.raises(ValueError, match=f"^discriminant must be positive, got {disc}$"):
+            binet_float(rec, 3)
+
+
+def test_binet_float_accepts_discriminant_one():
+    # x(n+1) = x(n): characteristic x^2 - x, roots 1 and 0, the smallest
+    # positive discriminant an int recurrence has
+    rec = Order2Rec(a=1, b=0, x0=3, x1=3)
+    assert binet_float(rec, 0) == binet_float(rec, 5) == 3.0
 
 
 def test_published_binet_examples():
@@ -122,7 +132,8 @@ def test_forms_over_the_run_s_u_list_give_the_single_n_values():
             us = run.u(kind, k)
             ns = range(len(us))
             assert len(us) == (17 if k is K else 41)
-            printed, exact = audit._printed_form(kind, k, us), audit._exact_form(rec, us)
+            printed = audit._binet_form(_printed_coefficients(kind, k), us)
+            exact = audit._binet_form(_exact_coefficients(rec), us, rec.x0)
             assert [printed(n) for n in ns[1:]] == [published_binet(kind, k, n) for n in ns[1:]]
             assert [exact(n) for n in ns] == [binet_closed(rec, n) for n in ns]
             assert [exact(n) for n in ns] == terms(rec, len(us))

@@ -67,7 +67,7 @@ def assert_routes_match(rec, ns):
         assert pair == lucas_pair(P, Q, m) == (us[m], us[m + 1]), ("lucas_sweep", rec, m)
     listed = audit._lucas_list(rec, reach)
     assert listed == us[:reach], ("the audit's U list", rec)
-    form = audit._exact_form(rec, listed)
+    form = audit._binet_form(closedform._exact_coefficients(rec), listed, rec.x0)
     assert [form(n) for n in range(reach)] == seq[:reach], ("exact form over the U list", rec)
 
 
