@@ -160,6 +160,8 @@ class AuditConfig:
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, int):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if type(self.symbolic) is not bool:
+            raise TypeError(f"symbolic must be a bool, got {type(self.symbolic).__name__}")
         if not (1 <= self.k_min <= self.k_max):
             raise ValueError("need 1 <= k_min <= k_max")
         if self.n_max < 2:
@@ -512,8 +514,11 @@ def _rising_even_index(run: _Run, k: RingElem):
 
 
 def _k_scaling(run: _Run, k: RingElem):
-    """C08's pair: the k-binomial direct sum at n and k^n times the binomial one."""
+    """C08's pair: the k-binomial direct sum at n and k^n times the binomial
+    one, at ``K`` a coefficient shift by n."""
     scaled, plain = run.direct(TransformKind.K_BINOMIAL, k), run.direct(TransformKind.BINOMIAL, k)
+    if k == K:
+        return lambda n: (scaled[n], plain[n].shift(n))
     return lambda n: (scaled[n], ipow(k, n) * plain[n])
 
 

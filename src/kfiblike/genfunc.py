@@ -110,7 +110,10 @@ def iter_gf(gf: RationalGF) -> Iterator[RingElem]:
     coefficient is the typed zero, never the ``Decimal('-0')`` that the CLI's
     ``Decimal`` copy would otherwise print.  Only the last deg(den)
     coefficients are kept, so however far a stream runs it holds that many
-    values.
+    values.  The carrier is checked once: past the numerator, each ``KPoly``
+    coefficient is one fused :meth:`~kfiblike.ring.KPoly.dot` of the tail
+    with the recent coefficients, one row pass per nonzero coefficient of
+    the tail into one list.
     """
     zero = zero_like(gf.den.coeffs[0])
     tail = [-d for d in gf.den.coeffs[1:]]  # -den(1), -den(2), ...
@@ -121,6 +124,12 @@ def iter_gf(gf: RationalGF) -> Iterator[RingElem]:
         c = c or zero
         yield c
         recent.appendleft(c)
+    if isinstance(zero, KPoly):
+        dot = KPoly.dot
+        while True:
+            c = dot(tail, recent)
+            yield c
+            recent.appendleft(c)
     while True:
         products = map(mul, tail, recent)
         c = next(products, zero)

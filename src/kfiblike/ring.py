@@ -14,8 +14,10 @@ integral, and the single 1/2 factor that occurs is handled by
 
 ``KPoly`` arithmetic is the cost of every symbolic check.  Ring results
 are trusted (trimmed, not re-validated) and built without ``__init__``,
-their one slot filled through its descriptor.  A product is one whole-row
-pass over the longer operand per nonzero coefficient of the shorter one.
+their one slot filled through its descriptor.  One row-pass kernel serves
+products and sums of products: a whole-row pass over the longer factor per
+nonzero coefficient of the shorter one, all into one list, so a recurrence
+step a*x(n) + b*x(n-1) (:meth:`KPoly.dot`) builds one polynomial, not three.
 A whole single value (``sequences.lucas_pair``, the direct sum of
 ``transforms``, :func:`ipow`) is instead computed on ints at k = 256**w and
 read back once by :meth:`KPoly.from_kronecker`: Kronecker substitution
@@ -104,15 +106,19 @@ class KPoly(Frozen):
     are applied.
 
     Ring results skip the public constructor's per-coefficient type check
-    and are only trimmed.  ``*`` makes one whole-row pass over the longer
-    operand (the right one, at equal lengths) for each nonzero coefficient
-    c of the other, in C (``map``), never a Python loop over the row: the
-    first c places its row at its degree (the operand itself when c is 1,
-    else c times it), and each later c adds its row in.  So ``k**i * x``,
-    for an ``x`` at least as long, is one copy of ``x``, and ``(k + 2) * x``
-    two passes.  A row shorter than ``_ROW_PASS_MIN_LEN`` is multiplied in
-    a Python loop instead.  There is no per-product Kronecker path: the
-    dense products it served, the Lucas doubling's, run on ints instead.
+    and are only trimmed.  One kernel, ``_row_sum``, serves ``*`` and
+    :meth:`dot`, a sum of products: one whole-row pass over the longer
+    factor (the right one, at equal lengths) for each nonzero coefficient c
+    of the other, in C (``map``), never a Python loop over the row.  The
+    first c places its row at its degree (the factor itself when c is 1,
+    else c times it); each later c adds its row in, with no multiply when c
+    is 1 or -1.  So ``k**i * x``, for an ``x`` at least as long, is one copy
+    of ``x``, ``(k + 2) * x`` two passes, and ``dot((k + 2, -k), (x, y))``
+    three passes into one list.  A product whose longer row is shorter than
+    ``_ROW_PASS_MIN_LEN`` is multiplied in a Python loop instead.  There is
+    no per-product Kronecker path: the dense products it served, the Lucas
+    doubling's, run on ints instead.  :meth:`shift` multiplies by a power
+    of k with no product at all.
     """
 
     _fields = __slots__ = ("coeffs",)
@@ -221,21 +227,37 @@ class KPoly(Frozen):
                         out[j] += x * y
                         j += 1
             return KPoly._trusted(out)
-        # The first nonzero x places its row, zero padded to the product's
-        # length, so that each later row adds into a full slice.
-        out = None
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            if out is None:
-                out = [0] * i
-                out += b if x == 1 else map(operator.mul, b, repeat(x))
-                out += [0] * (len(a) - 1 - i)
-            elif x == 1:
-                out[i:i + nb] = map(operator.add, out[i:i + nb], b)
-            else:
-                out[i:i + nb] = map(operator.add, out[i:i + nb], map(operator.mul, b, repeat(x)))
-        return KPoly._trusted(out)
+        return KPoly._trusted(_row_sum(((a, b),), len(a) + nb - 1))
+
+    @staticmethod
+    def dot(xs: Iterable["KPoly"], ys: Iterable["KPoly"]) -> "KPoly":
+        """The sum of x * y over the pairs ``zip(xs, ys)`` makes, zero when
+        there are none: all its row passes go into one list, so no product
+        is built as a polynomial of its own."""
+        pairs = []
+        size = 0
+        for x, y in zip(xs, ys):
+            if not isinstance(x, KPoly) or not isinstance(y, KPoly):
+                raise TypeError("KPoly.dot takes KPoly operands only")
+            a, b = x.coeffs, y.coeffs
+            if a and b:
+                if len(a) > len(b):
+                    a, b = b, a
+                pairs.append((a, b))
+                size = max(size, len(a) + len(b) - 1)
+        return KPoly._trusted(_row_sum(pairs, size))
+
+    def shift(self, m: int) -> "KPoly":
+        """Multiply by k**m, m >= 0: m zero coefficients put in front."""
+        if type(m) is not int:
+            raise TypeError("shift must be int")
+        if m < 0:
+            raise ValueError("shift must be >= 0")
+        if not self.coeffs:
+            return self
+        p = _new(KPoly)
+        _set_coeffs(p, (0,) * m + self.coeffs)
+        return p
 
     def __eq__(self, other):
         if not isinstance(other, KPoly):
@@ -280,6 +302,35 @@ _set_coeffs = KPoly.coeffs.__set__
 # set up the row passes for, at the small coefficients of the audit's
 # symbolic leg.
 _ROW_PASS_MIN_LEN = 16
+
+
+def _row_sum(pairs: Iterable[Tuple[Tuple[int, ...], Tuple[int, ...]]], size: int) -> List[int]:
+    """The coefficients of the sum of a * b over the coefficient tuples
+    (a, b) in ``pairs``, untrimmed, ``size`` long: each a nonempty and no
+    longer than its b, ``size`` the longest len(a) + len(b) - 1.
+
+    One whole-row pass over b, in C, per nonzero coefficient c of a: the
+    first c places its row, zero padded to ``size``; each later c adds b
+    (c = 1) or subtracts it (c = -1) with no multiply, and adds c times b
+    otherwise.
+    """
+    out = None
+    for a, b in pairs:
+        nb = len(b)
+        for i, c in enumerate(a):
+            if not c:
+                continue
+            if out is None:
+                out = [0] * i
+                out += b if c == 1 else map(operator.mul, b, repeat(c))
+                out += [0] * (size - nb - i)
+            elif c == 1:
+                out[i:i + nb] = map(operator.add, out[i:i + nb], b)
+            elif c == -1:
+                out[i:i + nb] = map(operator.sub, out[i:i + nb], b)
+            else:
+                out[i:i + nb] = map(operator.add, out[i:i + nb], map(operator.mul, b, repeat(c)))
+    return [] if out is None else out
 
 
 def kronecker_width(bound: int) -> int:

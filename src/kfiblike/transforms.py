@@ -42,7 +42,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, List, Tuple
 
-from .ring import KPoly, RingElem, const_like, ipow, kronecker_width, one_like, scale
+from .ring import K, KPoly, RingElem, const_like, ipow, kronecker_width, one_like, scale
 from .sequences import Order2Rec, modified_k_fib, require_valid_k, term_iterative
 
 
@@ -129,12 +129,16 @@ def iter_direct(kind: TransformKind, k: RingElem) -> Iterator[RingElem]:
     of N terms costs about N^2/2 additions and no binomial coefficient, where
     :func:`transform_direct` repeats an O(n) pass for each n.  x steps M's
     recurrence inline, as there, and y steps as y(i+1) = k^2 (y(i) + y(i-1));
-    the k-binomial term is the plain one times a running k^m.
+    the k-binomial term is the plain one times k^m: at ``K`` itself a
+    coefficient shift (:meth:`~kfiblike.ring.KPoly.shift`), else a running
+    power.
     """
     require_valid_k(k)
     falling = kind is TransformKind.FALLING_K
     rising = kind is TransformKind.RISING_K
-    power = one_like(k) if kind is TransformKind.K_BINOMIAL else None
+    kbinomial = kind is TransformKind.K_BINOMIAL
+    shift = kbinomial and k == K
+    power = one_like(k)
     ksq = k * k
     x = const_like(2, k)
     x_next = scale(k, 2) if rising else x
@@ -150,8 +154,10 @@ def iter_direct(kind: TransformKind, k: RingElem) -> Iterator[RingElem]:
                 row[j] = cell
                 cell = up + cell
         row.append(cell)
-        if power is None:
+        if not kbinomial:
             yield cell
+        elif shift:
+            yield cell.shift(len(row) - 1)
         else:
             yield cell * power
             power = power * k

@@ -187,7 +187,10 @@ def test_invalid_ranges_rejected():
                          (dict(k_max=10.5), "k_max must be an int, got float"),
                          (dict(n_max=64.0), "n_max must be an int, got float"),
                          (dict(n_max="64"), "n_max must be an int, got str"),
-                         (dict(k_min=1.0, n_max=1), "k_min must be an int, got float")):
+                         (dict(k_min=1.0, n_max=1), "k_min must be an int, got float"),
+                         # any non-empty string is truthy: "off" would run the leg
+                         (dict(symbolic="off"), "symbolic must be a bool, got str"),
+                         (dict(symbolic=0, n_max=1), "symbolic must be a bool, got int")):
         with pytest.raises(TypeError, match=f"^{shown}$"):
             run_audit(**given)
 

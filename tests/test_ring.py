@@ -300,6 +300,59 @@ def _dense(n, sign=1, start=1):
     return [sign * (start + i) * (-1) ** i for i in range(n)]
 
 
+# KPoly.dot: one to three pairs, each factor empty, shorter than
+# ring._ROW_PASS_MIN_LEN or at least that long, with coefficients 0, +-1 and
+# wide ones; the two factors of a pair of unrelated lengths.
+_DOT_COEFFS = st.one_of(st.sampled_from((0, 1, -1, 2**200, -(2**200))), _WIDE_COEFFS)
+_dot_factors = st.one_of(
+    st.just([]),
+    st.lists(_DOT_COEFFS, min_size=1, max_size=ring._ROW_PASS_MIN_LEN - 1),
+    st.lists(_DOT_COEFFS, min_size=ring._ROW_PASS_MIN_LEN, max_size=40),
+)
+
+
+@example(pairs=[([], [1, 2, 3])])
+@example(pairs=[([0, 1], [5] * 20), ([0, -1], [5] * 20)])                 # all cancels
+@example(pairs=[([1, 1], [1] * 16), ([0, -1], [0] * 15 + [1]), ([2**200], [-1])])
+@example(pairs=[([-1, 0, 2**200], list(range(1, 18))), ([3, 1, -1], [1, -1])])
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_dot_factors, _dot_factors), min_size=1, max_size=3))
+def test_kpoly_dot_is_the_sum_of_its_products_property(pairs):
+    xs = [KPoly(a) for a, _ in pairs]
+    ys = [KPoly(b) for _, b in pairs]
+    want = [0] * max(len(a) + len(b) for a, b in pairs)
+    for a, b in pairs:
+        for i, c in enumerate(_schoolbook(a, b)):
+            want[i] += c
+    products = KPoly()
+    for x, y in zip(xs, ys):
+        products = products + x * y
+    for got in (KPoly.dot(xs, ys), KPoly.dot(ys, xs), KPoly.dot(iter(xs), tuple(ys))):
+        _assert_built_like_public(got, want)
+        assert got == products
+
+
+def test_kpoly_dot_pairs_like_zip_and_takes_kpolys_only():
+    a, b = KPoly([1, 2]), KPoly([3, 0, 4])
+    assert KPoly.dot((), ()) == KPoly() and KPoly.dot((a, b), ()) == KPoly()
+    assert KPoly.dot((a, b), (b,)) == a * b
+    for xs, ys in (((a, 1), (b, b)), ((a,), (3,)), ((1,), (2,))):
+        with pytest.raises(TypeError):
+            KPoly.dot(xs, ys)
+
+
+@pytest.mark.parametrize("cs", ([], [1], [-1, 0, 2**200], _dense(20, start=2**64), [0, 0, 7]))
+def test_shift_is_the_product_by_a_power_of_k(cs):
+    p = KPoly(cs)
+    for m in (0, 1, 2, 15, 16, 40):
+        got = p.shift(m)
+        assert got == p * ipow(K, m)
+        _assert_built_like_public(got, [0] * m + cs)
+    for m, error in ((-1, ValueError), (1.0, TypeError), (True, TypeError)):
+        with pytest.raises(error):
+            p.shift(m)
+
+
 # Products once switched to a packed integer product at 16 nonzero terms.
 # Around that old threshold they now stay on the row passes: the values match
 # the schoolbook, and no product reads anything back from k = 256**w.

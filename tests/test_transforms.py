@@ -71,7 +71,9 @@ def test_direct_equals_recurrence_symbolic(kind):
 @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
 def test_symbolic_routes_agree_at_depth(kind):
     """Every symbolic route agrees at n = 120, where a term has 120 to 240
-    coefficients of about 160 bits, and so does the term at k = 3."""
+    coefficients of about 160 bits.  The two prefixes whose terms are fused
+    KPoly.dot steps agree to n = 120 and evaluate, at k = 1..10, to the int
+    loops of ``terms`` and ``gf_expand``."""
     n = 120
     rec = transform_recurrence(kind, K)
     prefix = terms(rec, n + 1)
@@ -81,7 +83,10 @@ def test_symbolic_routes_agree_at_depth(kind):
     assert transform_direct(kind, K, n) == x
     assert term_fast(rec, n) == x
     assert binet_closed(rec, n) == x
-    assert x.evaluate(3) == terms(transform_recurrence(kind, 3), n + 1)[n]
+    for k in range(1, 11):
+        values = [p.evaluate(k) for p in prefix]
+        assert values == terms(transform_recurrence(kind, k), n + 1)
+        assert values == gf_expand(derived_gf(kind, k), n + 1)
 
 
 def test_kinds_collapse_at_k1():
@@ -258,6 +263,17 @@ def test_symbolic_direct_prefix_matches_each_term_and_the_recurrence_property(ki
     prefix = list(islice(iter_direct(kind, K), count))
     assert prefix == [transform_direct(kind, K, n) for n in range(count)]
     assert prefix == terms(transform_recurrence(kind, K), count)
+
+
+def test_symbolic_k_binomial_shift_keeps_every_value():
+    """At K the k-binomial prefix and C08's right-hand side multiply by k^n
+    as a coefficient shift; both equal the dense product they replace."""
+    n = 40
+    plain = list(islice(iter_direct(TransformKind.BINOMIAL, K), n + 1))
+    scaled = list(islice(iter_direct(TransformKind.K_BINOMIAL, K), n + 1))
+    assert scaled == [ipow(K, m) * p for m, p in enumerate(plain)]
+    assert scaled == [p.shift(m) for m, p in enumerate(plain)]
+    assert scaled == terms(transform_recurrence(TransformKind.K_BINOMIAL, K), n + 1)
 
 
 def test_direct_prefix_rejects_k_below_one():
