@@ -89,7 +89,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .closedform import _binet_term, _exact_coefficients, _printed_coefficients, binet_float
 from .genfunc import gf_expand, published_gf
-from .ring import K, KPoly, RingElem, elem_str, ipow, zero_like
+from .ring import K, KPoly, RingElem, elem_str, times_k_power, zero_like
 from .sequences import (
     Order2Rec,
     _halved_alternating_sums,
@@ -514,12 +514,9 @@ def _rising_even_index(run: _Run, k: RingElem):
 
 
 def _k_scaling(run: _Run, k: RingElem):
-    """C08's pair: the k-binomial direct sum at n and k^n times the binomial
-    one, at ``K`` a coefficient shift by n."""
+    """C08's pair: the k-binomial direct sum at n and k^n times the binomial one."""
     scaled, plain = run.direct(TransformKind.K_BINOMIAL, k), run.direct(TransformKind.BINOMIAL, k)
-    if k == K:
-        return lambda n: (scaled[n], plain[n].shift(n))
-    return lambda n: (scaled[n], ipow(k, n) * plain[n])
+    return lambda n: (scaled[n], times_k_power(plain[n], k, n))
 
 
 def _m_from_f(run: _Run, k: RingElem):

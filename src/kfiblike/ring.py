@@ -18,11 +18,12 @@ their one slot filled through its descriptor.  One row-pass kernel serves
 products and sums of products: a whole-row pass over the longer factor per
 nonzero coefficient of the shorter one, all into one list, so a recurrence
 step a*x(n) + b*x(n-1) (:meth:`KPoly.dot`) builds one polynomial, not three.
-A whole single value (``sequences.lucas_pair``, the direct sum of
-``transforms``, :func:`ipow`) is instead computed on ints at k = 256**w and
-read back once by :meth:`KPoly.from_kronecker`: Kronecker substitution
-(Schoenhage 1982; Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", 2009).
+Two shortcuts have their one home here.  :func:`kronecker_eval` computes a
+whole single value (``sequences.lucas_pair``, the direct sum of
+``transforms``, :func:`ipow`) on ints at k = 256**w and reads it back once:
+Kronecker substitution (Schoenhage 1982; Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", 2009).
+:func:`times_k_power` multiplies by k**m, at ``K`` by a coefficient shift.
 
 ``int`` is the numeric result type of every library function.  Its decimal
 output goes through exact ``decimal.Decimal`` arithmetic, in one context
@@ -40,7 +41,7 @@ import decimal
 import operator
 from decimal import Decimal
 from itertools import repeat
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 
 class ModeMismatchError(TypeError):
@@ -116,9 +117,7 @@ class KPoly(Frozen):
     of ``x``, ``(k + 2) * x`` two passes, and ``dot((k + 2, -k), (x, y))``
     three passes into one list.  A product whose longer row is shorter than
     ``_ROW_PASS_MIN_LEN`` is multiplied in a Python loop instead.  There is
-    no per-product Kronecker path: the dense products it served, the Lucas
-    doubling's, run on ints instead.  :meth:`shift` multiplies by a power
-    of k with no product at all.
+    no per-product Kronecker path, only :func:`kronecker_eval`'s per value.
     """
 
     _fields = __slots__ = ("coeffs",)
@@ -376,15 +375,36 @@ def one_like(template: RingElem) -> RingElem:
     return const_like(1, template)
 
 
+def kronecker_eval(fn: Callable, args: Tuple[KPoly, ...], majorants: Tuple[int, ...]):
+    """``fn(*args)`` at KPoly ``args`` by Kronecker substitution.  ``fn`` only
+    adds, subtracts and multiplies; it runs once at the int ``majorants``,
+    whose largest value must bound every coefficient, which fixes w, then
+    once at the args' values at k = 256**w.  Each value it returns, one or a
+    tuple, is read back from its base-256**w digits."""
+    bound = fn(*majorants)
+    width = kronecker_width(max(bound) if isinstance(bound, tuple) else bound)
+    point = 256**width
+    value = fn(*[a.evaluate(point) for a in args])
+    if isinstance(value, tuple):
+        return tuple([KPoly.from_kronecker(v, width) for v in value])
+    return KPoly.from_kronecker(value, width)
+
+
 def ipow(x: RingElem, e: int) -> RingElem:
     """x**e for a non-negative integer exponent, either mode; a KPoly power
-    is one int power at k = 256**w, since ||x**e|| <= ||x||**e in the l1 norm."""
+    is one :func:`kronecker_eval`, since ||x**e|| <= ||x||**e in the l1 norm."""
     if e < 0:
         raise ValueError("exponent must be >= 0")
     if isinstance(x, int):
         return x**e
-    width = kronecker_width(x.norm() ** e)
-    return KPoly.from_kronecker(x.evaluate(256**width) ** e, width)
+    return kronecker_eval(lambda v: v**e, (x,), (x.norm(),))
+
+
+def times_k_power(x: RingElem, k: RingElem, m: int) -> RingElem:
+    """x * k**m for m >= 0, either mode; at ``K`` itself a :meth:`KPoly.shift`."""
+    if not isinstance(k, KPoly):
+        return x * k**m
+    return x.shift(m) if k == K else x * ipow(k, m)
 
 
 def exact_div_int(x: RingElem, d: int) -> RingElem:

@@ -10,7 +10,7 @@ the four transform recurrences reuse the same machinery.
 logarithmic path is Lucas doubling, one loop of three identities that makes
 the pair (U(m), U(m+1)) from the pair at m >> 1 in one step.  Two entry
 points read it: :func:`lucas_pair` walks the bits of one n, O(log n) steps
-(on ints at one Kronecker point when P and Q are symbolic), for
+(one ``ring.kronecker_eval`` when P and Q are symbolic), for
 :func:`term_fast` here and the single-n Binet forms in ``closedform``;
 :func:`lucas_sweep` yields every m in turn, one step per m, for the audit's
 lists of U.  Neither uses the plain U recurrence, and neither is used
@@ -29,7 +29,7 @@ from .ring import (
     RingElem,
     const_like,
     exact_div_int,
-    kronecker_width,
+    kronecker_eval,
     one_like,
     require_same_mode,
     scale,
@@ -117,10 +117,9 @@ def lucas_pair(P: RingElem, Q: RingElem, n: int) -> Tuple[RingElem, RingElem]:
 
     Left-to-right doubling over the bits of n after the leading one, from
     (U(1), U(2)) = (1, P): one :func:`_doubling` pass, O(log n) products.
-    The mode is checked once, here.  Symbolic P and Q run the pass on ints at
-    k = 256**w, and the pair is read back once.  ||U(m+1)|| <= ||P|| ||U(m)||
-    + ||Q|| ||U(m-1)|| in the l1 norm, so the pass at (||P||, -||Q||) bounds
-    every coefficient, and fixes w.
+    The mode is checked once, here.  Symbolic P and Q run the pass as one
+    :func:`~kfiblike.ring.kronecker_eval` at the majorants (||P||, -||Q||):
+    ||U(m+1)|| <= ||P|| ||U(m)|| + ||Q|| ||U(m-1)|| in the l1 norm.
     """
     require_same_mode(P, Q)
     if n < 0:
@@ -129,11 +128,8 @@ def lucas_pair(P: RingElem, Q: RingElem, n: int) -> Tuple[RingElem, RingElem]:
         return zero_like(P), one_like(P)
     bits = bin(n)[3:]
     if isinstance(P, KPoly):
-        p = P.norm()
-        width = kronecker_width(max(_doubling(p, -Q.norm(), 1, p, bits)))
-        x = P.evaluate(256**width)
-        u, v = _doubling(x, Q.evaluate(256**width), 1, x, bits)
-        return KPoly.from_kronecker(u, width), KPoly.from_kronecker(v, width)
+        return kronecker_eval(lambda p, q: _doubling(p, q, 1, p, bits),
+                              (P, Q), (P.norm(), -Q.norm()))
     return _doubling(P, Q, 1, P, bits)
 
 

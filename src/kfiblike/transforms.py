@@ -22,12 +22,12 @@ The direct sums have two kernels, and the caller's shape picks one.  A single
 term, and each right-hand side of the difference lemmas, is one O(n) pass of
 a private kernel: it steps M's recurrence inline, takes C(n,i) from the exact
 multiplicative rule, and applies k^(n-i) by Horner's rule and k^i by
-stepping k^i M(i) in place of M(i).  It runs on ints: at symbolic k, once at
-k = 256**w, read back into a ``KPoly`` once (Kronecker substitution, see
-``ring``).  A whole prefix comes from :func:`iter_direct`, which yields
-term after term from Euler's difference table of M (of k^i M(i) for the
-rising sum), one ring addition per cell and no binomial coefficient.  The lemma functions' right-hand sides
-stay on the multiplicative kernel, so a lemma checked against a prefix from
+stepping k^i M(i) in place of M(i).  It runs on ints: at symbolic k, as one
+``ring.kronecker_eval``.  A whole prefix comes from :func:`iter_direct`,
+which yields term after term from Euler's difference table of M (of
+k^i M(i) for the rising sum), one ring addition per cell and no binomial
+coefficient.  The lemma functions' right-hand sides stay on the
+multiplicative kernel, so a lemma checked against a prefix from
 the difference table compares two algorithms rather than restating it.  The
 audit does not run this kernel: its C05/C06 right-hand sides are the same
 sums over its own prefix of M and one Pascal row per n, and their left sides
@@ -42,7 +42,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, List, Tuple
 
-from .ring import K, KPoly, RingElem, const_like, ipow, kronecker_width, one_like, scale
+from .ring import KPoly, RingElem, const_like, kronecker_eval, one_like, scale, times_k_power
 from .sequences import Order2Rec, modified_k_fib, require_valid_k, term_iterative
 
 
@@ -90,15 +90,12 @@ def _weighted_sum(kind: TransformKind, k: RingElem, n: int,
     follows the exact multiplicative rule, k^(n-i) is applied by Horner's
     rule, and k^n once at the end; for k^i, y(i) = k^i x(i) steps in place
     of x, as y(i+1) = k^2 (y(i) + y(i-1)).  The loop runs on ints: a
-    symbolic sum runs at k = 256**w and is read back once.  It only adds and
-    multiplies, with C(n,i) >= 0, so the sum at the l1 norms of k, x0 and x1
-    bounds every coefficient, and fixes w.
+    symbolic sum is one :func:`~kfiblike.ring.kronecker_eval` at the l1
+    norms of k, x0 and x1, as it only adds and multiplies, with C(n,i) >= 0.
     """
     if isinstance(k, KPoly):
-        width = kronecker_width(_weighted_sum(kind, k.norm(), n, x0.norm(), x1.norm()))
-        point = 256**width
-        value = _weighted_sum(kind, k.evaluate(point), n, x0.evaluate(point), x1.evaluate(point))
-        return KPoly.from_kronecker(value, width)
+        return kronecker_eval(lambda k, x0, x1: _weighted_sum(kind, k, n, x0, x1),
+                              (k, x0, x1), (k.norm(), x0.norm(), x1.norm()))
     horner = kind is TransformKind.FALLING_K
     rising = kind is TransformKind.RISING_K
     ksq = k * k
@@ -128,17 +125,13 @@ def iter_direct(kind: TransformKind, k: RingElem) -> Iterator[RingElem]:
     falling, one product by k), and the last cell is (W^m x)(0).  So a prefix
     of N terms costs about N^2/2 additions and no binomial coefficient, where
     :func:`transform_direct` repeats an O(n) pass for each n.  x steps M's
-    recurrence inline, as there, and y steps as y(i+1) = k^2 (y(i) + y(i-1));
-    the k-binomial term is the plain one times k^m: at ``K`` itself a
-    coefficient shift (:meth:`~kfiblike.ring.KPoly.shift`), else a running
-    power.
+    recurrence inline, as there, and y steps as y(i+1) = k^2 (y(i) + y(i-1)).
+    The k-binomial term is the plain one times k^m (``ring.times_k_power``).
     """
     require_valid_k(k)
     falling = kind is TransformKind.FALLING_K
     rising = kind is TransformKind.RISING_K
     kbinomial = kind is TransformKind.K_BINOMIAL
-    shift = kbinomial and k == K
-    power = one_like(k)
     ksq = k * k
     x = const_like(2, k)
     x_next = scale(k, 2) if rising else x
@@ -154,13 +147,7 @@ def iter_direct(kind: TransformKind, k: RingElem) -> Iterator[RingElem]:
                 row[j] = cell
                 cell = up + cell
         row.append(cell)
-        if not kbinomial:
-            yield cell
-        elif shift:
-            yield cell.shift(len(row) - 1)
-        else:
-            yield cell * power
-            power = power * k
+        yield times_k_power(cell, k, len(row) - 1) if kbinomial else cell
         x, x_next = x_next, ksq * (x_next + x) if rising else k * x_next + x
 
 
@@ -226,4 +213,4 @@ def rising_even_index(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
 def w_scaling(k: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     """(k-binomial transform at n,  k^n * binomial transform at n)."""
     lhs = transform_direct(TransformKind.K_BINOMIAL, k, n)
-    return lhs, ipow(k, n) * transform_direct(TransformKind.BINOMIAL, k, n)
+    return lhs, times_k_power(transform_direct(TransformKind.BINOMIAL, k, n), k, n)

@@ -452,6 +452,29 @@ def test_kronecker_read_back_inverts_the_value_at_256_to_the_width_property(cs, 
         power = power * p
 
 
+@settings(max_examples=100, deadline=None)
+@given(p=st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)),
+                  max_size=5).map(KPoly),
+       e=st.integers(0, 12))
+def test_ipow_is_repeated_multiplication_at_signed_wide_coefficients_property(p, e):
+    """ipow at a KPoly, one Kronecker evaluation, equals e products, with
+    negative and 2**70-wide coefficients that cancel in the power."""
+    power = KPoly((1,))
+    for _ in range(e):
+        power = power * p
+    assert ipow(p, e) == power
+
+
+def test_times_k_power_in_each_mode():
+    p = KPoly((3, -1, 2**70))
+    for k in (K, KPoly((1, 1)), KPoly((0, -2))):
+        product = p
+        for m in range(6):
+            assert ring.times_k_power(p, k, m) == product
+            product = product * k
+    assert [ring.times_k_power(5, 3, m) for m in range(4)] == [5, 15, 45, 135]
+
+
 def test_monomial_times_dense_in_both_orders():
     dense = _dense(30, start=2**64)
     for i in (0, 1, 7, 40):

@@ -294,6 +294,17 @@ def test_symbolic_direct_sum_makes_no_kpoly_product(monkeypatch, kind):
     assert not products
 
 
+def test_w_scaling_at_K_makes_no_kpoly_product(monkeypatch):
+    """At K, w_scaling multiplies the binomial term by k^n as a coefficient
+    shift: no KPoly product, where the dense one is O(n^2)."""
+    expected = terms(transform_recurrence(TransformKind.K_BINOMIAL, K), 121)[120]
+    products = []
+    real = KPoly.__mul__
+    monkeypatch.setattr(KPoly, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    assert w_scaling(K, 120) == (expected, expected)
+    assert not products
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(KIND_ORDER),
@@ -310,4 +321,6 @@ def test_symbolic_direct_sum_and_lemmas_at_any_polynomial_k_property(kind, k, n)
     assert transform_direct(kind, k, n) == rows[kind][n]
     assert binomial_diff_identity(k, n)[1] == rows[B][n + 1] - rows[B][n]
     assert falling_diff_identity(k, n)[1] == rows[Fa][n + 1] - k * rows[Fa][n]
+    lhs, rhs = w_scaling(k, n)
+    assert lhs == rhs
 
