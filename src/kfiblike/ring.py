@@ -19,10 +19,13 @@ products and sums of products: a whole-row pass over the longer factor per
 nonzero coefficient of the shorter one, all into one list, so a recurrence
 step a*x(n) + b*x(n-1) (:meth:`KPoly.dot`) builds one polynomial, not three.
 Two shortcuts have their one home here.  :func:`kronecker_eval` computes a
-whole single value (``sequences.lucas_pair``, the direct sum of
-``transforms``, :func:`ipow`) on ints at k = 256**w and reads it back once:
-Kronecker substitution (Schoenhage 1982; Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", 2009).
+whole single value on ints at k = 256**w and reads it back once: Kronecker
+substitution (Schoenhage 1982; Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", 2009).  Each caller states its own bound
+on the coefficients, which fixes w: :func:`ipow` ||x||**e in the l1 norm,
+the direct sum of ``transforms`` its own value at the l1 norms of its
+arguments, and ``sequences.lucas_pair`` a bound from Lucas's explicit formula
+over the discriminant P**2 - 4Q (Lucas, Amer. J. Math. 1, 1878).
 :func:`times_k_power` multiplies by k**m, at ``K`` by a coefficient shift.
 
 ``int`` is the numeric result type of every library function.  Its decimal
@@ -375,14 +378,13 @@ def one_like(template: RingElem) -> RingElem:
     return const_like(1, template)
 
 
-def kronecker_eval(fn: Callable, args: Tuple[KPoly, ...], majorants: Tuple[int, ...]):
+def kronecker_eval(fn: Callable, args: Tuple[KPoly, ...], bound: int):
     """``fn(*args)`` at KPoly ``args`` by Kronecker substitution.  ``fn`` only
-    adds, subtracts and multiplies; it runs once at the int ``majorants``,
-    whose largest value must bound every coefficient, which fixes w, then
-    once at the args' values at k = 256**w.  Each value it returns, one or a
-    tuple, is read back from its base-256**w digits."""
-    bound = fn(*majorants)
-    width = kronecker_width(max(bound) if isinstance(bound, tuple) else bound)
+    adds, subtracts and multiplies; the caller states ``bound``, at least the
+    magnitude of every coefficient of every value ``fn`` returns, which fixes
+    w.  ``fn`` runs once at the args' values at k = 256**w, and each value it
+    returns, one or a tuple, is read back from its base-256**w digits."""
+    width = kronecker_width(bound)
     point = 256**width
     value = fn(*[a.evaluate(point) for a in args])
     if isinstance(value, tuple):
@@ -392,12 +394,13 @@ def kronecker_eval(fn: Callable, args: Tuple[KPoly, ...], majorants: Tuple[int, 
 
 def ipow(x: RingElem, e: int) -> RingElem:
     """x**e for a non-negative integer exponent, either mode; a KPoly power
-    is one :func:`kronecker_eval`, since ||x**e|| <= ||x||**e in the l1 norm."""
+    is one :func:`kronecker_eval` at the bound ||x||**e, since the l1 norm is
+    submultiplicative."""
     if e < 0:
         raise ValueError("exponent must be >= 0")
     if isinstance(x, int):
         return x**e
-    return kronecker_eval(lambda v: v**e, (x,), (x.norm(),))
+    return kronecker_eval(lambda v: v**e, (x,), x.norm()**e)
 
 
 def times_k_power(x: RingElem, k: RingElem, m: int) -> RingElem:

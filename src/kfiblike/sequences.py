@@ -10,7 +10,8 @@ the four transform recurrences reuse the same machinery.
 logarithmic path is Lucas doubling, one loop of three identities that makes
 the pair (U(m), U(m+1)) from the pair at m >> 1 in one step.  Two entry
 points read it: :func:`lucas_pair` walks the bits of one n, O(log n) steps
-(one ``ring.kronecker_eval`` when P and Q are symbolic), for
+(one ``ring.kronecker_eval`` when P and Q are symbolic, its slot sized by a
+bound from Lucas's explicit formula over the discriminant P^2 - 4Q), for
 :func:`term_fast` here and the single-n Binet forms in ``closedform``;
 :func:`lucas_sweep` yields every m in turn, one step per m, for the audit's
 lists of U.  Neither uses the plain U recurrence, and neither is used
@@ -118,8 +119,7 @@ def lucas_pair(P: RingElem, Q: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     Left-to-right doubling over the bits of n after the leading one, from
     (U(1), U(2)) = (1, P): one :func:`_doubling` pass, O(log n) products.
     The mode is checked once, here.  Symbolic P and Q run the pass as one
-    :func:`~kfiblike.ring.kronecker_eval` at the majorants (||P||, -||Q||):
-    ||U(m+1)|| <= ||P|| ||U(m)|| + ||Q|| ||U(m-1)|| in the l1 norm.
+    :func:`~kfiblike.ring.kronecker_eval` at the bound :func:`_lucas_bound`.
     """
     require_same_mode(P, Q)
     if n < 0:
@@ -129,8 +129,27 @@ def lucas_pair(P: RingElem, Q: RingElem, n: int) -> Tuple[RingElem, RingElem]:
     bits = bin(n)[3:]
     if isinstance(P, KPoly):
         return kronecker_eval(lambda p, q: _doubling(p, q, 1, p, bits),
-                              (P, Q), (P.norm(), -Q.norm()))
+                              (P, Q), _lucas_bound(P, Q, n))
     return _doubling(P, Q, 1, P, bits)
+
+
+def _lucas_bound(P: KPoly, Q: KPoly, n: int) -> int:
+    """A bound on the l1 norms of U(n) and U(n+1) at KPoly P and Q, n >= 1.
+
+    From Lucas's explicit formula (Amer. J. Math. 1, 1878), with D = P^2 - 4Q:
+
+        2^(m-1) U(m) = sum over odd j of C(m, j) P^(m-j) D^((j-1)/2),
+
+    so, the l1 norm being submultiplicative, 2^(m-1) ||U(m)|| is at most the
+    same sum at ||P|| and ||D||, which is U(m) at (2||P||, ||P||^2 - ||D||):
+    that pair's discriminant is 4||D||.  One int :func:`_doubling` pass, then
+    the pair shifted right by n - 1 and n, rounded up.  It sees the sign of
+    Q through D, where the majorant (||P||, -||Q||) cannot, and is never
+    wider, since ||D|| <= ||P||^2 + 4||Q||.
+    """
+    p = P.norm()
+    u, v = _doubling(2 * p, p * p - (P * P - Q.scale(4)).norm(), 1, 2 * p, bin(n)[3:])
+    return max(-(-u >> (n - 1)), -(-v >> n))
 
 
 def lucas_sweep(P: RingElem, Q: RingElem) -> Iterator[Tuple[RingElem, RingElem]]:

@@ -22,12 +22,14 @@ The direct sums have two kernels, and the caller's shape picks one.  A single
 term, and each right-hand side of the difference lemmas, is one O(n) pass of
 a private kernel: it steps M's recurrence inline, takes C(n,i) from the exact
 multiplicative rule, and applies k^(n-i) by Horner's rule and k^i by
-stepping k^i M(i) in place of M(i).  It runs on ints: at symbolic k, as one
-``ring.kronecker_eval``.  A whole prefix comes from :func:`iter_direct`,
-which yields term after term from Euler's difference table of M (of
-k^i M(i) for the rising sum), one ring addition per cell and no binomial
-coefficient.  The lemma functions' right-hand sides stay on the
-multiplicative kernel, so a lemma checked against a prefix from
+stepping k^i M(i) in place of M(i).  It runs on ints, each product by a
+power of k as one by a power of k's odd part and a left shift: at symbolic
+k, as one ``ring.kronecker_eval`` whose bound is the kernel's own value at
+the l1 norms, at a point 256**w whose odd part is 1.  A whole prefix comes
+from :func:`iter_direct`, which yields term after term from Euler's
+difference table of M (of k^i M(i) for the rising sum), one ring addition
+per cell and no binomial coefficient.  The lemma functions' right-hand sides
+stay on the multiplicative kernel, so a lemma checked against a prefix from
 the difference table compares two algorithms rather than restating it.  The
 audit does not run this kernel: its C05/C06 right-hand sides are the same
 sums over its own prefix of M and one Pascal row per n, and their left sides
@@ -89,26 +91,35 @@ def _weighted_sum(kind: TransformKind, k: RingElem, n: int,
     so this route stays independent of :func:`transform_recurrence`.  C(n,i)
     follows the exact multiplicative rule, k^(n-i) is applied by Horner's
     rule, and k^n once at the end; for k^i, y(i) = k^i x(i) steps in place
-    of x, as y(i+1) = k^2 (y(i) + y(i-1)).  The loop runs on ints: a
-    symbolic sum is one :func:`~kfiblike.ring.kronecker_eval` at the l1
-    norms of k, x0 and x1, as it only adds and multiplies, with C(n,i) >= 0.
+    of x, as y(i+1) = k^2 (y(i) + y(i-1)).  The loop runs on ints, and each
+    product by k, k^2 or k^n is a product by a power of k's odd part and a
+    left shift (k = odd * 2^s, s = 0 at k = 0).  A symbolic sum is one
+    :func:`~kfiblike.ring.kronecker_eval` at the bound the loop gives at the
+    l1 norms of k, x0 and x1, as it only adds and multiplies, with
+    C(n,i) >= 0; at k = ``K`` the point 256**w has odd part 1, so each of
+    those products costs linear time.
     """
     if isinstance(k, KPoly):
+        bound = _weighted_sum(kind, k.norm(), n, x0.norm(), x1.norm())
         return kronecker_eval(lambda k, x0, x1: _weighted_sum(kind, k, n, x0, x1),
-                              (k, x0, x1), (k.norm(), x0.norm(), x1.norm()))
+                              (k, x0, x1), bound)
     horner = kind is TransformKind.FALLING_K
     rising = kind is TransformKind.RISING_K
-    ksq = k * k
+    # k ^ (k - 1) has bit length s + 1 at k = odd * 2**s, and 1 at k = 0
+    s = (k ^ (k - 1)).bit_length() - 1
+    odd = k >> s
+    odd_sq, s_sq = odd * odd, s + s
     acc = 0
-    x, x_next = x0, k * x1 if rising else x1
+    x, x_next = x0, (x1 * odd) << s if rising else x1
     c = 1
     for i in range(n + 1):
         term = x * c
-        acc = acc * k + term if horner else acc + term
-        x, x_next = x_next, ksq * (x_next + x) if rising else k * x_next + x
+        acc = ((acc * odd) << s) + term if horner else acc + term
+        x, x_next = x_next, (((x_next + x) * odd_sq) << s_sq if rising
+                             else ((x_next * odd) << s) + x)
         c = c * (n - i) // (i + 1)
     if kind is TransformKind.K_BINOMIAL:
-        acc = acc * k**n
+        acc = (acc * odd**n) << (s * n)
     return acc
 
 

@@ -15,7 +15,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kfiblike import audit, closedform, sequences
+from kfiblike import audit, closedform, ring, sequences
 from kfiblike.audit import run_audit
 from kfiblike.closedform import binet_closed
 from kfiblike.ring import K, KPoly, ModeMismatchError, one_like, zero_like
@@ -190,23 +190,45 @@ def test_kernel_matches_iteration_property(family, k, n):
     assert_routes_match(family_rec(family, k), [n])
 
 
-# small or wide coefficients of either sign, and the zero polynomial
+@pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
+def test_lucas_slot_width_of_each_transform_recurrence_at_n_240(kind):
+    """Each transform recurrence is U(3, 1) at k = 1 and its U has
+    nonnegative coefficients, so the discriminant bound is the exact l1 norm
+    of (U(240), U(241)): a 42-byte slot, where the majorant (||P||, -||Q||)
+    needs 52 bytes (58 for the falling kind)."""
+    rec = transform_recurrence(kind, K)
+    P, Q = rec.a, -rec.b
+    us = u_loop(P, Q, 242)
+    assert lucas_pair(P, Q, 240) == (us[240], us[241])
+    bound = sequences._lucas_bound(P, Q, 240)
+    assert bound == max(us[240].norm(), us[241].norm())
+    assert ring.kronecker_width(bound) == 42
+
+
+# small or wide coefficients of either sign, degree at most 4, and the zero
+# polynomial
 _POLYS = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)),
-                  max_size=4).map(KPoly)
+                  max_size=5).map(KPoly)
 
 
 @example(P=KPoly((1,)), Q=KPoly((1000,)), n=1)       # Q needs more than its slot
 @example(P=KPoly((1,)), Q=KPoly((0, 10**30)), n=2)
 @example(P=KPoly(()), Q=KPoly((-5, 2**80)), n=9)
 @example(P=KPoly((-(2**70), 1)), Q=KPoly(()), n=33)
+@example(P=KPoly(()), Q=KPoly(()), n=5)
 @settings(max_examples=150, deadline=None)
-@given(P=_POLYS, Q=_POLYS, n=st.integers(min_value=0, max_value=40))
+@given(P=_POLYS, Q=_POLYS, n=st.integers(min_value=0, max_value=64))
 def test_symbolic_lucas_pair_matches_the_ring_ops_property(P, Q, n):
     """A symbolic pair, evaluated at one point and read back, is the pair the
-    doubling loop makes on KPoly ring ops and the pair of the plain U loop."""
+    doubling loop makes on KPoly ring ops and the pair of the plain U loop.
+    Its slot bound holds the l1 norms of the pair, and is at most the pair
+    at the majorant (||P||, -||Q||)."""
     us = u_loop(P, Q, n + 2)
     pair = lucas_pair(P, Q, n)
     assert pair == (us[n], us[n + 1])
     if n:
-        assert pair == sequences._doubling(P, Q, one_like(P), P, bin(n)[3:])
-
+        bits = bin(n)[3:]
+        assert pair == sequences._doubling(P, Q, one_like(P), P, bits)
+        bound = sequences._lucas_bound(P, Q, n)
+        assert bound >= max(us[n].norm(), us[n + 1].norm())
+        assert bound <= max(sequences._doubling(P.norm(), -Q.norm(), 1, P.norm(), bits))

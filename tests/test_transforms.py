@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kfiblike import transforms
 from kfiblike.closedform import binet_closed
 from kfiblike.genfunc import derived_gf, gf_expand
 from kfiblike.ring import K, KPoly, ipow
@@ -148,6 +149,29 @@ def test_direct_sum_with_both_binomial_rows():
             ):
                 alt = sum(row[i] * weight(i) * ms[i] for i in range(n + 1))
                 assert alt == transform_direct(kind, k, n)
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
+def test_int_kernel_at_k_with_a_power_of_two_factor(kind):
+    """The int loop of the direct sum writes each product by k = odd * 2^s
+    as a product by odd and a left shift.  At odd 1, -1 and 3, s up to 344
+    (the 43-byte slot's point is 2^344) and k = 0, it is the definitional sum
+    with math.comb binomials and x from its own recurrence."""
+    weight = {
+        TransformKind.BINOMIAL: lambda k, n, i: 1,
+        TransformKind.K_BINOMIAL: lambda k, n, i: k**n,
+        TransformKind.RISING_K: lambda k, n, i: k**i,
+        TransformKind.FALLING_K: lambda k, n, i: k ** (n - i),
+    }[kind]
+    ks = [odd << s for odd in (1, -1, 3) for s in (0, 1, 344)] + [0]
+    for k in ks:
+        for x0, x1 in ((2, 2), (2, 2 * k + 2)):
+            xs = [x0, x1]
+            while len(xs) < 41:
+                xs.append(k * xs[-1] + xs[-2])
+            for n in range(41):
+                alt = sum(math.comb(n, i) * weight(k, n, i) * xs[i] for i in range(n + 1))
+                assert transforms._weighted_sum(kind, k, n, x0, x1) == alt, (k, x0, x1, n)
 
 
 def test_invalid_arguments():
