@@ -8,14 +8,23 @@ the four transform recurrences reuse the same machinery.
 
 ``terms``/``iter_terms`` are the deliberately simple ground truth.  The
 logarithmic path is Lucas doubling, one loop of three identities that makes
-the pair (U(m), U(m+1)) from the pair at m >> 1 in one step.  Two entry
-points read it: :func:`lucas_pair` walks the bits of one n, O(log n) steps
-(one ``ring.kronecker_eval`` when P and Q are symbolic, its slot sized by a
-bound from Lucas's explicit formula over the discriminant P^2 - 4Q), for
-:func:`term_fast` here and the single-n Binet forms in ``closedform``;
-:func:`lucas_sweep` yields every m in turn, one step per m, for the audit's
-lists of U.  Neither uses the plain U recurrence, and neither is used
-implicitly, so cross-checks against iteration stay meaningful.
+the pair (U(m), U(m+1)) from the pair at m >> 1 in one step.  Three entry
+points read it:
+
+* :func:`lucas_form` gives c1*U(n+1) + c2*U(n) for one n: O(log n) steps,
+  the last one fused with the combination, so the pair is never built (one
+  ``ring.kronecker_eval``, read back once, when its arguments are symbolic,
+  its slot sized by a bound from Lucas's explicit formula over the
+  discriminant P^2 - 4Q).  :func:`term_fast` here and the single-n Binet
+  forms in ``closedform`` are this form with their own coefficient pairs,
+  ``term_fast`` at n and the Binet forms at n - 1, so their fused steps
+  always take opposite branches and stay checks of each other;
+* :func:`lucas_pair` is the pair API, (U(n), U(n+1)) for one n;
+* :func:`lucas_sweep` yields every m in turn, one step per m, for the
+  audit's lists of U.
+
+None uses the plain U recurrence, and none is used implicitly, so
+cross-checks against iteration stay meaningful.
 """
 
 from __future__ import annotations
@@ -152,6 +161,47 @@ def _lucas_bound(P: KPoly, Q: KPoly, n: int) -> int:
     return max(-(-u >> (n - 1)), -(-v >> n))
 
 
+def lucas_form(P: RingElem, Q: RingElem, c1: RingElem, c2: RingElem,
+               n: int) -> RingElem:
+    """c1*U(n+1) + c2*U(n) over U(P, Q), in O(log n) products; c1 at n = 0.
+
+    One :func:`_doubling` pass to the pair at j = n >> 1, then one last
+    step fused with the combination (:func:`_form_on_ints`), so U(n) and
+    U(n+1) are never both built.  The mode of P, Q, c1 and c2 is checked once, here.
+    Symbolic arguments run the int code as one
+    :func:`~kfiblike.ring.kronecker_eval`, read back once, at the bound
+    (||c1|| + ||c2||) * :func:`_lucas_bound`, the l1 norm being subadditive
+    and submultiplicative.
+    """
+    require_same_mode(P, Q, c1, c2)
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    if n == 0:
+        return c1
+    if isinstance(P, KPoly):
+        return kronecker_eval(lambda p, q, a, b: _form_on_ints(p, q, a, b, n),
+                              (P, Q, c1, c2),
+                              (c1.norm() + c2.norm()) * _lucas_bound(P, Q, n))
+    return _form_on_ints(P, Q, c1, c2, n)
+
+
+def _form_on_ints(P: int, Q: int, c1: int, c2: int, n: int) -> int:
+    """c1*U(n+1) + c2*U(n) on ints, n >= 1: the pair (u, v) = (U(j), U(j+1))
+    at j = n >> 1, then the last doubling step and the combination as one
+    square and one product at full width (the plain step takes two squares
+    and a product, its caller two products more):
+
+        n = 2j:      v*(c1*v + 2*c2*u) - (c1*Q + c2*P)*u^2
+        n = 2j + 1:  v*((c1*P + c2)*v - 2*c1*Q*u) - c2*Q*u^2
+    """
+    j = n >> 1
+    u, v = _doubling(P, Q, 1, P, bin(j)[3:]) if j else (0, 1)
+    uu = u * u
+    if n & 1:
+        return v * ((c1 * P + c2) * v - 2 * c1 * Q * u) - c2 * Q * uu
+    return v * (c1 * v + 2 * c2 * u) - (c1 * Q + c2 * P) * uu
+
+
 def lucas_sweep(P: RingElem, Q: RingElem) -> Iterator[Tuple[RingElem, RingElem]]:
     """(U(m), U(m+1)) for m = 0, 1, 2, ..., the pairs :func:`lucas_pair` gives.
 
@@ -200,11 +250,10 @@ def _doubling(P: RingElem, Q: RingElem, u: RingElem, v: RingElem,
 def term_fast(rec: Order2Rec, n: int) -> RingElem:
     """x(n) = x0*U(n+1) + (x1 - a*x0)*U(n) over U(a, -b), in O(log n) products.
 
-    Opt-in fast path through :func:`lucas_pair`; b*U(n-1) = U(n+1) - a*U(n)
+    Opt-in fast path, one :func:`lucas_form` at n; b*U(n-1) = U(n+1) - a*U(n)
     keeps the combination free of U(-1) at n = 0.
     """
-    u, u_next = lucas_pair(rec.a, -rec.b, n)
-    return rec.x0 * u_next + (rec.x1 - rec.a * rec.x0) * u
+    return lucas_form(rec.a, -rec.b, rec.x0, rec.x1 - rec.a * rec.x0, n)
 
 
 def m_from_f(k: RingElem, n: int) -> RingElem:

@@ -2,11 +2,13 @@
 
 ``term_fast``, ``binet_closed`` and the audit's lists of U all read one
 doubling loop, ``sequences._doubling``: ``lucas_pair`` runs it over the bits
-of one n, ``lucas_sweep`` one step per m from the pair at m >> 1.  So
-agreeing with each other proves little.  Every check here compares them with
-``terms`` (the ground-truth iteration) or with the U-sequence loop written
-out below, at the bit patterns the doubling loop branches on: around each
-power of two, where the loop gains a step.
+of one n, ``lucas_form`` (behind ``term_fast`` and the Binet forms) over the
+bits of n >> 1 with a fused last step, ``lucas_sweep`` one step per m from
+the pair at m >> 1.  So agreeing with each other proves little.  Every
+check here compares them with ``terms`` (the ground-truth iteration) or
+with the U-sequence loop written out below, at the bit patterns the
+doubling loop branches on: around each power of two, where the loop gains
+a step.
 """
 
 from collections import Counter
@@ -17,10 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from kfiblike import audit, closedform, ring, sequences
 from kfiblike.audit import run_audit
-from kfiblike.closedform import binet_closed
+from kfiblike.closedform import binet_closed, published_binet
 from kfiblike.ring import K, KPoly, ModeMismatchError, one_like, zero_like
 from kfiblike.sequences import (
     k_fib,
+    lucas_form,
     lucas_pair,
     lucas_sweep,
     modified_k_fib,
@@ -96,6 +99,15 @@ def test_lucas_pair_rejects_mixed_modes_and_negative_index():
         lucas_pair(3, 1, -1)
 
 
+def test_lucas_form_rejects_mixed_modes_and_negative_index():
+    # n = 0 returns c1 with no arithmetic, so only the entry check can catch it
+    for args in ((K, 1, K, K), (K, K, 2, K), (K, K, K, 2), (3, 1, K, 2)):
+        with pytest.raises(ModeMismatchError):
+            lucas_form(*args, 0)
+    with pytest.raises(ValueError):
+        lucas_form(3, 1, 2, 2, -1)
+
+
 def test_lucas_sweep_rejects_mixed_modes_at_the_first_read():
     # the first two pairs take no doubling step, so only the entry check can
     # catch it
@@ -153,12 +165,13 @@ def test_symbolic_single_values_run_the_doubling_loop_on_ints(monkeypatch, famil
 
 def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch):
     """Every Binet claim of the audit walks a sweep: no point starts a fresh
-    O(log n) pass through the single-n lucas_pair."""
+    O(log n) pass through the single-n lucas_pair or lucas_form."""
     def forbidden(*args):
-        raise AssertionError("the audit called the single-n lucas_pair")
+        raise AssertionError("the audit called a single-n Lucas pass")
 
-    for module in (sequences, closedform):
-        monkeypatch.setattr(module, "lucas_pair", forbidden)
+    for module, name in ((sequences, "lucas_pair"), (sequences, "lucas_form"),
+                         (closedform, "lucas_form")):
+        monkeypatch.setattr(module, name, forbidden)
     steps = _spy_on_the_doubling_loop(monkeypatch)
     report = run_audit(k_min=1, k_max=5, n_max=12)
     assert report.counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
@@ -232,3 +245,96 @@ def test_symbolic_lucas_pair_matches_the_ring_ops_property(P, Q, n):
         bound = sequences._lucas_bound(P, Q, n)
         assert bound >= max(us[n].norm(), us[n + 1].norm())
         assert bound <= max(sequences._doubling(P.norm(), -Q.norm(), 1, P.norm(), bits))
+
+
+def _form_from_the_pair(P, Q, c1, c2, n):
+    u, u_next = lucas_pair(P, Q, n)
+    return c1 * u_next + c2 * u
+
+
+_SMALL = st.integers(-6, 6)
+
+
+@example(P=3, Q=-1, c1=2, c2=0, n=0)
+@example(P=3, Q=-1, c1=0, c2=5, n=1)
+@example(P=-2, Q=-7, c1=1, c2=-1, n=2)
+@example(P=0, Q=0, c1=4, c2=4, n=3)
+@example(P=5, Q=-3, c1=-1, c2=2, n=255)
+@example(P=5, Q=-3, c1=-1, c2=2, n=256)
+@example(P=1, Q=9, c1=10**30, c2=-(10**30), n=299)
+@example(P=1, Q=9, c1=10**30, c2=-(10**30), n=300)
+@settings(max_examples=300, deadline=None)
+@given(P=_SMALL, Q=_SMALL,
+       c1=st.one_of(_SMALL, st.integers(-2**70, 2**70)),
+       c2=st.one_of(_SMALL, st.integers(-2**70, 2**70)),
+       n=st.integers(min_value=0, max_value=300))
+def test_lucas_form_matches_the_pair_at_int_property(P, Q, c1, c2, n):
+    """The fused last step, either parity, gives c1*U(n+1) + c2*U(n) of the
+    pair lucas_pair makes, and of the plain U loop."""
+    value = lucas_form(P, Q, c1, c2, n)
+    assert value == _form_from_the_pair(P, Q, c1, c2, n)
+    us = u_loop(P, Q, n + 2)
+    assert value == c1 * us[n + 1] + c2 * us[n]
+
+
+@example(P=KPoly((1,)), Q=KPoly((1000,)), c1=KPoly((1,)), c2=KPoly(()), n=1)
+@example(P=KPoly(()), Q=KPoly(()), c1=KPoly((0, 3)), c2=KPoly((-2,)), n=6)
+@example(P=KPoly((2, 1)), Q=KPoly((-1,)), c1=KPoly(()), c2=KPoly(()), n=64)
+@example(P=KPoly((-(2**70), 1)), Q=KPoly((5,)), c1=KPoly((-1, 2**70)), c2=KPoly((3,)), n=33)
+@settings(max_examples=150, deadline=None)
+@given(P=_POLYS, Q=_POLYS, c1=_POLYS, c2=_POLYS, n=st.integers(min_value=0, max_value=64))
+def test_symbolic_lucas_form_matches_the_pair_property(P, Q, c1, c2, n):
+    """At KPoly the form, one Kronecker evaluation at the bound
+    (||c1|| + ||c2||) * _lucas_bound, is the form over lucas_pair's pair."""
+    assert lucas_form(P, Q, c1, c2, n) == _form_from_the_pair(P, Q, c1, c2, n)
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
+def test_symbolic_single_values_are_read_back_once(monkeypatch, kind):
+    """binet_closed, term_fast and published_binet at K each make one
+    Kronecker evaluation and read one polynomial back."""
+    rec = transform_recurrence(kind, K)
+    expected = terms(rec, 101)[100]
+    printed = closedform._binet_term(*closedform._printed_coefficients(kind, K),
+                                     *lucas_pair(rec.a, -rec.b, 99))
+    reads = []
+    from_kronecker = KPoly.from_kronecker
+
+    def spy(value, width):
+        reads.append(width)
+        return from_kronecker(value, width)
+
+    monkeypatch.setattr(KPoly, "from_kronecker", staticmethod(spy))
+    for name, value, want in (
+            ("binet_closed", lambda: binet_closed(rec, 100), expected),
+            ("term_fast", lambda: term_fast(rec, 100), expected),
+            ("published_binet", lambda: published_binet(kind, K, 100), printed)):
+        reads.clear()
+        assert value() == want, name
+        assert len(reads) == 1, name
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
+def test_the_stated_form_bound_holds_the_value_at_n_240(monkeypatch, kind):
+    """Each caller's coefficient pair at n = 240: the bound lucas_form states
+    to kronecker_eval is at least the l1 norm of the value read back."""
+    stated = []
+    kronecker_eval = sequences.kronecker_eval
+
+    def spy(fn, args, bound):
+        stated.append(bound)
+        return kronecker_eval(fn, args, bound)
+
+    monkeypatch.setattr(sequences, "kronecker_eval", spy)
+    rec = transform_recurrence(kind, K)
+    P, Q = rec.a, -rec.b
+    us = u_loop(P, Q, 242)
+    pairs = (closedform._exact_coefficients(rec),
+             closedform._printed_coefficients(kind, K),
+             (rec.x0, rec.x1 - rec.a * rec.x0))
+    for c1, c2 in pairs:
+        stated.clear()
+        value = lucas_form(P, Q, c1, c2, 240)
+        assert value == c1 * us[241] + c2 * us[240]
+        assert stated == [(c1.norm() + c2.norm()) * sequences._lucas_bound(P, Q, 240)]
+        assert stated[0] >= value.norm()
