@@ -28,7 +28,7 @@ print("=" * 72)
 print("CHARACTERISTIC DATA (symbolic)")
 print("=" * 72)
 from kfiblike import K  # noqa: E402
-from kfiblike.sequences import lucas_pair  # noqa: E402
+from kfiblike.sequences import lucas_form  # noqa: E402
 
 for kind in KIND_ORDER:
     rec = transform_recurrence(kind, K)
@@ -38,7 +38,7 @@ print()
 
 print("Lucas sequence U(P,Q) realises the root quotient (r1^n - r2^n)/(r1 - r2)")
 print("without ever leaving exact integers, e.g. U(P=4, Q=2):",
-      [lucas_pair(4, 2, n)[0] for n in range(7)])
+      [lucas_form(4, 2, 0, 1, n) for n in range(7)])
 print()
 
 print("=" * 72)

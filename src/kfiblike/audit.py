@@ -87,7 +87,7 @@ from functools import cache, partial
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .closedform import _binet_term, _exact_coefficients, _printed_coefficients, binet_float
+from .closedform import _exact_coefficients, _printed_coefficients, binet_float
 from .genfunc import gf_expand, published_gf
 from .ring import K, KPoly, RingElem, elem_str, times_k_power, zero_like
 from .sequences import (
@@ -537,7 +537,7 @@ def _binet_form(coefficients: Tuple[RingElem, RingElem], us: List[RingElem],
     form with :func:`~kfiblike.closedform._exact_coefficients` and its x0,
     the printed one (read from n = 1) with ``_printed_coefficients``."""
     c1, c2 = coefficients
-    return lambda n: _binet_term(c1, c2, us[n - 1], us[n]) if n else x0
+    return lambda n: c1 * us[n] + c2 * us[n - 1] if n else x0
 
 
 def _published_binet(kind: TransformKind, run: _Run, k: RingElem):

@@ -21,15 +21,12 @@ one form, c1*U(n) + c2*U(n-1), with different coefficient pairs:
 Each exact form is one coefficient pair (:func:`_exact_coefficients` or
 :func:`_printed_coefficients`) at n - 1 of ``sequences.lucas_form``, which
 fuses the last doubling step with the combination c1*U(n) + c2*U(n-1): one
-pass, and at ``KPoly`` one Kronecker read-back.  The audit reads the same
-forms at ascending n through :func:`_binet_term` over its own list of U,
-made once per (kind, k) by ``sequences.lucas_sweep``: one doubling step per
-value in place of a fresh O(log n) pass, the same values.
-
-``sequences.term_fast`` is the same kernel with its own pair, (x0, x1 - a*x0)
-at n, so its fused last step always takes the other branch from
-:func:`binet_closed`'s at n - 1: the benchmark checks the two against each
-other, and both against the ``terms`` prefix.
+pass, and at ``KPoly`` one Kronecker read-back.  Their carrier is checked
+once, where their ``Order2Rec`` is built, so they call the form's kernel
+``sequences._lucas_form`` past its mode check.  The audit reads the same
+pairs at ascending n over its own list of U, made once per (kind, k) by
+``sequences.lucas_sweep``: one doubling step per value in place of a fresh
+O(log n) pass, the same values.
 """
 
 from __future__ import annotations
@@ -39,22 +36,22 @@ import sys
 from typing import Tuple
 
 from .ring import KPoly, RingElem, const_like, scale
-from .sequences import Order2Rec, lucas_form
+from .sequences import Order2Rec, _lucas_form
 from .transforms import TransformKind, transform_recurrence
 
 
 def binet_closed(rec: Order2Rec, n: int) -> RingElem:
     """Exact closed-form term: x(n) = x1*U(n) - Q*x0*U(n-1), x(0) = x0.
 
-    O(log n) ring products: one ``sequences.lucas_form`` at n - 1 over
-    P, Q = a, -b, which checks the mode.  n = 0 is special-cased so
+    O(log n) ring products: one ``sequences._lucas_form`` at n - 1 over
+    P, Q = a, -b, whose mode ``rec`` has checked.  n = 0 is special-cased so
     U(-1) = -1/Q never materialises; the carrier stays division free.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
         return rec.x0
-    return lucas_form(rec.a, -rec.b, *_exact_coefficients(rec), n - 1)
+    return _lucas_form(rec.a, -rec.b, *_exact_coefficients(rec), n - 1)
 
 
 def binet_float(rec: Order2Rec, n: int) -> float:
@@ -102,7 +99,7 @@ def published_binet(kind: TransformKind, k: RingElem, n: int) -> RingElem:
     if n < 1:
         raise ValueError("the printed Binet formulas are evaluated for n >= 1 only")
     rec = transform_recurrence(kind, k)
-    return lucas_form(rec.a, -rec.b, *_printed_coefficients(kind, k), n - 1)
+    return _lucas_form(rec.a, -rec.b, *_printed_coefficients(kind, k), n - 1)
 
 
 def _exact_coefficients(rec: Order2Rec) -> Tuple[RingElem, RingElem]:
@@ -120,8 +117,3 @@ def _printed_coefficients(kind: TransformKind, k: RingElem) -> Tuple[RingElem, R
         c2 = const_like(-2, k)
     return c1, c2
 
-
-def _binet_term(c1: RingElem, c2: RingElem, u_prev: RingElem, u_cur: RingElem) -> RingElem:
-    """c1*U(n) + c2*U(n-1) from (U(n-1), U(n)): the audit's form over its
-    lists of U."""
-    return c1 * u_cur + c2 * u_prev

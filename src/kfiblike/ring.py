@@ -22,11 +22,9 @@ Two shortcuts have their one home here.  :func:`kronecker_eval` computes a
 whole single value on ints at k = 256**w and reads it back once: Kronecker
 substitution (Schoenhage 1982; Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", 2009).  Each caller states its own bound
-on the coefficients, which fixes w: :func:`ipow` ||x||**e in the l1 norm,
-the direct sum of ``transforms`` its own value at the l1 norms of its
-arguments, ``sequences.lucas_pair`` a bound from Lucas's explicit formula
-over the discriminant P**2 - 4Q (Lucas, Amer. J. Math. 1, 1878), and
-``sequences.lucas_form`` that bound times ||c1|| + ||c2||.
+on the coefficients, which fixes w, in the docstring of the function that
+computes it: :func:`ipow`, ``transforms._weighted_sum``,
+``sequences._lucas_bound`` and ``sequences.lucas_form``.
 :func:`times_k_power` multiplies by k**m, at ``K`` by a coefficient shift.
 
 ``int`` is the numeric result type of every library function.  Its decimal

@@ -8,22 +8,23 @@ the four transform recurrences reuse the same machinery.
 
 ``terms``/``iter_terms`` are the deliberately simple ground truth.  The
 logarithmic path is Lucas doubling, one loop of three identities that makes
-the pair (U(m), U(m+1)) from the pair at m >> 1 in one step.  Three entry
+the pair (U(m), U(m+1)) from the pair at m >> 1 in one step.  Two entry
 points read it:
 
 * :func:`lucas_form` gives c1*U(n+1) + c2*U(n) for one n: O(log n) steps,
-  the last one fused with the combination, so the pair is never built (one
-  ``ring.kronecker_eval``, read back once, when its arguments are symbolic,
-  its slot sized by a bound from Lucas's explicit formula over the
-  discriminant P^2 - 4Q).  :func:`term_fast` here and the single-n Binet
-  forms in ``closedform`` are this form with their own coefficient pairs,
-  ``term_fast`` at n and the Binet forms at n - 1, so their fused steps
-  always take opposite branches and stay checks of each other;
-* :func:`lucas_pair` is the pair API, (U(n), U(n+1)) for one n;
-* :func:`lucas_sweep` yields every m in turn, one step per m, for the
-  audit's lists of U.
+  the last one fused with the combination, so the pair is never built, and
+  one ``ring.kronecker_eval`` at symbolic arguments, at the bound its
+  docstring states.  U(n) itself is the form with (c1, c2) = (0, 1).
+  :func:`term_fast` here and the single-n Binet forms in ``closedform`` are
+  this form with their own coefficient pairs, ``term_fast`` at n and the
+  Binet forms at n - 1, so their fused steps always take opposite branches
+  and stay checks of each other.  They take an ``Order2Rec``, whose carrier
+  is checked when it is built, so they call :func:`_lucas_form`, the form
+  past its mode check;
+* :func:`lucas_sweep` yields every pair (U(m), U(m+1)) in turn, one step
+  per m, for the audit's lists of U.
 
-None uses the plain U recurrence, and none is used implicitly, so
+Neither uses the plain U recurrence, and neither is used implicitly, so
 cross-checks against iteration stay meaningful.
 """
 
@@ -122,26 +123,6 @@ def term_iterative(rec: Order2Rec, n: int) -> RingElem:
     return next(islice(iter_terms(rec), n, None))
 
 
-def lucas_pair(P: RingElem, Q: RingElem, n: int) -> Tuple[RingElem, RingElem]:
-    """(U(n), U(n+1)) of the Lucas sequence U0 = 0, U1 = 1, U(m+1) = P*U(m) - Q*U(m-1).
-
-    Left-to-right doubling over the bits of n after the leading one, from
-    (U(1), U(2)) = (1, P): one :func:`_doubling` pass, O(log n) products.
-    The mode is checked once, here.  Symbolic P and Q run the pass as one
-    :func:`~kfiblike.ring.kronecker_eval` at the bound :func:`_lucas_bound`.
-    """
-    require_same_mode(P, Q)
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if n == 0:
-        return zero_like(P), one_like(P)
-    bits = bin(n)[3:]
-    if isinstance(P, KPoly):
-        return kronecker_eval(lambda p, q: _doubling(p, q, 1, p, bits),
-                              (P, Q), _lucas_bound(P, Q, n))
-    return _doubling(P, Q, 1, P, bits)
-
-
 def _lucas_bound(P: KPoly, Q: KPoly, n: int) -> int:
     """A bound on the l1 norms of U(n) and U(n+1) at KPoly P and Q, n >= 1.
 
@@ -167,13 +148,20 @@ def lucas_form(P: RingElem, Q: RingElem, c1: RingElem, c2: RingElem,
 
     One :func:`_doubling` pass to the pair at j = n >> 1, then one last
     step fused with the combination (:func:`_form_on_ints`), so U(n) and
-    U(n+1) are never both built.  The mode of P, Q, c1 and c2 is checked once, here.
-    Symbolic arguments run the int code as one
-    :func:`~kfiblike.ring.kronecker_eval`, read back once, at the bound
-    (||c1|| + ||c2||) * :func:`_lucas_bound`, the l1 norm being subadditive
-    and submultiplicative.
+    U(n+1) are never both built.  The mode of P, Q, c1 and c2 is checked
+    once, here, before :func:`_lucas_form`.  Symbolic arguments run the int
+    code as one :func:`~kfiblike.ring.kronecker_eval`, read back once, at
+    the bound (||c1|| + ||c2||) * :func:`_lucas_bound`, the l1 norm being
+    subadditive and submultiplicative.
     """
     require_same_mode(P, Q, c1, c2)
+    return _lucas_form(P, Q, c1, c2, n)
+
+
+def _lucas_form(P: RingElem, Q: RingElem, c1: RingElem, c2: RingElem,
+                n: int) -> RingElem:
+    """:func:`lucas_form` past its mode check, for arguments already of one
+    mode: an ``Order2Rec``'s fields and values built from them."""
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
@@ -203,7 +191,8 @@ def _form_on_ints(P: int, Q: int, c1: int, c2: int, n: int) -> int:
 
 
 def lucas_sweep(P: RingElem, Q: RingElem) -> Iterator[Tuple[RingElem, RingElem]]:
-    """(U(m), U(m+1)) for m = 0, 1, 2, ..., the pairs :func:`lucas_pair` gives.
+    """(U(m), U(m+1)) for m = 0, 1, 2, ... of the Lucas sequence U(0) = 0,
+    U(1) = 1, U(m+1) = P*U(m) - Q*U(m-1).
 
     The pair at j is the parent of those at 2j and 2j + 1: each pair from
     m = 2 on is one :func:`_doubling` step from its parent, so a sweep of m
@@ -250,10 +239,10 @@ def _doubling(P: RingElem, Q: RingElem, u: RingElem, v: RingElem,
 def term_fast(rec: Order2Rec, n: int) -> RingElem:
     """x(n) = x0*U(n+1) + (x1 - a*x0)*U(n) over U(a, -b), in O(log n) products.
 
-    Opt-in fast path, one :func:`lucas_form` at n; b*U(n-1) = U(n+1) - a*U(n)
+    Opt-in fast path, one :func:`_lucas_form` at n; b*U(n-1) = U(n+1) - a*U(n)
     keeps the combination free of U(-1) at n = 0.
     """
-    return lucas_form(rec.a, -rec.b, rec.x0, rec.x1 - rec.a * rec.x0, n)
+    return _lucas_form(rec.a, -rec.b, rec.x0, rec.x1 - rec.a * rec.x0, n)
 
 
 def m_from_f(k: RingElem, n: int) -> RingElem:

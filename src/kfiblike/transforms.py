@@ -20,12 +20,12 @@ checks the same identities over its own lists.
 
 The direct sums have two kernels, and the caller's shape picks one.  A single
 term, and each right-hand side of the difference lemmas, is one O(n) pass of
-a private kernel: it steps M's recurrence inline, takes C(n,i) from the exact
-multiplicative rule, and applies k^(n-i) by Horner's rule and k^i by
-stepping k^i M(i) in place of M(i).  It runs on ints, each product by a
-power of k as one by a power of k's odd part and a left shift: at symbolic
-k, as one ``ring.kronecker_eval`` whose bound is the kernel's own value at
-the l1 norms, at a point 256**w whose odd part is 1.  A whole prefix comes
+a private kernel, :func:`_weighted_sum`: it steps M's recurrence inline,
+takes C(n,i) from the exact multiplicative rule, and applies k^(n-i) by
+Horner's rule and k^i by stepping k^i M(i) in place of M(i).  It runs on
+ints, each product by a power of k as one by a power of k's odd part and a
+left shift: at symbolic k, as one ``ring.kronecker_eval`` at the bound its
+docstring states, at a point 256**w whose odd part is 1.  A whole prefix comes
 from :func:`iter_direct`, which yields term after term from Euler's
 difference table of M (of k^i M(i) for the rising sum), one ring addition
 per cell and no binomial coefficient.  The lemma functions' right-hand sides

@@ -10,8 +10,8 @@ from kfiblike.closedform import (
     binet_float,
     published_binet,
 )
-from kfiblike.ring import K, KPoly, ipow
-from kfiblike.sequences import Order2Rec, lucas_pair, terms
+from kfiblike.ring import K, KPoly, ipow, one_like, zero_like
+from kfiblike.sequences import Order2Rec, lucas_form, terms
 from kfiblike.transforms import (
     KIND_ORDER,
     TransformKind,
@@ -20,24 +20,29 @@ from kfiblike.transforms import (
 )
 
 
+def u(P, Q, n):
+    """U(n) of U(P, Q), the Lucas form with (c1, c2) = (0, 1)."""
+    return lucas_form(P, Q, zero_like(P), one_like(P), n)
+
+
 def test_lucas_pair_basics():
-    assert lucas_pair(4, 2, 0)[0] == 0
-    assert lucas_pair(4, 2, 1)[0] == 1
-    assert lucas_pair(4, 2, 3)[0] == 14  # 0, 1, 4, 14
+    assert u(4, 2, 0) == 0
+    assert u(4, 2, 1) == 1
+    assert u(4, 2, 3) == 14  # 0, 1, 4, 14
     # U2 = P, symbolically as well
     P, Q = KPoly((2, 1)), K  # k+2, k
-    assert lucas_pair(P, Q, 2)[0] == P
+    assert u(P, Q, 2) == P
 
 
 def test_lucas_determinant_identity():
     rng = random.Random(5)
     for _ in range(10):
         P, Q = rng.randint(-6, 6), rng.randint(-6, 6)
-        us = [lucas_pair(P, Q, n)[0] for n in range(34)]
+        us = [u(P, Q, n) for n in range(34)]
         for n in range(1, 33):
             assert us[n + 1] * us[n - 1] - us[n] ** 2 == -(Q ** (n - 1))
     P, Q = KPoly((2, 1)), K
-    us = [lucas_pair(P, Q, n)[0] for n in range(12)]
+    us = [u(P, Q, n) for n in range(12)]
     for n in range(1, 11):
         lhs = us[n + 1] * us[n - 1] - us[n] * us[n]
         assert lhs == -ipow(Q, n - 1)
@@ -165,8 +170,3 @@ def test_published_binet_first_failures():
 
     assert first_failure(TransformKind.K_BINOMIAL) == (2, 1, 8, 4)
     assert first_failure(TransformKind.FALLING_K) == (2, 2, 22, 34)
-
-
-def test_lucas_rejects_negative_index():
-    with pytest.raises(ValueError):
-        lucas_pair(3, 1, -1)

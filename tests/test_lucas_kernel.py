@@ -1,14 +1,13 @@
 """The Lucas doubling kernel against independent plain iteration.
 
 ``term_fast``, ``binet_closed`` and the audit's lists of U all read one
-doubling loop, ``sequences._doubling``: ``lucas_pair`` runs it over the bits
-of one n, ``lucas_form`` (behind ``term_fast`` and the Binet forms) over the
-bits of n >> 1 with a fused last step, ``lucas_sweep`` one step per m from
-the pair at m >> 1.  So agreeing with each other proves little.  Every
-check here compares them with ``terms`` (the ground-truth iteration) or
-with the U-sequence loop written out below, at the bit patterns the
-doubling loop branches on: around each power of two, where the loop gains
-a step.
+doubling loop, ``sequences._doubling``: ``lucas_form`` (behind ``term_fast``
+and the Binet forms) runs it over the bits of n >> 1 with a fused last step,
+``lucas_sweep`` one step per m from the pair at m >> 1.  So agreeing with
+each other proves little.  Every check here compares them with ``terms``
+(the ground-truth iteration) or with the U-sequence loop written out below,
+at the bit patterns the doubling loop branches on: around each power of
+two, where the loop gains a step.
 """
 
 from collections import Counter
@@ -24,7 +23,6 @@ from kfiblike.ring import K, KPoly, ModeMismatchError, one_like, zero_like
 from kfiblike.sequences import (
     k_fib,
     lucas_form,
-    lucas_pair,
     lucas_sweep,
     modified_k_fib,
     term_fast,
@@ -61,13 +59,15 @@ def assert_routes_match(rec, ns):
     seq = terms(rec, top + 1)
     P, Q = rec.a, -rec.b
     us = u_loop(P, Q, top + 2)
+    zero, one = zero_like(P), one_like(P)
     for n in ns:
         assert term_fast(rec, n) == seq[n], ("term_fast", rec, n)
         assert binet_closed(rec, n) == seq[n], ("binet_closed", rec, n)
-        assert lucas_pair(P, Q, n) == (us[n], us[n + 1]), ("lucas_pair", rec, n)
+        assert lucas_form(P, Q, zero, one, n) == us[n], ("U(n)", rec, n)
+        assert lucas_form(P, Q, one, zero, n) == us[n + 1], ("U(n+1)", rec, n)
     reach = min(top + 1, SWEEP_LEN)
     for m, pair in enumerate(islice(lucas_sweep(P, Q), reach)):
-        assert pair == lucas_pair(P, Q, m) == (us[m], us[m + 1]), ("lucas_sweep", rec, m)
+        assert pair == (us[m], us[m + 1]), ("lucas_sweep", rec, m)
     listed = audit._lucas_list(rec, reach)
     assert listed == us[:reach], ("the audit's U list", rec)
     form = audit._binet_form(closedform._exact_coefficients(rec), listed, rec.x0)
@@ -90,22 +90,43 @@ def test_kernel_at_large_n(family):
     assert_routes_match(family_rec(family, 3), [4999, 5000])
 
 
-def test_lucas_pair_rejects_mixed_modes_and_negative_index():
-    # n = 1 runs no doubling step, so only the entry check can catch it
-    for P, Q, n in ((K, 1, 3), (3, K, 1)):
-        with pytest.raises(ModeMismatchError):
-            lucas_pair(P, Q, n)
-    with pytest.raises(ValueError):
-        lucas_pair(3, 1, -1)
-
-
 def test_lucas_form_rejects_mixed_modes_and_negative_index():
     # n = 0 returns c1 with no arithmetic, so only the entry check can catch it
-    for args in ((K, 1, K, K), (K, K, 2, K), (K, K, K, 2), (3, 1, K, 2)):
-        with pytest.raises(ModeMismatchError):
+    for args in ((K, 1, K, K), (3, K, 1, 0), (K, K, 2, K), (K, K, K, 2), (3, 1, K, 2)):
+        with pytest.raises(ModeMismatchError, match="cannot mix numeric"):
             lucas_form(*args, 0)
     with pytest.raises(ValueError):
         lucas_form(3, 1, 2, 2, -1)
+
+
+def test_record_taking_single_values_reject_a_negative_index():
+    for rec in (modified_k_fib(2), transform_recurrence(TransformKind.FALLING_K, K)):
+        for fn in (term_fast, binet_closed):
+            with pytest.raises(ValueError, match="index must be >= 0"):
+                fn(rec, -1)
+
+
+def test_record_taking_single_values_check_no_mode(monkeypatch):
+    """An Order2Rec's carrier is checked once, when it is built: term_fast,
+    binet_closed and published_binet add no check of their own, while the
+    public lucas_form and lucas_sweep still check theirs."""
+    calls = []
+    check = sequences.require_same_mode
+    monkeypatch.setattr(sequences, "require_same_mode",
+                        lambda *elems: calls.append(len(elems)) or check(*elems))
+    for k in (2, K):
+        rec = transform_recurrence(TransformKind.BINOMIAL, k)
+        calls.clear()
+        term_fast(rec, 30)
+        binet_closed(rec, 30)
+        assert calls == []
+        # published_binet builds its own record, and that is the one check
+        published_binet(TransformKind.BINOMIAL, k, 30)
+        assert calls == [4]
+        calls.clear()
+        lucas_form(rec.a, -rec.b, rec.x0, rec.x1, 30)
+        next(lucas_sweep(rec.a, -rec.b))
+        assert calls == [4, 2]
 
 
 def test_lucas_sweep_rejects_mixed_modes_at_the_first_read():
@@ -113,7 +134,7 @@ def test_lucas_sweep_rejects_mixed_modes_at_the_first_read():
     # catch it
     for P, Q in ((K, 1), (3, K)):
         sweep = lucas_sweep(P, Q)
-        with pytest.raises(ModeMismatchError):
+        with pytest.raises(ModeMismatchError, match="cannot mix numeric"):
             next(sweep)
 
 
@@ -138,10 +159,11 @@ def test_a_sweep_takes_one_doubling_step_per_pair(monkeypatch):
         list(islice(lucas_sweep(3, -1), count))
         assert sum(steps) == max(count - 2, 0), count
         assert set(steps) <= {1}
-    # a single n pays one step per bit after the leading one
+    # a single n pays one step per bit of n >> 1 after the leading one, and
+    # the fused last step outside the loop
     steps.clear()
-    lucas_pair(3, -1, 300)
-    assert steps == [8]
+    lucas_form(3, -1, 1, 0, 300)
+    assert steps == [7]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -165,12 +187,12 @@ def test_symbolic_single_values_run_the_doubling_loop_on_ints(monkeypatch, famil
 
 def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch):
     """Every Binet claim of the audit walks a sweep: no point starts a fresh
-    O(log n) pass through the single-n lucas_pair or lucas_form."""
+    O(log n) pass through the single-n lucas_form or its kernel."""
     def forbidden(*args):
         raise AssertionError("the audit called a single-n Lucas pass")
 
-    for module, name in ((sequences, "lucas_pair"), (sequences, "lucas_form"),
-                         (closedform, "lucas_form")):
+    for module, name in ((sequences, "lucas_form"), (sequences, "_lucas_form"),
+                         (closedform, "_lucas_form")):
         monkeypatch.setattr(module, name, forbidden)
     steps = _spy_on_the_doubling_loop(monkeypatch)
     report = run_audit(k_min=1, k_max=5, n_max=12)
@@ -212,7 +234,9 @@ def test_lucas_slot_width_of_each_transform_recurrence_at_n_240(kind):
     rec = transform_recurrence(kind, K)
     P, Q = rec.a, -rec.b
     us = u_loop(P, Q, 242)
-    assert lucas_pair(P, Q, 240) == (us[240], us[241])
+    zero, one = zero_like(P), one_like(P)
+    assert lucas_form(P, Q, zero, one, 240) == us[240]
+    assert lucas_form(P, Q, one, zero, 240) == us[241]
     bound = sequences._lucas_bound(P, Q, 240)
     assert bound == max(us[240].norm(), us[241].norm())
     assert ring.kronecker_width(bound) == 42
@@ -222,34 +246,6 @@ def test_lucas_slot_width_of_each_transform_recurrence_at_n_240(kind):
 # polynomial
 _POLYS = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)),
                   max_size=5).map(KPoly)
-
-
-@example(P=KPoly((1,)), Q=KPoly((1000,)), n=1)       # Q needs more than its slot
-@example(P=KPoly((1,)), Q=KPoly((0, 10**30)), n=2)
-@example(P=KPoly(()), Q=KPoly((-5, 2**80)), n=9)
-@example(P=KPoly((-(2**70), 1)), Q=KPoly(()), n=33)
-@example(P=KPoly(()), Q=KPoly(()), n=5)
-@settings(max_examples=150, deadline=None)
-@given(P=_POLYS, Q=_POLYS, n=st.integers(min_value=0, max_value=64))
-def test_symbolic_lucas_pair_matches_the_ring_ops_property(P, Q, n):
-    """A symbolic pair, evaluated at one point and read back, is the pair the
-    doubling loop makes on KPoly ring ops and the pair of the plain U loop.
-    Its slot bound holds the l1 norms of the pair, and is at most the pair
-    at the majorant (||P||, -||Q||)."""
-    us = u_loop(P, Q, n + 2)
-    pair = lucas_pair(P, Q, n)
-    assert pair == (us[n], us[n + 1])
-    if n:
-        bits = bin(n)[3:]
-        assert pair == sequences._doubling(P, Q, one_like(P), P, bits)
-        bound = sequences._lucas_bound(P, Q, n)
-        assert bound >= max(us[n].norm(), us[n + 1].norm())
-        assert bound <= max(sequences._doubling(P.norm(), -Q.norm(), 1, P.norm(), bits))
-
-
-def _form_from_the_pair(P, Q, c1, c2, n):
-    u, u_next = lucas_pair(P, Q, n)
-    return c1 * u_next + c2 * u
 
 
 _SMALL = st.integers(-6, 6)
@@ -270,14 +266,25 @@ _SMALL = st.integers(-6, 6)
        n=st.integers(min_value=0, max_value=300))
 def test_lucas_form_matches_the_pair_at_int_property(P, Q, c1, c2, n):
     """The fused last step, either parity, gives c1*U(n+1) + c2*U(n) of the
-    pair lucas_pair makes, and of the plain U loop."""
+    pair lucas_sweep makes, unfused, and of the plain U loop."""
     value = lucas_form(P, Q, c1, c2, n)
-    assert value == _form_from_the_pair(P, Q, c1, c2, n)
+    u, u_next = next(islice(lucas_sweep(P, Q), n, None))
+    assert value == c1 * u_next + c2 * u
     us = u_loop(P, Q, n + 2)
     assert value == c1 * us[n + 1] + c2 * us[n]
 
 
-@example(P=KPoly((1,)), Q=KPoly((1000,)), c1=KPoly((1,)), c2=KPoly(()), n=1)
+# (c1, c2) = (1, 0) and (0, 1) read U(n+1) and U(n) alone
+@example(P=KPoly((1,)), Q=KPoly((1000,)), c1=KPoly((1,)), c2=KPoly(()), n=1)  # Q needs more than its slot
+@example(P=KPoly((1,)), Q=KPoly((1000,)), c1=KPoly(()), c2=KPoly((1,)), n=1)
+@example(P=KPoly((1,)), Q=KPoly((0, 10**30)), c1=KPoly((1,)), c2=KPoly(()), n=2)
+@example(P=KPoly((1,)), Q=KPoly((0, 10**30)), c1=KPoly(()), c2=KPoly((1,)), n=2)
+@example(P=KPoly(()), Q=KPoly((-5, 2**80)), c1=KPoly((1,)), c2=KPoly(()), n=9)
+@example(P=KPoly(()), Q=KPoly((-5, 2**80)), c1=KPoly(()), c2=KPoly((1,)), n=9)
+@example(P=KPoly((-(2**70), 1)), Q=KPoly(()), c1=KPoly((1,)), c2=KPoly(()), n=33)
+@example(P=KPoly((-(2**70), 1)), Q=KPoly(()), c1=KPoly(()), c2=KPoly((1,)), n=33)
+@example(P=KPoly(()), Q=KPoly(()), c1=KPoly((1,)), c2=KPoly(()), n=5)
+@example(P=KPoly(()), Q=KPoly(()), c1=KPoly(()), c2=KPoly((1,)), n=5)
 @example(P=KPoly(()), Q=KPoly(()), c1=KPoly((0, 3)), c2=KPoly((-2,)), n=6)
 @example(P=KPoly((2, 1)), Q=KPoly((-1,)), c1=KPoly(()), c2=KPoly(()), n=64)
 @example(P=KPoly((-(2**70), 1)), Q=KPoly((5,)), c1=KPoly((-1, 2**70)), c2=KPoly((3,)), n=33)
@@ -285,8 +292,19 @@ def test_lucas_form_matches_the_pair_at_int_property(P, Q, c1, c2, n):
 @given(P=_POLYS, Q=_POLYS, c1=_POLYS, c2=_POLYS, n=st.integers(min_value=0, max_value=64))
 def test_symbolic_lucas_form_matches_the_pair_property(P, Q, c1, c2, n):
     """At KPoly the form, one Kronecker evaluation at the bound
-    (||c1|| + ||c2||) * _lucas_bound, is the form over lucas_pair's pair."""
-    assert lucas_form(P, Q, c1, c2, n) == _form_from_the_pair(P, Q, c1, c2, n)
+    (||c1|| + ||c2||) * _lucas_bound and one read-back, is the form over the
+    pair of the plain U loop and over the pair the doubling loop makes on
+    KPoly ring ops.  The slot bound holds the l1 norms of the pair, and is at
+    most the pair at the majorant (||P||, -||Q||)."""
+    us = u_loop(P, Q, n + 2)
+    value = lucas_form(P, Q, c1, c2, n)
+    assert value == c1 * us[n + 1] + c2 * us[n]
+    if n:
+        bits = bin(n)[3:]
+        assert sequences._doubling(P, Q, one_like(P), P, bits) == (us[n], us[n + 1])
+        bound = sequences._lucas_bound(P, Q, n)
+        assert bound >= max(us[n].norm(), us[n + 1].norm())
+        assert bound <= max(sequences._doubling(P.norm(), -Q.norm(), 1, P.norm(), bits))
 
 
 @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
@@ -295,8 +313,9 @@ def test_symbolic_single_values_are_read_back_once(monkeypatch, kind):
     Kronecker evaluation and read one polynomial back."""
     rec = transform_recurrence(kind, K)
     expected = terms(rec, 101)[100]
-    printed = closedform._binet_term(*closedform._printed_coefficients(kind, K),
-                                     *lucas_pair(rec.a, -rec.b, 99))
+    us = u_loop(rec.a, -rec.b, 101)
+    c1, c2 = closedform._printed_coefficients(kind, K)
+    printed = c1 * us[100] + c2 * us[99]
     reads = []
     from_kronecker = KPoly.from_kronecker
 
