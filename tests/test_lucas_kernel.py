@@ -274,17 +274,31 @@ def test_lucas_form_matches_the_pair_at_int_property(P, Q, c1, c2, n):
     assert value == c1 * us[n + 1] + c2 * us[n]
 
 
-# (c1, c2) = (1, 0) and (0, 1) read U(n+1) and U(n) alone
-@example(P=KPoly((1,)), Q=KPoly((1000,)), c1=KPoly((1,)), c2=KPoly(()), n=1)  # Q needs more than its slot
-@example(P=KPoly((1,)), Q=KPoly((1000,)), c1=KPoly(()), c2=KPoly((1,)), n=1)
-@example(P=KPoly((1,)), Q=KPoly((0, 10**30)), c1=KPoly((1,)), c2=KPoly(()), n=2)
-@example(P=KPoly((1,)), Q=KPoly((0, 10**30)), c1=KPoly(()), c2=KPoly((1,)), n=2)
-@example(P=KPoly(()), Q=KPoly((-5, 2**80)), c1=KPoly((1,)), c2=KPoly(()), n=9)
-@example(P=KPoly(()), Q=KPoly((-5, 2**80)), c1=KPoly(()), c2=KPoly((1,)), n=9)
-@example(P=KPoly((-(2**70), 1)), Q=KPoly(()), c1=KPoly((1,)), c2=KPoly(()), n=33)
-@example(P=KPoly((-(2**70), 1)), Q=KPoly(()), c1=KPoly(()), c2=KPoly((1,)), n=33)
-@example(P=KPoly(()), Q=KPoly(()), c1=KPoly((1,)), c2=KPoly(()), n=5)
-@example(P=KPoly(()), Q=KPoly(()), c1=KPoly(()), c2=KPoly((1,)), n=5)
+@example(P=KPoly((1,)), Q=KPoly((1000,)), n=1)       # Q needs more than its slot
+@example(P=KPoly((1,)), Q=KPoly((0, 10**30)), n=2)
+@example(P=KPoly(()), Q=KPoly((-5, 2**80)), n=9)
+@example(P=KPoly((-(2**70), 1)), Q=KPoly(()), n=33)
+@example(P=KPoly(()), Q=KPoly(()), n=5)
+@settings(max_examples=150, deadline=None)
+@given(P=_POLYS, Q=_POLYS, n=st.integers(min_value=0, max_value=64))
+def test_symbolic_lucas_pair_matches_the_ring_ops_property(P, Q, n):
+    """A symbolic pair, read as lucas_form at (c1, c2) = (0, 1) and (1, 0),
+    is the pair the doubling loop makes on KPoly ring ops and the pair of the
+    plain U loop.  Its slot bound holds the l1 norms of the pair, and is at
+    most the pair at the majorant (||P||, -||Q||)."""
+    us = u_loop(P, Q, n + 2)
+    zero, one = zero_like(P), one_like(P)
+    pair = (lucas_form(P, Q, zero, one, n), lucas_form(P, Q, one, zero, n))
+    assert pair == (us[n], us[n + 1])
+    if n:
+        bits = bin(n)[3:]
+        assert pair == sequences._doubling(P, Q, one, P, bits)
+        bound = sequences._lucas_bound(P, Q, n)
+        assert bound >= max(us[n].norm(), us[n + 1].norm())
+        assert bound <= max(sequences._doubling(P.norm(), -Q.norm(), 1, P.norm(), bits))
+
+
+@example(P=KPoly((1,)), Q=KPoly((1000,)), c1=KPoly((1,)), c2=KPoly(()), n=1)
 @example(P=KPoly(()), Q=KPoly(()), c1=KPoly((0, 3)), c2=KPoly((-2,)), n=6)
 @example(P=KPoly((2, 1)), Q=KPoly((-1,)), c1=KPoly(()), c2=KPoly(()), n=64)
 @example(P=KPoly((-(2**70), 1)), Q=KPoly((5,)), c1=KPoly((-1, 2**70)), c2=KPoly((3,)), n=33)
@@ -293,18 +307,9 @@ def test_lucas_form_matches_the_pair_at_int_property(P, Q, c1, c2, n):
 def test_symbolic_lucas_form_matches_the_pair_property(P, Q, c1, c2, n):
     """At KPoly the form, one Kronecker evaluation at the bound
     (||c1|| + ||c2||) * _lucas_bound and one read-back, is the form over the
-    pair of the plain U loop and over the pair the doubling loop makes on
-    KPoly ring ops.  The slot bound holds the l1 norms of the pair, and is at
-    most the pair at the majorant (||P||, -||Q||)."""
+    pair of the plain U loop."""
     us = u_loop(P, Q, n + 2)
-    value = lucas_form(P, Q, c1, c2, n)
-    assert value == c1 * us[n + 1] + c2 * us[n]
-    if n:
-        bits = bin(n)[3:]
-        assert sequences._doubling(P, Q, one_like(P), P, bits) == (us[n], us[n + 1])
-        bound = sequences._lucas_bound(P, Q, n)
-        assert bound >= max(us[n].norm(), us[n + 1].norm())
-        assert bound <= max(sequences._doubling(P.norm(), -Q.norm(), 1, P.norm(), bits))
+    assert lucas_form(P, Q, c1, c2, n) == c1 * us[n + 1] + c2 * us[n]
 
 
 @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
