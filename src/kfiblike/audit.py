@@ -34,21 +34,21 @@ claim reads it:
   :func:`~kfiblike.transforms.iter_direct`: n <= n_max + 1, since C05/C06
   read one term past the sweep, and at least the longest printed table,
   n <= 5, which C23/C24 read at each fixture's own k (only that far at a
-  fixture's k outside the run's k range, where no sweep reads);
+  fixture's k outside the run's k range, where no sweep reads).  The
+  k-binomial sums are the binomial table's times k^n, so one binomial table
+  per k serves both;
 * M at each k, from :func:`~kfiblike.sequences.iter_terms`: M(0) .. M(2 n_max),
   since C07 reads M(2n), and at least M(0) .. M(5), which C25 reads at
   symbolic k; C05, C06, C09 and C10 read it too;
 * the transform recurrences, and the prefixes of those and of F, n <= n_max;
 * U(0) .. U(n_max) of each transform recurrence's Lucas sequence U(a, -b),
-  from :func:`~kfiblike.sequences.lucas_sweep`, one doubling step per value
-  from the pair at half its index: every Binet claim reads it.
+  from :func:`~kfiblike.sequences.lucas_sweep`, one shared step per two
+  values from the pair at half their index: every Binet claim reads it.
 
 At symbolic k, sym_n takes the place of n_max.  Each list is read from its
 stream in one go, and the stream is dropped then, so no generator stays open
-from one claim to the next.  The run also holds one Pascal row, C(n, 0) ..
-C(n, n), which C05 and C06 read: a sweep reads it at n = 0, 1, 2, ..., and
-each row is made from the one before, once per sweep and n, whatever the
-number of k; the whole triangle is never held.
+from one claim to the next.  The run also holds one Pascal row, which C05
+and C06 read (:func:`_pascal_rows`); the whole triangle is never held.
 
 A claim's row is a plain function ``row(run, k)``, or ``row(kind, run, k)``
 for a family row, whose kind the registry binds.  A sweep calls it once per
@@ -56,24 +56,22 @@ k.  It fetches the lists and the recurrence of that (kind, k) it needs,
 expands the generating-function series it compares, computes C10's running
 alternating sums of M, one subtraction per n, and returns the function of n
 that the point loop reads: list indexing plus the compared computation
-itself.  C05 and C06 take their right-hand sums from the run's M
-and Pascal row, and their left sides from the direct sums, so the two sides
-share no route.  C07 compares the rising direct sums with M at even indices,
-and C08 the k-binomial direct sums with k^n times the binomial ones.  The
-Binet claims evaluate one form, c1 U(n) + c2 U(n-1), at each n from the run's
-U list, through ``closedform``'s one evaluator, with the printed coefficients
-(C11-C14) or the exact ones and x0 at n = 0 (C19-C22, C26).  The values of
-C11-C18 (the published Binet forms and generating functions), C19-C22 and
-C26 (the exact Binet form) are not shared: each claim computes its own from
-the shared lists, and C15-C18 expand their own series.  C15-C18 compare the
-printed series with the recurrence prefix, so a fault in
-:func:`~kfiblike.genfunc.gf_expand` shows.  A claim still compares two
-independent routes; a value shared between claims means a broken route shows
-in every claim that reads it.  Claims C01-C22 are each one sweep over the
-run, from the n_start their row declares.  C23-C25 compare each printed list
-(the table fixtures, the polynomials M(k, 2) .. M(k, 5)) with the run's values
+itself.  C05 and C06 take their right-hand sums from the run's M and Pascal
+row, and their left sides from the direct sums, so the two sides share no
+route.  C07 compares the rising direct sums with M at even indices.  The
+Binet claims evaluate one form, c1 U(n) + c2 U(n-1), at each n from the
+run's U list, with the printed coefficients (C11-C14) or the exact ones and
+x0 at n = 0 (C19-C22, C26, and C08 against the k-binomial direct sums, so
+C02, C08 and C20 pit three routes pairwise).  Each claim computes these
+values, and C15-C18 their series, from the shared lists.  C15-C18 compare
+the printed series with the recurrence prefix, so a fault in
+:func:`~kfiblike.genfunc.gf_expand` shows.  A broken shared route shows in
+every claim that reads it.  Claims C01-C22 are each one sweep over the run,
+from the n_start their row declares.  C23-C25 compare each printed list (the
+table fixtures, the polynomials M(k, 2) .. M(k, 5)) with the run's values
 through one helper that reports its first differing entry.  The run and its
-lists end with :func:`run_audit`; the config and the report are plain values.
+lists end with :func:`run_audit`; the config and the report are plain
+values.
 """
 
 from __future__ import annotations
@@ -107,27 +105,28 @@ FLOAT_K_CAP = 5      # documented validity range of the double-precision path
 FLOAT_N_CAP = 40
 
 # AuditConfig refuses a run whose work estimate, in ring operations on narrow
-# terms (about 0.6-0.9 us each on CPython 3.11), is past this.  Per k it
-# counts a fixed setup of 1000 and, at each of the n_max points, 150 for its
-# Binet values and series reads, n_max for the lemma sums and
-# difference tables, n_max^2 * W / 10^6 for those sums' products with C(n, i),
-# and (W / 42)^1.585 for Karatsuba products of full-width terms.  W = n_max *
-# log10(k_max^2 + 2) is about the digit count of the widest compared term,
-# since the rising transform grows like (k^2 + 2)^n.  The constants were fitted
-# to runs of at most 1/100 of the ceiling.  Runs just under it, without the
-# symbolic leg, took 36-46 s: n_max = 1160 at k = 1..10 38 s, n_max = 3162 at
-# k = 1 46 s, n_max = 2 at k = 1..46000 36 s (and 381 MB), n_max = 108 at
-# k = 10^800 45 s.  Two terms are upper bounds now, kept so that the admitted
-# and refused ranges stay the same: the 150 was fitted while each Binet value
-# took log2 n Lucas doubling steps of its own claim (now one step per (kind,
-# k) and n, in one U list that all Binet claims read), and n_max^2 * W / 10^6
-# while C05/C06 took each C(n, i) by a big-int division (now one addition in
-# a Pascal row built once per n, not per k).  The default range (1.5e5) takes
-# about 30-50 ms in process.
+# terms (about 0.6-0.9 us each on CPython 3.11), is past this.  Per k it counts
+# a fixed setup of 1000 and, at each of the n_max points, 150 for its Binet
+# values and series reads, n_max for the lemma sums and difference tables,
+# n_max^2 * W / 10^6 for those sums' products with C(n, i), and (W / 42)^1.585
+# for Karatsuba products of full-width terms.  W = n_max * log10(k_max^2 + 2)
+# is about the digit count of the widest compared term, since the rising
+# transform grows like (k^2 + 2)^n.  The constants were fitted to runs of at
+# most 1/100 of the ceiling.  Runs just under it, without the symbolic leg,
+# took 36-46 s: n_max = 1160 at k = 1..10 38 s, n_max = 3162 at k = 1 46 s,
+# n_max = 2 at k = 1..46000 36 s (and 381 MB), n_max = 108 at k = 10^800 45 s.
+# Two terms are upper bounds now, kept so that the admitted and refused ranges
+# stay the same: the 150 was fitted while each Binet value took log2 n Lucas
+# doubling steps of its own claim (now one step per (kind, k) and two n, in one
+# U list that all Binet claims read), and n_max^2 * W / 10^6 while C05/C06 took
+# each C(n, i) by a big-int division (now one addition in a Pascal row built
+# once per n, not per k).  The default range (1.5e5) takes about 30-50 ms in
+# process.
 AUDIT_WORK_CEILING = 6 * 10**7
 _KARATSUBA = Decimal("1.585")  # log2(3)
 _WORK_CONTEXT = Context(prec=8, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
+_W = TransformKind.K_BINOMIAL
 _KIND_NAMES = {
     TransformKind.BINOMIAL: "binomial",
     TransformKind.K_BINOMIAL: "k-binomial",
@@ -194,18 +193,20 @@ def _work_estimate(k_min: int, k_max: int, n_max: int) -> Decimal:
 
 class _Run:
     """One audit run: its config and the route values the module docstring
-    lists, each built once, in full, on first use, as far as any claim reads
-    it; ``count(k)`` is :func:`_count` of its config.  The builders close over
-    the config, not the run, so the run is no reference cycle and its lists
-    go with it.  A function of this module patched in before
-    :func:`run_audit` is the one the run calls.
+    lists; ``count(k)`` is :func:`_count` of its config.  The builders close
+    over the config, and the k-binomial one over the binomial table's, never
+    over the run, so the run is no reference cycle and its lists go with it.
+    A function of this module patched in before :func:`run_audit` is the one
+    the run calls.
     """
 
     def __init__(self, cfg: AuditConfig):
         self.cfg = cfg
         self.count = count = lambda k: _count(cfg, k)
-        self.direct = cache(lambda kind, k: list(islice(
+        table = cache(lambda kind, k: list(islice(
             iter_direct(kind, k), max(count(k) + 1, _TABLE_LEN))))
+        self.direct = cache(lambda kind, k: table(kind, k) if kind is not _W else [
+            times_k_power(b, k, n) for n, b in enumerate(table(TransformKind.BINOMIAL, k))])
         self.m = cache(lambda k: list(islice(
             iter_terms(modified_k_fib(k)), max(2 * count(k) - 1, _M_POLYS_LEN))))
         self.recurrence = recurrence = cache(transform_recurrence)
@@ -225,7 +226,7 @@ def _count(cfg: AuditConfig, k: RingElem) -> int:
 
 def _lucas_list(rec: Order2Rec, count: int) -> List[RingElem]:
     """U(0) .. U(count - 1) of U(a, -b), the Lucas sequence of ``rec``'s Binet
-    forms, one doubling step each."""
+    forms."""
     return [u for u, _ in islice(lucas_sweep(rec.a, -rec.b), count)]
 
 
@@ -514,9 +515,11 @@ def _rising_even_index(run: _Run, k: RingElem):
 
 
 def _k_scaling(run: _Run, k: RingElem):
-    """C08's pair: the k-binomial direct sum at n and k^n times the binomial one."""
-    scaled, plain = run.direct(TransformKind.K_BINOMIAL, k), run.direct(TransformKind.BINOMIAL, k)
-    return lambda n: (scaled[n], times_k_power(plain[n], k, n))
+    """C08's pair: w(n), the exact Binet form over the run's k-binomial U
+    list, and k^n b(n), the k-binomial direct sum."""
+    rec, scaled = run.recurrence(_W, k), run.direct(_W, k)
+    lucas = _binet_form(_exact_coefficients(rec), run.u(_W, k), rec.x0)
+    return lambda n: (lucas(n), scaled[n])
 
 
 def _m_from_f(run: _Run, k: RingElem):

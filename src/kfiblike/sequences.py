@@ -7,9 +7,9 @@ closed forms, generating functions) is expressed over :class:`Order2Rec`, so
 the four transform recurrences reuse the same machinery.
 
 ``terms``/``iter_terms`` are the deliberately simple ground truth.  The
-logarithmic path is Lucas doubling, one loop of three identities that makes
-the pair (U(m), U(m+1)) from the pair at m >> 1 in one step.  Two entry
-points read it:
+logarithmic path is Lucas doubling, three identities that make the pair
+(U(m), U(m+1)) from the pair at m >> 1 in one step.  Two entry points read
+them:
 
 * :func:`lucas_form` gives c1*U(n+1) + c2*U(n) for one n: O(log n) steps,
   the last one fused with the combination, so the pair is never built, and
@@ -21,8 +21,8 @@ points read it:
   and stay checks of each other.  They take an ``Order2Rec``, whose carrier
   is checked when it is built, so they call :func:`_lucas_form`, the form
   past its mode check;
-* :func:`lucas_sweep` yields every pair (U(m), U(m+1)) in turn, one step
-  per m, for the audit's lists of U.
+* :func:`lucas_sweep` yields every pair (U(m), U(m+1)) in turn, for the
+  audit's lists of U, two pairs per :func:`_children` step.
 
 Neither uses the plain U recurrence, and neither is used implicitly, so
 cross-checks against iteration stay meaningful.
@@ -194,11 +194,11 @@ def lucas_sweep(P: RingElem, Q: RingElem) -> Iterator[Tuple[RingElem, RingElem]]
     """(U(m), U(m+1)) for m = 0, 1, 2, ... of the Lucas sequence U(0) = 0,
     U(1) = 1, U(m+1) = P*U(m) - Q*U(m-1).
 
-    The pair at j is the parent of those at 2j and 2j + 1: each pair from
-    m = 2 on is one :func:`_doubling` step from its parent, so a sweep of m
-    pairs costs m - 2 steps, not a pass of log2 m steps per pair.  A pair is
-    kept only until its second child is made, about m/2 pairs at m.  Nothing
-    is built before the first read, which checks the mode.
+    The pair at j is the parent of those at 2j and 2j + 1, and from m = 2
+    on one :func:`_children` step makes both, so a sweep of m pairs costs
+    ceil((m - 2) / 2) steps, not log2 m steps per pair.  A pair is kept
+    until its children are made, about m/2 pairs at m.  Nothing is built
+    before the first read, which checks the mode.
     """
     require_same_mode(P, Q)
     one = one_like(P)
@@ -206,11 +206,20 @@ def lucas_sweep(P: RingElem, Q: RingElem) -> Iterator[Tuple[RingElem, RingElem]]
     yield one, P
     parents = deque([(one, P)])
     while True:
-        parent = parents.popleft()
-        for bit in "01":
-            pair = _doubling(P, Q, *parent, bit)
-            parents.append(pair)
-            yield pair
+        even, odd = _children(P, Q, *parents.popleft())
+        parents += even, odd
+        yield even
+        yield odd
+
+
+def _children(P: RingElem, Q: RingElem, u: RingElem,
+              v: RingElem) -> Tuple[Tuple[RingElem, RingElem], Tuple[RingElem, RingElem]]:
+    """The pairs at 2j and 2j + 1 from (u, v) = (U(j), U(j+1)) by the
+    identities of :func:`_doubling`, sharing U(2j+1): four full products
+    where two doubling steps take six."""
+    odd = v * v - Q * (u * u)
+    qu = Q * u
+    return (u * (v + v - P * u), odd), (odd, v * (P * v - qu - qu))
 
 
 def _doubling(P: RingElem, Q: RingElem, u: RingElem, v: RingElem,

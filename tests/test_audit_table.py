@@ -64,19 +64,21 @@ def _direct_fault_footprint(kind):
 
     before = transform_direct(kind, BAD_K, BAD_N - 1)
     if kind is B:
+        # the run's k-binomial sums are this table's times k^n
+        w, bump = transform_direct(W, BAD_K, BAD_N), BAD_K**BAD_N
         return {
             "C01": (FAIL, vs_truth),                                # direct vs recurrence
+            "C02": (FAIL, _ce(w + bump, w)),                        # k-binomial vs recurrence
             "C05": difference_lemma(truth - before),                # b(n+1) - b(n)
-            "C08": (FAIL, _ce(transform_direct(W, BAD_K, BAD_N),    # w(n) = k^n b(n)
-                              BAD_K**BAD_N * (truth + 1))),
+            "C08": (FAIL, _ce(w, w + bump)),                        # Lucas w(n) vs k^n b(n)
             # the published binomial Binet form and the printed B_3 are right,
             # so a broken direct sum shows as a disagreement with them
             "C11": (INFO, vs_truth),
             "C23": fixture("B_3"),
         }
     if kind is W:
-        b = transform_direct(B, BAD_K, BAD_N)
-        return {"C02": (FAIL, vs_truth), "C08": (FAIL, _ce(truth + 1, BAD_K**BAD_N * b))}
+        # W_3 is misprinted from n = 2 on, so C24 reports n = 2 as before
+        return {"C02": (FAIL, vs_truth), "C08": (FAIL, _ce(truth, truth + 1))}
     if kind is TransformKind.RISING_K:
         m_2n = terms(modified_k_fib(BAD_K), 2 * BAD_N + 1)[2 * BAD_N]
         return {
@@ -93,14 +95,55 @@ def _direct_fault_footprint(kind):
 
 @pytest.mark.parametrize("bad_kind", KIND_ORDER, ids=lambda kd: kd.value)
 def test_broken_direct_sum_fails_every_claim_that_reads_it(monkeypatch, bad_kind):
+    """A direct sum one too big at (BAD_K, BAD_N), where the run makes it:
+    in its difference table, or, for the k-binomial kind, which the run
+    reads from the binomial table, in that term's product by k^n."""
     healthy = run_audit(**RANGE)
+    power = audit.times_k_power
+
+    def broken_power(x, k, m):
+        return power(x, k, m) + (1 if (k, m) == (BAD_K, BAD_N) else 0)
 
     def broken(kind, k):
         for n, value in enumerate(iter_direct(kind, k)):
             yield value + 1 if (kind, k, n) == (bad_kind, BAD_K, BAD_N) else value
 
-    monkeypatch.setattr(audit, "iter_direct", broken)
+    if bad_kind is TransformKind.K_BINOMIAL:
+        monkeypatch.setattr(audit, "times_k_power", broken_power)
+    else:
+        monkeypatch.setattr(audit, "iter_direct", broken)
     assert _changed(run_audit(**RANGE), healthy) == _direct_fault_footprint(bad_kind)
+
+
+def test_a_k_power_fault_fails_c02_and_c08(monkeypatch):
+    """times_k_power three times too big for m >= 2, wherever it is bound:
+    C08 reads w(n) from the Lucas form over the k-binomial U list, which
+    shares neither the binomial table nor times_k_power with the k-binomial
+    sums, so it fails at the first point, as C02 does; C24 reads the tripled
+    sums against the printed W lists."""
+    healthy = run_audit(**RANGE)
+    power = audit.times_k_power
+
+    def tripled(x, k, m):
+        value = power(x, k, m)
+        return value + value + value if m >= 2 else value
+
+    for module in (audit, transforms):
+        monkeypatch.setattr(module, "times_k_power", tripled)
+    W = TransformKind.K_BINOMIAL
+
+    def table(k, n, printed):
+        return Counterexample(k=k, n=n, expected=str(printed),
+                              got=str(3 * transform_direct(W, k, n)), label=f"W_{k}")
+
+    assert _changed(run_audit(**RANGE), healthy) == {
+        "C02": (Verdict.FAIL, (Counterexample(k=1, n=2, expected="30", got="10"),)),
+        "C08": (Verdict.FAIL, (Counterexample(k=1, n=2, expected="10", got="30"),)),
+        # W_3 is k times the true list at n = 2, so tripled it first differs at 3
+        "C24": (Verdict.INFO_DISCREPANCY, (
+            table(1, 2, 10), table(2, 2, 96), table(3, 3, 1566), table(4, 2, 1024),
+            table(5, 2, 2250))),
+    }
 
 
 def test_broken_recurrence_prefix_fails_every_claim_that_reads_it(monkeypatch):
@@ -149,20 +192,9 @@ def test_broken_gf_expansion_shows_in_the_gf_claims(monkeypatch):
 def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch, m):
     """U(m) off by one in the run's rising k = 3 list: the printed form
     (C13), the exact form (C21) and the double-precision check (C26) each
-    read it first as U(n) at n = m, where both forms have c1 = 2k + 2.  Only
-    the swept pair is broken, not the pairs the sweep derives from it."""
+    read it first as U(n) at n = m, where both forms have c1 = 2k + 2."""
     healthy = run_audit(**RANGE)
-    rec = transform_recurrence(BAD_KIND, BAD_K)
-    P, Q = rec.a, -rec.b
-    truth = terms(rec, m + 1)[m]
-    wrong = truth + 2 * BAD_K + 2
-    sweep = audit.lucas_sweep
-
-    def broken(p, q):
-        for i, (u, u_next) in enumerate(sweep(p, q)):
-            yield (u + 1 if (p, q) == (P, Q) and i == m else u), u_next
-
-    monkeypatch.setattr(audit, "lucas_sweep", broken)
+    rec, truth, wrong = _break_sweep(monkeypatch, BAD_KIND, m)
     changed = _changed(run_audit(**RANGE), healthy)
     ce = (Counterexample(k=BAD_K, n=m, expected=str(truth), got=str(wrong)),)
     assert changed == {
@@ -172,6 +204,43 @@ def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch
             k=BAD_K, n=m, expected=str(wrong), got=repr(binet_float(rec, m)),
             label=BAD_KIND.value),)),
     }
+
+
+def test_broken_k_binomial_sweep_shows_in_c08_too(monkeypatch):
+    """U(7) off by one in the run's k-binomial k = 3 list: C08 reads w(n)
+    from the exact form over it, so it fails with C20 and C26 (c1 = 4k);
+    the printed form (C12) is already wrong at n = 2."""
+    healthy = run_audit(**RANGE)
+    kind, m = TransformKind.K_BINOMIAL, 7
+    rec, truth, wrong = _break_sweep(monkeypatch, kind, m)
+    changed = _changed(run_audit(**RANGE), healthy)
+    assert changed == {
+        "C08": (Verdict.FAIL, (Counterexample(k=BAD_K, n=m, expected=str(wrong),
+                                              got=str(truth)),)),
+        "C20": (Verdict.FAIL, (Counterexample(k=BAD_K, n=m, expected=str(truth),
+                                              got=str(wrong)),)),
+        "C26": (Verdict.FAIL, (Counterexample(
+            k=BAD_K, n=m, expected=str(wrong), got=repr(binet_float(rec, m)),
+            label=kind.value),)),
+    }
+
+
+def _break_sweep(monkeypatch, kind, m):
+    """U(m) off by one in the run's list of ``kind`` at BAD_K, which the
+    Binet claims first read as U(n) at n = m: the record, x(m), and x(m) +
+    x1, x1 being the exact form's c1.  Only the swept pair is broken, not
+    the pairs the sweep derives from it."""
+    rec = transform_recurrence(kind, BAD_K)
+    P, Q = rec.a, -rec.b
+    truth = terms(rec, m + 1)[m]
+    sweep = audit.lucas_sweep
+
+    def broken(p, q):
+        for i, (u, u_next) in enumerate(sweep(p, q)):
+            yield (u + 1 if (p, q) == (P, Q) and i == m else u), u_next
+
+    monkeypatch.setattr(audit, "lucas_sweep", broken)
+    return rec, truth, truth + rec.x1
 
 
 def test_broken_pascal_row_fails_exactly_the_difference_lemmas(monkeypatch):
@@ -330,12 +399,14 @@ def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
     assert direct_streams and max(direct_streams.values()) == 1
     assert direct_reads and max(direct_reads.values()) == 1
     # each list is built at its full reach on first use: C05/C06 read
-    # n_max + 1, and every kind's list at a k goes that far
+    # n_max + 1, and every table at a k goes that far; the k-binomial sums
+    # are the binomial table's times k^n, so no k-binomial table is opened
     reach = Counter()
     for kind, k, n in direct_reads:
         reach[kind, k] = max(reach[kind, k], n)
     ks = (*range(RANGE["k_min"], RANGE["k_max"] + 1), K)  # sym_n is n_max here
-    assert reach == {(kind, k): RANGE["n_max"] + 1 for kind in KIND_ORDER for k in ks}
+    tables = [kind for kind in KIND_ORDER if kind is not TransformKind.K_BINOMIAL]
+    assert reach == {(kind, k): RANGE["n_max"] + 1 for kind in tables for k in ks}
     # one recurrence prefix per (kind, k) and one of F per k; the four kinds'
     # recurrences are equal at k = 1, and each kind builds its own there
     expected = Counter(transform_recurrence(kind, k) for kind in KIND_ORDER for k in ks)

@@ -1,10 +1,11 @@
 """The Lucas doubling kernel against independent plain iteration.
 
-``term_fast``, ``binet_closed`` and the audit's lists of U all read one
-doubling loop, ``sequences._doubling``: ``lucas_form`` (behind ``term_fast``
-and the Binet forms) runs it over the bits of n >> 1 with a fused last step,
-``lucas_sweep`` one step per m from the pair at m >> 1.  So agreeing with
-each other proves little.  Every check here compares them with ``terms``
+``term_fast``, ``binet_closed`` and the audit's lists of U all read the
+same three doubling identities: ``lucas_form`` (behind ``term_fast`` and the
+Binet forms) runs ``sequences._doubling`` over the bits of n >> 1 with a
+fused last step, ``lucas_sweep`` one ``sequences._children`` step per pair
+at j, which makes the pairs at 2j and 2j + 1.  So agreeing with each other
+proves little.  Every check here compares them with ``terms``
 (the ground-truth iteration) or with the U-sequence loop written out below,
 at the bit patterns the doubling loop branches on: around each power of
 two, where the loop gains a step.
@@ -152,18 +153,47 @@ def _spy_on_the_doubling_loop(monkeypatch):
     return steps
 
 
-def test_a_sweep_takes_one_doubling_step_per_pair(monkeypatch):
+def _spy_on_the_sibling_step(monkeypatch):
+    """Replace the sweep's step with a copy that records each call."""
+    calls = []
+    children = sequences._children
+
+    def spy(P, Q, u, v):
+        calls.append((u, v))
+        return children(P, Q, u, v)
+
+    monkeypatch.setattr(sequences, "_children", spy)
+    return calls
+
+
+def test_a_sweep_takes_one_sibling_step_per_parent(monkeypatch):
+    """A sweep of count pairs makes both children of each parent in one
+    step, ceil((count - 2) / 2) steps in all, and takes no doubling step."""
     steps = _spy_on_the_doubling_loop(monkeypatch)
-    for count in (0, 1, 2, 3, 4, 64, 65, 300):
-        steps.clear()
-        list(islice(lucas_sweep(3, -1), count))
-        assert sum(steps) == max(count - 2, 0), count
-        assert set(steps) <= {1}
+    siblings = _spy_on_the_sibling_step(monkeypatch)
+    for count in (0, 1, 2, 3, 4, 5, 64, 65, 300):
+        siblings.clear()
+        pairs = list(islice(lucas_sweep(3, -1), count))
+        assert len(siblings) == max(-(-(count - 2) // 2), 0), count
+        # each parent is read once, in index order from j = 1
+        assert siblings == pairs[1:len(siblings) + 1], count
+    assert steps == []
     # a single n pays one step per bit of n >> 1 after the leading one, and
     # the fused last step outside the loop
-    steps.clear()
     lucas_form(3, -1, 1, 0, 300)
     assert steps == [7]
+
+
+@pytest.mark.parametrize("P, Q", [(3, -1), (-2, 7), (0, 0), (KPoly((1, 2)), KPoly((0, -3)))])
+def test_the_sibling_step_is_two_doubling_steps(P, Q):
+    """Both children are the pairs one doubling step makes from the parent,
+    with a 0 bit and with a 1 bit."""
+    pair = (one_like(P), P)
+    for _ in range(6):
+        even, odd = sequences._children(P, Q, *pair)
+        assert even == sequences._doubling(P, Q, *pair, "0")
+        assert odd == sequences._doubling(P, Q, *pair, "1")
+        pair = odd
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -195,9 +225,12 @@ def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch):
                          (closedform, "_lucas_form")):
         monkeypatch.setattr(module, name, forbidden)
     steps = _spy_on_the_doubling_loop(monkeypatch)
+    siblings = _spy_on_the_sibling_step(monkeypatch)
     report = run_audit(k_min=1, k_max=5, n_max=12)
     assert report.counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
-    assert steps and set(steps) == {1}
+    # U(0) .. U(12) of four kinds at k = 1..5 and K: ceil(11 / 2) steps each
+    assert steps == []
+    assert len(siblings) == 4 * 6 * 6
 
 
 def test_a_default_run_sweeps_each_kind_and_k_once(monkeypatch):

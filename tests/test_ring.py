@@ -256,19 +256,34 @@ def _assert_built_like_public(p, cs):
 
 # coefficients of any width up to about 2**300, either sign
 _WIDE_COEFFS = st.integers(0, 300).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
-_NONZERO_WIDE = _WIDE_COEFFS.filter(bool)
+# The same class from a fixed pool, for the two product properties below,
+# where drawing each coefficient afresh took most of their time: widths of 1
+# to 300 bits, around CPython's 30-bit digit and the 64-bit word, all ones,
+# one bit and alternating bits, either sign, and 0; smallest first.
+_WIDE_POOL = tuple(sorted(
+    {sign * c for b in (1, 2, 7, 8, 29, 30, 31, 60, 63, 64, 65, 100, 200, 300)
+     for c in ((1 << b) - 1, 1 << b, (1 << b) // 3) for sign in (1, -1)},
+    key=lambda c: (abs(c), c < 0)))
+_NONZERO_WIDE = st.sampled_from([c for c in _WIDE_POOL if c])
+
+
+def _or_pool(common, share):
+    """One of ``common`` with probability ``share``, else one of the pool, in
+    a single draw: st.one_of takes one more draw per coefficient."""
+    repeat = round(share / (1 - share) * len(_WIDE_POOL) / len(common))
+    return st.sampled_from(common * repeat + _WIDE_POOL)
+
+
 # mostly -1, 0 and 1, the first nonzero at any degree below 40
 _unit_sparse = st.tuples(
     st.integers(min_value=0, max_value=39),
-    st.lists(st.one_of(st.sampled_from((-1, 0, 0, 1)), st.sampled_from((-1, 0, 0, 1)),
-                       st.sampled_from((-1, 0, 0, 1)), _WIDE_COEFFS), max_size=40),
+    st.lists(_or_pool((-1, 0, 0, 1), 3 / 4), max_size=40),
 ).map(lambda t: ([0] * t[0] + t[1])[:40])
 _operands = st.tuples(
     st.one_of(
-        st.lists(_WIDE_COEFFS, max_size=15),                              # short
+        st.lists(st.sampled_from(_WIDE_POOL), max_size=15),              # short
         st.lists(_NONZERO_WIDE, min_size=16, max_size=40),                # dense
-        st.lists(st.one_of(st.just(0), st.just(0), st.just(0), _WIDE_COEFFS),
-                 max_size=40),                                            # mostly zero
+        st.lists(_or_pool((0,), 3 / 4), max_size=40),                     # mostly zero
         _unit_sparse,
     ),
     st.integers(min_value=0, max_value=3),
@@ -303,7 +318,7 @@ def _dense(n, sign=1, start=1):
 # KPoly.dot: one to three pairs, each factor empty, shorter than
 # ring._ROW_PASS_MIN_LEN or at least that long, with coefficients 0, +-1 and
 # wide ones; the two factors of a pair of unrelated lengths.
-_DOT_COEFFS = st.one_of(st.sampled_from((0, 1, -1, 2**200, -(2**200))), _WIDE_COEFFS)
+_DOT_COEFFS = _or_pool((0, 1, -1, 2**200, -(2**200)), 1 / 2)
 _dot_factors = st.one_of(
     st.just([]),
     st.lists(_DOT_COEFFS, min_size=1, max_size=ring._ROW_PASS_MIN_LEN - 1),

@@ -290,8 +290,8 @@ def test_symbolic_direct_prefix_matches_each_term_and_the_recurrence_property(ki
 
 
 def test_symbolic_k_binomial_shift_keeps_every_value():
-    """At K the k-binomial prefix and C08's right-hand side multiply by k^n
-    as a coefficient shift; both equal the dense product they replace."""
+    """At K the k-binomial prefix and the audit's k-binomial sums multiply by
+    k^n as a coefficient shift; both equal the dense product they replace."""
     n = 40
     plain = list(islice(iter_direct(TransformKind.BINOMIAL, K), n + 1))
     scaled = list(islice(iter_direct(TransformKind.K_BINOMIAL, K), n + 1))
