@@ -64,14 +64,13 @@ run's U list, with the printed coefficients (C11-C14) or the exact ones and
 x0 at n = 0 (C19-C22, C26, and C08 against the k-binomial direct sums, so
 C02, C08 and C20 pit three routes pairwise).  Each claim computes these
 values, and C15-C18 their series, from the shared lists.  C15-C18 compare
-the printed series with the recurrence prefix, so a fault in
-:func:`~kfiblike.genfunc.gf_expand` shows.  A broken shared route shows in
-every claim that reads it.  Claims C01-C22 are each one sweep over the run,
-from the n_start their row declares.  C23-C25 compare each printed list (the
-table fixtures, the polynomials M(k, 2) .. M(k, 5)) with the run's values
-through one helper that reports its first differing entry.  The run and its
-lists end with :func:`run_audit`; the config and the report are plain
-values.
+the printed series with the recurrence prefix.  ``tests/test_audit_routes.py``
+faults each route and names the claims it must move.  Claims C01-C22 are
+each one sweep over the run, from the n_start their row declares.  C23-C25
+compare each printed list (the table fixtures, the polynomials M(k, 2) ..
+M(k, 5)) with the run's values through one helper that reports its first
+differing entry.  The run and its lists end with :func:`run_audit`; the
+config and the report are plain values.
 """
 
 from __future__ import annotations
