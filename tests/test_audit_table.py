@@ -1,5 +1,6 @@
-"""The audit's per-run table of route values: shared, built once per run
-and never carried into the next.  ``test_audit_routes`` faults each route."""
+"""The audit's per-run table of route values: shared, built once per run,
+never masking a broken route and never carried into the next.  The faults
+here pin full counterexamples; ``test_audit_routes`` faults every route."""
 
 import dataclasses
 import math
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kfiblike import audit, closedform, genfunc, sequences, transforms
-from kfiblike.audit import run_audit
-from kfiblike.ring import K, KPoly
+from kfiblike.audit import Counterexample, Verdict, run_audit
+from kfiblike.closedform import binet_float
+from kfiblike.ring import K, KPoly, elem_str
 from kfiblike.sequences import iter_terms, k_fib, modified_k_fib, terms
 from kfiblike.transforms import (
     KIND_ORDER,
@@ -26,7 +28,239 @@ from kfiblike.transforms import (
 
 EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
+# the single broken point of every fault below
+BAD_KIND, BAD_K, BAD_N = TransformKind.RISING_K, 3, 5
 RANGE = dict(k_min=1, k_max=5, n_max=12)
+
+
+def _outcomes(report):
+    return {r.claim.id: (r.verdict, r.counterexamples) for r in report.results}
+
+
+def _changed(broken, healthy):
+    b, h = _outcomes(broken), _outcomes(healthy)
+    return {cid: b[cid] for cid in b if b[cid] != h[cid]}
+
+
+def _ce(expected, got):
+    return (Counterexample(k=BAD_K, n=BAD_N, expected=str(expected), got=str(got)),)
+
+
+def _direct_fault_footprint(kind):
+    """Each claim that a direct sum of ``kind``, one too big at (BAD_K, BAD_N),
+    changes, with its new verdict and counterexamples."""
+    B, W = TransformKind.BINOMIAL, TransformKind.K_BINOMIAL
+    FAIL, INFO = Verdict.FAIL, Verdict.INFO_DISCREPANCY
+    truth = transform_direct(kind, BAD_K, BAD_N)
+    vs_truth = _ce(truth + 1, truth)
+
+    def difference_lemma(lhs):
+        # C05/C06 at n = BAD_N - 1 read term BAD_N on their left side
+        return FAIL, (Counterexample(k=BAD_K, n=BAD_N - 1, expected=str(lhs + 1),
+                                     got=str(lhs)),)
+
+    def fixture(label):
+        return INFO, (Counterexample(k=BAD_K, n=BAD_N, expected=str(truth),
+                                     got=str(truth + 1), label=label),)
+
+    before = transform_direct(kind, BAD_K, BAD_N - 1)
+    if kind is B:
+        # the run's k-binomial sums are this table's times k^n
+        w, bump = transform_direct(W, BAD_K, BAD_N), BAD_K**BAD_N
+        return {
+            "C01": (FAIL, vs_truth),                                # direct vs recurrence
+            "C02": (FAIL, _ce(w + bump, w)),                        # k-binomial vs recurrence
+            "C05": difference_lemma(truth - before),                # b(n+1) - b(n)
+            "C08": (FAIL, _ce(w, w + bump)),                        # Lucas w(n) vs k^n b(n)
+            # the published binomial Binet form and the printed B_3 are right,
+            # so a broken direct sum shows as a disagreement with them
+            "C11": (INFO, vs_truth),
+            "C23": fixture("B_3"),
+        }
+    if kind is W:
+        # W_3 is misprinted from n = 2 on, so C24 reports n = 2 as before
+        return {"C02": (FAIL, vs_truth), "C08": (FAIL, _ce(truth, truth + 1))}
+    if kind is TransformKind.RISING_K:
+        m_2n = terms(modified_k_fib(BAD_K), 2 * BAD_N + 1)[2 * BAD_N]
+        return {
+            "C03": (FAIL, vs_truth),
+            "C07": (FAIL, _ce(truth + 1, m_2n)),                    # rising even-index lemma
+            "C13": (INFO, vs_truth),
+        }
+    return {
+        "C04": (FAIL, vs_truth),
+        "C06": difference_lemma(truth - BAD_K * before),            # f(n+1) - k f(n)
+        "C23": fixture("F_3"),
+    }
+
+
+@pytest.mark.parametrize("bad_kind", KIND_ORDER, ids=lambda kd: kd.value)
+def test_broken_direct_sum_fails_every_claim_that_reads_it(monkeypatch, bad_kind):
+    """A direct sum one too big at (BAD_K, BAD_N), where the run makes it:
+    in its difference table, or, for the k-binomial kind, which the run
+    reads from the binomial table, in that term's product by k^n."""
+    healthy = run_audit(**RANGE)
+    power = audit.times_k_power
+
+    def broken_power(x, k, m):
+        return power(x, k, m) + (1 if (k, m) == (BAD_K, BAD_N) else 0)
+
+    def broken(kind, k):
+        for n, value in enumerate(iter_direct(kind, k)):
+            yield value + 1 if (kind, k, n) == (bad_kind, BAD_K, BAD_N) else value
+
+    if bad_kind is TransformKind.K_BINOMIAL:
+        monkeypatch.setattr(audit, "times_k_power", broken_power)
+    else:
+        monkeypatch.setattr(audit, "iter_direct", broken)
+    assert _changed(run_audit(**RANGE), healthy) == _direct_fault_footprint(bad_kind)
+
+
+def test_a_k_power_fault_fails_c02_and_c08(monkeypatch):
+    """times_k_power three times too big for m >= 2, wherever it is bound:
+    C08 reads w(n) from the Lucas form over the k-binomial U list, which
+    shares neither the binomial table nor times_k_power with the k-binomial
+    sums, so it fails at the first point, as C02 does; C24 reads the tripled
+    sums against the printed W lists."""
+    healthy = run_audit(**RANGE)
+    power = audit.times_k_power
+
+    def tripled(x, k, m):
+        value = power(x, k, m)
+        return value + value + value if m >= 2 else value
+
+    for module in (audit, transforms):
+        monkeypatch.setattr(module, "times_k_power", tripled)
+    W = TransformKind.K_BINOMIAL
+
+    def table(k, n, printed):
+        return Counterexample(k=k, n=n, expected=str(printed),
+                              got=str(3 * transform_direct(W, k, n)), label=f"W_{k}")
+
+    assert _changed(run_audit(**RANGE), healthy) == {
+        "C02": (Verdict.FAIL, (Counterexample(k=1, n=2, expected="30", got="10"),)),
+        "C08": (Verdict.FAIL, (Counterexample(k=1, n=2, expected="10", got="30"),)),
+        # W_3 is k times the true list at n = 2, so tripled it first differs at 3
+        "C24": (Verdict.INFO_DISCREPANCY, (
+            table(1, 2, 10), table(2, 2, 96), table(3, 3, 1566), table(4, 2, 1024),
+            table(5, 2, 2250))),
+    }
+
+
+@pytest.mark.parametrize("m", [6, 7])   # U(m) at an even and at an odd m
+def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch, m):
+    """U(m) off by one in the run's rising k = 3 list: the printed form
+    (C13), the exact form (C21) and the double-precision check (C26) each
+    read it first as U(n) at n = m, where both forms have c1 = 2k + 2."""
+    healthy = run_audit(**RANGE)
+    rec, truth, wrong = _break_sweep(monkeypatch, BAD_KIND, m)
+    changed = _changed(run_audit(**RANGE), healthy)
+    ce = (Counterexample(k=BAD_K, n=m, expected=str(truth), got=str(wrong)),)
+    assert changed == {
+        "C13": (Verdict.INFO_DISCREPANCY, ce),   # printed rising Binet form
+        "C21": (Verdict.FAIL, ce),               # iteration vs exact Binet
+        "C26": (Verdict.FAIL, (Counterexample(    # exact vs double-precision Binet
+            k=BAD_K, n=m, expected=str(wrong), got=repr(binet_float(rec, m)),
+            label=BAD_KIND.value),)),
+    }
+
+
+def _break_sweep(monkeypatch, kind, m):
+    """U(m) off by one in the run's list of ``kind`` at BAD_K, which the
+    Binet claims first read as U(n) at n = m: the record, x(m), and x(m) +
+    x1, x1 being the exact form's c1.  Only the swept pair is broken, not
+    the pairs the sweep derives from it."""
+    rec = transform_recurrence(kind, BAD_K)
+    P, Q = rec.a, -rec.b
+    truth = terms(rec, m + 1)[m]
+    sweep = audit.lucas_sweep
+
+    def broken(p, q):
+        for i, (u, u_next) in enumerate(sweep(p, q)):
+            yield (u + 1 if (p, q) == (P, Q) and i == m else u), u_next
+
+    monkeypatch.setattr(audit, "lucas_sweep", broken)
+    return rec, truth, truth + rec.x1
+
+
+def _break_m(monkeypatch, rec, bad, delta):
+    """M(bad) of ``rec``'s stream off by ``delta``, as the audit reads it."""
+    def broken(r):
+        for n, value in enumerate(iter_terms(r)):
+            yield value + delta if r == rec and n == bad else value
+
+    monkeypatch.setattr(audit, "iter_terms", broken)
+
+
+def _lemmas_off_by(k, n, delta):
+    """C05's and C06's counterexamples at (k, n) when M(n+1) is off by delta:
+    it enters both right sides with weight C(n,n) k^0 = 1."""
+    symbolic = isinstance(k, KPoly)
+    return {cid: (Verdict.FAIL, (Counterexample(
+        k="k" if symbolic else k, n=n, expected=elem_str(lhs), got=elem_str(rhs + delta),
+        label="symbolic" if symbolic else ""),)) for cid, (lhs, rhs) in (
+            ("C05", binomial_diff_identity(k, n)), ("C06", falling_diff_identity(k, n)))}
+
+
+def _m_fault_footprint(bad):
+    """M(bad) at BAD_K off by 2 (so the alternating sums stay even): C05 and
+    C06 read it as M(n+1) at n = bad - 1, C09 as M(n) and C10 in every
+    alternating sum from n = bad on, and C07, which reads M(2n), only at an
+    even index; the direct sums step M on their own and see nothing."""
+    bad_rec = modified_k_fib(BAD_K)
+    m_bad = terms(bad_rec, bad + 1)[bad]
+    f_bad = terms(k_fib(BAD_K), bad + 1)[bad]
+    footprint = {
+        **_lemmas_off_by(BAD_K, bad - 1, 2),
+        "C09": (Verdict.FAIL, (Counterexample(            # M from F
+            k=BAD_K, n=bad, expected=str(m_bad + 2), got=str(m_bad)),)),
+        "C10": (Verdict.FAIL, (Counterexample(            # F from M's alternating sums
+            k=BAD_K, n=bad, expected=str(f_bad), got=str(f_bad + 1)),)),
+    }
+    if bad % 2 == 0:                                      # rising even-index lemma
+        rising = transform_direct(TransformKind.RISING_K, BAD_K, bad // 2)
+        footprint["C07"] = (Verdict.FAIL, (Counterexample(
+            k=BAD_K, n=bad // 2, expected=str(rising), got=str(m_bad + 2)),))
+    return footprint
+
+
+def test_broken_m_prefix_fails_exactly_the_claims_that_read_it(monkeypatch):
+    healthy = run_audit(**RANGE)
+    for bad, footprint in ((2 * BAD_N, {"C05", "C06", "C07", "C09", "C10"}),
+                           (2 * BAD_N - 3, {"C05", "C06", "C09", "C10"})):
+        assert bad <= RANGE["n_max"]
+        _break_m(monkeypatch, modified_k_fib(BAD_K), bad, 2)
+        changed = _changed(run_audit(**RANGE), healthy)
+        assert set(changed) == footprint
+        assert changed == _m_fault_footprint(bad)
+
+
+def test_broken_symbolic_m_prefix_fails_the_published_m_polys_too(monkeypatch):
+    """Symbolic M(4) off by 2: the symbolic legs of C05, C06, C07, C09 and C10
+    fail, and C25, which reads the same list, reports its printed M(k, 4) as
+    wrong."""
+    healthy = run_audit(**RANGE)
+    sym_rec = modified_k_fib(K)
+    ms = terms(sym_rec, 5)
+    f4 = terms(k_fib(K), 5)[4]
+    rising = transform_direct(TransformKind.RISING_K, K, 2)
+    two = KPoly((2,))
+    bad_m4 = ms[4] + two
+
+    def symbolic(n, expected, got):
+        return (Counterexample(k="k", n=n, expected=elem_str(expected), got=elem_str(got),
+                               label="symbolic"),)
+
+    _break_m(monkeypatch, sym_rec, 4, two)
+    changed = _changed(run_audit(**RANGE), healthy)
+    assert changed == {
+        **_lemmas_off_by(K, 3, two),
+        "C07": (Verdict.FAIL, symbolic(2, rising, bad_m4)),
+        "C09": (Verdict.FAIL, symbolic(4, bad_m4, ms[4])),
+        "C10": (Verdict.FAIL, symbolic(4, f4, f4 + KPoly((1,)))),
+        "C25": (Verdict.INFO_DISCREPANCY, (Counterexample(
+            k="k", n=4, expected=elem_str(ms[4]), got=elem_str(bad_m4)),)),
+    }
 
 
 def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch):
