@@ -6,6 +6,8 @@ holds nothing once :func:`run_audit` returns."""
 import dataclasses
 import gc
 
+from audit_faults import moved, outcomes
+
 from kfiblike import audit
 from kfiblike.audit import AuditConfig, Counterexample, Verdict, run_audit
 from kfiblike.genfunc import RationalGF, xpoly
@@ -13,10 +15,6 @@ from kfiblike.ring import const_like
 from kfiblike.transforms import TransformKind
 
 RANGE = dict(k_min=1, k_max=5, n_max=12)
-
-
-def _outcomes(report):
-    return {r.claim.id: (r.verdict, r.counterexamples) for r in report.results}
 
 
 def test_every_checker_of_a_run_receives_that_run(monkeypatch):
@@ -58,23 +56,21 @@ def test_config_is_a_plain_value():
 
 
 def test_symbolic_gf_leg_reports_the_first_differing_coefficient(monkeypatch):
-    healthy = run_audit(**RANGE)
-    printed = audit.published_gf
+    def bumped(printed):
+        def broken(kind, k):
+            gf = printed(kind, k)
+            if kind is not TransformKind.RISING_K:
+                return gf
+            # (k-1)(k-2)(k-3)(k-4)(k-5) x: zero at every numeric k the run checks
+            bump = const_like(1, k)
+            for j in range(1, 6):
+                bump = bump * (k - const_like(j, k))
+            num = xpoly([gf.num.coeffs[0], gf.num.coeffs[1] + bump])
+            return RationalGF(num=num, den=gf.den)
 
-    def broken(kind, k):
-        gf = printed(kind, k)
-        if kind is not TransformKind.RISING_K:
-            return gf
-        # (k-1)(k-2)(k-3)(k-4)(k-5) x: zero at every numeric k the run checks
-        bump = const_like(1, k)
-        for j in range(1, 6):
-            bump = bump * (k - const_like(j, k))
-        num = xpoly([gf.num.coeffs[0], gf.num.coeffs[1] + bump])
-        return RationalGF(num=num, den=gf.den)
+        return broken
 
-    monkeypatch.setattr(audit, "published_gf", broken)
-    b, h = _outcomes(run_audit(**RANGE)), _outcomes(healthy)
-    assert {cid: b[cid] for cid in b if b[cid] != h[cid]} == {
+    assert moved(monkeypatch, RANGE, outcomes(RANGE), "published_gf", make=bumped) == {
         "C17": (Verdict.INFO_DISCREPANCY, (Counterexample(
             k="k", n=1, expected="2k+2", got="k^5-15k^4+85k^3-225k^2+276k-118",
             label="symbolic"),)),

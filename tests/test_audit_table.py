@@ -1,6 +1,7 @@
 """The audit's per-run table of route values: shared, built once per run,
 never masking a broken route and never carried into the next.  The faults
-here pin full counterexamples; ``test_audit_routes`` faults every route."""
+here pin full counterexamples, made by the fault makers of the route table
+in ``audit_faults`` that ``test_audit_routes`` runs for every route."""
 
 import dataclasses
 import math
@@ -9,6 +10,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from audit_faults import moved, outcomes
 from hypothesis import given, settings, strategies as st
 
 from kfiblike import audit, closedform, genfunc, sequences, transforms
@@ -33,13 +35,9 @@ BAD_KIND, BAD_K, BAD_N = TransformKind.RISING_K, 3, 5
 RANGE = dict(k_min=1, k_max=5, n_max=12)
 
 
-def _outcomes(report):
-    return {r.claim.id: (r.verdict, r.counterexamples) for r in report.results}
-
-
-def _changed(broken, healthy):
-    b, h = _outcomes(broken), _outcomes(healthy)
-    return {cid: b[cid] for cid in b if b[cid] != h[cid]}
+@pytest.fixture(scope="module")
+def healthy():
+    return outcomes(RANGE)
 
 
 def _ce(expected, got):
@@ -95,49 +93,37 @@ def _direct_fault_footprint(kind):
 
 
 @pytest.mark.parametrize("bad_kind", KIND_ORDER, ids=lambda kd: kd.value)
-def test_broken_direct_sum_fails_every_claim_that_reads_it(monkeypatch, bad_kind):
+def test_broken_direct_sum_fails_every_claim_that_reads_it(monkeypatch, healthy, bad_kind):
     """A direct sum one too big at (BAD_K, BAD_N), where the run makes it:
     in its difference table, or, for the k-binomial kind, which the run
     reads from the binomial table, in that term's product by k^n."""
-    healthy = run_audit(**RANGE)
-    power = audit.times_k_power
-
-    def broken_power(x, k, m):
-        return power(x, k, m) + (1 if (k, m) == (BAD_K, BAD_N) else 0)
-
-    def broken(kind, k):
-        for n, value in enumerate(iter_direct(kind, k)):
-            yield value + 1 if (kind, k, n) == (bad_kind, BAD_K, BAD_N) else value
-
-    if bad_kind is TransformKind.K_BINOMIAL:
-        monkeypatch.setattr(audit, "times_k_power", broken_power)
-    else:
-        monkeypatch.setattr(audit, "iter_direct", broken)
-    assert _changed(run_audit(**RANGE), healthy) == _direct_fault_footprint(bad_kind)
+    route = ("times_k_power" if bad_kind is TransformKind.K_BINOMIAL
+             else f"iter_direct:{bad_kind.value}")
+    changed = moved(monkeypatch, RANGE, healthy, route, BAD_K, BAD_N, 1)
+    assert changed == _direct_fault_footprint(bad_kind)
 
 
-def test_a_k_power_fault_fails_c02_and_c08(monkeypatch):
-    """times_k_power three times too big for m >= 2, wherever it is bound:
+def test_a_k_power_fault_fails_c02_and_c08(monkeypatch, healthy):
+    """times_k_power three times too big for m >= 2, where the audit binds it:
     C08 reads w(n) from the Lucas form over the k-binomial U list, which
     shares neither the binomial table nor times_k_power with the k-binomial
     sums, so it fails at the first point, as C02 does; C24 reads the tripled
     sums against the printed W lists."""
-    healthy = run_audit(**RANGE)
-    power = audit.times_k_power
+    def tripled(power):   # its own fault maker: a multiplicative fault, at every k
+        def broken(x, k, m):
+            value = power(x, k, m)
+            return value + value + value if m >= 2 else value
 
-    def tripled(x, k, m):
-        value = power(x, k, m)
-        return value + value + value if m >= 2 else value
+        return broken
 
-    for module in (audit, transforms):
-        monkeypatch.setattr(module, "times_k_power", tripled)
+    changed = moved(monkeypatch, RANGE, healthy, "times_k_power", make=tripled)
     W = TransformKind.K_BINOMIAL
 
     def table(k, n, printed):
         return Counterexample(k=k, n=n, expected=str(printed),
                               got=str(3 * transform_direct(W, k, n)), label=f"W_{k}")
 
-    assert _changed(run_audit(**RANGE), healthy) == {
+    assert changed == {
         "C02": (Verdict.FAIL, (Counterexample(k=1, n=2, expected="30", got="10"),)),
         "C08": (Verdict.FAIL, (Counterexample(k=1, n=2, expected="10", got="30"),)),
         # W_3 is k times the true list at n = 2, so tripled it first differs at 3
@@ -148,13 +134,15 @@ def test_a_k_power_fault_fails_c02_and_c08(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [6, 7])   # U(m) at an even and at an odd m
-def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch, m):
+def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch, healthy, m):
     """U(m) off by one in the run's rising k = 3 list: the printed form
     (C13), the exact form (C21) and the double-precision check (C26) each
-    read it first as U(n) at n = m, where both forms have c1 = 2k + 2."""
-    healthy = run_audit(**RANGE)
-    rec, truth, wrong = _break_sweep(monkeypatch, BAD_KIND, m)
-    changed = _changed(run_audit(**RANGE), healthy)
+    read it first as U(n) at n = m, where both forms have c1 = 2k + 2, so
+    they read x(m) + x1 for x(m)."""
+    rec = transform_recurrence(BAD_KIND, BAD_K)
+    truth = terms(rec, m + 1)[m]
+    wrong = truth + rec.x1
+    changed = moved(monkeypatch, RANGE, healthy, f"run.u:{BAD_KIND.value}", BAD_K, m, 1)
     ce = (Counterexample(k=BAD_K, n=m, expected=str(truth), got=str(wrong)),)
     assert changed == {
         "C13": (Verdict.INFO_DISCREPANCY, ce),   # printed rising Binet form
@@ -163,33 +151,6 @@ def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch
             k=BAD_K, n=m, expected=str(wrong), got=repr(binet_float(rec, m)),
             label=BAD_KIND.value),)),
     }
-
-
-def _break_sweep(monkeypatch, kind, m):
-    """U(m) off by one in the run's list of ``kind`` at BAD_K, which the
-    Binet claims first read as U(n) at n = m: the record, x(m), and x(m) +
-    x1, x1 being the exact form's c1.  Only the swept pair is broken, not
-    the pairs the sweep derives from it."""
-    rec = transform_recurrence(kind, BAD_K)
-    P, Q = rec.a, -rec.b
-    truth = terms(rec, m + 1)[m]
-    sweep = audit.lucas_sweep
-
-    def broken(p, q):
-        for i, (u, u_next) in enumerate(sweep(p, q)):
-            yield (u + 1 if (p, q) == (P, Q) and i == m else u), u_next
-
-    monkeypatch.setattr(audit, "lucas_sweep", broken)
-    return rec, truth, truth + rec.x1
-
-
-def _break_m(monkeypatch, rec, bad, delta):
-    """M(bad) of ``rec``'s stream off by ``delta``, as the audit reads it."""
-    def broken(r):
-        for n, value in enumerate(iter_terms(r)):
-            yield value + delta if r == rec and n == bad else value
-
-    monkeypatch.setattr(audit, "iter_terms", broken)
 
 
 def _lemmas_off_by(k, n, delta):
@@ -224,24 +185,20 @@ def _m_fault_footprint(bad):
     return footprint
 
 
-def test_broken_m_prefix_fails_exactly_the_claims_that_read_it(monkeypatch):
-    healthy = run_audit(**RANGE)
+def test_broken_m_prefix_fails_exactly_the_claims_that_read_it(monkeypatch, healthy):
     for bad, footprint in ((2 * BAD_N, {"C05", "C06", "C07", "C09", "C10"}),
                            (2 * BAD_N - 3, {"C05", "C06", "C09", "C10"})):
         assert bad <= RANGE["n_max"]
-        _break_m(monkeypatch, modified_k_fib(BAD_K), bad, 2)
-        changed = _changed(run_audit(**RANGE), healthy)
+        changed = moved(monkeypatch, RANGE, healthy, "run.m", BAD_K, bad, 2)
         assert set(changed) == footprint
         assert changed == _m_fault_footprint(bad)
 
 
-def test_broken_symbolic_m_prefix_fails_the_published_m_polys_too(monkeypatch):
+def test_broken_symbolic_m_prefix_fails_the_published_m_polys_too(monkeypatch, healthy):
     """Symbolic M(4) off by 2: the symbolic legs of C05, C06, C07, C09 and C10
     fail, and C25, which reads the same list, reports its printed M(k, 4) as
     wrong."""
-    healthy = run_audit(**RANGE)
-    sym_rec = modified_k_fib(K)
-    ms = terms(sym_rec, 5)
+    ms = terms(modified_k_fib(K), 5)
     f4 = terms(k_fib(K), 5)[4]
     rising = transform_direct(TransformKind.RISING_K, K, 2)
     two = KPoly((2,))
@@ -251,8 +208,7 @@ def test_broken_symbolic_m_prefix_fails_the_published_m_polys_too(monkeypatch):
         return (Counterexample(k="k", n=n, expected=elem_str(expected), got=elem_str(got),
                                label="symbolic"),)
 
-    _break_m(monkeypatch, sym_rec, 4, two)
-    changed = _changed(run_audit(**RANGE), healthy)
+    changed = moved(monkeypatch, RANGE, healthy, "run.m", K, 4, 2)
     assert changed == {
         **_lemmas_off_by(K, 3, two),
         "C07": (Verdict.FAIL, symbolic(2, rising, bad_m4)),
@@ -263,24 +219,13 @@ def test_broken_symbolic_m_prefix_fails_the_published_m_polys_too(monkeypatch):
     }
 
 
-def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch):
+def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch, calls):
     """The recurrences of the transforms, of M and of F are built a number
     of times that does not grow with n_max, at most a few per (kind, k), and
     the audit reads M from its own prefix, never from term_iterative."""
-    built = Counter()
-
-    def counting(name, real):
-        def build(*args):
-            built[name] += 1
-            return real(*args)
-
-        return build
-
-    for name, real in (("transform_recurrence", transform_recurrence),
-                       ("modified_k_fib", modified_k_fib), ("k_fib", k_fib)):
-        for module in (audit, closedform, genfunc, sequences, transforms):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(name, real))
+    modules = (audit, closedform, genfunc, sequences, transforms)
+    spies = {name: [calls(module, name) for module in modules if hasattr(module, name)]
+             for name in ("transform_recurrence", "modified_k_fib", "k_fib")}
 
     def forbidden(*args):
         raise AssertionError("the audit called term_iterative")
@@ -290,10 +235,11 @@ def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch):
 
     per_n_max = {}
     for n_max in (12, 40):
-        built.clear()
         run_audit(k_min=1, k_max=5, n_max=n_max)
-        per_n_max[n_max] = dict(built)
-    assert per_n_max[12] == per_n_max[40]
+        per_n_max[n_max] = Counter({name: sum(map(len, seen)) for name, seen in spies.items()})
+    built = per_n_max[12]
+    assert all(built.values())
+    assert per_n_max[40] == built + built     # the second run built as many again
     ks = 5 + 1  # k = 1..5 and the symbolic k
     # one run recurrence per (kind, k), which the published Binet forms read too
     assert built["transform_recurrence"] <= len(KIND_ORDER) * ks
@@ -301,8 +247,8 @@ def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch):
     assert built["k_fib"] <= ks               # F's prefix, shared by C09 and C10
 
 
-def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
-    direct_streams, direct_reads, prefix_calls = Counter(), Counter(), Counter()
+def test_each_direct_prefix_is_generated_once_per_run(monkeypatch, calls):
+    direct_streams, direct_reads = Counter(), Counter()
 
     def counting_direct(kind, k):
         direct_streams[kind, k] += 1
@@ -310,12 +256,8 @@ def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
             direct_reads[kind, k, n] += 1
             yield value
 
-    def counting_terms(rec, count):
-        prefix_calls[rec] += 1
-        return terms(rec, count)
-
     monkeypatch.setattr(audit, "iter_direct", counting_direct)
-    monkeypatch.setattr(audit, "terms", counting_terms)
+    prefix_calls = calls(audit, "terms")
     run_audit(**RANGE)
     assert direct_streams and max(direct_streams.values()) == 1
     assert direct_reads and max(direct_reads.values()) == 1
@@ -332,16 +274,13 @@ def test_each_direct_prefix_is_generated_once_per_run(monkeypatch):
     # recurrences are equal at k = 1, and each kind builds its own there
     expected = Counter(transform_recurrence(kind, k) for kind in KIND_ORDER for k in ks)
     expected.update(k_fib(k) for k in ks)
-    assert prefix_calls == expected
+    assert Counter(rec for rec, _ in prefix_calls) == expected
 
 
-def test_route_lists_are_not_keyed_by_recurrence_records(monkeypatch):
+def test_route_lists_are_not_keyed_by_recurrence_records(calls):
     """The run's caches key a prefix by (kind, k), or F's by k, so no row
     hashes a recurrence record: a Frozen hash builds a tuple per call."""
-    hashes = []
-    real = sequences.Order2Rec.__hash__
-    monkeypatch.setattr(sequences.Order2Rec, "__hash__",
-                        lambda self: hashes.append(1) or real(self))
+    hashes = calls(sequences.Order2Rec, "__hash__")
     report = run_audit(k_min=1, k_max=200, n_max=2, symbolic=False)
     assert report.counts["FAIL"] == 0
     assert not hashes
@@ -501,22 +440,10 @@ def test_lemma_rows_equal_the_lemma_functions_at_n_256():
     _assert_lemma_rows_match(10, 256)
 
 
-def _count_pascal_steps(monkeypatch):
-    steps = []
-    step = audit._pascal_step
-
-    def spy(row):
-        steps.append(len(row))
-        return step(row)
-
-    monkeypatch.setattr(audit, "_pascal_step", spy)
-    return steps
-
-
-def test_the_run_holds_one_pascal_row_made_from_the_one_before(monkeypatch):
+def test_the_run_holds_one_pascal_row_made_from_the_one_before(calls):
     """Row n is made from row n - 1, one step each; reading the same n again
     costs nothing, and a smaller n starts again from row 0."""
-    steps = _count_pascal_steps(monkeypatch)
+    steps = calls(audit, "_pascal_step")
     rows = audit._pascal_rows()
     for n, new_steps in ((3, 4), (3, 0), (4, 1), (7, 3), (1, 2), (1, 0), (0, 1)):
         steps.clear()
@@ -524,11 +451,11 @@ def test_the_run_holds_one_pascal_row_made_from_the_one_before(monkeypatch):
         assert len(steps) == new_steps, n
 
 
-def test_pascal_rows_built_do_not_grow_with_the_number_of_k(monkeypatch):
+def test_pascal_rows_built_do_not_grow_with_the_number_of_k(calls):
     """C05 and C06 share one row per sweep and n: each of their numeric
     (n <= 64) and symbolic (n <= 16) sweeps builds each row once, at k_max 1
     as at k_max 10."""
-    steps = _count_pascal_steps(monkeypatch)
+    steps = calls(audit, "_pascal_step")
     built = []
     for k_max in (1, 10):
         steps.clear()

@@ -505,17 +505,15 @@ def test_bench_decimal_row_checks_length_against_the_value(capsys, monkeypatch):
     assert rows["decimal"] == [rows["iterative"][0], "NO"]
 
 
-def test_bench_counts_digits_once_per_n_when_all_rows_agree(capsys, monkeypatch):
+def test_bench_counts_digits_once_per_n_when_all_rows_agree(capsys, calls):
     from kfiblike import cli as cli_mod
 
-    calls = []
-    real = cli_mod._digit_count
-    monkeypatch.setattr(cli_mod, "_digit_count", lambda x: calls.append(x) or real(x))
+    counted = calls(cli_mod, "_digit_count")
     code, out, _ = run_cli(capsys, ["bench", "--k", "2", "--n", "0", "--n", "90",
                                     "--n", "3000", "--direct-cap", "100"])
     assert code == 0
     assert out.endswith("values agree across all strategies that ran\n")
-    assert len(calls) == 3
+    assert len(counted) == 3
 
 
 def test_large_value_prints_full_decimal(capsys):
@@ -768,15 +766,8 @@ def test_help_is_the_same_on_the_first_and_a_later_call(capsys):
         assert text.startswith(f"usage: kfiblike {argv[0]} [-h]")
 
 
-def test_main_builds_the_parser_tree_once(capsys, monkeypatch):
-    built = []
-    real = argparse.ArgumentParser.__init__
-
-    def spy(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+def test_main_builds_the_parser_tree_once(capsys, calls):
+    inits = calls(argparse.ArgumentParser, "__init__")
     for argv in (["gen", "modified", "--k", "2", "--count", "4"],
                  ["transform", "binomial", "--k", "2", "--count", "3"],
                  ["gf", "rising", "--symbolic"],
@@ -787,4 +778,4 @@ def test_main_builds_the_parser_tree_once(capsys, monkeypatch):
         cli.main(["gen", "modified", "--k", "0", "--count", "3"])
     # one tree in the first call, or none if an earlier call built it
     tree = ["kfiblike"] + [f"kfiblike {argv[0]}" for argv in _HELP_ARGVS[1:]]
-    assert built in ([], tree)
+    assert [parser.prog for parser, *_ in inits] in ([], tree)

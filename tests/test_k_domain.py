@@ -14,6 +14,7 @@ from kfiblike.genfunc import derived_gf, published_gf
 from kfiblike.ring import K
 from kfiblike.sequences import f_from_m, k_fib, m_from_f, modified_k_fib, terms
 from kfiblike.transforms import (
+    KIND_ORDER,
     TransformKind,
     binomial_diff_identity,
     falling_diff_identity,
@@ -26,6 +27,22 @@ from kfiblike.transforms import (
 
 KIND = TransformKind.RISING_K
 
+
+def _first_direct_terms(k):
+    """Reads the first direct-sum term of each kind.  A kind that refuses k
+    does not stop the others: the refusal is raised once all four refused
+    alike."""
+    refusals = []
+    for kind in KIND_ORDER:
+        try:
+            next(iter_direct(kind, k))
+        except (TypeError, ValueError) as refusal:
+            refusals.append(refusal)
+    if refusals:
+        assert [repr(r) for r in refusals] == [repr(refusals[0])] * len(KIND_ORDER)
+        raise refusals[0]
+
+
 #: One call of each public function that takes k, at that k.
 TAKES_K = {
     "modified_k_fib": modified_k_fib,
@@ -33,7 +50,7 @@ TAKES_K = {
     "m_from_f": lambda k: m_from_f(k, 3),
     "f_from_m": lambda k: f_from_m(k, 3),
     "transform_direct": lambda k: transform_direct(KIND, k, 3),
-    "iter_direct": lambda k: next(iter_direct(KIND, k)),
+    "iter_direct": _first_direct_terms,
     "transform_recurrence": lambda k: transform_recurrence(KIND, k),
     "binomial_diff_identity": lambda k: binomial_diff_identity(k, 3),
     "falling_diff_identity": lambda k: falling_diff_identity(k, 3),

@@ -107,27 +107,24 @@ def test_record_taking_single_values_reject_a_negative_index():
                 fn(rec, -1)
 
 
-def test_record_taking_single_values_check_no_mode(monkeypatch):
+def test_record_taking_single_values_check_no_mode(calls):
     """An Order2Rec's carrier is checked once, when it is built: term_fast,
     binet_closed and published_binet add no check of their own, while the
     public lucas_form and lucas_sweep still check theirs."""
-    calls = []
-    check = sequences.require_same_mode
-    monkeypatch.setattr(sequences, "require_same_mode",
-                        lambda *elems: calls.append(len(elems)) or check(*elems))
+    checks = calls(sequences, "require_same_mode")
     for k in (2, K):
         rec = transform_recurrence(TransformKind.BINOMIAL, k)
-        calls.clear()
+        checks.clear()
         term_fast(rec, 30)
         binet_closed(rec, 30)
-        assert calls == []
+        assert checks == []
         # published_binet builds its own record, and that is the one check
         published_binet(TransformKind.BINOMIAL, k, 30)
-        assert calls == [4]
-        calls.clear()
+        assert [len(elems) for elems in checks] == [4]
+        checks.clear()
         lucas_form(rec.a, -rec.b, rec.x0, rec.x1, 30)
         next(lucas_sweep(rec.a, -rec.b))
-        assert calls == [4, 2]
+        assert [len(elems) for elems in checks] == [4, 2]
 
 
 def test_lucas_sweep_rejects_mixed_modes_at_the_first_read():
@@ -139,49 +136,22 @@ def test_lucas_sweep_rejects_mixed_modes_at_the_first_read():
             next(sweep)
 
 
-def _spy_on_the_doubling_loop(monkeypatch):
-    """Replace the one doubling loop with a copy that records how many steps
-    each call takes."""
-    steps = []
-    doubling = sequences._doubling
-
-    def spy(P, Q, u, v, bits):
-        steps.append(len(bits))
-        return doubling(P, Q, u, v, bits)
-
-    monkeypatch.setattr(sequences, "_doubling", spy)
-    return steps
-
-
-def _spy_on_the_sibling_step(monkeypatch):
-    """Replace the sweep's step with a copy that records each call."""
-    calls = []
-    children = sequences._children
-
-    def spy(P, Q, u, v):
-        calls.append((u, v))
-        return children(P, Q, u, v)
-
-    monkeypatch.setattr(sequences, "_children", spy)
-    return calls
-
-
-def test_a_sweep_takes_one_sibling_step_per_parent(monkeypatch):
+def test_a_sweep_takes_one_sibling_step_per_parent(calls):
     """A sweep of count pairs makes both children of each parent in one
     step, ceil((count - 2) / 2) steps in all, and takes no doubling step."""
-    steps = _spy_on_the_doubling_loop(monkeypatch)
-    siblings = _spy_on_the_sibling_step(monkeypatch)
+    doubling = calls(sequences, "_doubling")
+    siblings = calls(sequences, "_children")
     for count in (0, 1, 2, 3, 4, 5, 64, 65, 300):
         siblings.clear()
         pairs = list(islice(lucas_sweep(3, -1), count))
         assert len(siblings) == max(-(-(count - 2) // 2), 0), count
         # each parent is read once, in index order from j = 1
-        assert siblings == pairs[1:len(siblings) + 1], count
-    assert steps == []
+        assert [(u, v) for P, Q, u, v in siblings] == pairs[1:len(siblings) + 1], count
+    assert doubling == []
     # a single n pays one step per bit of n >> 1 after the leading one, and
     # the fused last step outside the loop
     lucas_form(3, -1, 1, 0, 300)
-    assert steps == [7]
+    assert [len(bits) for *_, bits in doubling] == [7]
 
 
 @pytest.mark.parametrize("P, Q", [(3, -1), (-2, 7), (0, 0), (KPoly((1, 2)), KPoly((0, -3)))])
@@ -197,25 +167,18 @@ def test_the_sibling_step_is_two_doubling_steps(P, Q):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_symbolic_single_values_run_the_doubling_loop_on_ints(monkeypatch, family):
+def test_symbolic_single_values_run_the_doubling_loop_on_ints(calls, family):
     """term_fast and binet_closed at symbolic k make no KPoly product inside
     the doubling loop: it runs on ints at one point, twice (the bound, then
     the value), and each result is read back once."""
     rec = family_rec(family, K)
     expected = terms(rec, 101)[100]
-    seen = []
-    doubling = sequences._doubling
-
-    def spy(P, Q, u, v, bits):
-        seen.append(type(P))
-        return doubling(P, Q, u, v, bits)
-
-    monkeypatch.setattr(sequences, "_doubling", spy)
+    doubling = calls(sequences, "_doubling")
     assert term_fast(rec, 100) == binet_closed(rec, 100) == expected
-    assert seen == [int] * 4
+    assert [type(P) for P, *_ in doubling] == [int] * 4
 
 
-def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch):
+def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch, calls):
     """Every Binet claim of the audit walks a sweep: no point starts a fresh
     O(log n) pass through the single-n lucas_form or its kernel."""
     def forbidden(*args):
@@ -224,28 +187,22 @@ def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch):
     for module, name in ((sequences, "lucas_form"), (sequences, "_lucas_form"),
                          (closedform, "_lucas_form")):
         monkeypatch.setattr(module, name, forbidden)
-    steps = _spy_on_the_doubling_loop(monkeypatch)
-    siblings = _spy_on_the_sibling_step(monkeypatch)
+    doubling = calls(sequences, "_doubling")
+    siblings = calls(sequences, "_children")
     report = run_audit(k_min=1, k_max=5, n_max=12)
     assert report.counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
     # U(0) .. U(12) of four kinds at k = 1..5 and K: ceil(11 / 2) steps each
-    assert steps == []
+    assert doubling == []
     assert len(siblings) == 4 * 6 * 6
 
 
-def test_a_default_run_sweeps_each_kind_and_k_once(monkeypatch):
+def test_a_default_run_sweeps_each_kind_and_k_once(calls):
     """C11-C14, C19-C22 and C26 share one U list per (kind, k): four kinds at
     k = 1..10, and four at symbolic k."""
-    calls = Counter()
-    sweep = audit.lucas_sweep
-
-    def spy(P, Q):
-        calls["symbolic" if isinstance(P, KPoly) else "numeric"] += 1
-        return sweep(P, Q)
-
-    monkeypatch.setattr(audit, "lucas_sweep", spy)
+    sweeps = calls(audit, "lucas_sweep")
     assert run_audit().counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
-    assert calls == {"numeric": 40, "symbolic": 4}
+    assert Counter("symbolic" if isinstance(P, KPoly) else "numeric"
+                   for P, Q in sweeps) == {"numeric": 40, "symbolic": 4}
 
 
 @settings(max_examples=150, deadline=None)
@@ -346,7 +303,7 @@ def test_symbolic_lucas_form_matches_the_pair_property(P, Q, c1, c2, n):
 
 
 @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
-def test_symbolic_single_values_are_read_back_once(monkeypatch, kind):
+def test_symbolic_single_values_are_read_back_once(calls, kind):
     """binet_closed, term_fast and published_binet at K each make one
     Kronecker evaluation and read one polynomial back."""
     rec = transform_recurrence(kind, K)
@@ -354,14 +311,7 @@ def test_symbolic_single_values_are_read_back_once(monkeypatch, kind):
     us = u_loop(rec.a, -rec.b, 101)
     c1, c2 = closedform._printed_coefficients(kind, K)
     printed = c1 * us[100] + c2 * us[99]
-    reads = []
-    from_kronecker = KPoly.from_kronecker
-
-    def spy(value, width):
-        reads.append(width)
-        return from_kronecker(value, width)
-
-    monkeypatch.setattr(KPoly, "from_kronecker", staticmethod(spy))
+    reads = calls(KPoly, "from_kronecker")
     for name, value, want in (
             ("binet_closed", lambda: binet_closed(rec, 100), expected),
             ("term_fast", lambda: term_fast(rec, 100), expected),
@@ -372,17 +322,10 @@ def test_symbolic_single_values_are_read_back_once(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
-def test_the_stated_form_bound_holds_the_value_at_n_240(monkeypatch, kind):
+def test_the_stated_form_bound_holds_the_value_at_n_240(calls, kind):
     """Each caller's coefficient pair at n = 240: the bound lucas_form states
     to kronecker_eval is at least the l1 norm of the value read back."""
-    stated = []
-    kronecker_eval = sequences.kronecker_eval
-
-    def spy(fn, args, bound):
-        stated.append(bound)
-        return kronecker_eval(fn, args, bound)
-
-    monkeypatch.setattr(sequences, "kronecker_eval", spy)
+    evals = calls(sequences, "kronecker_eval")
     rec = transform_recurrence(kind, K)
     P, Q = rec.a, -rec.b
     us = u_loop(P, Q, 242)
@@ -390,8 +333,9 @@ def test_the_stated_form_bound_holds_the_value_at_n_240(monkeypatch, kind):
              closedform._printed_coefficients(kind, K),
              (rec.x0, rec.x1 - rec.a * rec.x0))
     for c1, c2 in pairs:
-        stated.clear()
+        evals.clear()
         value = lucas_form(P, Q, c1, c2, 240)
         assert value == c1 * us[241] + c2 * us[240]
+        stated = [bound for fn, args, bound in evals]
         assert stated == [(c1.norm() + c2.norm()) * sequences._lucas_bound(P, Q, 240)]
         assert stated[0] >= value.norm()

@@ -307,24 +307,20 @@ def test_direct_prefix_rejects_k_below_one():
 
 
 @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
-def test_symbolic_direct_sum_makes_no_kpoly_product(monkeypatch, kind):
+def test_symbolic_direct_sum_makes_no_kpoly_product(calls, kind):
     """At symbolic k the direct sum runs on ints at one point and is read
     back once: no KPoly product, where the ring ops would make O(n) of them."""
     expected = terms(transform_recurrence(kind, K), 61)[60]
-    products = []
-    real = KPoly.__mul__
-    monkeypatch.setattr(KPoly, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    products = calls(KPoly, "__mul__")
     assert transform_direct(kind, K, 60) == expected
     assert not products
 
 
-def test_w_scaling_at_K_makes_no_kpoly_product(monkeypatch):
+def test_w_scaling_at_K_makes_no_kpoly_product(calls):
     """At K, w_scaling multiplies the binomial term by k^n as a coefficient
     shift: no KPoly product, where the dense one is O(n^2)."""
     expected = terms(transform_recurrence(TransformKind.K_BINOMIAL, K), 121)[120]
-    products = []
-    real = KPoly.__mul__
-    monkeypatch.setattr(KPoly, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    products = calls(KPoly, "__mul__")
     assert w_scaling(K, 120) == (expected, expected)
     assert not products
 
