@@ -66,9 +66,11 @@ FAULTS = {
         lambda k, n, kind, kk: kk == k, lambda pair, n, d: _bumped(pair, 0, d)),
     "_exact_coefficients": _fault(
         lambda k, n, rec: rec in _records(k), lambda pair, n, d: _bumped(pair, 0, d)),
-    # U(2) = a tells the k of a U list apart at k <= 3; the form is off at n
+    # (U(2), U(3)) = (a, a^2 + b) tells the k of a U list apart, at n_max >= 3;
+    # the form is off at n
     "_binet_form": _fault(
-        lambda k, n, pair, us, *x0: us[2] in [rec.a for rec in _records(k)],
+        lambda k, n, pair, us, *x0: tuple(us[2:4]) in [
+            (rec.a, rec.a * rec.a + rec.b) for rec in _records(k)],
         lambda form, n, d: lambda m: _offset(form(m), n, d) if m == n else form(m)),
     "binet_float": _fault(
         lambda k, n, rec, m: m == n and rec in _records(k), lambda x, n, d: x * (1 + d * 1e-6)),

@@ -6,10 +6,9 @@ Binet path is held to 1e-9 relative, and the runtime budgets are asserted
 with a wall clock.
 """
 
-import subprocess
-import sys
 import time
-from pathlib import Path
+
+from interpreter import run_python
 
 from kfiblike import cli
 from kfiblike.audit import TABLE_FIXTURES, Verdict, run_audit
@@ -28,8 +27,6 @@ from kfiblike.transforms import (
     w_scaling,
 )
 from kfiblike.sequences import f_from_m, k_fib, m_from_f, modified_k_fib
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _report(criterion: int, detail: str, started: float) -> None:
@@ -212,13 +209,8 @@ def test_criterion_8_fast_path_and_bench(capsys):
 
 def test_criterion_9_audit_determinism():
     started = time.perf_counter()
-    import os
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    args = [sys.executable, "-m", "kfiblike", "audit"]
-    first = subprocess.run(args, capture_output=True, env=env, cwd=REPO_ROOT)
-    second = subprocess.run(args, capture_output=True, env=env, cwd=REPO_ROOT)
+    first = run_python("-m", "kfiblike", "audit")
+    second = run_python("-m", "kfiblike", "audit")
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0

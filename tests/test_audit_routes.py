@@ -15,9 +15,9 @@ import pytest
 from audit_faults import FAULTS, KINDS, moved, outcomes
 
 from kfiblike import audit
-from kfiblike.closedform import binet_float
+from kfiblike.closedform import _exact_coefficients, binet_float
 from kfiblike.ring import K
-from kfiblike.transforms import TransformKind, transform_recurrence
+from kfiblike.transforms import KIND_ORDER, TransformKind, transform_recurrence
 
 RANGE = dict(k_min=1, k_max=3, n_max=6)
 # an odd and an even n (C07 reads only M(2n)) at k = 1, where C12, C14, C15
@@ -90,6 +90,20 @@ def test_a_fault_in_a_route_moves_exactly_its_readers_on_their_side(monkeypatch,
         (ce,) = at_4["C26"][1]
         rec = transform_recurrence(TransformKind(ce.label), ce.k)
         assert ce.got == repr(binet_float(rec, ce.n) * (1 + 4e-6))
+
+
+def test_the_binet_form_fault_hits_the_u_lists_of_its_k_alone():
+    """A U list's U(2) = a alone is shared across k (the binomial a at k = 4 is
+    the rising one at k = 2), so the fault maker tells a list's k by U(2) and
+    U(3); at k = 1 the four records are one."""
+    n, binet_form = 5, audit._binet_form
+    for k_bad in range(1, 6):
+        faulty = FAULTS["_binet_form"](binet_form, k_bad, n, 1)
+        for k in range(1, 6):
+            for kind in KIND_ORDER:
+                rec = transform_recurrence(kind, k)
+                args = _exact_coefficients(rec), audit._lucas_list(rec, n + 1), rec.x0
+                assert (faulty(*args)(n) != binet_form(*args)(n)) == (k == k_bad), (k_bad, k, kind)
 
 
 def test_each_claim_has_two_sides_and_each_route_one_side_and_one_fault():

@@ -466,9 +466,11 @@ def test_pascal_rows_built_do_not_grow_with_the_number_of_k(calls):
 
 def test_jsonl_is_the_same_at_the_range_edges():
     """jsonl carries no config, so a range that reaches every counterexample
-    gives the default bytes: n_max = 2 still reads fixtures up to n = 5, and
-    C05/C06 read n_max + 1 at every n_max."""
+    gives the default bytes: n_max = 2 still reads fixtures up to n = 5,
+    C05/C06 read n_max + 1 at every n_max, and no counterexample is symbolic,
+    so the numeric rows alone give them too."""
     expected = (EXPECTED_DIR / "audit_default.jsonl").read_text(encoding="utf-8")
     assert run_audit(n_max=2).to_jsonl() == expected
     assert run_audit(n_max=128).to_jsonl() == expected
     assert run_audit(n_max=256).to_jsonl() == expected
+    assert run_audit(symbolic=False).to_jsonl() == expected

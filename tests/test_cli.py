@@ -6,10 +6,10 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from interpreter import needs_str_guard, python_command, run_python, str_guard
 
 from kfiblike import cli
 from kfiblike.audit import AuditConfig, run_audit
@@ -19,42 +19,12 @@ from kfiblike.sequences import modified_k_fib, term_fast, terms
 from kfiblike.transforms import TransformKind, transform_recurrence
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC_DIR = REPO_ROOT / "src"
 
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@contextmanager
-def str_guard(limit):
-    """Run the block with CPython's ``str(int)`` digit limit at ``limit``; 0 lifts it."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # no guard before CPython 3.11
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
-needs_str_guard = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                                     reason="no str(int) guard before CPython 3.11")
-
-
-def run_subprocess(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "kfiblike", *argv],
-        capture_output=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
 
 
 def test_gen_modified_plain(capsys):
@@ -86,32 +56,37 @@ def test_gen_fast_identical_output(capsys):
 
 
 def test_gen_rejects_bad_k():
-    proc = run_subprocess(["gen", "modified", "--k", "0", "--count", "3"])
+    proc = run_python("-m", "kfiblike", "gen", "modified", "--k", "0", "--count", "3")
     assert proc.returncode == 2
     assert b"--k must be >= 1" in proc.stderr
 
 
 def test_usage_error_exit_code():
-    proc = run_subprocess(["gen", "nosuchfamily", "--k", "1", "--count", "1"])
+    proc = run_python("-m", "kfiblike", "gen", "nosuchfamily", "--k", "1", "--count", "1")
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "modified", "--k", "0", "--count", "3"],
-    ["transform", "binomial", "--k", "2", "--count", "-1"],
-    ["gf", "binomial"],
-    ["binet", "binomial", "--k", "2", "--n", "-1", "--exact"],
-    ["audit", "--k-min", "5", "--k-max", "2"],
-    ["bench", "--k", "2", "--n", "-5"],
-])
+#: argv: the message of its range error
+RANGE_ERRORS = {
+    ("gen", "modified", "--k", "0", "--count", "3"): "--k must be >= 1, got 0",
+    ("transform", "binomial", "--k", "2", "--count", "-1"): "--count must be >= 0, got -1",
+    ("gf", "binomial"): "gf needs either --k or --symbolic",
+    ("binet", "binomial", "--k", "2", "--n", "-1", "--exact"): "--n must be >= 0, got -1",
+    ("audit", "--k-min", "5", "--k-max", "2"): "need 1 <= k_min <= k_max",
+    ("bench", "--k", "2", "--n", "-5"): "--n must be >= 0, got -5",
+    ("audit", "--n-max", "1"): "need n_max >= 2",
+}
+
+
+@pytest.mark.parametrize("argv", RANGE_ERRORS)
 def test_range_errors_name_the_subcommand(argv):
     # as argparse's own errors do: "usage: kfiblike gen ..." / "kfiblike gen: error:"
-    proc = run_subprocess(argv)
+    proc = run_python("-m", "kfiblike", *argv)
     assert proc.returncode == 2
     assert proc.stdout == b""
     err = proc.stderr.decode()
     assert err.startswith(f"usage: kfiblike {argv[0]} [-h]")
-    assert f"\nkfiblike {argv[0]}: error: " in err
+    assert err.endswith(f"\nkfiblike {argv[0]}: error: {RANGE_ERRORS[argv]}\n")
 
 
 def test_transform_tables(capsys):
@@ -141,6 +116,14 @@ def test_transform_verify(capsys):
     assert code == 0
     assert out == "2,8,48\n"
     assert "agree on 3 terms" in err
+    # each difference table (the rising one over k^i M(i)) against its recurrence,
+    # far past the audit's n = 65; the audit takes its k-binomial sums from the
+    # binomial table, so this is the only end-to-end run of iter_direct(kbinomial) at int k
+    for kind in TransformKind:
+        code, _, err = run_cli(
+            capsys, ["transform", kind.value, "--k", "7", "--count", "300", "--verify"])
+        assert code == 0
+        assert err == "verify: direct sum and closed recurrence agree on 300 terms\n"
 
 
 def test_csv_and_jsonl_round_trip(capsys):
@@ -230,7 +213,7 @@ def test_gf_expansion_stops_when_the_reader_closes(monkeypatch, argv):
 
 
 def test_gf_requires_k_or_symbolic():
-    proc = run_subprocess(["gf", "binomial"])
+    proc = run_python("-m", "kfiblike", "gf", "binomial")
     assert proc.returncode == 2
 
 
@@ -260,7 +243,7 @@ def test_count_past_maxsize_is_a_usage_error_before_any_term(capsys, monkeypatch
 
 
 def test_gf_rejects_negative_count_before_output():
-    proc = run_subprocess(["gf", "binomial", "--k", "2", "--count", "-3"])
+    proc = run_python("-m", "kfiblike", "gf", "binomial", "--k", "2", "--count", "-3")
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert b"--count must be >= 0" in proc.stderr
@@ -270,6 +253,8 @@ def test_binet_exact(capsys):
     code, out, _ = run_cli(capsys, ["binet", "binomial", "--k", "2", "--n", "5", "--exact"])
     assert code == 0
     assert out == "464\n"
+    assert run_cli(capsys, ["binet", "binomial", "--k", "2", "--n", "10", "--exact"]) == \
+        (0, "215232\n", "")
 
 
 def test_binet_float(capsys):
@@ -279,7 +264,7 @@ def test_binet_float(capsys):
 
 
 def test_binet_float_overflow_is_usage_error():
-    proc = run_subprocess(["binet", "rising", "--k", "2", "--n", "2000"])
+    proc = run_python("-m", "kfiblike", "binet", "rising", "--k", "2", "--n", "2000")
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert b"double-precision range" in proc.stderr
@@ -307,6 +292,8 @@ def test_audit_defaults_are_the_config_defaults(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, shown", [
     (["--n-max", "100000000000"], "2.01e+39"),
     (["--k-max", "1000000000"], "2.72e+13"),
+    (["--n-max", "2", "--k-max", "2500000"], "3.26e+9"),
+    (["--k-min", str(10**800), "--k-max", str(10**800), "--n-max", "256"], "5.45e+8"),
 ])
 def test_audit_past_the_work_ceiling_is_a_usage_error(capsys, argv, shown):
     with pytest.raises(SystemExit) as exc:
@@ -378,18 +365,6 @@ def test_value_error_inside_a_claim_exits_3(capsys, monkeypatch):
     assert captured.err == "kfiblike: internal error: ValueError: no float here\n"
 
 
-def _cli_command(argv):
-    """The ``python -m kfiblike`` command line and an environment to run it in.
-
-    Stdout is left block-buffered (the default for a pipe), so short output
-    reaches the pipe only at the final flush.
-    """
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    return [sys.executable, "-m", "kfiblike", *argv], env
-
-
 LONG_RUN = ["gen", "modified", "--k", "2", "--count", "20000", "--format", "bfile"]
 
 
@@ -398,12 +373,12 @@ LONG_RUN = ["gen", "modified", "--k", "2", "--count", "20000", "--format", "bfil
     ["binet", "binomial", "--k", "2", "--n", "5", "--exact"],  # one buffered line
 ])
 def test_closed_stdout_exits_141_quietly(argv):
-    command, env = _cli_command(argv)
+    command, env = python_command("-m", "kfiblike", *argv)
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write, and the final flush, meets a closed pipe
     try:
         proc = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE,
-                              env=env, cwd=REPO_ROOT, timeout=120)
+                              env=env, timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
@@ -411,10 +386,10 @@ def test_closed_stdout_exits_141_quietly(argv):
 
 
 def test_reader_closing_after_20_bytes_exits_141(tmp_path):
-    command, env = _cli_command(LONG_RUN)
+    command, env = python_command("-m", "kfiblike", *LONG_RUN)
     with open(tmp_path / "stderr", "wb") as err:
         proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=err,
-                                env=env, cwd=REPO_ROOT)
+                                env=env)
         try:
             head = proc.stdout.read(20)
         finally:
@@ -426,8 +401,8 @@ def test_reader_closing_after_20_bytes_exits_141(tmp_path):
 
 def test_audit_byte_identical_runs():
     args = ["audit", "--k-max", "4", "--n-max", "24"]
-    first = run_subprocess(args)
-    second = run_subprocess(args)
+    first = run_python("-m", "kfiblike", *args)
+    second = run_python("-m", "kfiblike", *args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
@@ -449,7 +424,7 @@ def test_bench_direct_cap(capsys):
 
 
 def test_bench_rejects_negative_direct_cap():
-    proc = run_subprocess(["bench", "--k", "2", "--n", "300", "--direct-cap", "-3"])
+    proc = run_python("-m", "kfiblike", "bench", "--k", "2", "--n", "300", "--direct-cap", "-3")
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert b"--direct-cap must be >= 0" in proc.stderr
@@ -647,7 +622,7 @@ def test_rounding_in_a_stream_raises_before_printing(capsys, monkeypatch):
 
 
 def test_long_transform_stream_matches_int_route():
-    proc = run_subprocess(["transform", "falling", "--k", "3", "--count", "5000"])
+    proc = run_python("-m", "kfiblike", "transform", "falling", "--k", "3", "--count", "5000")
     assert proc.returncode == 0
     rec = transform_recurrence(TransformKind.FALLING_K, 3)
     assert proc.stdout == (",".join(str(v) for v in terms(rec, 5000)) + "\n").encode()
@@ -674,7 +649,7 @@ def test_streams_exact_at_huge_k(capsys, argv, values):
 def test_default_audit_matches_expected_bytes(monkeypatch, argv, expected):
     monkeypatch.delenv("KFIBLIKE_WIDTH", raising=False)
     monkeypatch.delenv("KFIBLIKE_COLOR", raising=False)
-    proc = run_subprocess(argv)
+    proc = run_python("-m", "kfiblike", *argv)
     assert proc.returncode == 0
     assert proc.stdout == (REPO_ROOT / "perfbench" / "expected" / expected).read_bytes()
 

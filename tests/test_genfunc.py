@@ -1,13 +1,10 @@
 import decimal
-import os
-import subprocess
-import sys
 from decimal import Decimal
 from functools import partial
 from itertools import islice
-from pathlib import Path
 
 import pytest
+from interpreter import needs_str_guard, run_python
 
 from kfiblike.genfunc import (
     RationalGF,
@@ -174,8 +171,6 @@ def test_gf_text_rendering():
     assert xpoly_str(xpoly([1, 1])) == "1 + x"
 
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
-
 GF_CHILD = """
 import sys
 from kfiblike.genfunc import derived_gf, gf_str
@@ -194,14 +189,9 @@ assert text == want, text[:40]
 """
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="no str(int) guard before CPython 3.11")
+@needs_str_guard
 def test_gf_str_works_under_the_default_str_guard():
-    env = dict(os.environ)
-    env.pop("PYTHONINTMAXSTRDIGITS", None)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", GF_CHILD], capture_output=True,
-                          env=env, timeout=120)
+    proc = run_python("-c", GF_CHILD)
     assert proc.returncode == 0, proc.stderr.decode()
 
 

@@ -1,9 +1,8 @@
 """Symbolic routes at depths no other test reaches, through the root exports.
 
-CI runs this module twice: in the tier-1 suite from the source tree, and
-once more against the installed package, from outside the checkout and
-with ``src`` off ``sys.path``.  Each check compares independent routes at
-``K`` up to n = 240.
+Each check compares independent routes at ``K`` up to n = 240.  CI runs them,
+with the rest of the suite, against the installed package, from outside the
+checkout and with ``src`` off ``sys.path`` (``run_installed.py``).
 """
 
 import pytest

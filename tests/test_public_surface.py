@@ -7,12 +7,11 @@ import importlib.util
 import os
 import pickle
 import re
-import subprocess
-import sys
 import types
 from pathlib import Path
 
 import pytest
+from interpreter import run_python
 
 import kfiblike
 from kfiblike import (K, KPoly, ModeMismatchError, Order2Rec, RationalGF, XPoly, gf_from_rec,
@@ -89,7 +88,7 @@ argparse.ArgumentParser().parse_args([])
 with_argparse = set(sys.modules)
 from kfiblike import cli
 assert cli.main(["gen", "modified", "--k", "2", "--count", "5"]) == 0
-print(sorted(imported - start), sorted(with_argparse - imported),
+print(kfiblike.__file__, sorted(imported - start), sorted(with_argparse - imported),
       sorted(set(sys.modules) - with_argparse), sep="\n")
 assert kfiblike.audit.run_audit is kfiblike.run_audit  # the submodule loads on use too
 """
@@ -98,11 +97,11 @@ UNUSED_BY_ONE_SHOT_COMMANDS = {"kfiblike.audit", "dataclasses", "inspect", "json
 
 
 def test_import_and_a_gen_command_load_only_what_they_use():
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE], capture_output=True,
-                          text=True, env=env, cwd=REPO_ROOT, timeout=120, check=True)
-    out, by_import, by_argparse, by_gen = proc.stdout.splitlines()
+    proc = run_python("-c", FOOTPRINT_PROBE, text=True, check=True)
+    out, package, by_import, by_argparse, by_gen = proc.stdout.splitlines()
     assert out == "2,2,6,14,34"
+    # the child ran this session's package: src, or site-packages against an installed copy
+    assert os.path.realpath(package) == os.path.realpath(kfiblike.__file__)
     by_import = set(ast.literal_eval(by_import))
     assert {"kfiblike", "kfiblike.ring", "kfiblike.genfunc"} <= by_import
     assert not by_import & (UNUSED_BY_ONE_SHOT_COMMANDS | {"kfiblike.cli", "argparse"})

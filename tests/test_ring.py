@@ -1,13 +1,9 @@
 import decimal
-import os
 import random
-import subprocess
-import sys
-from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from interpreter import needs_str_guard, run_python, str_guard
 
 from kfiblike import ring
 from kfiblike.ring import (
@@ -515,20 +511,6 @@ def test_cancelling_results_are_canonical():
     assert (KPoly([1, 2**300]) - KPoly([0, 2**300])).coeffs == (1,)
 
 
-@contextmanager
-def str_guard_lifted():
-    """Let the reference ``str(int)`` print any size (CPython 3.11+ guard)."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 # bit widths from 0 to about three times the str() threshold, either sign
 WIDE_INTS = st.integers(0, 3 * ring._STR_MAX_BITS).flatmap(
     lambda b: st.integers(-(1 << b), 1 << b))
@@ -537,7 +519,7 @@ WIDE_INTS = st.integers(0, 3 * ring._STR_MAX_BITS).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(WIDE_INTS)
 def test_elem_str_equals_str_on_both_sides_of_the_threshold(x):
-    with str_guard_lifted():
+    with str_guard(0):
         assert elem_str(x) == str(x)
 
 
@@ -549,7 +531,7 @@ EDGE_BITS = (ring._STR_MAX_BITS, ring._STR_MAX_BITS + 1, ring._LEAF_BITS,
 
 @pytest.mark.parametrize("b", EDGE_BITS)
 def test_decimal_route_at_edge_widths(b):
-    with str_guard_lifted():
+    with str_guard(0):
         for m in (2**b - 1, 2**b, 2**b + 1):
             with decimal.localcontext(ring._EXACT_CONTEXT):
                 assert str(ring._to_decimal(m)) == str(m)
@@ -560,7 +542,7 @@ def test_decimal_route_at_edge_widths(b):
 
 def test_str_threshold_is_the_default_guard():
     # every int of at most _STR_MAX_BITS bits has at most 4300 digits
-    with str_guard_lifted():
+    with str_guard(0):
         assert len(str(2**ring._STR_MAX_BITS - 1)) == 4300
         assert len(str(2**(ring._STR_MAX_BITS + 1) - 1)) == 4301
 
@@ -576,8 +558,6 @@ def test_power_table_is_bounded_by_the_widest_value(monkeypatch):
     elem_str(-x)
     assert ring._POW2 == table
 
-
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 CHILD = """
 import sys
@@ -595,14 +575,9 @@ assert text == str(x) and neg == str(-x)
 """
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="no str(int) guard before CPython 3.11")
+@needs_str_guard
 def test_elem_str_works_under_the_default_str_guard():
-    env = dict(os.environ)
-    env.pop("PYTHONINTMAXSTRDIGITS", None)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, env=env,
-                          timeout=120)
+    proc = run_python("-c", CHILD)
     assert proc.returncode == 0, proc.stderr.decode()
 
 
@@ -619,12 +594,7 @@ assert texts[2] == "-" + m + "k^4-k^2+" + m + "k-" + m
 """
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="no str(int) guard before CPython 3.11")
+@needs_str_guard
 def test_kpoly_str_works_under_the_default_str_guard():
-    env = dict(os.environ)
-    env.pop("PYTHONINTMAXSTRDIGITS", None)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", KPOLY_CHILD], capture_output=True,
-                          env=env, timeout=120)
+    proc = run_python("-c", KPOLY_CHILD)
     assert proc.returncode == 0, proc.stderr.decode()

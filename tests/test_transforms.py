@@ -1,13 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 import textwrap
 from itertools import islice
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from interpreter import needs_str_guard, run_python, str_guard
 
 from kfiblike import transforms
 from kfiblike.closedform import binet_closed
@@ -183,18 +180,13 @@ def test_invalid_arguments():
         transform_recurrence(TransformKind.BINOMIAL, -2)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="no str(int) guard before CPython 3.11")
+@needs_str_guard
 def test_recurrences_of_a_k_past_the_str_guard_construct():
     k = 7**6000  # 5071 digits
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
+    with str_guard(4300):
         assert modified_k_fib(k).a == k_fib(k).a == k
         for kind in TransformKind:
             assert terms(transform_recurrence(kind, k), 2)[0] == 2
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def test_symbolic_weights_match_scaled_binomial():
@@ -237,11 +229,7 @@ _K_SWEEP = textwrap.dedent("""
 
 
 def test_k_sweep_leaves_no_module_state():
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", _K_SWEEP],
-                          capture_output=True, text=True, env=env)
+    proc = run_python("-c", _K_SWEEP, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
