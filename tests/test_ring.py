@@ -1,5 +1,6 @@
 import decimal
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -540,6 +541,61 @@ def test_decimal_route_at_edge_widths(b):
     assert elem_str(0) == "0"
 
 
+# split widths whose power of two is past libmpdec's schoolbook cut, and the
+# digit counts of a high part on both sides of each edge of the padded band
+PAD_SPLITS = (16384, 32768, 65536)
+PAD_EDGE_DIGITS = (ring._PAD_MIN_DIGITS - 1, ring._PAD_MIN_DIGITS,
+                   ring._SCHOOLBOOK_MAX_DIGITS, ring._SCHOOLBOOK_MAX_DIGITS + 1)
+NOISY_DROP_CONTEXT = ring._DROP_ZEROS_CONTEXT.copy()
+NOISY_DROP_CONTEXT.traps[decimal.Rounded] = True
+
+
+@pytest.mark.parametrize("s", PAD_SPLITS)
+@pytest.mark.parametrize("d", PAD_EDGE_DIGITS)
+def test_decimal_route_at_the_edges_of_the_padded_band(monkeypatch, s, d):
+    rng = random.Random(f"{s}:{d}")
+    his = (10**(d - 1), 10**d - 1)
+    for hi in his:
+        x = (hi << s) + rng.getrandbits(s)  # its top split is at s
+        with str_guard(0):
+            assert elem_str(x) == str(x) and elem_str(-x) == str(-x)
+    # only a padded product drops zeros, which this context traps
+    monkeypatch.setattr(ring, "_DROP_ZEROS_CONTEXT", NOISY_DROP_CONTEXT)
+    with decimal.localcontext(ring._EXACT_CONTEXT):
+        for hi in map(Decimal, his):
+            if ring._PAD_MIN_DIGITS <= d <= ring._SCHOOLBOOK_MAX_DIGITS:
+                with pytest.raises(decimal.Rounded):
+                    ring._times_pow2(hi, s)
+            else:
+                assert ring._times_pow2(hi, s) == hi * ring._pow2(s)
+
+
+def test_a_padded_product_that_would_drop_a_nonzero_digit_raises():
+    hi, drop = Decimal(10**2999 + 7), ring._DROP_ZEROS_CONTEXT
+    with decimal.localcontext(ring._EXACT_CONTEXT):
+        product = hi.quantize(Decimal("1e-3")) * ring._pow2(16384)
+        assert product.quantize(ring._ONE, context=drop) == hi * ring._pow2(16384)
+        with pytest.raises(decimal.Inexact):
+            (product + Decimal("0.001")).quantize(ring._ONE, context=drop)
+
+
+# widths whose top split pads its high part: the split width, plus from about
+# _PAD_MIN_DIGITS to _SCHOOLBOOK_MAX_DIGITS digits, at each split width
+# below 2**17 bits
+PAD_BAND_WIDTHS = st.sampled_from(PAD_SPLITS).flatmap(lambda s: st.integers(
+    s + (10**(ring._PAD_MIN_DIGITS - 1)).bit_length() - 64,
+    s + (10**ring._SCHOOLBOOK_MAX_DIGITS).bit_length() + 64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(PAD_BAND_WIDTHS, st.randoms(use_true_random=False), st.booleans())
+def test_elem_str_equals_str_in_the_padded_bands(w, rng, negative):
+    x = rng.getrandbits(w) | 1 << (w - 1)
+    x = -x if negative else x
+    with str_guard(0):
+        assert elem_str(x) == str(x)
+
+
 def test_str_threshold_is_the_default_guard():
     # every int of at most _STR_MAX_BITS bits has at most 4300 digits
     with str_guard(0):
@@ -549,13 +605,19 @@ def test_str_threshold_is_the_default_guard():
 
 def test_power_table_is_bounded_by_the_widest_value(monkeypatch):
     monkeypatch.setattr(ring, "_POW2", {})
-    x = 3**90_000  # 142,650 bits
+    x = 3**90_000  # 142,650 bits; its top split pads an 11,578-bit high part
+    assert ring._PAD_MIN_DIGITS <= len(str(x >> 2**17)) <= ring._SCHOOLBOOK_MAX_DIGITS
     elem_str(x)
     table = dict(ring._POW2)
     assert len(table) <= x.bit_length().bit_length()
     assert all(s & (s - 1) == 0 and ring._LEAF_BITS <= s < x.bit_length() for s in table)
     elem_str(x // 7**5000)
     elem_str(-x)
+    assert ring._POW2 == table
+    # the padded products add no entry: with none, the table is the same
+    monkeypatch.setattr(ring, "_POW2", {})
+    monkeypatch.setattr(ring, "_PAD_MIN_DIGITS", ring._SCHOOLBOOK_MAX_DIGITS + 1)
+    elem_str(x)
     assert ring._POW2 == table
 
 
