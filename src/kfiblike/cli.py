@@ -56,7 +56,7 @@ from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .closedform import binet_closed, binet_float
-from .genfunc import gf_from_rec, gf_str, iter_gf
+from .genfunc import RationalGF, XPoly, gf_from_rec, gf_str, iter_gf
 from .ring import _EXACT_CONTEXT, K, RingElem, elem_str
 from .sequences import (
     Order2Rec,
@@ -107,12 +107,14 @@ def _env_color() -> bool:
 
 
 def _decimal_rec(rec: Order2Rec) -> Order2Rec:
-    """``rec`` with ``Decimal`` coefficients, for printing its terms.
-
-    Evaluate its terms inside ``decimal.localcontext(_EXACT_CONTEXT)``.
-    """
+    """``rec`` with ``Decimal`` coefficients, for printing its terms."""
     return Order2Rec(a=Decimal(rec.a), b=Decimal(rec.b), x0=Decimal(rec.x0),
                      x1=Decimal(rec.x1))
+
+
+def _decimal_gf(gf: RationalGF) -> RationalGF:
+    """``gf`` with ``Decimal`` coefficients, converted, not computed, for printing its series."""
+    return RationalGF(*(XPoly(tuple(map(Decimal, p.coeffs))) for p in (gf.num, gf.den)))
 
 
 def _digits_estimate(rec: Order2Rec, n: int) -> float:
@@ -162,28 +164,30 @@ def _decimal_agrees(text: str, x: int, x_digits: int) -> bool:
 
 
 def _emit_terms(values: Iterable[_Term], fmt: str, out) -> None:
-    """Stream indexed terms in the requested format; no full-list buffering."""
-    if fmt == "plain":
-        first = True
-        for v in values:
-            if not first:
-                out.write(",")
-            out.write(elem_str(v))
-            first = False
-        out.write("\n")
-    elif fmt == "csv":
-        out.write("n,value\n")
-        for n, v in enumerate(values):
-            out.write(f"{n},{elem_str(v)}\n")
-    elif fmt == "json-lines":
-        # what json.dumps writes: a term's text is digits and "-", never escaped
-        for n, v in enumerate(values):
-            out.write(f'{{"index": {n}, "value": "{elem_str(v)}"}}\n')
-    elif fmt == "bfile":
-        for n, v in enumerate(values):
-            out.write(f"{n} {elem_str(v)}\n")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown format {fmt!r}")
+    """Stream indexed terms in the requested format; no full-list buffering.
+    The terms are read inside ``_EXACT_CONTEXT``, so a ``Decimal`` stream never rounds."""
+    with decimal.localcontext(_EXACT_CONTEXT):
+        if fmt == "plain":
+            first = True
+            for v in values:
+                if not first:
+                    out.write(",")
+                out.write(elem_str(v))
+                first = False
+            out.write("\n")
+        elif fmt == "csv":
+            out.write("n,value\n")
+            for n, v in enumerate(values):
+                out.write(f"{n},{elem_str(v)}\n")
+        elif fmt == "json-lines":
+            # what json.dumps writes: a term's text is digits and "-", never escaped
+            for n, v in enumerate(values):
+                out.write(f'{{"index": {n}, "value": "{elem_str(v)}"}}\n')
+        elif fmt == "bfile":
+            for n, v in enumerate(values):
+                out.write(f"{n} {elem_str(v)}\n")
+        else:  # pragma: no cover - argparse restricts choices
+            raise ValueError(f"unknown format {fmt!r}")
 
 
 def _check_k(parser: argparse.ArgumentParser, k: int) -> None:
@@ -221,8 +225,7 @@ def _cmd_gen(args, parser, out) -> int:
         values: Iterable[_Term] = (term_fast(rec, n) for n in range(args.count))
     else:
         values = islice(iter_terms(_decimal_rec(rec)), args.count)
-    with decimal.localcontext(_EXACT_CONTEXT):
-        _emit_terms(values, args.format, out)
+    _emit_terms(values, args.format, out)
     return 0
 
 
@@ -241,19 +244,18 @@ def _cmd_transform(args, parser, out) -> int:
                 file=sys.stderr,
             )
             return 1
-        _emit_terms(direct, args.format, out)
+        values: Iterable[_Term] = direct
+    elif args.method == "direct":
+        values = islice(iter_direct(kind, args.k), args.count)
+    else:
+        rec = _decimal_rec(transform_recurrence(kind, args.k))
+        values = islice(iter_terms(rec), args.count)
+    _emit_terms(values, args.format, out)
+    if args.verify:
         print(
             f"verify: direct sum and closed recurrence agree on {args.count} terms",
             file=sys.stderr,
         )
-        return 0
-    if args.method == "direct":
-        values: Iterable[_Term] = islice(iter_direct(kind, args.k), args.count)
-    else:
-        rec = _decimal_rec(transform_recurrence(kind, args.k))
-        values = islice(iter_terms(rec), args.count)
-    with decimal.localcontext(_EXACT_CONTEXT):
-        _emit_terms(values, args.format, out)
     return 0
 
 
@@ -270,14 +272,12 @@ def _cmd_gf(args, parser, out) -> int:
         k = args.k
     if args.count is not None:
         _check_count(parser, args.count)
-    # The printed GF and its expansion both come from this one recurrence.
-    rec = transform_recurrence(kind, k)
-    out.write(gf_str(gf_from_rec(rec)) + "\n")
+    gf = gf_from_rec(transform_recurrence(kind, k))
+    out.write(gf_str(gf) + "\n")
     if args.count is not None:
         # A numeric k expands a Decimal copy; a symbolic one stays in KPoly.
-        expand_rec = _decimal_rec(rec) if isinstance(k, int) else rec
-        with decimal.localcontext(_EXACT_CONTEXT):
-            _emit_terms(islice(iter_gf(gf_from_rec(expand_rec)), args.count), "plain", out)
+        expand_gf = _decimal_gf(gf) if isinstance(k, int) else gf
+        _emit_terms(islice(iter_gf(expand_gf), args.count), "plain", out)
     return 0
 
 

@@ -36,7 +36,7 @@ from .ring import (
     zero_like,
 )
 from .sequences import Order2Rec, require_valid_k
-from .transforms import TransformKind, transform_recurrence
+from .transforms import TransformKind, require_kind, transform_recurrence
 
 
 class XPoly(Frozen):
@@ -166,6 +166,7 @@ def published_gf(kind: TransformKind, k: RingElem) -> RationalGF:
     gives 2-2kx, and the audit records the resulting series divergence rather
     than silently repairing it.  The other three match their derivations.
     """
+    require_kind(kind)
     require_valid_k(k)
     two = const_like(2, k)
     one = one_like(k)

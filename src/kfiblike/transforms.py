@@ -66,6 +66,12 @@ KIND_ORDER: Tuple[TransformKind, ...] = (
 )
 
 
+def require_kind(kind: TransformKind) -> None:
+    """Reject a kind that is not a ``TransformKind``, such as its name."""
+    if not isinstance(kind, TransformKind):
+        raise TypeError(f"kind must be a TransformKind, got {type(kind).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # the two evaluation routes
 # ---------------------------------------------------------------------------
@@ -76,6 +82,7 @@ def transform_direct(kind: TransformKind, k: RingElem, n: int) -> RingElem:
     One pass over i = 0..n that steps M alongside the sum; nothing is cached,
     so repeated calls cost the same and leave no state behind.
     """
+    require_kind(kind)
     require_valid_k(k)
     if n < 0:
         raise ValueError("index must be >= 0")
@@ -139,6 +146,7 @@ def iter_direct(kind: TransformKind, k: RingElem) -> Iterator[RingElem]:
     recurrence inline, as there, and y steps as y(i+1) = k^2 (y(i) + y(i-1)).
     The k-binomial term is the plain one times k^m (``ring.times_k_power``).
     """
+    require_kind(kind)
     require_valid_k(k)
     falling = kind is TransformKind.FALLING_K
     rising = kind is TransformKind.RISING_K
@@ -170,6 +178,7 @@ def transform_recurrence(kind: TransformKind, k: RingElem) -> Order2Rec:
     rising-k    x(n+1) = (k^2+2) x(n) - x(n-1)            x0 = 2, x1 = 2k+2
     falling-k   x(n+1) = 3k x(n) - (2k^2-1) x(n-1)        x0 = 2, x1 = 2k+2
     """
+    require_kind(kind)
     require_valid_k(k)
     two = const_like(2, k)
     ksq = k * k

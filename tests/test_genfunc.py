@@ -100,11 +100,6 @@ def test_a_decimal_expansion_prints_no_negative_zero():
 
 def test_published_binomial_gf_diverges_at_index_one():
     assert gf_expand(published_gf(TransformKind.BINOMIAL, 1), 4) == [2, 2, 4, 10]
-    for k in range(1, 11):
-        printed = gf_expand(published_gf(TransformKind.BINOMIAL, k), 2)
-        truth = gf_expand(derived_gf(TransformKind.BINOMIAL, k), 2)
-        assert printed[0] == truth[0]
-        assert printed[1] != truth[1]
     assert not gf_equal(published_gf(TransformKind.BINOMIAL, K),
                         derived_gf(TransformKind.BINOMIAL, K))
 
@@ -112,7 +107,6 @@ def test_published_binomial_gf_diverges_at_index_one():
 def test_published_gfs_match_derivations_for_other_kinds():
     for kind in (TransformKind.K_BINOMIAL, TransformKind.RISING_K,
                  TransformKind.FALLING_K):
-        assert gf_equal(published_gf(kind, K), derived_gf(kind, K))
         for k in range(1, 11):
             assert gf_equal(published_gf(kind, k), derived_gf(kind, k))
 

@@ -1,8 +1,11 @@
-"""The domain of k across the public API, and identities at random k.
+"""The domain of k and of the transform kind across the public API, and
+identities at random k.
 
 Every public function that takes k accepts an int k >= 1 and the symbolic
 ``K``, refuses an int k < 1 with ``ValueError``, and refuses anything else
 (a float, a bool, a string, None) with ``TypeError`` before any arithmetic.
+Every public function that takes a kind refuses anything but a
+``TransformKind`` (its name, None, an int) with ``TypeError``.
 """
 
 import pytest
@@ -61,6 +64,16 @@ TAKES_K = {
     "derived_gf": lambda k: derived_gf(KIND, k),
 }
 
+#: One call of each public function that takes a kind, at that kind.
+TAKES_KIND = {
+    "transform_direct": lambda kind: transform_direct(kind, 2, 3),
+    "iter_direct": lambda kind: next(iter_direct(kind, 2)),
+    "transform_recurrence": lambda kind: transform_recurrence(kind, 2),
+    "published_binet": lambda kind: published_binet(kind, 2, 3),
+    "published_gf": lambda kind: published_gf(kind, 2),
+    "derived_gf": lambda kind: derived_gf(kind, 2),
+}
+
 BOUNDARY = [(1.5, TypeError), (True, TypeError), ("x", TypeError), (None, TypeError),
             (0, ValueError), (-3, ValueError), (1, None), (K, None)]
 
@@ -74,6 +87,13 @@ def test_k_boundary(name, k, error):
     else:
         with pytest.raises(error, match="k must be"):
             call(k)
+
+
+@pytest.mark.parametrize("kind", ["binomial", None, 0], ids=repr)
+@pytest.mark.parametrize("name", sorted(TAKES_KIND))
+def test_kind_boundary(name, kind):
+    with pytest.raises(TypeError, match="kind must be"):
+        TAKES_KIND[name](kind)
 
 
 @settings(max_examples=100, deadline=None)
