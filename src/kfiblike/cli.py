@@ -25,8 +25,8 @@ through :func:`~kfiblike.ring.elem_str`, which converts a wide int to an
 exact ``Decimal`` by divide and conquer.  Both use ``ring``'s one exact
 context: unbounded precision, any rounding trapped, so a rounded value
 raises instead of being printed.  The CLI leaves CPython's ``str(int)`` guard
-as it is, so on 3.11+ an integer argument past 4300 digits is argparse's
-usage error.  A ``--count`` past ``sys.maxsize``, and a ``binet --exact`` or
+as it is, so on 3.11+ an integer argument past its limit (4300 digits by
+default) is argparse's usage error.  A ``--count`` past ``sys.maxsize``, and a ``binet --exact`` or
 ``bench --n`` term estimated past ``_EXACT_DIGITS_CEILING`` digits, are too,
 before any output.  A ``json-lines`` row, ``{"index": n, "value": "<term>"}``,
 is written directly, not through ``json``: its bytes are what
@@ -190,14 +190,13 @@ def _emit_terms(values: Iterable[_Term], fmt: str, out) -> None:
             raise ValueError(f"unknown format {fmt!r}")
 
 
-def _check_k(parser: argparse.ArgumentParser, k: int) -> None:
-    if k < 1:
-        parser.error(f"--k must be >= 1, got {k}")
+def _at_least(parser: argparse.ArgumentParser, flag: str, value: int, low: int) -> None:
+    if value < low:
+        parser.error(f"{flag} must be >= {low}, got {value}")
 
 
 def _check_count(parser: argparse.ArgumentParser, count: int) -> None:
-    if count < 0:
-        parser.error(f"--count must be >= 0, got {count}")
+    _at_least(parser, "--count", count, 0)
     if count > sys.maxsize:  # islice's own limit on a stream's length
         parser.error(f"--count must be <= {sys.maxsize}, got {count}")
 
@@ -218,7 +217,7 @@ def _check_digits(parser: argparse.ArgumentParser, rec: Order2Rec, n: int,
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args, parser, out) -> int:
-    _check_k(parser, args.k)
+    _at_least(parser, "--k", args.k, 1)
     _check_count(parser, args.count)
     rec = modified_k_fib(args.k) if args.family == "modified" else k_fib(args.k)
     if args.fast:
@@ -230,7 +229,7 @@ def _cmd_gen(args, parser, out) -> int:
 
 
 def _cmd_transform(args, parser, out) -> int:
-    _check_k(parser, args.k)
+    _at_least(parser, "--k", args.k, 1)
     _check_count(parser, args.count)
     kind = _KIND_BY_NAME[args.kind]
     if args.verify:
@@ -268,7 +267,7 @@ def _cmd_gf(args, parser, out) -> int:
     else:
         if args.k is None:
             parser.error("gf needs either --k or --symbolic")
-        _check_k(parser, args.k)
+        _at_least(parser, "--k", args.k, 1)
         k = args.k
     if args.count is not None:
         _check_count(parser, args.count)
@@ -282,9 +281,8 @@ def _cmd_gf(args, parser, out) -> int:
 
 
 def _cmd_binet(args, parser, out) -> int:
-    _check_k(parser, args.k)
-    if args.n < 0:
-        parser.error(f"--n must be >= 0, got {args.n}")
+    _at_least(parser, "--k", args.k, 1)
+    _at_least(parser, "--n", args.n, 0)
     rec = transform_recurrence(_KIND_BY_NAME[args.kind], args.k)
     if args.exact:
         _check_digits(parser, rec, args.n, "--exact")
@@ -324,13 +322,11 @@ def _time_call(fn, *fn_args) -> Tuple[float, RingElem]:
 
 
 def _cmd_bench(args, parser, out) -> int:
-    _check_k(parser, args.k)
+    _at_least(parser, "--k", args.k, 1)
     ns = args.n if args.n else [1000, 10000, 100000]
     for n in ns:
-        if n < 0:
-            parser.error(f"--n must be >= 0, got {n}")
-    if args.direct_cap < 0:
-        parser.error(f"--direct-cap must be >= 0, got {args.direct_cap}")
+        _at_least(parser, "--n", n, 0)
+    _at_least(parser, "--direct-cap", args.direct_cap, 0)
     kind = _KIND_BY_NAME[args.kind]
     rec = transform_recurrence(kind, args.k)
     for n in ns:

@@ -546,11 +546,16 @@ def elem_str(x: RingElem) -> str:
     """Decimal string for ints, descending-degree text for polynomials.
 
     Equal to ``str(x)``.  An int too wide for CPython's default ``str(int)``
-    guard is converted through an exact ``Decimal``, in time subquadratic in
-    its digits, and needs no lifted guard.
+    guard, or for a guard lowered below it, is converted through an exact
+    ``Decimal``, in time subquadratic in its digits, and needs no lifted guard.
     """
-    if type(x) is int and x.bit_length() > _STR_MAX_BITS:
-        with decimal.localcontext(_EXACT_CONTEXT):
-            text = str(_to_decimal(abs(x)))
-        return "-" + text if x < 0 else text
-    return str(x)
+    if type(x) is not int:
+        return str(x)
+    if x.bit_length() <= _STR_MAX_BITS:
+        try:
+            return str(x)
+        except ValueError:  # a str(int) guard set below 4300 digits
+            pass
+    with decimal.localcontext(_EXACT_CONTEXT):
+        text = str(_to_decimal(abs(x)))
+    return "-" + text if x < 0 else text

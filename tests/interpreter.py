@@ -4,8 +4,8 @@
 A child runs the ``kfiblike`` package this session imported: the directory
 that holds it goes first on the child's ``PYTHONPATH``.  That is ``src`` when
 the tests run from the checkout, and site-packages when they run against an
-installed copy.  The child's stdout is block-buffered and its ``str(int)``
-guard is CPython's default, whatever the session's environment sets.
+installed copy.  The child's stdout is block-buffered, whatever the
+session's environment sets.
 """
 
 import os
@@ -23,8 +23,7 @@ PACKAGE_PARENT = str(Path(kfiblike.__file__).resolve().parents[1])
 
 def python_command(*args):
     """The argv and environment of ``python *args`` in a child interpreter."""
-    env = {name: value for name, value in os.environ.items()
-           if name not in ("PYTHONUNBUFFERED", "PYTHONINTMAXSTRDIGITS")}
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_PARENT, env.get("PYTHONPATH")]))
     return [sys.executable, *args], env
 
@@ -48,6 +47,9 @@ def str_guard(limit):
     finally:
         sys.set_int_max_str_digits(old)
 
+
+# CPython's default str(int) digit limit, and the lowest one a user may set
+STR_GUARDS = (4300, 640)
 
 needs_str_guard = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                                      reason="no str(int) guard before CPython 3.11")

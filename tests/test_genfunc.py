@@ -4,7 +4,7 @@ from functools import partial
 from itertools import islice
 
 import pytest
-from interpreter import needs_str_guard, run_python
+from interpreter import STR_GUARDS, needs_str_guard, str_guard
 
 from kfiblike.genfunc import (
     RationalGF,
@@ -165,28 +165,18 @@ def test_gf_text_rendering():
     assert xpoly_str(xpoly([1, 1])) == "1 + x"
 
 
-GF_CHILD = """
-import sys
-from kfiblike.genfunc import derived_gf, gf_str
-from kfiblike.transforms import TransformKind
-k = 7**4000  # 3381 digits; k**3 has 10,141
-try:
-    str(k**3)
-except ValueError:
-    pass
-else:
-    raise SystemExit("the default str(int) guard is not in force")
-text = gf_str(derived_gf(TransformKind.K_BINOMIAL, k))
-sys.set_int_max_str_digits(0)
-want = f"(2 - {2 * k**2}x) / (1 - {k**2 + 2 * k}x + {k**3}x^2)"
-assert text == want, text[:40]
-"""
-
-
 @needs_str_guard
-def test_gf_str_works_under_the_default_str_guard():
-    proc = run_python("-c", GF_CHILD)
-    assert proc.returncode == 0, proc.stderr.decode()
+@pytest.mark.parametrize("limit", STR_GUARDS)
+def test_gf_str_works_under_the_str_guard(limit):
+    k = 7**4000  # 3381 digits; k**3 has 10,141
+    with str_guard(limit):
+        with pytest.raises(ValueError):
+            str(k**3)
+        texts = [gf_str(derived_gf(kind, k))
+                 for kind in (TransformKind.BINOMIAL, TransformKind.K_BINOMIAL)]
+    with str_guard(0):
+        assert texts == [f"(2 - {2 * k}x) / (1 - {k + 2}x + {k}x^2)",
+                         f"(2 - {2 * k**2}x) / (1 - {k**2 + 2 * k}x + {k**3}x^2)"]
 
 
 def test_expand_count_validation():
