@@ -195,6 +195,12 @@ def test_gf_numeric_with_expansion(capsys):
     assert out == "(2 - 4x) / (1 - 4x + 2x^2)\n2,4,12,40,136,464\n"
 
 
+def test_gf_requires_k_or_symbolic():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gf", "binomial"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["gf", "binomial", "--k", "2"],
     ["gf", "falling", "--symbolic"],
@@ -483,6 +489,27 @@ def test_huge_binet_exact_is_str_of_term_fast(capsys):
     value = term_fast(transform_recurrence(TransformKind.BINOMIAL, 2), 200000)
     with str_guard(0):
         assert out == str(value) + "\n"
+
+
+def test_binet_exact_with_n_too_wide_for_a_float_is_a_usage_error(capsys):
+    n = 10**400
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["binet", "binomial", "--k", "2", "--n", str(n), "--exact"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kfiblike binet")
+    assert "has about inf digits, beyond the" in captured.err
+
+
+def test_binet_ceiling_error_names_a_long_n_by_its_length(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["binet", "binomial", "--k", "2", "--n", str(10**400), "--exact"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x(<401-digit n>) has about" in captured.err
+    assert max(len(line) for line in captured.err.splitlines()) < 200
 
 
 @needs_str_guard
