@@ -229,7 +229,7 @@ def xpoly_str(p: XPoly) -> str:
             parts.append(("-" if negative else "") + body)
         else:
             parts.append((" - " if negative else " + ") + body)
-    return "".join(parts) if parts else "0"
+    return "".join(parts)
 
 
 def gf_str(gf: RationalGF) -> str:

@@ -1,4 +1,5 @@
-"""The one way a test faults an audit route: ``FAULTS`` and ``moved``.
+"""The one way a test faults an audit route: ``FAULTS`` and ``moved``; and the
+one way it swaps the claims' checkers: ``with_checkers``.
 
 A route is a name ``audit`` binds, patched before ``run_audit``, or ``run.``
 and a builder of the run, with ``:`` and the kind of its list.  Its fault
@@ -79,6 +80,13 @@ FAULTS = {
     "PUBLISHED_M_POLYS": lambda polys, k, n, d: {  # printed at K only
         m: _bumped(cs, 0, d) if (m, k) == (n, K) else cs for m, cs in polys.items()},
 }
+
+
+def with_checkers(monkeypatch, make):
+    """Patch ``audit.claim_registry`` so that each claim's checker is ``make(claim)``."""
+    registry = audit.claim_registry
+    monkeypatch.setattr(audit, "claim_registry",
+                        lambda: [replace(claim, checker=make(claim)) for claim in registry()])
 
 
 def outcomes(rng):

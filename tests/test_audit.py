@@ -215,10 +215,13 @@ def test_shipped_ranges_are_under_the_work_ceiling():
         AuditConfig(n_max=10**4000)
 
 
+_WIDE_K = "1" + "0" * 800  # str(10**800), spelled so the ids build under any str(int) guard
+
+
 @pytest.mark.parametrize("k_min, k_max, n_max, shown", [
     (1, 2_500_000, 2, "3.26e+9"),         # many k: a fixed cost per k
     (10**800, 10**800, 256, "5.45e+8"),   # one k, terms of about 4e5 digits
-])
+], ids=["1-2500000-2-3.26e+9", f"{_WIDE_K}-{_WIDE_K}-256-5.45e+8"])
 def test_cost_per_k_and_term_width_count_towards_the_ceiling(k_min, k_max, n_max, shown):
     # n_max^2 * |ks| admitted both (1.0e7 and 6.6e4); only configs are built
     with pytest.raises(ValueError, match=f" {re.escape(shown)} ring operations is past"):

@@ -6,7 +6,7 @@ holds nothing once :func:`run_audit` returns."""
 import dataclasses
 import gc
 
-from audit_faults import moved, outcomes
+from audit_faults import moved, outcomes, with_checkers
 
 from kfiblike import audit
 from kfiblike.audit import AuditConfig, Counterexample, Verdict, run_audit
@@ -19,7 +19,6 @@ RANGE = dict(k_min=1, k_max=5, n_max=12)
 
 def test_every_checker_of_a_run_receives_that_run(monkeypatch):
     healthy = run_audit(**RANGE)
-    registry = audit.claim_registry
     received = []
 
     # the way a benchmark or tracer wraps checkers without knowing what they take
@@ -28,9 +27,9 @@ def test_every_checker_of_a_run_receives_that_run(monkeypatch):
             received.append(run)
             return claim.checker(run)
 
-        return dataclasses.replace(claim, checker=checker)
+        return checker
 
-    monkeypatch.setattr(audit, "claim_registry", lambda: [wrapped(c) for c in registry()])
+    with_checkers(monkeypatch, wrapped)
     first = run_audit(**RANGE)
     first_runs = received.copy()
     received.clear()

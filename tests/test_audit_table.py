@@ -3,14 +3,13 @@ never masking a broken route and never carried into the next.  The faults
 here pin full counterexamples, made by the fault makers of the route table
 in ``audit_faults`` that ``test_audit_routes`` runs for every route."""
 
-import dataclasses
 import math
 from collections import Counter
 from itertools import islice
 from pathlib import Path
 
 import pytest
-from audit_faults import moved, outcomes
+from audit_faults import moved, outcomes, with_checkers
 from hypothesis import given, settings, strategies as st
 
 from kfiblike import audit, closedform, genfunc, sequences, transforms
@@ -326,7 +325,6 @@ def test_no_stream_stays_open_after_a_claim(monkeypatch):
 
     monkeypatch.setattr(audit, "iter_direct", tracked(iter_direct))
     monkeypatch.setattr(audit, "iter_terms", tracked(iter_terms))
-    registry = audit.claim_registry
     left_open = {}
 
     def wrapped(claim):
@@ -336,12 +334,12 @@ def test_no_stream_stays_open_after_a_claim(monkeypatch):
             finally:
                 left_open[claim.id] = len(still_open)
 
-        return dataclasses.replace(claim, checker=checker)
+        return checker
 
-    monkeypatch.setattr(audit, "claim_registry", lambda: [wrapped(c) for c in registry()])
+    with_checkers(monkeypatch, wrapped)
     run_audit(**RANGE)
     assert opened["iter_direct"] and opened["iter_terms"]
-    assert left_open == {claim.id: 0 for claim in registry()}
+    assert left_open == {claim.id: 0 for claim in audit.claim_registry()}
 
 
 def test_table_does_not_leak_between_runs():
@@ -403,11 +401,9 @@ def test_pascal_row_lemmas_report_as_the_multiplicative_kernel_did(monkeypatch, 
         return row
 
     report = run_audit(**rng)
-    registry = audit.claim_registry
     kernel = {"C05": audit._sweep(kernel_row(TransformKind.BINOMIAL, binomial_diff_identity)),
               "C06": audit._sweep(kernel_row(TransformKind.FALLING_K, falling_diff_identity))}
-    monkeypatch.setattr(audit, "claim_registry", lambda: [
-        dataclasses.replace(c, checker=kernel.get(c.id, c.checker)) for c in registry()])
+    with_checkers(monkeypatch, lambda claim: kernel.get(claim.id, claim.checker))
     multiplicative = run_audit(**rng)
     assert report.to_text() == multiplicative.to_text()
     assert report.to_jsonl() == multiplicative.to_jsonl()

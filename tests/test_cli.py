@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,34 +26,6 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_gen_modified_plain(capsys):
-    code, out, _ = run_cli(capsys, ["gen", "modified", "--k", "2", "--count", "4"])
-    assert code == 0
-    assert out == "2,2,6,14\n"
-
-
-def test_gen_bfile_format(capsys):
-    code, out, _ = run_cli(
-        capsys, ["gen", "modified", "--k", "1", "--count", "2", "--format", "bfile"]
-    )
-    assert code == 0
-    assert out == "0 2\n1 2\n"
-
-
-def test_gen_kfib(capsys):
-    code, out, _ = run_cli(capsys, ["gen", "kfib", "--k", "1", "--count", "5"])
-    assert code == 0
-    assert out == "0,1,1,2,3\n"
-
-
-def test_gen_fast_identical_output(capsys):
-    _, slow, _ = run_cli(capsys, ["gen", "modified", "--k", "3", "--count", "20"])
-    _, fast, _ = run_cli(
-        capsys, ["gen", "modified", "--k", "3", "--count", "20", "--fast"]
-    )
-    assert slow == fast
 
 
 def test_usage_error_exit_code():
@@ -98,8 +71,9 @@ USAGE_ERRORS = {
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_range_errors_name_the_subcommand(capsys, argv):
-    # as argparse's own errors do: "usage: kfiblike gen ..." / "kfiblike gen: error:"
-    with pytest.raises(SystemExit) as exc:
+    # as argparse's own errors do: "usage: kfiblike gen ..." / "kfiblike gen: error:";
+    # the messages are those at CPython's default guard, which reads an 801-digit --k-min
+    with str_guard(4300), pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
     captured = capsys.readouterr()
@@ -109,33 +83,80 @@ def test_range_errors_name_the_subcommand(capsys, argv):
     assert max(len(line) for line in captured.err.splitlines()) < 200
 
 
-def test_transform_tables(capsys):
-    code, out, _ = run_cli(capsys, ["transform", "falling", "--k", "4", "--count", "6"])
-    assert code == 0
-    assert out == "2,10,58,386,2834,22042\n"
-    code, out, _ = run_cli(capsys, ["transform", "binomial", "--k", "5", "--count", "6"])
-    assert out == "2,4,18,106,652,4034\n"
+# the modified sequence at k = 3, and its rising transform
+_M3 = ("2,2,8,26,86,284,938,3098,10232,33794,111614,368636,1217522,4021202,13281128,"
+       "43864586,144874886,478489244,1580342618,5219517098\n")
+_RISING3 = "2,8,86,938,10232,111614,1217522,13281128\n"
+
+#: name: (argv, exit code, whole stdout, whole stderr); bench's seconds read <seconds>
+OUTPUTS = {
+    "gen_modified_plain": ("gen modified --k 2 --count 4", 0, "2,2,6,14\n", ""),
+    "gen_bfile_format": ("gen modified --k 1 --count 2 --format bfile", 0, "0 2\n1 2\n", ""),
+    "gen_kfib": ("gen kfib --k 1 --count 5", 0, "0,1,1,2,3\n", ""),
+    "bfile_round_trip": ("gen modified --k 2 --count 8 --format bfile", 0,
+                         "0 2\n1 2\n2 6\n3 14\n4 34\n5 82\n6 198\n7 478\n", ""),
+    "gen_fast_identical_output-plain": ("gen modified --k 3 --count 20", 0, _M3, ""),
+    "gen_fast_identical_output-fast": ("gen modified --k 3 --count 20 --fast", 0, _M3, ""),
+    "transform_tables-falling": ("transform falling --k 4 --count 6", 0,
+                                 "2,10,58,386,2834,22042\n", ""),
+    "transform_tables-binomial": ("transform binomial --k 5 --count 6", 0,
+                                  "2,4,18,106,652,4034\n", ""),
+    "transform_methods_agree-direct": (
+        "transform rising --k 3 --count 8 --method direct", 0, _RISING3, ""),
+    "transform_methods_agree-recurrence": (
+        "transform rising --k 3 --count 8 --method recurrence", 0, _RISING3, ""),
+    "transform_verify": ("transform kbinomial --k 2 --count 3 --verify", 0, "2,8,48\n",
+                         "verify: direct sum and closed recurrence agree on 3 terms\n"),
+    "csv_and_jsonl_round_trip-csv": ("transform binomial --k 2 --count 4 --format csv", 0,
+                                     "n,value\n0,2\n1,4\n2,12\n3,40\n", ""),
+    "csv_and_jsonl_round_trip-jsonl": (
+        "transform binomial --k 2 --count 4 --format json-lines", 0,
+        '{"index": 0, "value": "2"}\n{"index": 1, "value": "4"}\n'
+        '{"index": 2, "value": "12"}\n{"index": 3, "value": "40"}\n', ""),
+    "gf_symbolic_rendering": ("gf rising --symbolic", 0,
+                              "(2 - (2k^2-2k+2)x) / (1 - (k^2+2)x + x^2)\n", ""),
+    "gf_numeric_with_expansion": ("gf binomial --k 2 --count 6", 0,
+                                  "(2 - 4x) / (1 - 4x + 2x^2)\n2,4,12,40,136,464\n", ""),
+    "binet_exact-5": ("binet binomial --k 2 --n 5 --exact", 0, "464\n", ""),
+    "binet_exact-10": ("binet binomial --k 2 --n 10 --exact", 0, "215232\n", ""),
+    "bench_small": ("bench --k 2 --n 200 --n 400", 0, """\
+benchmark: binomial transform, k=2
+         n  strategy            seconds    digits  equal
+       200  iterative      <seconds>       107  ref
+       200  lucas-doubling <seconds>       107  yes
+       200  decimal        <seconds>       107  yes
+       200  direct-sum     <seconds>       107  yes
+       400  iterative      <seconds>       214  ref
+       400  lucas-doubling <seconds>       214  yes
+       400  decimal        <seconds>       214  yes
+       400  direct-sum     <seconds>       214  yes
+values agree across all strategies that ran
+""", ""),
+    "bench_direct_cap": ("bench --k 2 --n 300 --direct-cap 100", 0, """\
+benchmark: binomial transform, k=2
+         n  strategy            seconds    digits  equal
+       300  iterative      <seconds>       160  ref
+       300  lucas-doubling <seconds>       160  yes
+       300  decimal        <seconds>       160  yes
+       300  direct-sum     skipped (n > direct cap 100)
+values agree across all strategies that ran
+""", ""),
+}
 
 
-def test_transform_methods_agree(capsys):
-    _, direct, _ = run_cli(
-        capsys,
-        ["transform", "rising", "--k", "3", "--count", "8", "--method", "direct"],
-    )
-    _, rec, _ = run_cli(
-        capsys,
-        ["transform", "rising", "--k", "3", "--count", "8", "--method", "recurrence"],
-    )
-    assert direct == rec
+def _without_timings(out):
+    # the seconds column is the only one that differs between runs; a skipped row has none
+    return re.sub(r"(?m)^(.{27}) *\d+\.\d{6}", r"\1<seconds>", out)
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_outputs_are_pinned_whole(capsys, name):
+    argv, code, out, err = OUTPUTS[name]
+    got_code, got_out, got_err = run_cli(capsys, argv.split())
+    assert (got_code, _without_timings(got_out), got_err) == (code, out, err)
 
 
 def test_transform_verify(capsys):
-    code, out, err = run_cli(
-        capsys, ["transform", "kbinomial", "--k", "2", "--count", "3", "--verify"]
-    )
-    assert code == 0
-    assert out == "2,8,48\n"
-    assert "agree on 3 terms" in err
     # each difference table (the rising one over k^i M(i)) against its recurrence,
     # far past the audit's n = 65; the audit takes its k-binomial sums from the
     # binomial table, so this is the only end-to-end run of iter_direct(kbinomial) at int k
@@ -146,40 +167,6 @@ def test_transform_verify(capsys):
         assert err == "verify: direct sum and closed recurrence agree on 300 terms\n"
 
 
-def test_csv_and_jsonl_round_trip(capsys):
-    _, out, _ = run_cli(
-        capsys,
-        ["transform", "binomial", "--k", "2", "--count", "4", "--format", "csv"],
-    )
-    lines = out.strip().split("\n")
-    assert lines[0] == "n,value"
-    assert [int(line.split(",")[1]) for line in lines[1:]] == [2, 4, 12, 40]
-    _, out, _ = run_cli(
-        capsys,
-        ["transform", "binomial", "--k", "2", "--count", "4", "--format", "json-lines"],
-    )
-    recs = [json.loads(line) for line in out.strip().split("\n")]
-    assert [int(r["value"]) for r in recs] == [2, 4, 12, 40]
-    assert [r["index"] for r in recs] == [0, 1, 2, 3]
-
-
-def test_bfile_round_trip(capsys):
-    _, out, _ = run_cli(
-        capsys, ["gen", "modified", "--k", "2", "--count", "8", "--format", "bfile"]
-    )
-    parsed = []
-    for line in out.splitlines():
-        n_text, v_text = line.split(" ")
-        parsed.append((int(n_text), int(v_text)))
-    assert parsed == list(enumerate([2, 2, 6, 14, 34, 82, 198, 478]))
-
-
-def test_gf_symbolic_rendering(capsys):
-    code, out, _ = run_cli(capsys, ["gf", "rising", "--symbolic"])
-    assert code == 0
-    assert out == "(2 - (2k^2-2k+2)x) / (1 - (k^2+2)x + x^2)\n"
-
-
 @pytest.mark.parametrize("kind", list(TransformKind))
 def test_gf_symbolic_with_expansion(capsys, kind):
     gf = derived_gf(kind, K)
@@ -187,12 +174,6 @@ def test_gf_symbolic_with_expansion(capsys, kind):
     code, out, _ = run_cli(capsys, ["gf", kind.value, "--symbolic", "--count", "4"])
     assert code == 0
     assert out == expected
-
-
-def test_gf_numeric_with_expansion(capsys):
-    code, out, _ = run_cli(capsys, ["gf", "binomial", "--k", "2", "--count", "6"])
-    assert code == 0
-    assert out == "(2 - 4x) / (1 - 4x + 2x^2)\n2,4,12,40,136,464\n"
 
 
 def test_gf_requires_k_or_symbolic():
@@ -261,14 +242,6 @@ def test_count_past_maxsize_is_a_usage_error_before_any_term(capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--count must be <= {sys.maxsize}, got {count}" in captured.err
-
-
-def test_binet_exact(capsys):
-    code, out, _ = run_cli(capsys, ["binet", "binomial", "--k", "2", "--n", "5", "--exact"])
-    assert code == 0
-    assert out == "464\n"
-    assert run_cli(capsys, ["binet", "binomial", "--k", "2", "--n", "10", "--exact"]) == \
-        (0, "215232\n", "")
 
 
 def test_binet_float(capsys):
@@ -395,22 +368,6 @@ def test_audit_byte_identical_runs(capsys):
     code, out, _ = run_cli(capsys, args)
     assert child.returncode == code == 0
     assert child.stdout == out.encode()
-
-
-def test_bench_small(capsys):
-    code, out, _ = run_cli(capsys, ["bench", "--k", "2", "--n", "200", "--n", "400"])
-    assert code == 0
-    for name in ("iterative", "lucas-doubling", "decimal", "direct-sum"):
-        assert name in out
-    assert "values agree across all strategies that ran" in out
-
-
-def test_bench_direct_cap(capsys):
-    code, out, _ = run_cli(
-        capsys, ["bench", "--k", "2", "--n", "300", "--direct-cap", "100"]
-    )
-    assert code == 0
-    assert "skipped (n > direct cap 100)" in out
 
 
 def test_digit_count_at_powers_of_ten():
@@ -606,8 +563,10 @@ def test_rounding_in_a_stream_raises_before_printing(capsys, monkeypatch):
 
 def test_long_transform_stream_matches_int_route(capsys):
     rec = transform_recurrence(TransformKind.FALLING_K, 3)
+    with str_guard(0):  # the reference's own str() of a long term
+        expected = ",".join(str(v) for v in terms(rec, 5000)) + "\n"
     assert run_cli(capsys, ["transform", "falling", "--k", "3", "--count", "5000"]) == \
-        (0, ",".join(str(v) for v in terms(rec, 5000)) + "\n", "")
+        (0, expected, "")
 
 
 HUGE_K = 10**20
@@ -660,17 +619,12 @@ def test_audit_with_a_claim_not_checked_exits_zero(capsys):
 
 # main() reuses one parser tree per process; parsing must leave it as it was.
 
-def _rows_without_timings(out):
-    # the seconds column is the only one that differs between runs
-    return [line[:27] + line[39:] for line in out.splitlines()]
-
-
 def test_repeated_append_option_does_not_pile_up(capsys):
     argv = ["bench", "--k", "2", "--n", "5", "--n", "7"]
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert len(first.splitlines()) == 2 + 2 * 4 + 1
-    assert _rows_without_timings(second) == _rows_without_timings(first)
+    assert _without_timings(second) == _without_timings(first)
     _, default, _ = run_cli(capsys, ["bench", "--k", "2", "--n", "9"])
     assert [line.split()[0] for line in default.splitlines()[2:-1]] == ["9"] * 4
 

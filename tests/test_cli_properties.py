@@ -52,8 +52,10 @@ def run_cli(argv):
 def test_streams_print_the_int_terms(seq, k, count, fmt):
     rec, argv = stream(seq, k)
     out = run_cli([*argv, "--k", str(k), "--count", str(count), "--format", fmt])
+    with str_guard(0):  # the reference's own str() of a long term
+        expected = expected_text(terms(rec, count), fmt)
     # the kfib family's zero term must read "0", as str(0) does, never "-0"
-    assert out == expected_text(terms(rec, count), fmt)
+    assert out == expected
 
 
 STREAM_CASES = [
@@ -82,11 +84,15 @@ def test_gf_count_prints_the_int_expansion(kind, k, count):
     argv = [kind, "--k", str(k), "--count", str(count)]
     out = run_cli(["gf", *argv])
     series = gf_expand(derived_gf(TransformKind(kind), k), count)
+    with str_guard(0):  # the reference's own str() of a long coefficient
+        expected = expected_text(series, "plain")
     # the Decimal GF expansion prints the Decimal recurrence stream byte for byte
-    assert out.split("\n", 1)[1] == expected_text(series, "plain") == run_cli(["transform", *argv])
+    assert out.split("\n", 1)[1] == expected == run_cli(["transform", *argv])
 
 
 # below CPython's default 4300-digit limit on str(int)
 @given(x=st.integers() | st.integers(-10**4000, 10**4000))
 def test_digit_count_matches_str(x):
-    assert cli._digit_count(x) == len(str(x))
+    with str_guard(0):  # the reference's own str()
+        expected = len(str(x))
+    assert cli._digit_count(x) == expected
