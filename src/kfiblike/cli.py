@@ -114,7 +114,7 @@ def _decimal_rec(rec: Order2Rec) -> Order2Rec:
 
 def _decimal_gf(gf: RationalGF) -> RationalGF:
     """``gf`` with ``Decimal`` coefficients, converted, not computed, for printing its series."""
-    return RationalGF(*(XPoly(tuple(map(Decimal, p.coeffs))) for p in (gf.num, gf.den)))
+    return RationalGF(*(XPoly(map(Decimal, p.coeffs)) for p in (gf.num, gf.den)))
 
 
 def _digits_estimate(rec: Order2Rec, n: int) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import islice
 from operator import mul
-from typing import Deque, Iterator, List, Sequence, Tuple
+from typing import Deque, Iterable, Iterator, List, Sequence, Tuple
 
 from .ring import (
     Frozen,
@@ -43,13 +43,16 @@ class XPoly(Frozen):
     """Polynomial in the formal variable x with RingElem coefficients.
 
     Canonical: no trailing zero coefficient; all coefficients share a mode.
-    Build through :func:`xpoly`, which normalises.
+    The coefficients are kept as a tuple, whatever sequence they come in, so
+    the value is equal to, and hashed as, the one :func:`xpoly` builds, which
+    normalises; the constructor rejects a non-canonical sequence.
     """
 
     _fields = ("coeffs",)
     __slots__ = _fields
 
-    def __init__(self, coeffs: Tuple[RingElem, ...]):
+    def __init__(self, coeffs: Iterable[RingElem]):
+        coeffs = tuple(coeffs)
         if coeffs:
             require_same_mode(*coeffs)
             if not coeffs[-1]:
@@ -74,7 +77,7 @@ def xpoly(coeffs: Sequence[RingElem]) -> XPoly:
     cs = list(coeffs)
     while cs and not cs[-1]:
         cs.pop()
-    return XPoly(tuple(cs))
+    return XPoly(cs)
 
 
 class RationalGF(Frozen):
@@ -110,10 +113,14 @@ def iter_gf(gf: RationalGF) -> Iterator[RingElem]:
     coefficient is the typed zero, never the ``Decimal('-0')`` that the CLI's
     ``Decimal`` copy would otherwise print.  Only the last deg(den)
     coefficients are kept, so however far a stream runs it holds that many
-    values.  The carrier is checked once: past the numerator, each ``KPoly``
-    coefficient is one fused :meth:`~kfiblike.ring.KPoly.dot` of the tail
-    with the recent coefficients, one row pass per nonzero coefficient of
-    the tail into one list.
+    values.  The carrier is checked once: at ``KPoly`` the row plan of the
+    tail is made once per stream (``KPoly._dot_step``), and past the
+    numerator each coefficient is one fused
+    :meth:`~kfiblike.ring.KPoly.dot` of the tail with the recent
+    coefficients, with no type check: one zero-padded row per nonzero
+    coefficient of the tail, chained lazily into one tuple.  While fewer
+    coefficients than the tail's entries are known, it pairs them like
+    ``zip``.
     """
     zero = zero_like(gf.den.coeffs[0])
     tail = [-d for d in gf.den.coeffs[1:]]  # -den(1), -den(2), ...
@@ -125,9 +132,9 @@ def iter_gf(gf: RationalGF) -> Iterator[RingElem]:
         yield c
         recent.appendleft(c)
     if isinstance(zero, KPoly):
-        dot = KPoly.dot
+        step = KPoly._dot_step(tail)
         while True:
-            c = dot(tail, recent)
+            c = step(recent)
             yield c
             recent.appendleft(c)
     while True:

@@ -14,10 +14,13 @@ integral, and the single 1/2 factor that occurs is handled by
 
 ``KPoly`` arithmetic is the cost of every symbolic check.  Ring results
 are trusted (trimmed, not re-validated) and built without ``__init__``,
-their one slot filled through its descriptor.  One row-pass kernel serves
-products and sums of products: a whole-row pass over the longer factor per
-nonzero coefficient of the shorter one, all into one list, so a recurrence
-step a*x(n) + b*x(n-1) (:meth:`KPoly.dot`) builds one polynomial, not three.
+their one slot filled through its descriptor.  One kernel serves long
+products and sums of products: each nonzero coefficient of a multiplier
+contributes the other factor as one zero-padded row, the rows chain lazily
+through ``map``, and the result is the one tuple read off the chain, so a
+recurrence step a*x(n) + b*x(n-1) (:meth:`KPoly.dot`) builds one
+polynomial, not three.  A prefix stream, which multiplies by the same
+polynomials at every term, makes their row plan once.
 Two shortcuts have their one home here.  :func:`kronecker_eval` computes a
 whole single value on ints at k = 256**w and reads it back once: Kronecker
 substitution (Schoenhage 1982; Harvey, "Faster polynomial multiplication via
@@ -50,7 +53,7 @@ import decimal
 import operator
 from decimal import Decimal
 from itertools import repeat
-from typing import Callable, Dict, Iterable, List, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 
 class ModeMismatchError(TypeError):
@@ -117,16 +120,23 @@ class KPoly(Frozen):
 
     Ring results skip the public constructor's per-coefficient type check
     and are only trimmed.  One kernel, ``_row_sum``, serves ``*`` and
-    :meth:`dot`, a sum of products: one whole-row pass over the longer
-    factor (the right one, at equal lengths) for each nonzero coefficient c
-    of the other, in C (``map``), never a Python loop over the row.  The
-    first c places its row at its degree (the factor itself when c is 1,
-    else c times it); each later c adds its row in, with no multiply when c
-    is 1 or -1.  So ``k**i * x``, for an ``x`` at least as long, is one copy
-    of ``x``, ``(k + 2) * x`` two passes, and ``dot((k + 2, -k), (x, y))``
-    three passes into one list.  A product whose longer row is shorter than
-    ``_ROW_PASS_MIN_LEN`` is multiplied in a Python loop instead.  There is
-    no per-product Kronecker path, only :func:`kronecker_eval`'s per value.
+    :meth:`dot`, a sum of products.  A multiplier's row plan holds the
+    degree i and value c of each of its nonzero coefficients.  Each (i, c)
+    contributes the other factor b as one zero-padded row,
+    ``(0,)*i + b + (0,)*pad``, as long as the result, and the rows chain
+    lazily through ``map``, in C, never a Python loop over a row: the first
+    row is the start (negated or times c unless c is 1), each later one is
+    added (c = 1) or subtracted (c = -1) with no multiply, or added c times.
+    One tuple is built per result, read off the chain, and trimmed only
+    when its top coefficient cancels.  ``*`` walks the plan of one factor
+    over the rows of the longer (the right one, at equal lengths), so
+    ``k**i * x``, for an ``x`` at least as long, is one padded copy of
+    ``x``; ``dot((k + 2, -k), (x, y))`` chains three rows into one tuple.
+    :meth:`_dot_step` makes the plan of fixed multipliers once, for the
+    prefix streams, which multiply by the same polynomials at every term.
+    A product whose longer row is shorter than ``_ROW_PASS_MIN_LEN`` is
+    multiplied in a Python loop instead.  There is no per-product Kronecker
+    path, only :func:`kronecker_eval`'s per value.
     """
 
     _fields = __slots__ = ("coeffs",)
@@ -235,25 +245,36 @@ class KPoly(Frozen):
                         out[j] += x * y
                         j += 1
             return KPoly._trusted(out)
-        return KPoly._trusted(_row_sum(((a, b),), len(a) + nb - 1))
+        p = _new(KPoly)
+        _set_coeffs(p, _row_sum((_row_plan(a),), (b,)))
+        return p
 
     @staticmethod
     def dot(xs: Iterable["KPoly"], ys: Iterable["KPoly"]) -> "KPoly":
         """The sum of x * y over the pairs ``zip(xs, ys)`` makes, zero when
-        there are none: all its row passes go into one list, so no product
-        is built as a polynomial of its own."""
-        pairs = []
-        size = 0
-        for x, y in zip(xs, ys):
+        there are none: :meth:`_dot_step` of the xs applied once to the ys,
+        so no product is built as a polynomial of its own."""
+        pairs = list(zip(xs, ys))
+        for x, y in pairs:
             if not isinstance(x, KPoly) or not isinstance(y, KPoly):
                 raise TypeError("KPoly.dot takes KPoly operands only")
-            a, b = x.coeffs, y.coeffs
-            if a and b:
-                if len(a) > len(b):
-                    a, b = b, a
-                pairs.append((a, b))
-                size = max(size, len(a) + len(b) - 1)
-        return KPoly._trusted(_row_sum(pairs, size))
+        return KPoly._dot_step([x for x, _ in pairs])([y for _, y in pairs])
+
+    @staticmethod
+    def _dot_step(multipliers: Iterable["KPoly"]) -> Callable[[Iterable["KPoly"]], "KPoly"]:
+        """The step ``ys -> KPoly.dot(multipliers, ys)`` over KPoly ``ys``,
+        unchecked, with the multipliers' row plan made once: a stream that
+        multiplies by the same polynomials at every term calls it per term.
+        It pairs like ``zip``, so fewer ys than multipliers, or none, is a
+        shorter sum."""
+        plan = tuple([_row_plan(m.coeffs) for m in multipliers])
+
+        def step(ys: Iterable["KPoly"]) -> "KPoly":
+            p = _new(KPoly)
+            _set_coeffs(p, _row_sum(plan, [y.coeffs for y in ys]))
+            return p
+
+        return step
 
     def shift(self, m: int) -> "KPoly":
         """Multiply by k**m, m >= 0: m zero coefficients put in front."""
@@ -312,33 +333,70 @@ _set_coeffs = KPoly.coeffs.__set__
 _ROW_PASS_MIN_LEN = 16
 
 
-def _row_sum(pairs: Iterable[Tuple[Tuple[int, ...], Tuple[int, ...]]], size: int) -> List[int]:
-    """The coefficients of the sum of a * b over the coefficient tuples
-    (a, b) in ``pairs``, untrimmed, ``size`` long: each a nonempty and no
-    longer than its b, ``size`` the longest len(a) + len(b) - 1.
+# Every this many row passes, the chain of maps is read into a tuple: taking
+# an item of a chain calls down through all its maps on the C stack, about
+# 120 bytes a link, and 70000 links overflowed CPython's 8 MB main stack.
+_CHAIN_MAX_LINKS = 256
 
-    One whole-row pass over b, in C, per nonzero coefficient c of a: the
-    first c places its row, zero padded to ``size``; each later c adds b
-    (c = 1) or subtracts it (c = -1) with no multiply, and adds c times b
-    otherwise.
+
+def _row_plan(a: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    """The row plan of a multiplier: (degree, coefficient) of each nonzero
+    coefficient of ``a``, lowest first, so the last is its degree."""
+    return tuple([(i, c) for i, c in enumerate(a) if c])
+
+
+def _row_sum(plan: Tuple[Tuple[Tuple[int, int], ...], ...],
+             rows: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """The canonical coefficients of the sum of a * b over the multipliers a,
+    given by their :func:`_row_plan`, and the coefficient tuples b in
+    ``rows``, paired like ``zip``.
+
+    Each (i, c) of a plan contributes its row b as one zero-padded tuple,
+    ``(0,)*i + b + (0,)*pad``, all as long as the sum, and the rows chain
+    lazily through ``map``: the first row starts the chain as it is (c = 1),
+    negated (c = -1) or times c; each later row is added (c = 1) or
+    subtracted (c = -1) with no multiply, or added c times.  So no pass
+    builds a list or a slice, and the one tuple of the sum is read off the
+    chain at the end; it is trimmed only when its top coefficient cancels.
     """
-    out = None
-    for a, b in pairs:
-        nb = len(b)
-        for i, c in enumerate(a):
-            if not c:
+    size = 0
+    for terms, b in zip(plan, rows):
+        if terms and b and terms[-1][0] + len(b) > size:
+            size = terms[-1][0] + len(b)
+    acc = None
+    links = 0
+    for terms, b in zip(plan, rows):
+        if not b:
+            continue
+        pad = size - len(b)
+        for i, c in terms:
+            row = (0,) * i + b + (0,) * (pad - i)
+            if acc is None:
+                if c == 1:
+                    acc = row
+                elif c == -1:
+                    acc = map(operator.neg, row)
+                else:
+                    acc = map(operator.mul, row, repeat(c))
                 continue
-            if out is None:
-                out = [0] * i
-                out += b if c == 1 else map(operator.mul, b, repeat(c))
-                out += [0] * (size - nb - i)
-            elif c == 1:
-                out[i:i + nb] = map(operator.add, out[i:i + nb], b)
+            if c == 1:
+                acc = map(operator.add, acc, row)
             elif c == -1:
-                out[i:i + nb] = map(operator.sub, out[i:i + nb], b)
+                acc = map(operator.sub, acc, row)
             else:
-                out[i:i + nb] = map(operator.add, out[i:i + nb], map(operator.mul, b, repeat(c)))
-    return [] if out is None else out
+                acc = map(operator.add, acc, map(operator.mul, row, repeat(c)))
+            links += 1
+            if links == _CHAIN_MAX_LINKS:
+                acc, links = tuple(acc), 0
+    if acc is None:
+        return ()
+    out = tuple(acc)
+    if not out[-1]:
+        n = len(out) - 1
+        while n and not out[n - 1]:
+            n -= 1
+        out = out[:n]
+    return out
 
 
 def kronecker_width(bound: int) -> int:

@@ -92,17 +92,19 @@ def k_fib(k: RingElem) -> Order2Rec:
 def iter_terms(rec: Order2Rec) -> Iterator[RingElem]:
     """Yield x0, x1, x2, ... forever with O(1) memory.
 
-    The carrier is checked once: at ``KPoly`` each term is one fused
-    :meth:`~kfiblike.ring.KPoly.dot` of (a, b) with (x(n), x(n-1)), one row
-    pass per nonzero coefficient of a and b into one list.
+    The carrier is checked once: at ``KPoly`` the row plan of (a, b) is
+    made once per stream (``KPoly._dot_step``), and each term is one fused
+    :meth:`~kfiblike.ring.KPoly.dot` of (a, b) with (x(n), x(n-1)), with no
+    type check: one zero-padded row per nonzero coefficient of a and b,
+    chained lazily into one tuple.
     """
     prev, cur = rec.x0, rec.x1
     yield prev
     yield cur
     if isinstance(cur, KPoly):
-        dot, coefficients = KPoly.dot, (rec.a, rec.b)
+        step = KPoly._dot_step((rec.a, rec.b))
         while True:
-            prev, cur = cur, dot(coefficients, (cur, prev))
+            prev, cur = cur, step((cur, prev))
             yield cur
     while True:
         prev, cur = cur, rec.a * cur + rec.b * prev

@@ -1,5 +1,6 @@
 import argparse
 import decimal
+import hashlib
 import inspect
 import json
 import math
@@ -88,7 +89,8 @@ _M3 = ("2,2,8,26,86,284,938,3098,10232,33794,111614,368636,1217522,4021202,13281
        "43864586,144874886,478489244,1580342618,5219517098\n")
 _RISING3 = "2,8,86,938,10232,111614,1217522,13281128\n"
 
-#: name: (argv, exit code, whole stdout, whole stderr); bench's seconds read <seconds>
+#: name: (argv, exit code, whole stdout, whole stderr); bench's seconds read <seconds>,
+#: and a long stdout is its (sha256 hex digest, length)
 OUTPUTS = {
     "gen_modified_plain": ("gen modified --k 2 --count 4", 0, "2,2,6,14\n", ""),
     "gen_bfile_format": ("gen modified --k 1 --count 2 --format bfile", 0, "0 2\n1 2\n", ""),
@@ -141,6 +143,15 @@ benchmark: binomial transform, k=2
        300  direct-sum     skipped (n > direct cap 100)
 values agree across all strategies that ran
 """, ""),
+    # each symbolic series to degree 240, where the prefix kernel runs long rows
+    "gf_symbolic_long-binomial": ("gf binomial --symbolic --count 241", 0, (
+        "84f6789f2d4a9155e3b41da088b67bf3f8ee1397c0f12717413bfc6137022e22", 1622955), ""),
+    "gf_symbolic_long-kbinomial": ("gf kbinomial --symbolic --count 241", 0, (
+        "1264d3b406acf1167a727ce517099ed1468df7c419bd6d576c9de7a765af2a81", 1643038), ""),
+    "gf_symbolic_long-rising": ("gf rising --symbolic --count 241", 0, (
+        "78956d0108ffbdb614f9fb11df3fa69678dbdbe4ca52733d63fc4f68a9e386c3", 3069767), ""),
+    "gf_symbolic_long-falling": ("gf falling --symbolic --count 241", 0, (
+        "8d30ed714d5bbd25805cfd24ff1fd4308ce72d6a7b6daed1e6e99eec34135133", 1659012), ""),
 }
 
 
@@ -153,7 +164,11 @@ def _without_timings(out):
 def test_outputs_are_pinned_whole(capsys, name):
     argv, code, out, err = OUTPUTS[name]
     got_code, got_out, got_err = run_cli(capsys, argv.split())
-    assert (got_code, _without_timings(got_out), got_err) == (code, out, err)
+    if isinstance(out, tuple):
+        got_out = (hashlib.sha256(got_out.encode()).hexdigest(), len(got_out))
+    else:
+        got_out = _without_timings(got_out)
+    assert (got_code, got_out, got_err) == (code, out, err)
 
 
 def test_transform_verify(capsys):

@@ -144,6 +144,14 @@ def test_xpoly_canonicalisation():
         XPoly((1, 0))  # direct construction must already be canonical
 
 
+def test_xpoly_from_a_list_is_a_frozen_tuple():
+    cs = [1, 2]
+    p = XPoly(cs)
+    assert p == xpoly([1, 2]) and hash(p) == hash(xpoly([1, 2]))
+    cs.append(0)  # the caller's list, now non-canonical, is not the value
+    assert p.coeffs == (1, 2)
+
+
 def test_xpoly_arithmetic():
     p = xpoly([1, 2])
     q = xpoly([3, -2])

@@ -310,6 +310,14 @@ _dot_factors = st.one_of(
 )
 
 
+def _dot_reference(pairs):
+    want = [0] * max((len(a) + len(b) for a, b in pairs), default=0)
+    for a, b in pairs:
+        for i, c in enumerate(_schoolbook(a, b)):
+            want[i] += c
+    return want
+
+
 @example(pairs=[([], [1, 2, 3])])
 @example(pairs=[([0, 1], [5] * 20), ([0, -1], [5] * 20)])                 # all cancels
 @example(pairs=[([1, 1], [1] * 16), ([0, -1], [0] * 15 + [1]), ([2**200], [-1])])
@@ -319,22 +327,30 @@ _dot_factors = st.one_of(
 def test_kpoly_dot_is_the_sum_of_its_products_property(pairs):
     xs = [KPoly(a) for a, _ in pairs]
     ys = [KPoly(b) for _, b in pairs]
-    want = [0] * max(len(a) + len(b) for a, b in pairs)
-    for a, b in pairs:
-        for i, c in enumerate(_schoolbook(a, b)):
-            want[i] += c
+    want = _dot_reference(pairs)
     products = KPoly()
     for x, y in zip(xs, ys):
         products = products + x * y
     for got in (KPoly.dot(xs, ys), KPoly.dot(ys, xs), KPoly.dot(iter(xs), tuple(ys))):
         _assert_built_like_public(got, want)
         assert got == products
+    # one plan of the xs over several operand tuples in a row, as a stream
+    # steps: all the ys, fewer ys than xs, a sum that cancels to KPoly()
+    # (x1 * x0 - x0 * x1, or the zero operand), and all the ys again
+    step = KPoly._dot_step(xs)
+    cancel = [xs[1], -xs[0]] if len(xs) > 1 else [KPoly()]
+    for operands, cs in ((ys, want), (ys[:-1], _dot_reference(pairs[:-1])),
+                         (cancel, []), (ys, want)):
+        _assert_built_like_public(step(operands), cs)
 
 
 def test_kpoly_dot_pairs_like_zip_and_takes_kpolys_only():
     a, b = KPoly([1, 2]), KPoly([3, 0, 4])
     assert KPoly.dot((), ()) == KPoly() and KPoly.dot((a, b), ()) == KPoly()
     assert KPoly.dot((a, b), (b,)) == a * b
+    # a chain longer than ring._CHAIN_MAX_LINKS is read into a tuple on the way
+    n = 2 * ring._CHAIN_MAX_LINKS + 1
+    assert KPoly.dot([a] * n, [b] * n) == (a * b).scale(n)
     for xs, ys in (((a, 1), (b, b)), ((a,), (3,)), ((1,), (2,))):
         with pytest.raises(TypeError):
             KPoly.dot(xs, ys)
