@@ -8,11 +8,15 @@ iterative        plain recurrence iteration, O(n) ring operations
 lucas-doubling   Lucas doubling over (U(n), U(n+1)), O(log n) products
 decimal          decimal text of the Lucas-doubling value, checked against
                  its digit count
-direct-sum       the definitional weighted binomial sum, O(n) fat products
+direct-sum       the definitional weighted binomial sum by Clenshaw's
+                 backward recurrence: at k = 2, O(n) shifts and additions of
+                 terms as wide as the result, no product by a binomial
+                 coefficient
 
-The direct sum is definitionally correct but hopeless at large n (its
-binomial factors alone have tens of thousands of digits), which is why the
-closed recurrences matter; ``bench`` times it only up to its direct cap
+The direct sum is definitionally correct but quadratic in n: each of its n
+steps adds terms as wide as the result (and its binomial coefficients alone
+reach tens of thousands of digits at n = 100000), which is why the closed
+recurrences matter; ``bench`` times it only up to its direct cap
 (n <= 2000).  Values are cross-checked for equality at every size
 where a strategy runs, and the script exits with the command's status: 1 on
 a mismatch.

@@ -112,8 +112,9 @@ FLOAT_N_CAP = 40
 # is about the digit count of the widest compared term, since the rising
 # transform grows like (k^2 + 2)^n.  The constants were fitted to runs of at
 # most 1/100 of the ceiling.  Runs just under it, without the symbolic leg,
-# took 36-46 s: n_max = 1160 at k = 1..10 38 s, n_max = 3162 at k = 1 46 s,
-# n_max = 2 at k = 1..46000 36 s (and 381 MB), n_max = 108 at k = 10^800 45 s.
+# took 9-17 s on CPython 3.11, one run each of the CLI: n_max = 1160 at
+# k = 1..10 13.2 s (79 MB), n_max = 3162 at k = 1 15.9 s, n_max = 2 at
+# k = 1..45000 16.5 s (and 334 MB), n_max = 108 at k = 10^800 9.0 s.
 # Two terms are upper bounds now, kept so that the admitted and refused ranges
 # stay the same: the 150 was fitted while each Binet value took log2 n Lucas
 # doubling steps of its own claim (now one step per (kind, k) and two n, in one

@@ -12,7 +12,8 @@ not fail the process), 3 on an unexpected internal error (any other
 exception, reported as one ``kfiblike: internal error: <Type>: <message>``
 line on stderr), 141 when the reader of stdout closes it early (as in
 ``| head``), with nothing on stderr: 128 + SIGPIPE, what a shell reports for
-a pipe writer killed by SIGPIPE.
+a pipe writer killed by SIGPIPE.  130 on an interrupt (Ctrl-C, as in a long
+``bench``), with no traceback: 128 + SIGINT, likewise.
 
 Behaviour is controlled entirely by flags plus two environment variables:
 ``KFIBLIKE_WIDTH`` (report width, clamped to 20..1000) and ``KFIBLIKE_COLOR``
@@ -77,6 +78,8 @@ DEFAULT_DIRECT_CAP = 2000
 
 # 128 + SIGPIPE: the status a shell reports for a pipe writer SIGPIPE killed.
 EXIT_BROKEN_PIPE = 141
+# 128 + SIGINT: the status a shell reports for a process SIGINT killed.
+EXIT_INTERRUPTED = 130
 
 # Report width bounds: the audit text rules off sections with "=" * width.
 MIN_WIDTH, MAX_WIDTH = 20, 1000
@@ -481,6 +484,8 @@ def entry() -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        code = EXIT_INTERRUPTED
     except Exception as exc:
         print(f"kfiblike: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 3

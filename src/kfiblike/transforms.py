@@ -18,25 +18,27 @@ equality without trusting either side.  Each reads its transform terms from
 :func:`~kfiblike.sequences.term_iterative`.  The audit calls none of them: it
 checks the same identities over its own lists.
 
-The direct sums have two kernels, and the caller's shape picks one.  A single
-term, and each right-hand side of the difference lemmas, is one O(n) pass of
-a private kernel, :func:`_weighted_sum`: it steps M's recurrence inline,
-takes C(n,i) from the exact multiplicative rule, and applies k^(n-i) by
-Horner's rule and k^i by stepping k^i M(i) in place of M(i).  It runs on
-ints, each product by a power of k as one by a power of k's odd part and a
-left shift: at symbolic k, as one ``ring.kronecker_eval`` at the bound its
-docstring states, at a point 256**w whose odd part is 1.  A whole prefix comes
-from :func:`iter_direct`, which yields term after term from Euler's
-difference table of M (of k^i M(i) for the rising sum), one ring addition
-per cell and no binomial coefficient.  The lemma functions' right-hand sides
-stay on the multiplicative kernel, so a lemma checked against a prefix from
-the difference table compares two algorithms rather than restating it.  The
-audit does not run this kernel: its C05/C06 right-hand sides are the same
-sums over its own prefix of M and one Pascal row per n, and their left sides
-come from :func:`iter_direct`.  The module keeps no state between calls; a
-caller that reuses values (the audit) keeps its own table.  Weight domain is
-k >= 1 (or symbolic k), so the degenerate k = 0 branch some published
-definitions carry is deliberately out of scope.
+The direct sums have two kernels, and the caller's shape picks one.  A
+single term, and each right-hand side of the difference lemmas, is one O(n)
+pass of a private kernel, :func:`_weighted_sum`: Clenshaw's backward
+recurrence over M's own recurrence (over k^i M(i)'s for the rising sum), fed
+C(n,i) from the exact multiplicative rule (C(n,i) k^(n-i) for the falling
+sum), so no step multiplies a wide value by a binomial coefficient.  It runs
+on ints, each product by a power of k as one by a power of k's odd part and
+a left shift: at symbolic k, as one ``ring.kronecker_eval`` at the bound its
+docstring states, at a point 256**w whose odd part is 1, where each step is
+shifts and additions only.  A whole prefix comes from :func:`iter_direct`,
+which yields term after term from Euler's difference table of M (of k^i M(i)
+for the rising sum), one ring addition per cell and no binomial coefficient.
+The lemma functions' right-hand sides stay on the Clenshaw kernel, so a
+lemma checked against a prefix from the difference table compares two
+algorithms rather than restating it.  The audit does not run this kernel:
+its C05/C06 right-hand sides are the same sums over its own prefix of M and
+one Pascal row per n, and their left sides come from :func:`iter_direct`.
+The module keeps no state between calls; a caller that reuses values (the
+audit) keeps its own table.  Weight domain is k >= 1 (or symbolic k), so the
+degenerate k = 0 branch some published definitions carry is deliberately out
+of scope.
 """
 
 from __future__ import annotations
@@ -94,39 +96,70 @@ def _weighted_sum(kind: TransformKind, k: RingElem, n: int,
                   x0: RingElem, x1: RingElem) -> RingElem:
     """sum_i C(n,i) * weight(n,i) * x(i), where x(i+1) = k x(i) + x(i-1).
 
-    x runs M's recurrence inline from (x0, x1), never through ``Order2Rec``,
-    so this route stays independent of :func:`transform_recurrence`.  C(n,i)
-    follows the exact multiplicative rule, k^(n-i) is applied by Horner's
-    rule, and k^n once at the end; for k^i, y(i) = k^i x(i) steps in place
-    of x, as y(i+1) = k^2 (y(i) + y(i-1)).  The loop runs on ints, and each
-    product by k, k^2 or k^n is a product by a power of k's odd part and a
-    left shift (k = odd * 2^s, s = 0 at k = 0).  A symbolic sum is one
-    :func:`~kfiblike.ring.kronecker_eval` at the bound the loop gives at the
-    l1 norms of k, x0 and x1, as it only adds and multiplies, with
-    C(n,i) >= 0; at k = ``K`` the point 256**w has odd part 1, so each of
-    those products costs linear time.
+    Clenshaw's backward recurrence (Clenshaw, MTAC 9, 1955), Horner's rule
+    for a sum over a sequence with x(i+1) = alpha x(i) + beta x(i-1):
+    b(i) = c(i) + alpha b(i+1) + beta b(i+2) from i = n down to 0, from
+    b(n+1) = b(n+2) = 0, and the sum is b(0) x(0) + b(1) (x(1) - alpha x(0)).
+    The plain, k-binomial and falling sums run over x itself, with
+    (alpha, beta) = (k, 1); the rising sum runs over y(i) = k^i x(i), which
+    steps as y(i+1) = k^2 (y(i) + y(i-1)), with (k^2, k^2).  c(i) is C(n,i)
+    by the exact multiplicative rule, the upper half of the row mirrored onto
+    the lower; for the falling sum it is C(n,i) k^(n-i), with odd^(n-i)
+    C(n,i) stepped down by one exact division by n - i + 1 and shifted left
+    by s (n-i).  The k-binomial sum is multiplied by k^n at the end.  Only
+    M's recurrence and C(n,i) are read, never ``Order2Rec``, so this route
+    stays independent of :func:`transform_recurrence`.  The loop runs on
+    ints, and each product by k, k^2 or k^n is a product by a power of k's
+    odd part and a left shift (k = odd * 2^s, s = 0 at k = 0); an odd part
+    of 1 is no product at all, which each call decides once.  No step
+    multiplies a wide value by C(n,i).
+
+    A symbolic sum is one :func:`~kfiblike.ring.kronecker_eval` at the bound
+    this function gives at the l1 norms of k, x0 and x1.  The loop's last
+    step subtracts, yet that value bounds every coefficient: it is the sum
+    itself, whose value does not depend on the order of evaluation, and the
+    sum written as sum_i C(n,i) weight(n,i) x(i), with x from its
+    recurrence, only adds and multiplies non-negative values at the norms.
+    At k = ``K`` the point 256**w has odd part 1, so each step is shifts and
+    additions only.
     """
     if isinstance(k, KPoly):
         bound = _weighted_sum(kind, k.norm(), n, x0.norm(), x1.norm())
         return kronecker_eval(lambda k, x0, x1: _weighted_sum(kind, k, n, x0, x1),
                               (k, x0, x1), bound)
-    horner = kind is TransformKind.FALLING_K
     rising = kind is TransformKind.RISING_K
     # k ^ (k - 1) has bit length s + 1 at k = odd * 2**s, and 1 at k = 0
     s = (k ^ (k - 1)).bit_length() - 1
     odd = k >> s
-    odd_sq, s_sq = odd * odd, s + s
-    acc = 0
-    x, x_next = x0, (x1 * odd) << s if rising else x1
-    c = 1
-    for i in range(n + 1):
-        term = x * c
-        acc = ((acc * odd) << s) + term if horner else acc + term
-        x, x_next = x_next, (((x_next + x) * odd_sq) << s_sq if rising
-                             else ((x_next * odd) << s) + x)
-        c = c * (n - i) // (i + 1)
+    if rising:          # y(1) = k x(1); alpha = odd_a * 2**s_a
+        x1 = (x1 * odd) << s
+        odd_a, s_a = odd * odd, s + s
+    else:
+        odd_a, s_a = odd, s
+    unit = odd_a == 1
+    b = b_next = 0          # b(i+1), b(i+2) at step i; b(0), b(1) after the loop
+    if kind is TransformKind.FALLING_K:
+        c, shift = 1, 0     # odd^(n-i) C(n,i) and s (n-i)
+        for i in range(n, -1, -1):
+            b, b_next = (c << shift) + (b << s if unit else (b * odd) << s) + b_next, b
+            c = c * (odd * i) // (n + 1 - i)
+            shift += s
+    else:
+        # C(n,i) from i = n down to n // 2, then the row's mirror image
+        c, row = 1, [1]
+        for j in range(1, n - n // 2 + 1):
+            c = c * (n + 1 - j) // j
+            row.append(c)
+        if n > 1:
+            row += row[n // 2 - 1::-1]
+        for c in row:
+            t = b + b_next if rising else b
+            t = t << s_a if unit else (t * odd_a) << s_a
+            b, b_next = c + (t if rising else t + b_next), b
+    t = b_next * x0
+    acc = b * x0 + b_next * x1 - (t << s_a if unit else (t * odd_a) << s_a)
     if kind is TransformKind.K_BINOMIAL:
-        acc = (acc * odd**n) << (s * n)
+        acc = (acc if odd == 1 else acc * odd**n) << (s * n)
     return acc
 
 

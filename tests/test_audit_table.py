@@ -389,7 +389,8 @@ REPORT_RANGES = (
 @pytest.mark.parametrize("rng", REPORT_RANGES, ids=lambda rng: str(rng) if rng else "default")
 def test_pascal_row_lemmas_report_as_the_multiplicative_kernel_did(monkeypatch, rng):
     """C05/C06 over Pascal rows and the run's M give the report bytes that the
-    lemma functions' multiplicative kernel gave when it ran their right sides."""
+    lemma functions give when their own kernel, ``transforms._weighted_sum``,
+    runs the right sides."""
     def kernel_row(kind, lemma):
         falling = kind is TransformKind.FALLING_K
 

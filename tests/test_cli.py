@@ -326,6 +326,18 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert captured.err == "kfiblike: internal error: RuntimeError: boom\n"
 
 
+def test_interrupt_exits_130_without_a_traceback(capsys, monkeypatch):
+    def interrupted_main(argv=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "main", interrupted_main)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == cli.EXIT_INTERRUPTED == 130
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
+
+
 def test_value_error_inside_a_claim_exits_3(capsys, monkeypatch):
     """Only the range check is a usage error: a ValueError raised inside a
     claim is a fault, reported as one line with exit 3."""

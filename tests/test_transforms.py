@@ -89,19 +89,35 @@ def test_w_scaling_examples():
 
 def test_direct_sum_with_both_binomial_rows():
     # recompute the definitional sum with math.comb binomials and M from
-    # plain iteration, independent of the kernel's own C(n,i) rule and M loop
-    for k in range(1, 6):
-        for n in range(33):
-            ms = terms(modified_k_fib(k), n + 1)
-            row = [math.comb(n, i) for i in range(n + 1)]
-            for kind, weight in (
-                (TransformKind.BINOMIAL, lambda i: 1),
-                (TransformKind.K_BINOMIAL, lambda i: k**n),
-                (TransformKind.RISING_K, lambda i: k**i),
-                (TransformKind.FALLING_K, lambda i: k ** (n - i)),
-            ):
-                alt = sum(row[i] * weight(i) * ms[i] for i in range(n + 1))
-                assert alt == transform_direct(kind, k, n)
+    # plain iteration, independent of the kernel's own C(n,i) rule and M loop;
+    # n = 299 and 300 mirror an odd and an even row, and 2**70 + 3 is wide
+    cases = [(k, n) for k in range(1, 6) for n in range(33)]
+    cases += [(k, n) for k in (2, 3, 2**70 + 3) for n in (299, 300)]
+    for k, n in cases:
+        ms = terms(modified_k_fib(k), n + 1)
+        row = [math.comb(n, i) for i in range(n + 1)]
+        for kind, weight in (
+            (TransformKind.BINOMIAL, lambda i: 1),
+            (TransformKind.K_BINOMIAL, lambda i: k**n),
+            (TransformKind.RISING_K, lambda i: k**i),
+            (TransformKind.FALLING_K, lambda i: k ** (n - i)),
+        ):
+            alt = sum(row[i] * weight(i) * ms[i] for i in range(n + 1))
+            assert alt == transform_direct(kind, k, n), (kind, k, n)
+
+
+@pytest.mark.parametrize("kind, n", [
+    (TransformKind.BINOMIAL, 240),
+    (TransformKind.K_BINOMIAL, 144),
+    (TransformKind.RISING_K, 150),
+    (TransformKind.FALLING_K, 200),
+], ids=lambda x: getattr(x, "value", x))
+def test_symbolic_direct_sum_bound_is_the_norm(kind, n):
+    """The bound the symbolic direct sum reads back at, the int loop at the
+    norms (k = 1, x0 = x1 = 2), is the l1 norm of the term itself: every
+    coefficient is non-negative.  The n are the largest the ``symbolic``
+    benchmark workload asks for."""
+    assert transforms._weighted_sum(kind, 1, n, 2, 2) == transform_direct(kind, K, n).norm()
 
 
 @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
