@@ -88,6 +88,10 @@ def test_range_errors_name_the_subcommand(capsys, argv):
 _M3 = ("2,2,8,26,86,284,938,3098,10232,33794,111614,368636,1217522,4021202,13281128,"
        "43864586,144874886,478489244,1580342618,5219517098\n")
 _RISING3 = "2,8,86,938,10232,111614,1217522,13281128\n"
+# the rising transform at k = 10**50 to 140 terms, and the modified sequence at
+# k = 10**100 to 60: (sha256, length) of either route's stdout
+_RISING_WIDE = ("fca0dbae8f3738bed7654ac8e39b7a9b856581254889e1f96586ed54343a8e76", 966330)
+_M_WIDE = ("18b1de89948fc8b9a190cf5b65ab3df4614e66c926c86db2a8438d875fff67a8", 171220)
 
 #: name: (argv, exit code, whole stdout, whole stderr); bench's seconds read <seconds>,
 #: and a long stdout is its (sha256 hex digest, length)
@@ -152,6 +156,25 @@ values agree across all strategies that ran
         "78956d0108ffbdb614f9fb11df3fa69678dbdbe4ca52733d63fc4f68a9e386c3", 3069767), ""),
     "gf_symbolic_long-falling": ("gf falling --symbolic --count 241", 0, (
         "8d30ed714d5bbd25805cfd24ff1fd4308ce72d6a7b6daed1e6e99eec34135133", 1659012), ""),
+    # values past the 4300-digit str(int) guard, through each route that prints them:
+    # elem_str at one split (4419 digits), a padded top split (8034 and 14317) and 60257
+    "binet_exact_wide-rising-2200": ("binet rising --k 10 --n 2200 --exact", 0, (
+        "b1746d1a48568b16e25b76b3182296fca37fafaa76a9109913673976790f5fa8", 4420), ""),
+    "binet_exact_wide-rising-4000": ("binet rising --k 10 --n 4000 --exact", 0, (
+        "5de2a7431561b8631faf100d9aa2d4645ab04289386b1aa90bf92ff8bb8c5680", 8035), ""),
+    "binet_exact_wide-kbinomial-7000": ("binet kbinomial --k 10 --n 7000 --exact", 0, (
+        "4f9ba2d7049d4fca76598e09a3ca19e4c630f3e886f13b7f57702fac73b3df10", 14318), ""),
+    "binet_exact_wide-rising-30000": ("binet rising --k 10 --n 30000 --exact", 0, (
+        "47c8fe176bae14b6dc859dcb84d249e69f82a13dc25e3c10762e03c6ceaacc4e", 60258), ""),
+    # terms up to 13851 digits: elem_str of each direct sum, and the Decimal stream
+    "transform_wide-direct": (f"transform rising --k {10**50} --count 140 --method direct",
+                              0, _RISING_WIDE, ""),
+    "transform_wide-recurrence": (f"transform rising --k {10**50} --count 140", 0,
+                                  _RISING_WIDE, ""),
+    "gen_wide-plain": (f"gen modified --k {10**100} --count 60", 0, _M_WIDE, ""),
+    "gen_wide-fast": (f"gen modified --k {10**100} --count 60 --fast", 0, _M_WIDE, ""),
+    "gf_wide": (f"gf rising --k {10**50} --count 80", 0, (
+        "427becf6914af787344616c04349841a10acadd154f7e29b212b8afefbc5e2c0", 312436), ""),
 }
 
 
