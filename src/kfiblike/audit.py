@@ -84,9 +84,10 @@ from functools import cache, partial
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ._text import elem_str
 from .closedform import _exact_coefficients, _printed_coefficients, binet_float
 from .genfunc import gf_expand, published_gf
-from .ring import K, KPoly, RingElem, elem_str, times_k_power, zero_like
+from .ring import K, KPoly, RingElem, times_k_power, zero_like
 from .sequences import (
     Order2Rec,
     _halved_alternating_sums,
@@ -607,7 +608,7 @@ def _check_float_binet(run: _Run) -> Optional[List[Counterexample]]:
                 exact = closed(n)
                 approx = binet_float(rec, n)
                 if abs(approx - float(exact)) / float(exact) > tol:
-                    return [Counterexample(k=k, n=n, expected=str(exact),
+                    return [Counterexample(k=k, n=n, expected=elem_str(exact),
                                            got=repr(approx), label=kind.value)]
     return []
 

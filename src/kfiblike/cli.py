@@ -17,18 +17,14 @@ a pipe writer killed by SIGPIPE.  130 on an interrupt (Ctrl-C, as in a long
 
 Behaviour is controlled entirely by flags plus two environment variables:
 ``KFIBLIKE_WIDTH`` (report width, clamped to 20..1000) and ``KFIBLIKE_COLOR``
-(colour toggle for the audit text report).  All big integers are printed as
-plain decimal strings, in time subquadratic in their digits where CPython
-3.11's ``str(int)`` is quadratic.  The numeric streams of ``gen``,
-``transform --method recurrence`` and ``gf --k K --count N`` are computed in
-exact ``decimal`` arithmetic, whose ``str()`` is linear; every other int goes
-through :func:`~kfiblike.ring.elem_str`, which converts a wide int to an
-exact ``Decimal`` by divide and conquer.  Both use ``ring``'s one exact
-context: unbounded precision, any rounding trapped, so a rounded value
-raises instead of being printed.  The CLI leaves CPython's ``str(int)`` guard
-as it is, so on 3.11+ an integer argument past its limit (4300 digits by
-default) is argparse's usage error.  A ``--count`` past ``sys.maxsize``, and a ``binet --exact`` or
-``bench --n`` term estimated past ``_EXACT_DIGITS_CEILING`` digits, are too,
+(colour toggle for the audit text report).  Every value is printed as plain
+decimal text by :mod:`kfiblike._text`: a stream (``gen``, ``transform --method
+recurrence``, ``gf --k K --count N``) is computed on a ``Decimal`` copy of its
+record, in the exact context, and every other int goes through ``elem_str``.
+The CLI leaves CPython's ``str(int)`` guard as it is, so on 3.11+ an integer
+argument past its limit (4300 digits by default) is argparse's usage error.
+A ``--count`` past ``sys.maxsize``, and a ``binet --exact`` or ``bench --n``
+term estimated past ``_EXACT_DIGITS_CEILING`` digits, are too,
 before any output.  A ``json-lines`` row, ``{"index": n, "value": "<term>"}``,
 is written directly, not through ``json``: its bytes are what
 ``json.dumps`` gives, since a term's text is digits and ``-``, which JSON
@@ -46,9 +42,7 @@ runs many commands in process pays for argparse's setup once.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
-import math
 import os
 import sys
 import time
@@ -56,9 +50,17 @@ from decimal import Decimal
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from ._text import (
+    _decimal_agrees,
+    _digit_count,
+    _digits_estimate,
+    decimal_copy,
+    elem_str,
+    exact_context,
+)
 from .closedform import binet_closed, binet_float
-from .genfunc import RationalGF, XPoly, gf_from_rec, gf_str, iter_gf
-from .ring import _EXACT_CONTEXT, K, RingElem, elem_str
+from .genfunc import gf_from_rec, gf_str, iter_gf
+from .ring import K, RingElem
 from .sequences import (
     Order2Rec,
     iter_terms,
@@ -91,8 +93,6 @@ MIN_WIDTH, MAX_WIDTH = 20, 1000
 # doubling of n multiplies that by about 3.
 _EXACT_DIGITS_CEILING = 10**7
 
-_LOG10_2 = math.log10(2)
-
 # A printed term: an int or KPoly from the library, or a Decimal mirror of an int.
 _Term = Union[RingElem, Decimal]
 
@@ -109,67 +109,10 @@ def _env_color() -> bool:
     return os.environ.get("KFIBLIKE_COLOR", "").strip().lower() in ("1", "true", "yes", "on")
 
 
-def _decimal_rec(rec: Order2Rec) -> Order2Rec:
-    """``rec`` with ``Decimal`` coefficients, for printing its terms."""
-    return Order2Rec(a=Decimal(rec.a), b=Decimal(rec.b), x0=Decimal(rec.x0),
-                     x1=Decimal(rec.x1))
-
-
-def _decimal_gf(gf: RationalGF) -> RationalGF:
-    """``gf`` with ``Decimal`` coefficients, converted, not computed, for printing its series."""
-    return RationalGF(*(XPoly(map(Decimal, p.coeffs)) for p in (gf.num, gf.den)))
-
-
-def _digits_estimate(rec: Order2Rec, n: int) -> float:
-    """About ``len(str(x(n)))``: n*log10 r1, r1 the dominant characteristic root.
-
-    r1 = (|a| + sqrt(a^2 + 4b)) / 2 is taken in ints scaled by 2**64, with
-    ``isqrt``, so that it stays accurate for a k too large for a float; an
-    n too large for a float gives infinity.
-    """
-    disc = rec.a * rec.a + 4 * rec.b
-    r1_scaled = (abs(rec.a) << 64) + math.isqrt(disc << 128)
-    try:
-        return n * (math.log10(r1_scaled) - 65 * _LOG10_2)
-    except OverflowError:
-        return math.inf
-
-
-def _digit_count(x: int) -> int:
-    """``len(str(x))`` without the decimal conversion, quadratic on CPython 3.11.
-
-    The bit length brackets log10 |x| in an interval 0.301 wide, so ``e``,
-    floor(log10 |x|) estimated from its midpoint, is off by at most one
-    either way; comparisons with 10**e and 10**(e+1) settle it.
-    """
-    m = abs(x) or 1  # "0" has one digit, as "1" does
-    e = int((m.bit_length() - 0.5) * _LOG10_2)
-    p = 10**e
-    digits = e if m < p else e + 1 + (m >= 10 * p)
-    return digits + (x < 0)
-
-
-def _decimal_agrees(text: str, x: int, x_digits: int) -> bool:
-    """Whether ``text`` agrees with ``x`` in length (``x_digits``, which is
-    ``_digit_count(x)``), last 18 digits, digit sum mod 9 and alternating
-    digit sum mod 11 (a digit at an odd place from the end weighs
-    10**odd = -1), with no decimal conversion of ``x``.  One wrong digit moves
-    the sums by 1 to 9 either way, which 11 never divides."""
-    digits, m = text.lstrip("-"), abs(x)
-    if len(text) != x_digits or int(digits[-18:]) != m % 10**18:
-        return False
-    even, odd = digits[::-2], digits[-2::-2]
-    total = alternating = 0
-    for d in range(1, 10):
-        e, o = even.count(str(d)), odd.count(str(d))
-        total, alternating = total + d * (e + o), alternating + d * (e - o)
-    return total % 9 == m % 9 and alternating % 11 == m % 11
-
-
 def _emit_terms(values: Iterable[_Term], fmt: str, out) -> None:
     """Stream indexed terms in the requested format; no full-list buffering.
-    The terms are read inside ``_EXACT_CONTEXT``, so a ``Decimal`` stream never rounds."""
-    with decimal.localcontext(_EXACT_CONTEXT):
+    The terms are read inside the exact context, so a ``Decimal`` stream never rounds."""
+    with exact_context():
         if fmt == "plain":
             first = True
             for v in values:
@@ -226,7 +169,7 @@ def _cmd_gen(args, parser, out) -> int:
     if args.fast:
         values: Iterable[_Term] = (term_fast(rec, n) for n in range(args.count))
     else:
-        values = islice(iter_terms(_decimal_rec(rec)), args.count)
+        values = islice(iter_terms(decimal_copy(rec)), args.count)
     _emit_terms(values, args.format, out)
     return 0
 
@@ -250,7 +193,7 @@ def _cmd_transform(args, parser, out) -> int:
     elif args.method == "direct":
         values = islice(iter_direct(kind, args.k), args.count)
     else:
-        rec = _decimal_rec(transform_recurrence(kind, args.k))
+        rec = decimal_copy(transform_recurrence(kind, args.k))
         values = islice(iter_terms(rec), args.count)
     _emit_terms(values, args.format, out)
     if args.verify:
@@ -278,7 +221,7 @@ def _cmd_gf(args, parser, out) -> int:
     out.write(gf_str(gf) + "\n")
     if args.count is not None:
         # A numeric k expands a Decimal copy; a symbolic one stays in KPoly.
-        expand_gf = _decimal_gf(gf) if isinstance(k, int) else gf
+        expand_gf = decimal_copy(gf) if isinstance(k, int) else gf
         _emit_terms(islice(iter_gf(expand_gf), args.count), "plain", out)
     return 0
 

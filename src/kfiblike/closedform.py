@@ -35,6 +35,7 @@ import math
 import sys
 from typing import Tuple
 
+from ._text import elem_str
 from .ring import KPoly, RingElem, const_like, scale
 from .sequences import Order2Rec, _lucas_form
 from .transforms import TransformKind, transform_recurrence
@@ -69,7 +70,7 @@ def binet_float(rec: Order2Rec, n: int) -> float:
     p, q = rec.a, -rec.b
     disc = p * p - 4 * q
     if disc <= 0:
-        raise ValueError(f"discriminant must be positive, got {disc}")
+        raise ValueError(f"discriminant must be positive, got {elem_str(disc)}")
     sq = math.sqrt(disc)
     r1 = (p + sq) / 2.0
     r2 = (p - sq) / 2.0
@@ -81,7 +82,7 @@ def binet_float(rec: Order2Rec, n: int) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise OverflowError(
-            f"x({n}) is beyond the double-precision range (max {sys.float_info.max:.4g})"
+            f"x({elem_str(n)}) is beyond the double-precision range (max {sys.float_info.max:.4g})"
         )
     return value
 

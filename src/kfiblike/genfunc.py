@@ -23,12 +23,12 @@ from itertools import islice
 from operator import mul
 from typing import Deque, Iterable, Iterator, List, Sequence, Tuple
 
+from ._text import elem_str
 from .ring import (
     Frozen,
     KPoly,
     RingElem,
     const_like,
-    elem_str,
     ipow,
     one_like,
     require_same_mode,

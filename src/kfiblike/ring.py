@@ -30,30 +30,17 @@ computes it: :func:`ipow`, ``transforms._weighted_sum``,
 ``sequences._lucas_bound`` and ``sequences.lucas_form``.
 :func:`times_k_power` multiplies by k**m, at ``K`` by a coefficient shift.
 
-``int`` is the numeric result type of every library function.  Its decimal
-output goes through exact ``decimal.Decimal`` arithmetic, in one context
-with unbounded precision that traps any rounding, because CPython 3.11's
-``str(int)`` is quadratic in the digits and ``str(Decimal)`` is linear: the
-CLI iterates the streams it prints in that context, and :func:`elem_str`
-converts an int past CPython's 4300-digit ``str(int)`` guard to a
-``Decimal`` in it by divide and conquer, in subquadratic time and with no
-lifted guard.  libmpdec 2.5.1, bundled with CPython 3.10 to 3.13,
-multiplies by schoolbook whenever the shorter factor has at most 4864
-digits (256 words of 19).  So where a split's high part has 2000 to 4864
-digits and the power of two it multiplies is past that cut, the high part
-is padded with trailing zeros to 4865 digits, which lowers its exponent and
-keeps its value, and the zeros are dropped from the product again.  Such a
-product ran 1.0 to 3.5 times as fast, and ``elem_str`` over the ``bigterm``
-benchmark's values took 9-21% less time.
+Decimal text is made in :mod:`kfiblike._text`.  Its :func:`elem_str`, which
+``KPoly.__str__`` prints coefficients with, is importable from here too.
 """
 
 from __future__ import annotations
 
-import decimal
 import operator
-from decimal import Decimal
 from itertools import repeat
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
+
+from ._text import elem_str
 
 
 class ModeMismatchError(TypeError):
@@ -489,131 +476,11 @@ def exact_div_int(x: RingElem, d: int) -> RingElem:
         for i, c in enumerate(x.coeffs):
             if c % d != 0:
                 raise ExactDivisionError(
-                    f"{d} does not divide coefficient {c} of k^{i} in {x}"
+                    f"{elem_str(d)} does not divide coefficient {elem_str(c)} of k^{i} in {x}"
                 )
             out.append(c // d)
         return KPoly._trusted(out)
     if x % d != 0:
-        raise ExactDivisionError(f"{d} does not divide {x}")
+        raise ExactDivisionError(f"{elem_str(d)} does not divide {elem_str(x)}")
     return x // d
 
-
-# Exact decimal arithmetic: no precision or exponent limit an int could reach,
-# and any rounding raises rather than reaching the output.
-_EXACT_CONTEXT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
-           decimal.Inexact, decimal.Rounded],
-)
-
-# Every int of at most this many bits has at most 4300 digits, the default
-# limit of CPython's str(int) guard (3.11+), so str() may print it.
-_STR_MAX_BITS = 14_284
-
-# Widths at or below this go to Decimal(int) in one piece.  A power of two, so
-# that every split width is one too.
-_LEAF_BITS = 1024
-
-# libmpdec multiplies by schoolbook whenever the shorter factor has at most
-# 256 words of 19 digits; one digit more takes its subquadratic path.
-_SCHOOLBOOK_MAX_DIGITS = 256 * 19
-
-# A split's high part with from this many digits up to the cut is padded past
-# it when the power of two it multiplies is past it too.  Below about 2000
-# digits the padded product is slower than schoolbook at some split widths:
-# 0.8-0.95x at 1800 digits against 2**65536, 0.25-0.8x at 500-1000 digits.
-_PAD_MIN_DIGITS = 2000
-
-# Takes a padded product back to exponent 0.  That drops only zeros, which
-# signals Rounded; a nonzero digit dropped would signal Inexact, and raise.
-_DROP_ZEROS_CONTEXT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
-           decimal.Inexact],
-)
-_ONE = Decimal(1)
-
-# Decimal(2**s) for each split width s converted so far: powers of two from
-# _LEAF_BITS up to below the widest int converted, so at most its
-# bit_length().bit_length() entries.
-_POW2: Dict[int, Decimal] = {}
-
-
-def _pow2(s: int) -> Decimal:
-    """``Decimal(2**s)`` for a power of two ``s >= _LEAF_BITS``, by squaring."""
-    p = _POW2.get(s)
-    if p is None:
-        if s == _LEAF_BITS:
-            p = Decimal(1 << s)
-        else:
-            half = _pow2(s >> 1)
-            p = half * half
-        _POW2[s] = p
-    return p
-
-
-def _times_pow2(d: Decimal, s: int) -> Decimal:
-    """``d * 2**s`` at exponent 0, for an integral ``d`` and a split width
-    ``s``; call inside ``_EXACT_CONTEXT``.
-
-    When ``Decimal(2**s)`` is past the schoolbook cut (s >= 16384) and ``d``
-    has from ``_PAD_MIN_DIGITS`` digits up to the cut, ``d`` is first
-    quantized to the negative exponent that gives its coefficient one digit
-    past the cut.  Only trailing zeros come in, so its value does not
-    change.  Quantizing the product back to exponent 0 drops them again,
-    under ``_DROP_ZEROS_CONTEXT``, where a nonzero digit would raise.
-    """
-    p = _pow2(s)
-    digits = d.adjusted() + 1
-    if _PAD_MIN_DIGITS <= digits <= _SCHOOLBOOK_MAX_DIGITS <= p.adjusted():
-        padded = d.quantize(Decimal((0, (1,), digits - _SCHOOLBOOK_MAX_DIGITS - 1)))
-        return (padded * p).quantize(_ONE, context=_DROP_ZEROS_CONTEXT)
-    return d * p
-
-
-def _to_decimal(m: int) -> Decimal:
-    """A non-negative int as an exact ``Decimal``; call inside ``_EXACT_CONTEXT``.
-
-    Radix conversion by divide and conquer (Brent & Zimmermann, *Modern
-    Computer Arithmetic*, 1.7): m = lo + hi * 2**s, s the largest power of two
-    below m's width.  Bit shifts split m in linear time, and the decimal
-    products are subquadratic, where str(int) and int division are quadratic
-    on CPython 3.11.  ``hi`` has at most s bits, so it is the shorter factor
-    of ``hi * 2**s``, and libmpdec multiplies it by schoolbook whenever it
-    has at most 4864 digits: a 4864 x 10000-digit product took 1.38 ms, a
-    4865 x 10000-digit one 0.35 ms.  An int a little wider than 2**15 or
-    2**16 bits meets that at its top split: a 13.6k-digit int multiplies a
-    3.7k-digit ``hi`` by the 9865-digit 2**32768.  :func:`_times_pow2` pads
-    a ``hi`` of 2000 to 4864 digits past the cut when 2**s is past it, with
-    trailing zeros that leave its value and the text as they were.  That
-    product ran 1.0 to 3.5 times as fast, and a whole conversion took 0.17 s
-    instead of 0.20 s at 533k digits, 12-13% less just above 2**18 and 2**20
-    bits.
-    """
-    w = m.bit_length()
-    if w <= _LEAF_BITS:
-        return Decimal(m)
-    s = 1 << ((w - 1).bit_length() - 1)
-    hi = m >> s
-    return _to_decimal(m - (hi << s)) + _times_pow2(_to_decimal(hi), s)
-
-
-def elem_str(x: RingElem) -> str:
-    """Decimal string for ints, descending-degree text for polynomials.
-
-    Equal to ``str(x)``.  An int too wide for CPython's default ``str(int)``
-    guard, or for a guard lowered below it, is converted through an exact
-    ``Decimal``, in time subquadratic in its digits, and needs no lifted guard.
-    """
-    if type(x) is not int:
-        return str(x)
-    if x.bit_length() <= _STR_MAX_BITS:
-        try:
-            return str(x)
-        except ValueError:  # a str(int) guard set below 4300 digits
-            pass
-    with decimal.localcontext(_EXACT_CONTEXT):
-        text = str(_to_decimal(abs(x)))
-    return "-" + text if x < 0 else text

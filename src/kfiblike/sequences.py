@@ -34,6 +34,7 @@ from collections import deque
 from itertools import islice
 from typing import Iterable, Iterator, List, Tuple
 
+from ._text import elem_str
 from .ring import (
     Frozen,
     KPoly,
@@ -73,7 +74,7 @@ def require_valid_k(k: RingElem) -> None:
     if type(k) is bool or not isinstance(k, int):
         raise TypeError(f"k must be an int or a KPoly, got {type(k).__name__}")
     if k < 1:
-        raise ValueError(f"numeric k must be >= 1, got {k}")
+        raise ValueError(f"numeric k must be >= 1, got {elem_str(k)}")
 
 
 def modified_k_fib(k: RingElem) -> Order2Rec:

@@ -3,7 +3,6 @@ import decimal
 import hashlib
 import inspect
 import json
-import math
 import os
 import re
 import subprocess
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 from interpreter import needs_str_guard, python_command, run_python, str_guard
 
-from kfiblike import cli
+from kfiblike import _text, cli
 from kfiblike.audit import AuditConfig, run_audit
 from kfiblike.genfunc import derived_gf, gf_expand, gf_str
 from kfiblike.ring import K, elem_str
@@ -420,16 +419,6 @@ def test_audit_byte_identical_runs(capsys):
     assert child.stdout == out.encode()
 
 
-def test_digit_count_at_powers_of_ten():
-    # len(str(10**d - 1)) is d and len(str(10**d)) is d + 1; a minus sign adds one
-    assert cli._digit_count(0) == len(str(0)) == 1
-    p = 1
-    for d in range(1, 5001):
-        p *= 10
-        assert cli._digit_count(p - 1) == cli._digit_count(1 - p) - 1 == d
-        assert cli._digit_count(p) == cli._digit_count(-p) - 1 == d + 1
-
-
 def test_bench_reports_mismatch_as_failure(capsys, monkeypatch):
     from kfiblike import cli as cli_mod
 
@@ -539,44 +528,6 @@ def test_k_past_the_str_guard_is_a_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("kind", list(TransformKind))
-def test_digits_estimate_tracks_the_length(kind):
-    # n*log10 r1 leaves out log10 of the leading coefficient, which is within
-    # about log10 k of zero for these families
-    for k in (1, 2, 3, 10, 1000, 10**20):
-        rec = transform_recurrence(kind, k)
-        for n in (1, 2, 3, 5, 10, 50, 100, 200, 400):
-            digits = len(elem_str(term_fast(rec, n)))
-            assert abs(cli._digits_estimate(rec, n) - digits) <= len(str(k)) + 1
-
-
-# _digits_estimate at n = 1, 1000, 10**6 for k = 1, 2, 10**50, 10**4000
-DIGITS_ESTIMATES = {
-    "binomial": [(0.4179752804999559, 417.97528049995594, 417975.28049995593),
-                 (0.5332906831698523, 533.2906831698523, 533290.6831698522),
-                 (50.0, 50000.0, 50000000.0), (4000.0, 4000000.0, 4000000000.0)],
-    "kbinomial": [(0.4179752804999559, 417.97528049995594, 417975.28049995593),
-                  (0.8343206788338335, 834.3206788338335, 834320.6788338335),
-                  (100.0, 100000.0, 100000000.0), (8000.0, 8000000.0, 8000000000.0)],
-    "rising": [(0.4179752804999559, 417.97528049995594, 417975.28049995593),
-               (0.7655513706757269, 765.5513706757268, 765551.3706757269),
-               (100.0, 100000.0, 100000000.0), (8000.0, 8000000.0, 8000000000.0)],
-    "falling": [(0.4179752804999559, 417.97528049995594, 417975.28049995593),
-                (0.6448533407686625, 644.8533407686625, 644853.3407686625),
-                (50.30102999566398, 50301.02999566398, 50301029.99566398),
-                (4000.3010299956636, 4000301.0299956636, 4000301029.9956636)],
-}
-
-
-@pytest.mark.parametrize("kind", list(TransformKind))
-def test_digits_estimate_pinned(kind):
-    for k, row in zip((1, 2, 10**50, 10**4000), DIGITS_ESTIMATES[kind.value]):
-        rec = transform_recurrence(kind, k)
-        got = tuple(cli._digits_estimate(rec, n) for n in (1, 1000, 10**6))
-        assert got == pytest.approx(row, rel=1e-12)
-        assert cli._digits_estimate(rec, 10**400) == math.inf
-
-
 def test_binet_exact_refuses_a_term_past_the_ceiling(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_EXACT_DIGITS_CEILING", 100)
     code, out, _ = run_cli(capsys, ["binet", "binomial", "--k", "2", "--n", "150", "--exact"])
@@ -591,9 +542,9 @@ def test_binet_exact_refuses_a_term_past_the_ceiling(capsys, monkeypatch):
 
 
 def test_rounding_in_a_stream_raises_before_printing(capsys, monkeypatch):
-    narrow = cli._EXACT_CONTEXT.copy()
+    narrow = _text._EXACT_CONTEXT.copy()
     narrow.prec = 50
-    monkeypatch.setattr(cli, "_EXACT_CONTEXT", narrow)
+    monkeypatch.setattr(_text, "_EXACT_CONTEXT", narrow)
     argv = ["gen", "modified", "--k", "10", "--count", "200"]
     # only the exact terms that fit in 50 digits reach stdout
     exact = [str(v) for v in terms(modified_k_fib(10), 200)]

@@ -88,11 +88,3 @@ def test_gf_count_prints_the_int_expansion(kind, k, count):
         expected = expected_text(series, "plain")
     # the Decimal GF expansion prints the Decimal recurrence stream byte for byte
     assert out.split("\n", 1)[1] == expected == run_cli(["transform", *argv])
-
-
-# below CPython's default 4300-digit limit on str(int)
-@given(x=st.integers() | st.integers(-10**4000, 10**4000))
-def test_digit_count_matches_str(x):
-    with str_guard(0):  # the reference's own str()
-        expected = len(str(x))
-    assert cli._digit_count(x) == expected

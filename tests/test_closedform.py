@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from interpreter import str_guard
 
 from kfiblike import audit
 from kfiblike.closedform import (
@@ -84,6 +85,16 @@ def test_binet_float_rejects_nonpositive_discriminant():
         rec = Order2Rec(a=a, b=b, x0=1, x1=1)
         with pytest.raises(ValueError, match=f"^discriminant must be positive, got {disc}$"):
             binet_float(rec, 3)
+
+
+def test_binet_float_errors_name_values_past_the_str_guard():
+    n = 10**5000
+    with str_guard(0):
+        shown_n, disc = str(n), str(-4 * n)  # a = 0 and b = -n: disc = 4b
+    with pytest.raises(OverflowError, match=f"^x\\({shown_n}\\) is beyond"):
+        binet_float(transform_recurrence(TransformKind.BINOMIAL, 2), n)
+    with pytest.raises(ValueError, match=f"^discriminant must be positive, got {disc}$"):
+        binet_float(Order2Rec(a=0, b=-n, x0=1, x1=1), 3)
 
 
 def test_binet_float_accepts_discriminant_one():

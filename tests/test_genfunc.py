@@ -19,7 +19,8 @@ from kfiblike.genfunc import (
     xpoly,
     xpoly_str,
 )
-from kfiblike.ring import _EXACT_CONTEXT, K, KPoly
+from kfiblike._text import _EXACT_CONTEXT
+from kfiblike.ring import K, KPoly
 from kfiblike.sequences import Order2Rec, k_fib, terms
 from kfiblike.transforms import KIND_ORDER, TransformKind, transform_recurrence
 

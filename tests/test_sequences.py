@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from interpreter import str_guard
 
 from kfiblike.ring import K, KPoly, ModeMismatchError, zero_like
 from kfiblike.sequences import (
@@ -60,6 +61,15 @@ def test_recurrence_resubstitution():
             seq = terms(rec, 64)
             for n in range(1, 63):
                 assert seq[n + 1] == rec.a * seq[n] + rec.b * seq[n - 1]
+
+
+def test_a_k_below_one_past_the_str_guard_is_named_in_its_error():
+    k = -(10**5000)
+    with str_guard(0):
+        digits = str(k)
+    with pytest.raises(ValueError, match="^numeric k must be >= 1, got -1") as exc:
+        modified_k_fib(k)
+    assert str(exc.value).endswith(digits)
 
 
 def test_order2rec_rejects_mixed_modes():
