@@ -176,6 +176,42 @@ values agree across all strategies that ran
         "427becf6914af787344616c04349841a10acadd154f7e29b212b8afefbc5e2c0", 312436), ""),
 }
 
+# the audit's report at each of test_audit_table.REPORT_RANGES, as flags, and at
+# --n-max 256: flags: (text, jsonl).  The jsonl carries no config, so every n_max
+# over the default k range gives the default records
+_JSONL_DEFAULT = ("219d6364043e76c085229749f3ee158f6a0786b3ba6e36ca2b1f8ed27f8911d3", 6622)
+_AUDIT_BYTES = {
+    "": (("58f5df7d6d298c30d995f6dc785883a553abff9612540f0badd69298b404e7eb", 5180),
+         _JSONL_DEFAULT),
+    "--n-max 2": (("1ad261f867b85fa39f6e2767db2247474aca6a942efe29b871454137f4547dd0", 5178),
+                  _JSONL_DEFAULT),
+    "--n-max 5": (("ae52f67f4a0cbce4ed075991f156b06a338efa3d7f9ad1a17706bdd12fbea585", 5178),
+                  _JSONL_DEFAULT),
+    "--n-max 128": (("f181d49122d079b92cb6954ef12deab41f0cf4c82b548dd6d9c9d101d32c2073", 5181),
+                    _JSONL_DEFAULT),
+    "--k-min 6 --k-max 10": (
+        ("f5feeb940a849fd883bab542e01162343566c49f96d88f16abef5b89a6a4f44c", 5305),
+        ("65123dac2815ec4b1af787b7c0bd1095c3d2dadd7547bb7d9a08a5ee1fbd7870", 6633)),
+    "--no-symbolic": (("279aee727c6430c04d5879abaf145d1bc5f2acdba2ffd01cff80729363f3d92e", 5171),
+                      _JSONL_DEFAULT),
+    "--k-min 3 --k-max 3 --n-max 2": (
+        ("6d5e9b8f6399c19b5570ca3c0272541790a2fe07ffd1df52e5806c6f0a04ff3c", 5179),
+        ("9603d5697e8484a47cc1c9fefcb3f1de9f6c4565b8620b6949196253004cdb03", 6624)),
+    "--k-min 2 --k-max 4 --n-max 20": (
+        ("fbe61c0b819632a24fb9622d5261671d3163f4b065edcd5408c6803c80d0c0e6", 5179),
+        ("fecaa20c75df6b1535184d727a7955155c7376974b8adc406d98178dbc4a568e", 6622)),
+    "--k-min 1 --k-max 1 --n-max 3": (
+        ("063f398699cbd005a2f7d6d424e545efe296c84138ea410ca1a535015779a19a", 5214),
+        ("c89483e037ae8cd310cf58cab2791c9ac6c7689ced79d833a230c6b64e9ba71d", 6657)),
+    "--n-max 256": (("c9a13c033f6ef29d88330f6daa979d21f766013e89ba1584746c98575d789b27", 5181),
+                    _JSONL_DEFAULT),
+}
+OUTPUTS.update({
+    f"audit_{fmt}-{flags.replace('--', '').replace(' ', '-') or 'default'}":
+        (f"audit {flags} {extra}", 0, out, "")
+    for flags, pins in _AUDIT_BYTES.items()
+    for fmt, extra, out in zip(("text", "jsonl"), ("", "--format jsonl"), pins)})
+
 
 def _without_timings(out):
     # the seconds column is the only one that differs between runs; a skipped row has none
@@ -183,8 +219,11 @@ def _without_timings(out):
 
 
 @pytest.mark.parametrize("name", OUTPUTS)
-def test_outputs_are_pinned_whole(capsys, name):
+def test_outputs_are_pinned_whole(capsys, monkeypatch, name):
     argv, code, out, err = OUTPUTS[name]
+    # the audit text's width and color come from the environment
+    monkeypatch.delenv("KFIBLIKE_WIDTH", raising=False)
+    monkeypatch.delenv("KFIBLIKE_COLOR", raising=False)
     got_code, got_out, got_err = run_cli(capsys, argv.split())
     if isinstance(out, tuple):
         got_out = (hashlib.sha256(got_out.encode()).hexdigest(), len(got_out))
