@@ -42,8 +42,8 @@ claim reads it:
   symbolic k; C05, C06, C09 and C10 read it too;
 * the transform recurrences, and the prefixes of those and of F, n <= n_max;
 * U(0) .. U(n_max) of each transform recurrence's Lucas sequence U(a, -b),
-  from :func:`~kfiblike.sequences.lucas_sweep`, one shared step per two
-  values from the pair at half their index: every Binet claim reads it.
+  grown in place by :func:`~kfiblike.sequences._grow_lucas`, one step per
+  two values from the two at half their index: every Binet claim reads it.
 
 At symbolic k, sym_n takes the place of n_max.  Each list is read from its
 stream in one go, and the stream is dropped then, so no generator stays open
@@ -87,14 +87,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ._text import elem_str
 from .closedform import _exact_coefficients, _printed_coefficients, binet_float
 from .genfunc import gf_expand, published_gf
-from .ring import K, KPoly, RingElem, times_k_power, zero_like
+from .ring import K, KPoly, RingElem, one_like, times_k_power, zero_like
 from .sequences import (
     Order2Rec,
+    _grow_lucas,
     _halved_alternating_sums,
     _m_from_f_terms,
     iter_terms,
     k_fib,
-    lucas_sweep,
     modified_k_fib,
     terms,
 )
@@ -118,11 +118,11 @@ FLOAT_N_CAP = 40
 # k = 1..45000 16.5 s (and 334 MB), n_max = 108 at k = 10^800 9.0 s.
 # Two terms are upper bounds now, kept so that the admitted and refused ranges
 # stay the same: the 150 was fitted while each Binet value took log2 n Lucas
-# doubling steps of its own claim (now one step per (kind, k) and two n, in one
-# U list that all Binet claims read), and n_max^2 * W / 10^6 while C05/C06 took
-# each C(n, i) by a big-int division (now one addition in a Pascal row built
-# once per n, not per k).  The default range (1.5e5) takes about 30-50 ms in
-# process.
+# doubling steps of its own claim (now three full products and two by P or Q
+# per two values of one U list per (kind, k) that all Binet claims read), and
+# n_max^2 * W / 10^6 while C05/C06 took each C(n, i) by a big-int division (now
+# one addition in a Pascal row built once per n, not per k).  The default range
+# (1.5e5) takes about 30-50 ms in process.
 AUDIT_WORK_CEILING = 6 * 10**7
 _KARATSUBA = Decimal("1.585")  # log2(3)
 _WORK_CONTEXT = Context(prec=8, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -227,8 +227,8 @@ def _count(cfg: AuditConfig, k: RingElem) -> int:
 
 def _lucas_list(rec: Order2Rec, count: int) -> List[RingElem]:
     """U(0) .. U(count - 1) of U(a, -b), the Lucas sequence of ``rec``'s Binet
-    forms."""
-    return [u for u, _ in islice(lucas_sweep(rec.a, -rec.b), count)]
+    forms, grown from its seeds past the mode check ``rec`` had when built."""
+    return _grow_lucas(rec.a, -rec.b, [zero_like(rec.a), one_like(rec.a), rec.a], count)[:count]
 
 
 def _pascal_rows() -> Callable[[int], List[int]]:

@@ -21,8 +21,8 @@ them:
   and stay checks of each other.  They take an ``Order2Rec``, whose carrier
   is checked when it is built, so they call :func:`_lucas_form`, the form
   past its mode check;
-* :func:`lucas_sweep` yields every pair (U(m), U(m+1)) in turn, for the
-  audit's lists of U, two pairs per :func:`_children` step.
+* :func:`_grow_lucas` appends U(2j+1) and U(2j+2) to a list U(0) .. U(2j),
+  from its U(j) and U(j+1): the audit's lists of U and :func:`lucas_sweep`.
 
 Neither uses the plain U recurrence, and neither is used implicitly, so
 cross-checks against iteration stay meaningful.
@@ -30,8 +30,7 @@ cross-checks against iteration stay meaningful.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, List, Tuple
 
 from ._text import elem_str
@@ -197,32 +196,31 @@ def lucas_sweep(P: RingElem, Q: RingElem) -> Iterator[Tuple[RingElem, RingElem]]
     """(U(m), U(m+1)) for m = 0, 1, 2, ... of the Lucas sequence U(0) = 0,
     U(1) = 1, U(m+1) = P*U(m) - Q*U(m-1).
 
-    The pair at j is the parent of those at 2j and 2j + 1, and from m = 2
-    on one :func:`_children` step makes both, so a sweep of m pairs costs
-    ceil((m - 2) / 2) steps, not log2 m steps per pair.  A pair is kept
-    until its children are made, about m/2 pairs at m.  Nothing is built
+    The pairs are read from one list of U, which :func:`_grow_lucas` extends
+    by one step of two values when the next pair needs one: ceil((m - 2) / 2)
+    steps for m pairs, and U(0) .. U(m + 2) held at m.  Nothing is built
     before the first read, which checks the mode.
     """
     require_same_mode(P, Q)
-    one = one_like(P)
-    yield zero_like(P), one
-    yield one, P
-    parents = deque([(one, P)])
-    while True:
-        even, odd = _children(P, Q, *parents.popleft())
-        parents += even, odd
-        yield even
-        yield odd
+    us = [zero_like(P), one_like(P), P]
+    for m in count():
+        _grow_lucas(P, Q, us, m + 2)
+        yield us[m], us[m + 1]
 
 
-def _children(P: RingElem, Q: RingElem, u: RingElem,
-              v: RingElem) -> Tuple[Tuple[RingElem, RingElem], Tuple[RingElem, RingElem]]:
-    """The pairs at 2j and 2j + 1 from (u, v) = (U(j), U(j+1)) by the
-    identities of :func:`_doubling`, sharing U(2j+1): four full products
-    where two doubling steps take six."""
-    odd = v * v - Q * (u * u)
-    qu = Q * u
-    return (u * (v + v - P * u), odd), (odd, v * (P * v - qu - qu))
+def _grow_lucas(P: RingElem, Q: RingElem, us: List[RingElem],
+                count: int) -> List[RingElem]:
+    """Extend ``us`` = U(0) .. U(2j), j >= 1, in place to at least ``count``
+    values, and return it: each step appends U(2j+1) and U(2j+2) by the
+    identities of :func:`_doubling` from U(j) and U(j+1) in the list, so each
+    value is made once, by three full products and two by P or Q per two."""
+    j = len(us) >> 1
+    while len(us) < count:
+        u, v = us[j], us[j + 1]
+        qu = Q * u
+        us += v * v - qu * u, v * (P * v - qu - qu)
+        j += 1
+    return us
 
 
 def _doubling(P: RingElem, Q: RingElem, u: RingElem, v: RingElem,

@@ -3,9 +3,9 @@
 ``term_fast``, ``binet_closed`` and the audit's lists of U all read the
 same three doubling identities: ``lucas_form`` (behind ``term_fast`` and the
 Binet forms) runs ``sequences._doubling`` over the bits of n >> 1 with a
-fused last step, ``lucas_sweep`` one ``sequences._children`` step per pair
-at j, which makes the pairs at 2j and 2j + 1.  So agreeing with each other
-proves little.  Every check here compares them with ``terms``
+fused last step, and ``sequences._grow_lucas`` (behind ``lucas_sweep`` and
+the audit's lists) appends U(2j+1) and U(2j+2) to a list that holds U(j)
+and U(j+1).  So agreeing with each other proves little.  Every check here compares them with ``terms``
 (the ground-truth iteration) or with the U-sequence loop written out below,
 at the bit patterns the doubling loop branches on: around each power of
 two, where the loop gains a step.
@@ -136,34 +136,78 @@ def test_lucas_sweep_rejects_mixed_modes_at_the_first_read():
             next(sweep)
 
 
-def test_a_sweep_takes_one_sibling_step_per_parent(calls):
-    """A sweep of count pairs makes both children of each parent in one
-    step, ceil((count - 2) / 2) steps in all, and takes no doubling step."""
-    doubling = calls(sequences, "_doubling")
-    siblings = calls(sequences, "_children")
-    for count in (0, 1, 2, 3, 4, 5, 64, 65, 300):
-        siblings.clear()
-        pairs = list(islice(lucas_sweep(3, -1), count))
-        assert len(siblings) == max(-(-(count - 2) // 2), 0), count
-        # each parent is read once, in index order from j = 1
-        assert [(u, v) for P, Q, u, v in siblings] == pairs[1:len(siblings) + 1], count
-    assert doubling == []
-    # a single n pays one step per bit of n >> 1 after the leading one, and
-    # the fused last step outside the loop
-    lucas_form(3, -1, 1, 0, 300)
-    assert [len(bits) for *_, bits in doubling] == [7]
+LUCAS_PAIRS = [(3, -1), (-2, 7), (0, 0), (KPoly((1, 2)), KPoly((0, -3)))]
 
 
-@pytest.mark.parametrize("P, Q", [(3, -1), (-2, 7), (0, 0), (KPoly((1, 2)), KPoly((0, -3)))])
-def test_the_sibling_step_is_two_doubling_steps(P, Q):
-    """Both children are the pairs one doubling step makes from the parent,
-    with a 0 bit and with a 1 bit."""
-    pair = (one_like(P), P)
-    for _ in range(6):
-        even, odd = sequences._children(P, Q, *pair)
-        assert even == sequences._doubling(P, Q, *pair, "0")
-        assert odd == sequences._doubling(P, Q, *pair, "1")
-        pair = odd
+def _rec_of(P, Q):
+    """The record whose Binet forms run over U(P, Q)."""
+    return sequences.Order2Rec(P, -Q, zero_like(P), one_like(P))
+
+
+@pytest.mark.parametrize("P, Q", LUCAS_PAIRS)
+def test_each_step_appends_the_pair_of_a_doubling_step(P, Q):
+    """The two values a step appends to U(0) .. U(2j) are the pair one
+    doubling step with a 1 bit makes from (U(j), U(j+1)), at every j."""
+    us = [zero_like(P), one_like(P), P]
+    for j in range(1, 36):
+        assert len(us) == 2 * j + 1
+        sequences._grow_lucas(P, Q, us, len(us) + 1)
+        assert tuple(us[-2:]) == sequences._doubling(P, Q, us[j], us[j + 1], "1"), j
+
+
+@pytest.mark.parametrize("P, Q", LUCAS_PAIRS)
+def test_the_sweep_and_the_audit_list_are_the_u_loop_at_every_count(P, Q):
+    """Through the seeds and at odd and even lengths."""
+    us = u_loop(P, Q, 72)
+    rec = _rec_of(P, Q)
+    for count in range(71):
+        assert list(islice(lucas_sweep(P, Q), count)) == list(zip(us, us[1:]))[:count], count
+        assert audit._lucas_list(rec, count) == us[:count], count
+
+
+def test_each_u_value_is_made_once(calls):
+    """A list of count values takes ceil((count - 3) / 2) steps, none below
+    4, of five products each; a sweep read to m holds U(0) .. U(m + 2)."""
+    P, Q = KPoly((1, 2)), KPoly((0, -3))
+    products = calls(KPoly, "__mul__")
+    grown = calls(sequences, "_grow_lucas")
+    for count in range(71):
+        products.clear()
+        audit._lucas_list(_rec_of(P, Q), count)
+        assert len(products) == 5 * max(-(-(count - 3) // 2), 0), count
+        products.clear()
+        grown.clear()
+        for m, _ in enumerate(islice(lucas_sweep(P, Q), count)):
+            us = grown[-1][2]
+            assert len(us) <= m + 3, (count, m)
+        # pairs 0 .. count - 1 read U(0) .. U(count)
+        assert len(products) == 5 * max(-(-(count - 2) // 2), 0), count
+
+
+def test_the_audit_reads_its_binet_values_from_its_lists(monkeypatch, calls):
+    """Every Binet claim of the audit reads one U list: no point starts a
+    fresh O(log n) pass through the single-n lucas_form or its kernel, and
+    no list takes a doubling step."""
+    def forbidden(*args):
+        raise AssertionError("the audit called a single-n Lucas pass")
+
+    for module, name in ((sequences, "lucas_form"), (sequences, "_lucas_form"),
+                         (closedform, "_lucas_form"), (sequences, "_doubling")):
+        monkeypatch.setattr(module, name, forbidden)
+    grown = calls(audit, "_grow_lucas")
+    report = run_audit(k_min=1, k_max=5, n_max=12)
+    assert report.counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
+    # U(0) .. U(12) of four kinds at k = 1..5 and K
+    assert [count for *_, count in grown] == [13] * 24
+
+
+def test_a_default_run_builds_one_u_list_per_kind_and_k(calls):
+    """C08, C11-C14, C19-C22 and C26 share one U list per (kind, k): four
+    kinds at k = 1..10, and four at symbolic k."""
+    grown = calls(audit, "_grow_lucas")
+    assert run_audit().counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
+    assert Counter("symbolic" if isinstance(P, KPoly) else "numeric"
+                   for P, *_ in grown) == {"numeric": 40, "symbolic": 4}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -176,33 +220,6 @@ def test_symbolic_single_values_run_the_doubling_loop_on_ints(calls, family):
     doubling = calls(sequences, "_doubling")
     assert term_fast(rec, 100) == binet_closed(rec, 100) == expected
     assert [type(P) for P, *_ in doubling] == [int] * 4
-
-
-def test_the_audit_reads_its_binet_values_from_the_sweeps(monkeypatch, calls):
-    """Every Binet claim of the audit walks a sweep: no point starts a fresh
-    O(log n) pass through the single-n lucas_form or its kernel."""
-    def forbidden(*args):
-        raise AssertionError("the audit called a single-n Lucas pass")
-
-    for module, name in ((sequences, "lucas_form"), (sequences, "_lucas_form"),
-                         (closedform, "_lucas_form")):
-        monkeypatch.setattr(module, name, forbidden)
-    doubling = calls(sequences, "_doubling")
-    siblings = calls(sequences, "_children")
-    report = run_audit(k_min=1, k_max=5, n_max=12)
-    assert report.counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
-    # U(0) .. U(12) of four kinds at k = 1..5 and K: ceil(11 / 2) steps each
-    assert doubling == []
-    assert len(siblings) == 4 * 6 * 6
-
-
-def test_a_default_run_sweeps_each_kind_and_k_once(calls):
-    """C11-C14, C19-C22 and C26 share one U list per (kind, k): four kinds at
-    k = 1..10, and four at symbolic k."""
-    sweeps = calls(audit, "lucas_sweep")
-    assert run_audit().counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
-    assert Counter("symbolic" if isinstance(P, KPoly) else "numeric"
-                   for P, Q in sweeps) == {"numeric": 40, "symbolic": 4}
 
 
 @settings(max_examples=150, deadline=None)
