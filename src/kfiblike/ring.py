@@ -444,9 +444,12 @@ def kronecker_eval(fn: Callable, args: Tuple[KPoly, ...], bound: int):
 
 
 def ipow(x: RingElem, e: int) -> RingElem:
-    """x**e for a non-negative integer exponent, either mode; a KPoly power
-    is one :func:`kronecker_eval` at the bound ||x||**e, since the l1 norm is
+    """x**e for an int exponent e >= 0 (a bool is no int here, as in
+    :meth:`KPoly.shift`), either mode; a KPoly power is one
+    :func:`kronecker_eval` at the bound ||x||**e, since the l1 norm is
     submultiplicative."""
+    if type(e) is not int:
+        raise TypeError(f"exponent must be int, got {type(e).__name__}")
     if e < 0:
         raise ValueError("exponent must be >= 0")
     if isinstance(x, int):
@@ -455,10 +458,9 @@ def ipow(x: RingElem, e: int) -> RingElem:
 
 
 def times_k_power(x: RingElem, k: RingElem, m: int) -> RingElem:
-    """x * k**m for m >= 0, either mode; at ``K`` itself a :meth:`KPoly.shift`."""
-    if not isinstance(k, KPoly):
-        return x * k**m
-    return x.shift(m) if k == K else x * ipow(k, m)
+    """x * k**m for m >= 0, either mode; at ``K`` itself a :meth:`KPoly.shift`.
+    Either refuses a bad m before any arithmetic."""
+    return x.shift(m) if isinstance(k, KPoly) and k == K else x * ipow(k, m)
 
 
 def exact_div_int(x: RingElem, d: int) -> RingElem:

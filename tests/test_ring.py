@@ -498,6 +498,19 @@ def test_times_k_power_in_each_mode():
     assert [ring.times_k_power(5, 3, m) for m in range(4)] == [5, 15, 45, 135]
 
 
+@pytest.mark.parametrize("e, error", [(-1, ValueError), (1.5, TypeError), (2.0, TypeError),
+                                      (True, TypeError), (None, TypeError)])
+def test_a_bad_exponent_is_refused_in_each_mode_before_any_arithmetic(calls, e, error):
+    evals = calls(ring, "kronecker_eval")
+    p = KPoly((1, 2))
+    for power in (lambda: ring.ipow(2, e), lambda: ring.ipow(p, e),
+                  lambda: ring.times_k_power(6, 2, e), lambda: ring.times_k_power(p, K, e),
+                  lambda: ring.times_k_power(p, KPoly((1, 1)), e)):
+        with pytest.raises(error, match="(exponent|shift) must be"):
+            power()
+    assert evals == []
+
+
 def test_monomial_times_dense_in_both_orders():
     dense = _dense(30, start=2**64)
     for i in (0, 1, 7, 40):
