@@ -459,7 +459,7 @@ def ipow(x: RingElem, e: int) -> RingElem:
 
 def times_k_power(x: RingElem, k: RingElem, m: int) -> RingElem:
     """x * k**m for m >= 0, either mode; at ``K`` itself a :meth:`KPoly.shift`.
-    Either refuses a bad m before any arithmetic."""
+    Both modes refuse a bad m, as :func:`ipow` does, before any arithmetic."""
     return x.shift(m) if isinstance(k, KPoly) and k == K else x * ipow(k, m)
 
 

@@ -5,10 +5,10 @@ same three doubling identities: ``lucas_form`` (behind ``term_fast`` and the
 Binet forms) runs ``sequences._doubling`` over the bits of n >> 1 with a
 fused last step, and ``sequences._grow_lucas`` (behind ``lucas_sweep`` and
 the audit's lists) appends U(2j+1) and U(2j+2) to a list that holds U(j)
-and U(j+1).  So agreeing with each other proves little.  Every check here compares them with ``terms``
-(the ground-truth iteration) or with the U-sequence loop written out below,
-at the bit patterns the doubling loop branches on: around each power of
-two, where the loop gains a step.
+and U(j+1).  So agreeing with each other proves little.  Every check here
+compares them with ``terms`` (the ground-truth iteration) or with the
+U-sequence loop written out below, at the bit patterns the doubling loop
+branches on: around each power of two, where the loop gains a step.
 """
 
 from collections import Counter
