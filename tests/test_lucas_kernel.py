@@ -184,6 +184,14 @@ def test_each_u_value_is_made_once(calls):
         assert len(products) == 5 * max(-(-(count - 2) // 2), 0), count
 
 
+def test_a_single_n_takes_one_doubling_step_per_bit_of_its_half(calls):
+    """One step per bit of n >> 1 after the leading one, and the fused last
+    step outside the loop."""
+    doubling = calls(sequences, "_doubling")
+    lucas_form(3, -1, 1, 0, 300)
+    assert [len(bits) for *_, bits in doubling] == [7]
+
+
 def test_the_audit_reads_its_binet_values_from_its_lists(monkeypatch, calls):
     """Every Binet claim of the audit reads one U list: no point starts a
     fresh O(log n) pass through the single-n lucas_form or its kernel, and
