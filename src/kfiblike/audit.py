@@ -42,8 +42,8 @@ claim reads it:
   symbolic k; C05, C06, C09 and C10 read it too;
 * the transform recurrences, and the prefixes of those and of F, n <= n_max;
 * U(0) .. U(n_max) of each transform recurrence's Lucas sequence U(a, -b),
-  grown in place by :func:`~kfiblike.sequences._grow_lucas`, one step per
-  two values from the two at half their index: every Binet claim reads it.
+  built by :func:`~kfiblike.sequences._lucas_prefix`, one step per two
+  values from the two at half their index: every Binet claim reads it.
 
 At symbolic k, sym_n takes the place of n_max.  Each list is read from its
 stream in one go, and the stream is dropped then, so no generator stays open
@@ -87,11 +87,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ._text import elem_str
 from .closedform import _exact_coefficients, _printed_coefficients, binet_float
 from .genfunc import gf_expand, published_gf
-from .ring import K, KPoly, RingElem, one_like, times_k_power, zero_like
+from .ring import K, KPoly, RingElem, times_k_power, zero_like
 from .sequences import (
     Order2Rec,
-    _grow_lucas,
     _halved_alternating_sums,
+    _lucas_prefix,
     _m_from_f_terms,
     iter_terms,
     k_fib,
@@ -227,8 +227,8 @@ def _count(cfg: AuditConfig, k: RingElem) -> int:
 
 def _lucas_list(rec: Order2Rec, count: int) -> List[RingElem]:
     """U(0) .. U(count - 1) of U(a, -b), the Lucas sequence of ``rec``'s Binet
-    forms, grown from its seeds past the mode check ``rec`` had when built."""
-    return _grow_lucas(rec.a, -rec.b, [zero_like(rec.a), one_like(rec.a), rec.a], count)[:count]
+    forms, made past the mode check ``rec`` had when built."""
+    return _lucas_prefix(rec.a, -rec.b, count)
 
 
 def _pascal_rows() -> Callable[[int], List[int]]:
@@ -459,26 +459,25 @@ def _sweep(row: _Row, n_start: int = 0) -> Callable[[_Run], List[Counterexample]
     from the run, so each point costs only its own comparison.  A row is read
     at n = n_start, n_start + 1, ... in that order, once each, and all k at
     one n before the next n, so the difference lemmas read one Pascal row
-    per n from the run, made from the row before.  The numeric sweep runs
-    first, the symbolic leg afterwards (capped for polynomial-degree
-    growth).
+    per n from the run, made from the row before.  One point loop runs the
+    numeric leg first, then the symbolic leg at K to sym_n (capped for
+    polynomial-degree growth), each leg's rows built when it starts.
     """
     def checker(run: _Run) -> List[Counterexample]:
         cfg = run.cfg
-        pairs = [(k, row(run, k)) for k in cfg.ks]
-        for n in range(n_start, cfg.n_max + 1):
-            for k, pair in pairs:
-                expected, got = pair(n)
-                if expected != got:
-                    return [Counterexample(k=k, n=n,
-                                           expected=elem_str(expected), got=elem_str(got))]
+        legs: List[Tuple[Iterable[RingElem], int]] = [(cfg.ks, cfg.n_max)]
         if cfg.symbolic:
-            pair = row(run, K)
-            for n in range(n_start, cfg.sym_n + 1):
-                expected, got = pair(n)
-                if expected != got:
-                    return [Counterexample(k="k", n=n, expected=elem_str(expected),
-                                           got=elem_str(got), label="symbolic")]
+            legs.append(((K,), cfg.sym_n))
+        for ks, n_max in legs:
+            pairs = [(k, row(run, k)) for k in ks]
+            for n in range(n_start, n_max + 1):
+                for k, pair in pairs:
+                    expected, got = pair(n)
+                    if expected != got:
+                        symbolic = isinstance(k, KPoly)
+                        return [Counterexample(k="k" if symbolic else k, n=n,
+                                               expected=elem_str(expected), got=elem_str(got),
+                                               label="symbolic" if symbolic else "")]
         return []
 
     return checker

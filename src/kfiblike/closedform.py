@@ -25,7 +25,7 @@ pass, and at ``KPoly`` one Kronecker read-back.  Their carrier is checked
 once, where their ``Order2Rec`` is built, so they call the form's kernel
 ``sequences._lucas_form`` past its mode check.  The audit reads the same
 pairs at ascending n over its own list of U, made once per (kind, k) by
-``sequences._grow_lucas``: each step appends U(2j+1) and U(2j+2) from U(j)
+``sequences._lucas_prefix``: each step appends U(2j+1) and U(2j+2) from U(j)
 and U(j+1) in the list, not a pass per value.
 """
 

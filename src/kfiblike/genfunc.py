@@ -114,13 +114,12 @@ def iter_gf(gf: RationalGF) -> Iterator[RingElem]:
     ``Decimal`` copy would otherwise print.  Only the last deg(den)
     coefficients are kept, so however far a stream runs it holds that many
     values.  The carrier is checked once: at ``KPoly`` the row plan of the
-    tail is made once per stream (``KPoly._dot_step``), and past the
-    numerator each coefficient is one fused
-    :meth:`~kfiblike.ring.KPoly.dot` of the tail with the recent
-    coefficients, with no type check: one zero-padded row per nonzero
-    coefficient of the tail, chained lazily into one tuple.  While fewer
-    coefficients than the tail's entries are known, it pairs them like
-    ``zip``.
+    tail is made once per stream, and past the numerator each coefficient
+    is one fused step of :meth:`~kfiblike.ring.KPoly._dot_step`, the sum of
+    the products of the tail with the recent coefficients, with no type
+    check: one zero-padded row per nonzero coefficient of the tail, chained
+    lazily into one tuple.  While fewer coefficients than the tail's entries
+    are known, it pairs them like ``zip``.
     """
     zero = zero_like(gf.den.coeffs[0])
     tail = [-d for d in gf.den.coeffs[1:]]  # -den(1), -den(2), ...

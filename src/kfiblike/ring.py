@@ -18,7 +18,7 @@ their one slot filled through its descriptor.  One kernel serves long
 products and sums of products: each nonzero coefficient of a multiplier
 contributes the other factor as one zero-padded row, the rows chain lazily
 through ``map``, and the result is the one tuple read off the chain, so a
-recurrence step a*x(n) + b*x(n-1) (:meth:`KPoly.dot`) builds one
+recurrence step a*x(n) + b*x(n-1) (:meth:`KPoly._dot_step`) builds one
 polynomial, not three.  A prefix stream, which multiplies by the same
 polynomials at every term, makes their row plan once.
 Two shortcuts have their one home here.  :func:`kronecker_eval` computes a
@@ -107,7 +107,7 @@ class KPoly(Frozen):
 
     Ring results skip the public constructor's per-coefficient type check
     and are only trimmed.  One kernel, ``_row_sum``, serves ``*`` and
-    :meth:`dot`, a sum of products.  A multiplier's row plan holds the
+    :meth:`_dot_step`, a sum of products.  A multiplier's row plan holds the
     degree i and value c of each of its nonzero coefficients.  Each (i, c)
     contributes the other factor b as one zero-padded row,
     ``(0,)*i + b + (0,)*pad``, as long as the result, and the rows chain
@@ -118,9 +118,9 @@ class KPoly(Frozen):
     when its top coefficient cancels.  ``*`` walks the plan of one factor
     over the rows of the longer (the right one, at equal lengths), so
     ``k**i * x``, for an ``x`` at least as long, is one padded copy of
-    ``x``; ``dot((k + 2, -k), (x, y))`` chains three rows into one tuple.
-    :meth:`_dot_step` makes the plan of fixed multipliers once, for the
-    prefix streams, which multiply by the same polynomials at every term.
+    ``x``; ``_dot_step((k + 2, -k))((x, y))`` chains three rows into one
+    tuple.  It makes the plan of fixed multipliers once, for the prefix
+    streams, which multiply by the same polynomials at every term.
     A product whose longer row is shorter than ``_ROW_PASS_MIN_LEN`` is
     multiplied in a Python loop instead.  There is no per-product Kronecker
     path, only :func:`kronecker_eval`'s per value.
@@ -237,23 +237,11 @@ class KPoly(Frozen):
         return p
 
     @staticmethod
-    def dot(xs: Iterable["KPoly"], ys: Iterable["KPoly"]) -> "KPoly":
-        """The sum of x * y over the pairs ``zip(xs, ys)`` makes, zero when
-        there are none: :meth:`_dot_step` of the xs applied once to the ys,
-        so no product is built as a polynomial of its own."""
-        pairs = list(zip(xs, ys))
-        for x, y in pairs:
-            if not isinstance(x, KPoly) or not isinstance(y, KPoly):
-                raise TypeError("KPoly.dot takes KPoly operands only")
-        return KPoly._dot_step([x for x, _ in pairs])([y for _, y in pairs])
-
-    @staticmethod
     def _dot_step(multipliers: Iterable["KPoly"]) -> Callable[[Iterable["KPoly"]], "KPoly"]:
-        """The step ``ys -> KPoly.dot(multipliers, ys)`` over KPoly ``ys``,
-        unchecked, with the multipliers' row plan made once: a stream that
-        multiplies by the same polynomials at every term calls it per term.
-        It pairs like ``zip``, so fewer ys than multipliers, or none, is a
-        shorter sum."""
+        """The step from KPoly ``ys`` to the sum of m * y over ``zip(multipliers,
+        ys)``, zero when it is empty, unchecked; no product is built on its own.
+        The multipliers' row plan is made once: a stream that multiplies by the
+        same polynomials at every term calls the step per term."""
         plan = tuple([_row_plan(m.coeffs) for m in multipliers])
 
         def step(ys: Iterable["KPoly"]) -> "KPoly":
@@ -398,15 +386,16 @@ K = KPoly((0, 1))
 RingElem = Union[int, KPoly]
 
 
+_MIXED_MODES = "cannot mix numeric (int) and symbolic (KPoly) values in one computation"
+
+
 def require_same_mode(*elems: RingElem) -> None:
     """Reject mixed numeric/symbolic operands before any arithmetic runs."""
     rest = iter(elems)
     symbolic = isinstance(next(rest, None), KPoly)
     for e in rest:
         if isinstance(e, KPoly) is not symbolic:
-            raise ModeMismatchError(
-                "cannot mix numeric (int) and symbolic (KPoly) values in one computation"
-            )
+            raise ModeMismatchError(_MIXED_MODES)
 
 
 def scale(x: RingElem, c: int) -> RingElem:
@@ -459,8 +448,14 @@ def ipow(x: RingElem, e: int) -> RingElem:
 
 def times_k_power(x: RingElem, k: RingElem, m: int) -> RingElem:
     """x * k**m for m >= 0, either mode; at ``K`` itself a :meth:`KPoly.shift`.
-    Both modes refuse a bad m, as :func:`ipow` does, before any arithmetic."""
-    return x.shift(m) if isinstance(k, KPoly) and k == K else x * ipow(k, m)
+    Both modes refuse an x of the other mode than k (``ModeMismatchError``)
+    and a bad m, as :func:`ipow` does, before any arithmetic."""
+    if isinstance(k, KPoly):
+        if isinstance(x, KPoly):
+            return x.shift(m) if k == K else x * ipow(k, m)
+    elif not isinstance(x, KPoly):
+        return x * ipow(k, m)
+    raise ModeMismatchError(_MIXED_MODES)
 
 
 def exact_div_int(x: RingElem, d: int) -> RingElem:

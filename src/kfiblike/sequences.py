@@ -8,8 +8,8 @@ the four transform recurrences reuse the same machinery.
 
 ``terms``/``iter_terms`` are the deliberately simple ground truth.  The
 logarithmic path is Lucas doubling, three identities that make the pair
-(U(m), U(m+1)) from the pair at m >> 1 in one step.  Two entry points read
-them:
+(U(m), U(m+1)) from the pair at m >> 1 in one step.  Two shapes read them,
+one value and one prefix list:
 
 * :func:`lucas_form` gives c1*U(n+1) + c2*U(n) for one n: O(log n) steps,
   the last one fused with the combination, so the pair is never built, and
@@ -21,8 +21,8 @@ them:
   and stay checks of each other.  They take an ``Order2Rec``, whose carrier
   is checked when it is built, so they call :func:`_lucas_form`, the form
   past its mode check;
-* :func:`_grow_lucas` appends U(2j+1) and U(2j+2) to a list U(0) .. U(2j),
-  from its U(j) and U(j+1): the audit's lists of U and :func:`lucas_sweep`.
+* :func:`_lucas_prefix` builds the audit's lists U(0) .. U(count - 1), each
+  step appending U(2j+1) and U(2j+2) from the U(j) and U(j+1) in the list.
 
 Neither uses the plain U recurrence, and neither is used implicitly, so
 cross-checks against iteration stay meaningful.
@@ -30,7 +30,7 @@ cross-checks against iteration stay meaningful.
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import islice
 from typing import Iterable, Iterator, List, Tuple
 
 from ._text import elem_str
@@ -93,10 +93,10 @@ def iter_terms(rec: Order2Rec) -> Iterator[RingElem]:
     """Yield x0, x1, x2, ... forever with O(1) memory.
 
     The carrier is checked once: at ``KPoly`` the row plan of (a, b) is
-    made once per stream (``KPoly._dot_step``), and each term is one fused
-    :meth:`~kfiblike.ring.KPoly.dot` of (a, b) with (x(n), x(n-1)), with no
-    type check: one zero-padded row per nonzero coefficient of a and b,
-    chained lazily into one tuple.
+    made once per stream, and each term is one fused step of
+    :meth:`~kfiblike.ring.KPoly._dot_step`, the sum of the products of
+    (a, b) with (x(n), x(n-1)), with no type check: one zero-padded row per
+    nonzero coefficient of a and b, chained lazily into one tuple.
     """
     prev, cur = rec.x0, rec.x1
     yield prev
@@ -192,35 +192,17 @@ def _form_on_ints(P: int, Q: int, c1: int, c2: int, n: int) -> int:
     return v * (c1 * v + 2 * c2 * u) - (c1 * Q + c2 * P) * uu
 
 
-def lucas_sweep(P: RingElem, Q: RingElem) -> Iterator[Tuple[RingElem, RingElem]]:
-    """(U(m), U(m+1)) for m = 0, 1, 2, ... of the Lucas sequence U(0) = 0,
-    U(1) = 1, U(m+1) = P*U(m) - Q*U(m-1).
-
-    The pairs are read from one list of U, which :func:`_grow_lucas` extends
-    by one step of two values when the next pair needs one: ceil((m - 2) / 2)
-    steps for m pairs, and U(0) .. U(m + 2) held at m.  Nothing is built
-    before the first read, which checks the mode.
-    """
-    require_same_mode(P, Q)
+def _lucas_prefix(P: RingElem, Q: RingElem, count: int) -> List[RingElem]:
+    """U(0) .. U(count - 1) of U(P, Q), P and Q of one mode, from the seeds
+    0, 1, P: each step appends U(2j+1) and U(2j+2) by the identities of
+    :func:`_doubling` from U(j) and U(j+1) in the list, so each value is made
+    once, by three full products and two by P or Q per two."""
     us = [zero_like(P), one_like(P), P]
-    for m in count():
-        _grow_lucas(P, Q, us, m + 2)
-        yield us[m], us[m + 1]
-
-
-def _grow_lucas(P: RingElem, Q: RingElem, us: List[RingElem],
-                count: int) -> List[RingElem]:
-    """Extend ``us`` = U(0) .. U(2j), j >= 1, in place to at least ``count``
-    values, and return it: each step appends U(2j+1) and U(2j+2) by the
-    identities of :func:`_doubling` from U(j) and U(j+1) in the list, so each
-    value is made once, by three full products and two by P or Q per two."""
-    j = len(us) >> 1
-    while len(us) < count:
+    for j in range(1, count >> 1):
         u, v = us[j], us[j + 1]
         qu = Q * u
         us += v * v - qu * u, v * (P * v - qu - qu)
-        j += 1
-    return us
+    return us[:count]
 
 
 def _doubling(P: RingElem, Q: RingElem, u: RingElem, v: RingElem,

@@ -133,7 +133,7 @@ def test_a_k_power_fault_fails_c02_and_c08(monkeypatch, healthy):
 
 
 @pytest.mark.parametrize("m", [6, 7])   # U(m) at an even and at an odd m
-def test_broken_lucas_sweep_shows_in_every_binet_claim_of_its_family(monkeypatch, healthy, m):
+def test_broken_u_list_shows_in_every_binet_claim_of_its_family(monkeypatch, healthy, m):
     """U(m) off by one in the run's rising k = 3 list: the printed form
     (C13), the exact form (C21) and the double-precision check (C26) each
     read it first as U(n) at n = m, where both forms have c1 = 2k + 2, so

@@ -509,15 +509,6 @@ def test_bench_counts_digits_once_per_n_when_all_rows_agree(capsys, calls):
     assert len(counted) == 3
 
 
-def test_large_value_prints_full_decimal(capsys):
-    # values beyond CPython's default int-to-str guard must still print
-    code, out, _ = run_cli(capsys, ["binet", "rising", "--k", "10", "--n", "2200", "--exact"])
-    assert code == 0
-    value = out.strip()
-    assert len(value) > 4300
-    assert value.isdigit()
-
-
 def test_huge_binet_exact_is_str_of_term_fast(capsys):
     code, out, _ = run_cli(capsys, ["binet", "binomial", "--k", "2", "--n", "200000", "--exact"])
     assert code == 0

@@ -3,16 +3,15 @@
 ``term_fast``, ``binet_closed`` and the audit's lists of U all read the
 same three doubling identities: ``lucas_form`` (behind ``term_fast`` and the
 Binet forms) runs ``sequences._doubling`` over the bits of n >> 1 with a
-fused last step, and ``sequences._grow_lucas`` (behind ``lucas_sweep`` and
-the audit's lists) appends U(2j+1) and U(2j+2) to a list that holds U(j)
-and U(j+1).  So agreeing with each other proves little.  Every check here
-compares them with ``terms`` (the ground-truth iteration) or with the
-U-sequence loop written out below, at the bit patterns the doubling loop
-branches on: around each power of two, where the loop gains a step.
+fused last step, and ``sequences._lucas_prefix`` (behind the audit's lists)
+appends U(2j+1) and U(2j+2) to a list that holds U(j) and U(j+1).  So
+agreeing with each other proves little.  Every check here compares them
+with ``terms`` (the ground-truth iteration) or with the U-sequence loop
+written out below, at the bit patterns the doubling loop branches on:
+around each power of two, where the loop gains a step.
 """
 
 from collections import Counter
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +23,6 @@ from kfiblike.ring import K, KPoly, ModeMismatchError, one_like, zero_like
 from kfiblike.sequences import (
     k_fib,
     lucas_form,
-    lucas_sweep,
     modified_k_fib,
     term_fast,
     terms,
@@ -36,7 +34,7 @@ FAMILIES = [kind.value for kind in KIND_ORDER] + ["modified", "kfib"]
 BIT_EDGE_NS = sorted(
     {0, 1, 2} | {m for j in range(1, 13) for m in (2**j - 1, 2**j, 2**j + 1)}
 )
-SWEEP_LEN = 300  # the sweeps are compared at m < 300, or up to the largest n
+LIST_LEN = 300  # the U lists are compared at m < 300, or up to the largest n
 
 
 def family_rec(name, k):
@@ -66,9 +64,7 @@ def assert_routes_match(rec, ns):
         assert binet_closed(rec, n) == seq[n], ("binet_closed", rec, n)
         assert lucas_form(P, Q, zero, one, n) == us[n], ("U(n)", rec, n)
         assert lucas_form(P, Q, one, zero, n) == us[n + 1], ("U(n+1)", rec, n)
-    reach = min(top + 1, SWEEP_LEN)
-    for m, pair in enumerate(islice(lucas_sweep(P, Q), reach)):
-        assert pair == (us[m], us[m + 1]), ("lucas_sweep", rec, m)
+    reach = min(top + 1, LIST_LEN)
     listed = audit._lucas_list(rec, reach)
     assert listed == us[:reach], ("the audit's U list", rec)
     form = audit._binet_form(closedform._exact_coefficients(rec), listed, rec.x0)
@@ -110,7 +106,7 @@ def test_record_taking_single_values_reject_a_negative_index():
 def test_record_taking_single_values_check_no_mode(calls):
     """An Order2Rec's carrier is checked once, when it is built: term_fast,
     binet_closed and published_binet add no check of their own, while the
-    public lucas_form and lucas_sweep still check theirs."""
+    public lucas_form still checks its own."""
     checks = calls(sequences, "require_same_mode")
     for k in (2, K):
         rec = transform_recurrence(TransformKind.BINOMIAL, k)
@@ -123,17 +119,7 @@ def test_record_taking_single_values_check_no_mode(calls):
         assert [len(elems) for elems in checks] == [4]
         checks.clear()
         lucas_form(rec.a, -rec.b, rec.x0, rec.x1, 30)
-        next(lucas_sweep(rec.a, -rec.b))
-        assert [len(elems) for elems in checks] == [4, 2]
-
-
-def test_lucas_sweep_rejects_mixed_modes_at_the_first_read():
-    # the first two pairs take no doubling step, so only the entry check can
-    # catch it
-    for P, Q in ((K, 1), (3, K)):
-        sweep = lucas_sweep(P, Q)
-        with pytest.raises(ModeMismatchError, match="cannot mix numeric"):
-            next(sweep)
+        assert [len(elems) for elems in checks] == [4]
 
 
 LUCAS_PAIRS = [(3, -1), (-2, 7), (0, 0), (KPoly((1, 2)), KPoly((0, -3)))]
@@ -146,42 +132,32 @@ def _rec_of(P, Q):
 
 @pytest.mark.parametrize("P, Q", LUCAS_PAIRS)
 def test_each_step_appends_the_pair_of_a_doubling_step(P, Q):
-    """The two values a step appends to U(0) .. U(2j) are the pair one
-    doubling step with a 1 bit makes from (U(j), U(j+1)), at every j."""
-    us = [zero_like(P), one_like(P), P]
+    """U(2j+1) and U(2j+2), the last two values of a list of 2j + 3, are the
+    pair one doubling step with a 1 bit makes from (U(j), U(j+1)), at every j."""
     for j in range(1, 36):
-        assert len(us) == 2 * j + 1
-        sequences._grow_lucas(P, Q, us, len(us) + 1)
+        us = sequences._lucas_prefix(P, Q, 2 * j + 3)
+        assert len(us) == 2 * j + 3
         assert tuple(us[-2:]) == sequences._doubling(P, Q, us[j], us[j + 1], "1"), j
 
 
 @pytest.mark.parametrize("P, Q", LUCAS_PAIRS)
-def test_the_sweep_and_the_audit_list_are_the_u_loop_at_every_count(P, Q):
+def test_the_audit_list_is_the_u_loop_at_every_count(P, Q):
     """Through the seeds and at odd and even lengths."""
-    us = u_loop(P, Q, 72)
+    us = u_loop(P, Q, 71)
     rec = _rec_of(P, Q)
     for count in range(71):
-        assert list(islice(lucas_sweep(P, Q), count)) == list(zip(us, us[1:]))[:count], count
         assert audit._lucas_list(rec, count) == us[:count], count
 
 
 def test_each_u_value_is_made_once(calls):
     """A list of count values takes ceil((count - 3) / 2) steps, none below
-    4, of five products each; a sweep read to m holds U(0) .. U(m + 2)."""
+    4, of five products each."""
     P, Q = KPoly((1, 2)), KPoly((0, -3))
     products = calls(KPoly, "__mul__")
-    grown = calls(sequences, "_grow_lucas")
     for count in range(71):
         products.clear()
         audit._lucas_list(_rec_of(P, Q), count)
         assert len(products) == 5 * max(-(-(count - 3) // 2), 0), count
-        products.clear()
-        grown.clear()
-        for m, _ in enumerate(islice(lucas_sweep(P, Q), count)):
-            us = grown[-1][2]
-            assert len(us) <= m + 3, (count, m)
-        # pairs 0 .. count - 1 read U(0) .. U(count)
-        assert len(products) == 5 * max(-(-(count - 2) // 2), 0), count
 
 
 def test_a_single_n_takes_one_doubling_step_per_bit_of_its_half(calls):
@@ -202,7 +178,7 @@ def test_the_audit_reads_its_binet_values_from_its_lists(monkeypatch, calls):
     for module, name in ((sequences, "lucas_form"), (sequences, "_lucas_form"),
                          (closedform, "_lucas_form"), (sequences, "_doubling")):
         monkeypatch.setattr(module, name, forbidden)
-    grown = calls(audit, "_grow_lucas")
+    grown = calls(audit, "_lucas_prefix")
     report = run_audit(k_min=1, k_max=5, n_max=12)
     assert report.counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
     # U(0) .. U(12) of four kinds at k = 1..5 and K
@@ -212,7 +188,7 @@ def test_the_audit_reads_its_binet_values_from_its_lists(monkeypatch, calls):
 def test_a_default_run_builds_one_u_list_per_kind_and_k(calls):
     """C08, C11-C14, C19-C22 and C26 share one U list per (kind, k): four
     kinds at k = 1..10, and four at symbolic k."""
-    grown = calls(audit, "_grow_lucas")
+    grown = calls(audit, "_lucas_prefix")
     assert run_audit().counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
     assert Counter("symbolic" if isinstance(P, KPoly) else "numeric"
                    for P, *_ in grown) == {"numeric": 40, "symbolic": 4}
@@ -281,9 +257,9 @@ _SMALL = st.integers(-6, 6)
        n=st.integers(min_value=0, max_value=300))
 def test_lucas_form_matches_the_pair_at_int_property(P, Q, c1, c2, n):
     """The fused last step, either parity, gives c1*U(n+1) + c2*U(n) of the
-    pair lucas_sweep makes, unfused, and of the plain U loop."""
+    pair read from the audit's U list, unfused, and of the plain U loop."""
     value = lucas_form(P, Q, c1, c2, n)
-    u, u_next = next(islice(lucas_sweep(P, Q), n, None))
+    u, u_next = sequences._lucas_prefix(P, Q, n + 2)[n:]
     assert value == c1 * u_next + c2 * u
     us = u_loop(P, Q, n + 2)
     assert value == c1 * us[n + 1] + c2 * us[n]

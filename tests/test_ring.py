@@ -93,6 +93,18 @@ def test_mode_mixing_rejected():
     require_same_mode(M3, K)
 
 
+def test_times_k_power_refuses_mixed_carriers_before_any_arithmetic(calls):
+    powers = calls(ring, "ipow")
+    for x, k in ((3, K), (3, KPoly((1, 1))), (KPoly((1, 1)), 3)):
+        with pytest.raises(ModeMismatchError, match="cannot mix numeric"):
+            ring.times_k_power(x, k, 2)
+    assert powers == []
+    p = KPoly((1, 2))
+    assert ring.times_k_power(3, 2, 5) == 96
+    assert ring.times_k_power(p, K, 2) == p.shift(2) == KPoly((0, 0, 1, 2))
+    assert ring.times_k_power(p, KPoly((1, 1)), 2) == p * KPoly((1, 2, 1))
+
+
 def test_mode_mixing_rejected_by_operators():
     with pytest.raises(TypeError):
         2 + K  # noqa: B018
@@ -310,7 +322,7 @@ def _dense(n, sign=1, start=1):
     return [sign * (start + i) * (-1) ** i for i in range(n)]
 
 
-# KPoly.dot: one to three pairs, each factor empty, shorter than
+# KPoly._dot_step: one to three pairs, each factor empty, shorter than
 # ring._ROW_PASS_MIN_LEN or at least that long, with coefficients 0, +-1 and
 # wide ones; the two factors of a pair of unrelated lengths.
 _DOT_COEFFS = _or_pool((0, 1, -1, 2**200, -(2**200)), 1 / 2)
@@ -335,14 +347,15 @@ def _dot_reference(pairs):
 @example(pairs=[([-1, 0, 2**200], list(range(1, 18))), ([3, 1, -1], [1, -1])])
 @settings(max_examples=300, deadline=None)
 @given(pairs=st.lists(st.tuples(_dot_factors, _dot_factors), min_size=1, max_size=3))
-def test_kpoly_dot_is_the_sum_of_its_products_property(pairs):
+def test_kpoly_dot_step_is_the_sum_of_its_products_property(pairs):
     xs = [KPoly(a) for a, _ in pairs]
     ys = [KPoly(b) for _, b in pairs]
     want = _dot_reference(pairs)
     products = KPoly()
     for x, y in zip(xs, ys):
         products = products + x * y
-    for got in (KPoly.dot(xs, ys), KPoly.dot(ys, xs), KPoly.dot(iter(xs), tuple(ys))):
+    for got in (KPoly._dot_step(xs)(ys), KPoly._dot_step(ys)(xs),
+                KPoly._dot_step(iter(xs))(tuple(ys)), KPoly._dot_step(tuple(xs))(iter(ys))):
         _assert_built_like_public(got, want)
         assert got == products
     # one plan of the xs over several operand tuples in a row, as a stream
@@ -355,16 +368,14 @@ def test_kpoly_dot_is_the_sum_of_its_products_property(pairs):
         _assert_built_like_public(step(operands), cs)
 
 
-def test_kpoly_dot_pairs_like_zip_and_takes_kpolys_only():
+def test_kpoly_dot_step_pairs_like_zip():
     a, b = KPoly([1, 2]), KPoly([3, 0, 4])
-    assert KPoly.dot((), ()) == KPoly() and KPoly.dot((a, b), ()) == KPoly()
-    assert KPoly.dot((a, b), (b,)) == a * b
+    dot = KPoly._dot_step
+    assert dot(())(()) == KPoly() and dot((a, b))(()) == KPoly()
+    assert dot((a, b))((b,)) == a * b and dot((a,))((b, a)) == a * b
     # a chain longer than ring._CHAIN_MAX_LINKS is read into a tuple on the way
     n = 2 * ring._CHAIN_MAX_LINKS + 1
-    assert KPoly.dot([a] * n, [b] * n) == (a * b).scale(n)
-    for xs, ys in (((a, 1), (b, b)), ((a,), (3,)), ((1,), (2,))):
-        with pytest.raises(TypeError):
-            KPoly.dot(xs, ys)
+    assert dot([a] * n)([b] * n) == (a * b).scale(n)
 
 
 @pytest.mark.parametrize("cs", ([], [1], [-1, 0, 2**200], _dense(20, start=2**64), [0, 0, 7]))

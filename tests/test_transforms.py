@@ -49,8 +49,8 @@ def test_recurrence_shapes_symbolic():
 def test_symbolic_routes_agree_at_depth(kind):
     """Every symbolic route agrees at n = 120, where a term has 120 to 240
     coefficients of about 160 bits.  The two prefixes whose terms are fused
-    KPoly.dot steps agree to n = 120 and evaluate, at k = 1..10, to the int
-    loops of ``terms`` and ``gf_expand``."""
+    KPoly._dot_step steps agree to n = 120 and evaluate, at k = 1..10, to the
+    int loops of ``terms`` and ``gf_expand``."""
     n = 120
     rec = transform_recurrence(kind, K)
     prefix = terms(rec, n + 1)
