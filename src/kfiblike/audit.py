@@ -62,11 +62,13 @@ route.  C07 compares the rising direct sums with M at even indices.  The
 Binet claims evaluate one form, c1 U(n) + c2 U(n-1), at each n from the
 run's U list, with the printed coefficients (C11-C14) or the exact ones and
 x0 at n = 0 (C19-C22, C26, and C08 against the k-binomial direct sums, so
-C02, C08 and C20 pit three routes pairwise).  Each claim computes these
-values, and C15-C18 their series, from the shared lists.  C15-C18 compare
-the printed series with the recurrence prefix.  ``tests/test_audit_routes.py``
-faults each route and names the claims it must move.  Claims C01-C22 are
-each one sweep over the run, from the n_start their row declares.  C23-C25
+C02, C08 and C20 pit three routes pairwise).  C15-C18 expand the printed GF
+through ``iter_terms``, the kernel that makes the derived prefix they compare
+it with: printed data against derived data, which is their subject, while
+C01-C04 and C19-C22 check that kernel and ``genfunc.gf_equal`` checks the
+GFs by cross multiplication.  ``tests/test_audit_routes.py`` faults each
+route and names the claims it must move.  Claims C01-C22 are each one
+sweep over the run, from the n_start their row declares.  C23-C25
 compare each printed list (the table fixtures, the polynomials M(k, 2) ..
 M(k, 5)) with the run's values through one helper that reports its first
 differing entry.  The run and its lists end with :func:`run_audit`; the
@@ -85,7 +87,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ._text import elem_str
-from .closedform import _exact_coefficients, _printed_coefficients, binet_float
+from .closedform import _exact_coefficients, _float_form, _printed_coefficients
 from .genfunc import gf_expand, published_gf
 from .ring import K, KPoly, RingElem, times_k_power, zero_like
 from .sequences import (
@@ -598,15 +600,15 @@ def _check_float_binet(run: _Run) -> Optional[List[Counterexample]]:
     if not ks:
         return None
     recs = [(k, [(kind, run.recurrence(kind, k)) for kind in KIND_ORDER]) for k in ks]
-    rows = [(k, [(kind, rec, _binet_form(_exact_coefficients(rec), run.u(kind, k), rec.x0))
-                 for kind, rec in row])
+    rows = [(k, [(kind, _binet_form(_exact_coefficients(rec), run.u(kind, k), rec.x0),
+                  _float_form(rec)) for kind, rec in row])
             for k, row in recs]
     for n in range(n_stop + 1):
         for k, row in rows:
-            for kind, rec, closed in row:
+            for kind, closed, floated in row:
                 exact = closed(n)
-                approx = binet_float(rec, n)
-                if abs(approx - float(exact)) / float(exact) > tol:
+                approx, target = floated(n), float(exact)
+                if abs(approx - target) / target > tol:
                     return [Counterexample(k=k, n=n, expected=elem_str(exact),
                                            got=repr(approx), label=kind.value)]
     return []

@@ -11,7 +11,8 @@ one form, c1*U(n) + c2*U(n-1), with different coefficient pairs:
   doubling.
 * :func:`binet_float` -- the textbook double-precision root formula,
   C1*r1^n + C2*r2^n.  Useful as a sanity cross-check; accuracy is bounded
-  (and tested) at 1e-9 relative for n <= 40, k <= 5.
+  (and tested) at 1e-9 relative for n <= 40, k <= 5.  The audit reads its
+  per-record form, ``_float_form``, which takes the roots once per record.
 * :func:`published_binet` -- the coefficients exactly as printed in the
   published Binet formulas for the four transforms (4 and -2k for the
   binomial and k-binomial families; 2k+2 and -2 for the rising and falling
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Tuple
+from typing import Callable, Tuple
 
 from ._text import elem_str
 from .ring import KPoly, RingElem, const_like, scale
@@ -63,8 +64,11 @@ def binet_float(rec: Order2Rec, n: int) -> float:
     against :func:`binet_closed` is within 1e-9 for n <= 40, k <= 5.  Raises
     OverflowError when the value does not fit in a double.
     """
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    return _float_form(rec)(n)
+
+
+def _float_form(rec: Order2Rec) -> Callable[[int], float]:
+    """``binet_float(rec, n)`` as a function of n; ``rec`` checked, roots taken once."""
     if isinstance(rec.a, KPoly):
         raise ValueError("the floating-point Binet path needs a numeric recurrence")
     p, q = rec.a, -rec.b
@@ -76,15 +80,20 @@ def binet_float(rec: Order2Rec, n: int) -> float:
     r2 = (p - sq) / 2.0
     c1 = (rec.x1 - rec.x0 * r2) / (r1 - r2)
     c2 = (rec.x0 * r1 - rec.x1) / (r1 - r2)
-    try:
-        value = c1 * r1**n + c2 * r2**n
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise OverflowError(
-            f"x({elem_str(n)}) is beyond the double-precision range (max {sys.float_info.max:.4g})"
-        )
-    return value
+
+    def at(n: int) -> float:
+        if n < 0:
+            raise ValueError("index must be >= 0")
+        try:
+            value = c1 * r1**n + c2 * r2**n
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise OverflowError(f"x({elem_str(n)}) is beyond the double-precision range"
+                                f" (max {sys.float_info.max:.4g})")
+        return value
+
+    return at
 
 
 def published_binet(kind: TransformKind, k: RingElem, n: int) -> RingElem:

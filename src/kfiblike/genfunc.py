@@ -6,8 +6,9 @@ recurrence x(n+1) = a x(n) + b x(n-1) the construction is
 
     den = 1 - a x - b x^2,      num = x0 + (x1 - a x0) x,
 
-and the series falls out of the convolution recurrence coefficient by
-coefficient -- no polynomial long division, no partial fractions.
+and the series is that recurrence again, run by ``sequences.iter_terms``;
+a GF of another shape is expanded by the convolution recurrence, coefficient
+by coefficient -- no polynomial long division, no partial fractions.
 
 GFs are kept unreduced; equality is decided by the cross-multiplied
 polynomial identity num1*den2 == num2*den1, which is exact and needs no gcd
@@ -19,7 +20,7 @@ derivation-built ones.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import mul
 from typing import Deque, Iterable, Iterator, List, Sequence, Tuple
 
@@ -35,7 +36,7 @@ from .ring import (
     scale,
     zero_like,
 )
-from .sequences import Order2Rec, require_valid_k
+from .sequences import Order2Rec, iter_terms, require_valid_k
 from .transforms import TransformKind, require_kind, transform_recurrence
 
 
@@ -105,41 +106,30 @@ def gf_from_rec(rec: Order2Rec) -> RationalGF:
 
 
 def iter_gf(gf: RationalGF) -> Iterator[RingElem]:
-    """Series coefficients c(0), c(1), c(2), ... forever, by the convolution recurrence.
+    """Series coefficients c(0), c(1), c(2), ... forever.
 
-    c(n) = num(n) + sum_{j>=1} (-den(j)) * c(n-j), the denominator's tail
-    negated once per expansion: at most deg(den) ring products and as many
-    additions per coefficient, none of them a subtraction from zero.  A zero
-    coefficient is the typed zero, never the ``Decimal('-0')`` that the CLI's
-    ``Decimal`` copy would otherwise print.  Only the last deg(den)
-    coefficients are kept, so however far a stream runs it holds that many
-    values.  The carrier is checked once: at ``KPoly`` the row plan of the
-    tail is made once per stream, and past the numerator each coefficient
-    is one fused step of :meth:`~kfiblike.ring.KPoly._dot_step`, the sum of
-    the products of the tail with the recent coefficients, with no type
-    check: one zero-padded row per nonzero coefficient of the tail, chained
-    lazily into one tuple.  While fewer coefficients than the tail's entries
-    are known, it pairs them like ``zip``.
+    Every GF the library builds has a denominator 1 + d1 x + d2 x^2 and a
+    numerator of at most two terms.  When d1, d2 and the numerator are
+    nonzero, its series is :func:`~kfiblike.sequences.iter_terms` of the
+    recurrence c(n+1) = -d1 c(n) - d2 c(n-1) from c(0) = num(0) and
+    c(1) = num(1) - d1 c(0), its fused ``KPoly`` step included.  No two
+    consecutive coefficients are then zero, so each step sums a nonzero
+    product and no coefficient is the ``Decimal('-0')`` that the CLI's
+    ``Decimal`` copy would otherwise print.  Any other GF runs the
+    convolution c(n) = num(n) + sum_{j>=1} (-den(j)) * c(n-j), the
+    denominator's tail negated once per expansion, each zero coefficient
+    the typed zero.  Either keeps only the last deg(den) coefficients.
     """
-    zero = zero_like(gf.den.coeffs[0])
-    tail = [-d for d in gf.den.coeffs[1:]]  # -den(1), -den(2), ...
+    den, num = gf.den.coeffs, gf.num.coeffs
+    zero = zero_like(den[0])
+    if len(den) == 3 and den[1] and 0 < len(num) <= 2:
+        c0 = num[0] or zero
+        c1 = (num[1] if len(num) == 2 else zero) - den[1] * c0 or zero
+        yield from iter_terms(Order2Rec(a=-den[1], b=-den[2], x0=c0, x1=c1))  # never ends
+    tail = [-d for d in den[1:]]  # -den(1), -den(2), ...
     recent: Deque[RingElem] = deque(maxlen=len(tail))  # c(n-1), c(n-2), ...
-    for c in gf.num.coeffs:
+    for c in chain(num, repeat(zero)):
         for p in map(mul, tail, recent):
-            c = c + p
-        c = c or zero
-        yield c
-        recent.appendleft(c)
-    if isinstance(zero, KPoly):
-        step = KPoly._dot_step(tail)
-        while True:
-            c = step(recent)
-            yield c
-            recent.appendleft(c)
-    while True:
-        products = map(mul, tail, recent)
-        c = next(products, zero)
-        for p in products:
             c = c + p
         c = c or zero
         yield c

@@ -115,12 +115,13 @@ class KPoly(Frozen):
     row is the start (negated or times c unless c is 1), each later one is
     added (c = 1) or subtracted (c = -1) with no multiply, or added c times.
     One tuple is built per result, read off the chain, and trimmed only
-    when its top coefficient cancels.  ``*`` walks the plan of one factor
-    over the rows of the longer (the right one, at equal lengths), so
-    ``k**i * x``, for an ``x`` at least as long, is one padded copy of
-    ``x``; ``_dot_step((k + 2, -k))((x, y))`` chains three rows into one
-    tuple.  It makes the plan of fixed multipliers once, for the prefix
-    streams, which multiply by the same polynomials at every term.
+    when its top coefficient cancels.  ``*`` walks the plan of the shorter
+    factor (the left one, at equal lengths) over the rows of the other; when
+    that factor has one term, c*k**i, the product is the other shifted by i
+    in one copy, times c unless c is 1.  ``_dot_step((k + 2, -k))((x, y))``
+    chains three rows into one tuple.  It makes the plan of fixed
+    multipliers once, for the prefix streams, which multiply by the same
+    polynomials at every term.
     A product whose longer row is shorter than ``_ROW_PASS_MIN_LEN`` is
     multiplied in a Python loop instead.  There is no per-product Kronecker
     path, only :func:`kronecker_eval`'s per value.
@@ -222,6 +223,12 @@ class KPoly(Frozen):
             return KPoly._trusted([])
         if len(a) > len(b):
             a, b = b, a
+        if not any(a[:-1]):  # c * k**i: one shifted copy of b
+            c = a[-1]
+            row = b if c == 1 else tuple(map(operator.mul, b, repeat(c)))
+            p = _new(KPoly)
+            _set_coeffs(p, (0,) * (len(a) - 1) + row)
+            return p
         nb = len(b)
         if nb < _ROW_PASS_MIN_LEN:
             out = [0] * (len(a) + nb - 1)
@@ -418,18 +425,15 @@ def one_like(template: RingElem) -> RingElem:
     return const_like(1, template)
 
 
-def kronecker_eval(fn: Callable, args: Tuple[KPoly, ...], bound: int):
+def kronecker_eval(fn: Callable, args: Tuple[KPoly, ...], bound: int) -> KPoly:
     """``fn(*args)`` at KPoly ``args`` by Kronecker substitution.  ``fn`` only
     adds, subtracts and multiplies; the caller states ``bound``, at least the
-    magnitude of every coefficient of every value ``fn`` returns, which fixes
-    w.  ``fn`` runs once at the args' values at k = 256**w, and each value it
-    returns, one or a tuple, is read back from its base-256**w digits."""
+    magnitude of every coefficient of the value ``fn`` returns, which fixes
+    w.  ``fn`` runs once at the args' values at k = 256**w, and the one int it
+    returns is read back from its base-256**w digits."""
     width = kronecker_width(bound)
     point = 256**width
-    value = fn(*[a.evaluate(point) for a in args])
-    if isinstance(value, tuple):
-        return tuple([KPoly.from_kronecker(v, width) for v in value])
-    return KPoly.from_kronecker(value, width)
+    return KPoly.from_kronecker(fn(*[a.evaluate(point) for a in args]), width)
 
 
 def ipow(x: RingElem, e: int) -> RingElem:

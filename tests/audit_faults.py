@@ -73,8 +73,9 @@ FAULTS = {
         lambda k, n, pair, us, *x0: tuple(us[2:4]) in [
             (rec.a, rec.a * rec.a + rec.b) for rec in _records(k)],
         lambda form, n, d: lambda m: _offset(form(m), n, d) if m == n else form(m)),
-    "binet_float": _fault(
-        lambda k, n, rec, m: m == n and rec in _records(k), lambda x, n, d: x * (1 + d * 1e-6)),
+    "_float_form": _fault(  # the form of a record is off at n
+        lambda k, n, rec: rec in _records(k),
+        lambda form, n, d: lambda m: form(m) * (1 + d * 1e-6) if m == n else form(m)),
     "TABLE_FIXTURES": lambda fixtures, k, n, d: tuple(
         replace(fx, values=_bumped(fx.values, n, d)) if fx.k == k else fx for fx in fixtures),
     "PUBLISHED_M_POLYS": lambda polys, k, n, d: {  # printed at K only

@@ -1,6 +1,17 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the hypothesis profiles.
+
+``HYPOTHESIS_PROFILE=ci`` draws each property's examples from a fixed seed
+and prints the blob that replays a failure; unset, the default profile
+draws fresh examples on every run.
+"""
+
+import os
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -58,10 +58,22 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_claim_with_no_point_in_range_is_not_checked(calls):
-    floats = calls(audit, "binet_float")
+def test_claim_with_no_point_in_range_is_not_checked(monkeypatch):
+    forms, floats, real = [], [], audit._float_form
+
+    def spy(rec):  # each float form built, and each float it computes
+        forms.append(rec)
+        at = real(rec)
+
+        def counted(n):
+            floats.append(n)
+            return at(n)
+
+        return counted
+
+    monkeypatch.setattr(audit, "_float_form", spy)
     report = run_audit(k_min=audit.FLOAT_K_CAP + 1, k_max=10, symbolic=False)
-    assert not floats
+    assert not forms and not floats
     c26 = report.result("C26")
     assert c26.verdict is Verdict.NOT_CHECKED and c26.counterexamples == ()
     assert report.counts == {"PASS": 21, "FAIL": 0, "INFO-DISCREPANCY": 4, "NOT-CHECKED": 1}
@@ -83,7 +95,7 @@ def test_claim_with_no_point_in_range_is_not_checked(calls):
     # one point in range is enough for a verdict
     assert run_audit(k_min=audit.FLOAT_K_CAP, k_max=10,
                      symbolic=False).result("C26").verdict is Verdict.PASS
-    assert floats
+    assert forms and floats
 
 
 def test_c12_counterexample(report):

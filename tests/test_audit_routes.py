@@ -49,7 +49,7 @@ ROUTES = {
     "C23": ({"TABLE_FIXTURES"}, DIRECT["binomial"] | DIRECT["rising"] | DIRECT["falling"]),
     "C24": ({"TABLE_FIXTURES"}, DIRECT["kbinomial"]),
     "C25": ({"PUBLISHED_M_POLYS"}, {"run.m"}),
-    "C26": ({*(f"run.u:{kind}" for kind in KINDS), *BINET, SUBJECT}, {"binet_float", SUBJECT}),
+    "C26": ({*(f"run.u:{kind}" for kind in KINDS), *BINET, SUBJECT}, {"_float_form", SUBJECT}),
 }
 
 
@@ -86,7 +86,7 @@ def test_a_fault_in_a_route_moves_exactly_its_readers_on_their_side(monkeypatch,
         pairs = list(zip(at_4[cid][1], at_6[cid][1], strict=True))
         assert all(replace(a, **{field: ""}) == replace(b, **{field: ""}) for a, b in pairs), cid
         assert any(getattr(a, field) != getattr(b, field) for a, b in pairs), cid
-    if route == "binet_float":  # C26 names the kind and prints the float's repr
+    if route == "_float_form":  # C26 names the kind and prints the float's repr
         (ce,) = at_4["C26"][1]
         rec = transform_recurrence(TransformKind(ce.label), ce.k)
         assert ce.got == repr(binet_float(rec, ce.n) * (1 + 4e-6))

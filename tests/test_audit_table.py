@@ -219,12 +219,13 @@ def test_broken_symbolic_m_prefix_fails_the_published_m_polys_too(monkeypatch, h
 
 
 def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch, calls):
-    """The recurrences of the transforms, of M and of F are built a number
-    of times that does not grow with n_max, at most a few per (kind, k), and
-    the audit reads M from its own prefix, never from term_iterative."""
+    """The recurrences of the transforms, of M and of F, and C26's float
+    forms, are built a number of times that does not grow with n_max, at
+    most a few per (kind, k), and the audit reads M from its own prefix,
+    never from term_iterative."""
     modules = (audit, closedform, genfunc, sequences, transforms)
     spies = {name: [calls(module, name) for module in modules if hasattr(module, name)]
-             for name in ("transform_recurrence", "modified_k_fib", "k_fib")}
+             for name in ("transform_recurrence", "modified_k_fib", "k_fib", "_float_form")}
 
     def forbidden(*args):
         raise AssertionError("the audit called term_iterative")
@@ -244,6 +245,7 @@ def test_route_values_are_built_per_kind_and_k_not_per_point(monkeypatch, calls)
     assert built["transform_recurrence"] <= len(KIND_ORDER) * ks
     assert built["modified_k_fib"] <= ks
     assert built["k_fib"] <= ks               # F's prefix, shared by C09 and C10
+    assert built["_float_form"] == len(KIND_ORDER) * 5  # one per record at k <= FLOAT_K_CAP
 
 
 def test_each_direct_prefix_is_generated_once_per_run(monkeypatch, calls):

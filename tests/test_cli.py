@@ -47,6 +47,7 @@ USAGE_ERRORS = {
     ("gen", "modified", "--k", "0", "--count", "3"): "--k must be >= 1, got 0",
     ("transform", "binomial", "--k", "2", "--count", "-1"): "--count must be >= 0, got -1",
     ("gf", "binomial"): "gf needs either --k or --symbolic",
+    ("gf", "binomial", "--k", "2", "--symbolic"): "choose either --k or --symbolic, not both",
     ("binet", "binomial", "--k", "2", "--n", "-1", "--exact"): "--n must be >= 0, got -1",
     ("audit", "--k-min", "5", "--k-max", "2"): "need 1 <= k_min <= k_max",
     ("bench", "--k", "2", "--n", "-5"): "--n must be >= 0, got -5",
@@ -243,6 +244,21 @@ def test_transform_verify(capsys):
         assert err == "verify: direct sum and closed recurrence agree on 300 terms\n"
 
 
+def test_transform_verify_reports_mismatch_as_failure(capsys, monkeypatch):
+    """A direct sum one off at n = 4 is named with both values, on stderr
+    alone, and the run exits 1."""
+    real = cli.iter_direct
+
+    def one_off(kind, k):
+        return (v + (n == 4) for n, v in enumerate(real(kind, k)))
+
+    monkeypatch.setattr(cli, "iter_direct", one_off)
+    code, out, err = run_cli(capsys, ["transform", "falling", "--k", "3", "--count", "9", "--verify"])
+    r = terms(transform_recurrence(TransformKind.FALLING_K, 3), 5)[4]
+    assert (code, out) == (1, "")
+    assert err == f"verify: MISMATCH at n=4: direct {r + 1}, recurrence {r}\n"
+
+
 @pytest.mark.parametrize("kind", list(TransformKind))
 def test_gf_symbolic_with_expansion(capsys, kind):
     gf = derived_gf(kind, K)
@@ -402,10 +418,10 @@ def test_interrupt_exits_130_without_a_traceback(capsys, monkeypatch):
 def test_value_error_inside_a_claim_exits_3(capsys, monkeypatch):
     """Only the range check is a usage error: a ValueError raised inside a
     claim is a fault, reported as one line with exit 3."""
-    def broken(rec, n):
+    def broken(rec):
         raise ValueError("no float here")
 
-    monkeypatch.setattr("kfiblike.audit.binet_float", broken)
+    monkeypatch.setattr("kfiblike.audit._float_form", broken)
     monkeypatch.setattr(sys, "argv", ["kfiblike", "audit", "--k-max", "2", "--n-max", "8"])
     with pytest.raises(SystemExit) as exc:
         cli.entry()

@@ -19,9 +19,10 @@ from kfiblike.genfunc import (
     xpoly,
     xpoly_str,
 )
-from kfiblike._text import _EXACT_CONTEXT
+from kfiblike import genfunc
+from kfiblike._text import _EXACT_CONTEXT, decimal_copy
 from kfiblike.ring import K, KPoly
-from kfiblike.sequences import Order2Rec, k_fib, terms
+from kfiblike.sequences import Order2Rec, k_fib, modified_k_fib, terms
 from kfiblike.transforms import KIND_ORDER, TransformKind, transform_recurrence
 
 
@@ -97,6 +98,46 @@ def test_a_decimal_expansion_prints_no_negative_zero():
         series = list(islice(iter_gf(gf_from_rec(rec)), 6))
         assert str(Decimal(-3) * Decimal(0)) == "-0"
     assert [str(c) for c in series] == ["0"] * 6
+
+
+@pytest.mark.parametrize("num, den, order_2", [
+    ([1], [1, 0, 1], False),  # 1/(1 + x^2): a zero d1 leaves the convolution
+    ([0, 1], [1, -3, -1], True),  # F at k = 3: the series starts at 0
+])
+def test_decimal_expansions_of_either_route_print_no_negative_zero(calls, num, den, order_2):
+    orders = calls(genfunc, "iter_terms")
+    gf = decimal_copy(RationalGF(xpoly(num), xpoly(den)))
+    with decimal.localcontext(_EXACT_CONTEXT):
+        series = [str(c) for c in islice(iter_gf(gf), 12)]
+    assert "-0" not in series
+    assert series == [str(c) for c in gf_expand(RationalGF(xpoly(num), xpoly(den)), 12)]
+    assert bool(orders) is order_2
+
+
+@pytest.mark.parametrize("k", [*range(1, 11), K])
+def test_every_gf_the_library_builds_is_expanded_by_iter_terms(calls, k):
+    """Each GF built from a record, and each printed one, is expanded as
+    iter_terms of the record read back from it: the record itself, or one
+    with the transform's a and b; at int k its Decimal copy too."""
+    orders = calls(genfunc, "iter_terms")
+
+    def read_back(gf):
+        orders.clear()
+        series = gf_expand(gf, 40)
+        ((rec,),) = orders
+        assert series == terms(rec, 40)
+        if isinstance(k, int):
+            with decimal.localcontext(_EXACT_CONTEXT):
+                assert gf_expand(decimal_copy(gf), 40) == series
+            assert len(orders) == 2
+        return rec
+
+    for rec in [*(transform_recurrence(kind, k) for kind in KIND_ORDER),
+                modified_k_fib(k), k_fib(k)]:
+        assert read_back(gf_from_rec(rec)) == rec
+    for kind in KIND_ORDER:
+        rec, printed = transform_recurrence(kind, k), read_back(published_gf(kind, k))
+        assert (printed.a, printed.b) == (rec.a, rec.b)
 
 
 def test_published_binomial_gf_diverges_at_index_one():
