@@ -253,7 +253,8 @@ def test_transform_verify_reports_mismatch_as_failure(capsys, monkeypatch):
         return (v + (n == 4) for n, v in enumerate(real(kind, k)))
 
     monkeypatch.setattr(cli, "iter_direct", one_off)
-    code, out, err = run_cli(capsys, ["transform", "falling", "--k", "3", "--count", "9", "--verify"])
+    code, out, err = run_cli(
+        capsys, ["transform", "falling", "--k", "3", "--count", "9", "--verify"])
     r = terms(transform_recurrence(TransformKind.FALLING_K, 3), 5)[4]
     assert (code, out) == (1, "")
     assert err == f"verify: MISMATCH at n=4: direct {r + 1}, recurrence {r}\n"
