@@ -84,7 +84,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from enum import Enum
 from functools import cache, partial
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._text import elem_str
 from .closedform import _exact_coefficients, _float_form, _printed_coefficients
@@ -196,16 +196,19 @@ def _work_estimate(k_min: int, k_max: int, n_max: int) -> Decimal:
 
 class _Run:
     """One audit run: its config and the route values the module docstring
-    lists; ``count(k)`` is :func:`_count` of its config.  The builders close
-    over the config, and the k-binomial one over the binomial table's, never
-    over the run, so the run is no reference cycle and its lists go with it.
+    lists.  ``count(k)`` is how many terms, n = 0 .. n_max (or sym_n), a
+    sweep at k compares: none at a k past the run's range, which only a table
+    fixture reads.  The builders close over the config, and the k-binomial
+    one over the binomial table's, never over the run, so the run is no
+    reference cycle and its lists go with it.
     A function of this module patched in before :func:`run_audit` is the one
     the run calls.
     """
 
     def __init__(self, cfg: AuditConfig):
         self.cfg = cfg
-        self.count = count = lambda k: _count(cfg, k)
+        self.count = count = lambda k: (
+            cfg.sym_n + 1 if isinstance(k, KPoly) else cfg.n_max + 1 if k in cfg.ks else 0)
         table = cache(lambda kind, k: list(islice(
             iter_direct(kind, k), max(count(k) + 1, _TABLE_LEN))))
         self.direct = cache(lambda kind, k: table(kind, k) if kind is not _W else [
@@ -217,14 +220,6 @@ class _Run:
         self.u = cache(lambda kind, k: _lucas_list(recurrence(kind, k), count(k)))
         self.f = cache(lambda k: terms(k_fib(k), count(k)))
         self.pascal = _pascal_rows()
-
-
-def _count(cfg: AuditConfig, k: RingElem) -> int:
-    """How many terms, n = 0 .. n_max (or sym_n), a sweep at k compares: none
-    at a k past the run's range, which only a table fixture reads."""
-    if isinstance(k, KPoly):
-        return cfg.sym_n + 1
-    return cfg.n_max + 1 if k in cfg.ks else 0
 
 
 def _lucas_list(rec: Order2Rec, count: int) -> List[RingElem]:
@@ -462,17 +457,16 @@ def _sweep(row: _Row, n_start: int = 0) -> Callable[[_Run], List[Counterexample]
     at n = n_start, n_start + 1, ... in that order, once each, and all k at
     one n before the next n, so the difference lemmas read one Pascal row
     per n from the run, made from the row before.  One point loop runs the
-    numeric leg first, then the symbolic leg at K to sym_n (capped for
-    polynomial-degree growth), each leg's rows built when it starts.
+    numeric leg first, then the symbolic leg at K, each leg's rows built when
+    it starts, and each leg's n below ``run.count`` of its first k.
     """
     def checker(run: _Run) -> List[Counterexample]:
-        cfg = run.cfg
-        legs: List[Tuple[Iterable[RingElem], int]] = [(cfg.ks, cfg.n_max)]
-        if cfg.symbolic:
-            legs.append(((K,), cfg.sym_n))
-        for ks, n_max in legs:
+        legs: List[Sequence[RingElem]] = [run.cfg.ks]
+        if run.cfg.symbolic:
+            legs.append((K,))
+        for ks in legs:
             pairs = [(k, row(run, k)) for k in ks]
-            for n in range(n_start, n_max + 1):
+            for n in range(n_start, run.count(ks[0])):
                 for k, pair in pairs:
                     expected, got = pair(n)
                     if expected != got:
@@ -711,5 +705,4 @@ def run_audit(
             verdict = Verdict.INFO_DISCREPANCY
         results.append(ClaimResult(claim=claim, verdict=verdict,
                                    counterexamples=tuple(ces)))
-    results.sort(key=lambda r: r.claim.id)
     return AuditReport(config=cfg, results=tuple(results))

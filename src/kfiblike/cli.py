@@ -129,11 +129,9 @@ def _emit_terms(values: Iterable[_Term], fmt: str, out) -> None:
             # what json.dumps writes: a term's text is digits and "-", never escaped
             for n, v in enumerate(values):
                 out.write(f'{{"index": {n}, "value": "{elem_str(v)}"}}\n')
-        elif fmt == "bfile":
+        else:  # bfile; argparse restricts the formats to FORMATS
             for n, v in enumerate(values):
                 out.write(f"{n} {elem_str(v)}\n")
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown format {fmt!r}")
 
 
 def _at_least(parser: argparse.ArgumentParser, flag: str, value: int, low: int) -> None:

@@ -37,7 +37,7 @@ import sys
 from typing import Callable, Tuple
 
 from ._text import elem_str
-from .ring import KPoly, RingElem, const_like, scale
+from .ring import KPoly, RingElem, const_like, require_int, scale
 from .sequences import Order2Rec, _lucas_form
 from .transforms import TransformKind, transform_recurrence
 
@@ -49,8 +49,7 @@ def binet_closed(rec: Order2Rec, n: int) -> RingElem:
     P, Q = a, -b, whose mode ``rec`` has checked.  n = 0 is special-cased so
     U(-1) = -1/Q never materialises; the carrier stays division free.
     """
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    require_int(n, "index")
     if n == 0:
         return rec.x0
     return _lucas_form(rec.a, -rec.b, *_exact_coefficients(rec), n - 1)
@@ -64,11 +63,13 @@ def binet_float(rec: Order2Rec, n: int) -> float:
     against :func:`binet_closed` is within 1e-9 for n <= 40, k <= 5.  Raises
     OverflowError when the value does not fit in a double.
     """
+    require_int(n, "index")
     return _float_form(rec)(n)
 
 
 def _float_form(rec: Order2Rec) -> Callable[[int], float]:
-    """``binet_float(rec, n)`` as a function of n; ``rec`` checked, roots taken once."""
+    """``binet_float(rec, n)`` as a function of an index n >= 0 the caller
+    has checked; ``rec`` checked, roots taken once."""
     if isinstance(rec.a, KPoly):
         raise ValueError("the floating-point Binet path needs a numeric recurrence")
     p, q = rec.a, -rec.b
@@ -82,8 +83,6 @@ def _float_form(rec: Order2Rec) -> Callable[[int], float]:
     c2 = (rec.x0 * r1 - rec.x1) / (r1 - r2)
 
     def at(n: int) -> float:
-        if n < 0:
-            raise ValueError("index must be >= 0")
         try:
             value = c1 * r1**n + c2 * r2**n
         except OverflowError:
@@ -106,8 +105,7 @@ def published_binet(kind: TransformKind, k: RingElem, n: int) -> RingElem:
     the four disagree with their own initial conditions, which is precisely
     what the audit demonstrates.
     """
-    if n < 1:
-        raise ValueError("the printed Binet formulas are evaluated for n >= 1 only")
+    require_int(n, "n", 1, "the printed Binet formulas are evaluated for n >= 1 only")
     rec = transform_recurrence(kind, k)
     return _lucas_form(rec.a, -rec.b, *_printed_coefficients(kind, k), n - 1)
 

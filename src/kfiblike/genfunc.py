@@ -32,6 +32,7 @@ from .ring import (
     const_like,
     ipow,
     one_like,
+    require_int,
     require_same_mode,
     scale,
     zero_like,
@@ -138,8 +139,7 @@ def iter_gf(gf: RationalGF) -> Iterator[RingElem]:
 
 def gf_expand(gf: RationalGF, count: int) -> List[RingElem]:
     """First ``count`` series coefficients of :func:`iter_gf`."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    require_int(count, "count")
     return list(islice(iter_gf(gf), count))
 
 

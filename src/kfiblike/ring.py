@@ -26,8 +26,8 @@ whole single value on ints at k = 256**w and reads it back once: Kronecker
 substitution (Schoenhage 1982; Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", 2009).  Each caller states its own bound
 on the coefficients, which fixes w, in the docstring of the function that
-computes it: :func:`ipow`, ``transforms._weighted_sum``,
-``sequences._lucas_bound`` and ``sequences.lucas_form``.
+computes it: :func:`ipow`, ``transforms._weighted_sum`` and
+``sequences.lucas_form``.
 :func:`times_k_power` multiplies by k**m, at ``K`` by a coefficient shift.
 
 Decimal text is made in :mod:`kfiblike._text`.  Its :func:`elem_str`, which
@@ -260,10 +260,7 @@ class KPoly(Frozen):
 
     def shift(self, m: int) -> "KPoly":
         """Multiply by k**m, m >= 0: m zero coefficients put in front."""
-        if type(m) is not int:
-            raise TypeError("shift must be int")
-        if m < 0:
-            raise ValueError("shift must be >= 0")
+        require_int(m, "shift")
         if not self.coeffs:
             return self
         p = _new(KPoly)
@@ -405,6 +402,16 @@ def require_same_mode(*elems: RingElem) -> None:
             raise ModeMismatchError(_MIXED_MODES)
 
 
+def require_int(n: int, name: str, low: int = 0, message: str = "") -> None:
+    """Reject an index, count or exponent n that is no int (a bool is no int
+    here) with ``TypeError``, and an n < low with ``ValueError``, whose text is
+    ``message`` or "<name> must be >= <low>"."""
+    if type(n) is not int:
+        raise TypeError(f"{name} must be int, got {type(n).__name__}")
+    if n < low:
+        raise ValueError(message or f"{name} must be >= {low}")
+
+
 def scale(x: RingElem, c: int) -> RingElem:
     """Multiply a ring element by an integer scalar (mode preserving)."""
     if isinstance(x, KPoly):
@@ -437,14 +444,10 @@ def kronecker_eval(fn: Callable, args: Tuple[KPoly, ...], bound: int) -> KPoly:
 
 
 def ipow(x: RingElem, e: int) -> RingElem:
-    """x**e for an int exponent e >= 0 (a bool is no int here, as in
-    :meth:`KPoly.shift`), either mode; a KPoly power is one
-    :func:`kronecker_eval` at the bound ||x||**e, since the l1 norm is
-    submultiplicative."""
-    if type(e) is not int:
-        raise TypeError(f"exponent must be int, got {type(e).__name__}")
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
+    """x**e for an int exponent e >= 0 (:func:`require_int`), either mode; a
+    KPoly power is one :func:`kronecker_eval` at the bound ||x||**e, since
+    the l1 norm is submultiplicative."""
+    require_int(e, "exponent")
     if isinstance(x, int):
         return x**e
     return kronecker_eval(lambda v: v**e, (x,), x.norm()**e)

@@ -13,8 +13,8 @@ one value and one prefix list:
 
 * :func:`lucas_form` gives c1*U(n+1) + c2*U(n) for one n: O(log n) steps,
   the last one fused with the combination, so the pair is never built, and
-  one ``ring.kronecker_eval`` at symbolic arguments, at the bound its
-  docstring states.  U(n) itself is the form with (c1, c2) = (0, 1).
+  one ``ring.kronecker_eval`` at symbolic arguments, at the bound proved in
+  :func:`_lucas_form`.  U(n) itself is the form with (c1, c2) = (0, 1).
   :func:`term_fast` here and the single-n Binet forms in ``closedform`` are
   this form with their own coefficient pairs, ``term_fast`` at n and the
   Binet forms at n - 1, so their fused steps always take opposite branches
@@ -42,6 +42,7 @@ from .ring import (
     exact_div_int,
     kronecker_eval,
     one_like,
+    require_int,
     require_same_mode,
     scale,
     zero_like,
@@ -113,35 +114,14 @@ def iter_terms(rec: Order2Rec) -> Iterator[RingElem]:
 
 def terms(rec: Order2Rec, count: int) -> List[RingElem]:
     """First ``count`` terms x0 .. x(count-1); count 0 and 1 truncate the initials."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    require_int(count, "count")
     return list(islice(iter_terms(rec), count))
 
 
 def term_iterative(rec: Order2Rec, n: int) -> RingElem:
     """x(n) by plain iteration, keeping only a rolling pair of values."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    require_int(n, "index")
     return next(islice(iter_terms(rec), n, None))
-
-
-def _lucas_bound(P: KPoly, Q: KPoly, n: int) -> int:
-    """A bound on the l1 norms of U(n) and U(n+1) at KPoly P and Q, n >= 1.
-
-    From Lucas's explicit formula (Amer. J. Math. 1, 1878), with D = P^2 - 4Q:
-
-        2^(m-1) U(m) = sum over odd j of C(m, j) P^(m-j) D^((j-1)/2),
-
-    so, the l1 norm being submultiplicative, 2^(m-1) ||U(m)|| is at most the
-    same sum at ||P|| and ||D||, which is U(m) at (2||P||, ||P||^2 - ||D||):
-    that pair's discriminant is 4||D||.  One int :func:`_doubling` pass, then
-    the pair shifted right by n - 1 and n, rounded up.  It sees the sign of
-    Q through D, where the majorant (||P||, -||Q||) cannot, and is never
-    wider, since ||D|| <= ||P||^2 + 4||Q||.
-    """
-    p = P.norm()
-    u, v = _doubling(2 * p, p * p - (P * P - Q.scale(4)).norm(), 1, 2 * p, bin(n)[3:])
-    return max(-(-u >> (n - 1)), -(-v >> n))
 
 
 def lucas_form(P: RingElem, Q: RingElem, c1: RingElem, c2: RingElem,
@@ -153,8 +133,8 @@ def lucas_form(P: RingElem, Q: RingElem, c1: RingElem, c2: RingElem,
     U(n+1) are never both built.  The mode of P, Q, c1 and c2 is checked
     once, here, before :func:`_lucas_form`.  Symbolic arguments run the int
     code as one :func:`~kfiblike.ring.kronecker_eval`, read back once, at
-    the bound (||c1|| + ||c2||) * :func:`_lucas_bound`, the l1 norm being
-    subadditive and submultiplicative.
+    the bound :func:`_lucas_form` proves by running the same int code at a
+    majorant pair.
     """
     require_same_mode(P, Q, c1, c2)
     return _lucas_form(P, Q, c1, c2, n)
@@ -163,15 +143,30 @@ def lucas_form(P: RingElem, Q: RingElem, c1: RingElem, c2: RingElem,
 def _lucas_form(P: RingElem, Q: RingElem, c1: RingElem, c2: RingElem,
                 n: int) -> RingElem:
     """:func:`lucas_form` past its mode check, for arguments already of one
-    mode: an ``Order2Rec``'s fields and values built from them."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    mode: an ``Order2Rec``'s fields and values built from them.
+
+    At KPoly arguments the slot bound is :func:`_form_on_ints` at a majorant.
+    With D = P^2 - 4Q and U' the U sequence of the int pair
+    (2||P||, ||P||^2 - ||D||), whose discriminant is 4||D||, Lucas's formula
+    (Amer. J. Math. 1, 1878)
+
+        2^(m-1) U(m) = sum over odd j of C(m, j) P^(m-j) D^((j-1)/2)
+
+    and the l1 norm being subadditive and submultiplicative give
+    2^(m-1) ||U(m)|| <= U'(m) for m >= 1.  So ||c1*U(n+1) + c2*U(n)|| is at
+    most (||c1|| U'(n+1) + 2||c2|| U'(n)) / 2^n, rounded up, whose numerator
+    is the form on ints at (2||P||, ||P||^2 - ||D||, ||c1||, 2||c2||).  It
+    sees the sign of Q through D, where the majorant (||P||, -||Q||) cannot.
+    """
+    require_int(n, "index")
     if n == 0:
         return c1
     if isinstance(P, KPoly):
+        p = P.norm()
+        majorant = _form_on_ints(2 * p, p * p - (P * P - Q.scale(4)).norm(),
+                                 c1.norm(), 2 * c2.norm(), n)
         return kronecker_eval(lambda p, q, a, b: _form_on_ints(p, q, a, b, n),
-                              (P, Q, c1, c2),
-                              (c1.norm() + c2.norm()) * _lucas_bound(P, Q, n))
+                              (P, Q, c1, c2), -(-majorant >> n))
     return _form_on_ints(P, Q, c1, c2, n)
 
 
@@ -240,8 +235,7 @@ def term_fast(rec: Order2Rec, n: int) -> RingElem:
 def m_from_f(k: RingElem, n: int) -> RingElem:
     """M(n) reconstructed as 2*(F(n) + F(n-1)); defined for n >= 1."""
     require_valid_k(k)
-    if n < 1:
-        raise ValueError("the F-to-M identity needs n >= 1 (F(-1) is undefined)")
+    require_int(n, "n", 1, "the F-to-M identity needs n >= 1 (F(-1) is undefined)")
     return _m_from_f_terms(terms(k_fib(k), n + 1), n)
 
 
@@ -258,8 +252,7 @@ def f_from_m(k: RingElem, n: int) -> RingElem:
     exact halving cannot fail unless the implementation itself is broken.
     """
     require_valid_k(k)
-    if n < 1:
-        raise ValueError("the alternating-sum identity needs n >= 1")
+    require_int(n, "n", 1, "the alternating-sum identity needs n >= 1")
     sums = _halved_alternating_sums(iter_terms(modified_k_fib(k)))
     return next(islice(sums, n, None))
 

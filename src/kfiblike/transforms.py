@@ -46,7 +46,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, List, Tuple
 
-from .ring import KPoly, RingElem, const_like, kronecker_eval, one_like, scale, times_k_power
+from .ring import (KPoly, RingElem, const_like, kronecker_eval, one_like, require_int,
+                   scale, times_k_power)
 from .sequences import Order2Rec, modified_k_fib, require_valid_k, term_iterative
 
 
@@ -86,8 +87,7 @@ def transform_direct(kind: TransformKind, k: RingElem, n: int) -> RingElem:
     """
     require_kind(kind)
     require_valid_k(k)
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    require_int(n, "index")
     two = const_like(2, k)
     return _weighted_sum(kind, k, n, two, two)
 

@@ -46,6 +46,10 @@ def test_verdicts(report):
             assert r.verdict is Verdict.PASS, (r.claim.id, r.counterexamples)
     assert not report.has_implementation_failure
     assert report.counts == {"PASS": 22, "FAIL": 0, "INFO-DISCREPANCY": 4}
+    # the report keeps the registry's id order, and knows no other id
+    assert [r.claim.id for r in report.results] == [c.id for c in claim_registry()]
+    with pytest.raises(KeyError):
+        run_audit(n_max=2).result("C99")
 
 
 # run_audit(k_min=6, k_max=10, symbolic=False) before NOT-CHECKED existed,

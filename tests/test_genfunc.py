@@ -200,6 +200,9 @@ def test_xpoly_arithmetic():
     assert (p * q).coeffs == (3, 4, -4)
     assert xpoly([0]).coeffs == ()
     assert p.coeffs[0] == 1
+    assert xpoly([]) * xpoly([1]) == xpoly([])
+    with pytest.raises(TypeError):
+        xpoly([1]) * 3  # noqa: B018
 
 
 def test_gf_text_rendering():
@@ -213,6 +216,7 @@ def test_gf_text_rendering():
         "(2 - 2k^2x) / (1 - (k^2+2k)x + k^3x^2)"
     assert xpoly_str(xpoly([])) == "0"
     assert xpoly_str(xpoly([1, 1])) == "1 + x"
+    assert xpoly_str(xpoly([1, 0, 1])) == "1 + x^2"
 
 
 @needs_str_guard

@@ -1,21 +1,34 @@
-"""The domain of k and of the transform kind across the public API, and
-identities at random k.
+"""The domain of k, of the transform kind and of indices across the public
+API, and identities at random k.
 
 Every public function that takes k accepts an int k >= 1 and the symbolic
 ``K``, refuses an int k < 1 with ``ValueError``, and refuses anything else
 (a float, a bool, a string, None) with ``TypeError`` before any arithmetic.
 Every public function that takes a kind refuses anything but a
 ``TransformKind`` (its name, None, an int) with ``TypeError``.
+Every public function that takes an index, count or exponent n accepts an
+int n at or above its least value (0, or 1 where the formula reads n - 1),
+refuses a smaller int with ``ValueError``, and refuses anything else (a bool,
+a float, even an integral one, a string, None) with ``TypeError``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfiblike.closedform import published_binet
-from kfiblike.genfunc import derived_gf, published_gf
-from kfiblike.ring import K
-from kfiblike.sequences import f_from_m, k_fib, m_from_f, modified_k_fib, terms
+from kfiblike.closedform import binet_closed, binet_float, published_binet
+from kfiblike.genfunc import derived_gf, gf_expand, published_gf
+from kfiblike.ring import K, ipow
+from kfiblike.sequences import (
+    f_from_m,
+    k_fib,
+    lucas_form,
+    m_from_f,
+    modified_k_fib,
+    term_fast,
+    term_iterative,
+    terms,
+)
 from kfiblike.transforms import (
     KIND_ORDER,
     TransformKind,
@@ -74,6 +87,30 @@ TAKES_KIND = {
     "derived_gf": lambda kind: derived_gf(kind, 2),
 }
 
+REC = transform_recurrence(TransformKind.BINOMIAL, 2)
+
+#: One call of each public function that takes an index, count or exponent,
+#: at that n, and the least n it accepts.
+TAKES_N = {
+    "terms": (lambda n: terms(REC, n), 0),
+    "term_iterative": (lambda n: term_iterative(REC, n), 0),
+    "term_fast": (lambda n: term_fast(REC, n), 0),
+    "lucas_form": (lambda n: lucas_form(3, 1, 1, 0, n), 0),
+    "transform_direct": (lambda n: transform_direct(KIND, 2, n), 0),
+    "binet_closed": (lambda n: binet_closed(REC, n), 0),
+    "binet_float": (lambda n: binet_float(REC, n), 0),
+    "gf_expand": (lambda n: gf_expand(published_gf(KIND, 2), n), 0),
+    "ipow": (lambda n: ipow(K, n), 0),
+    "KPoly.shift": (lambda n: K.shift(n), 0),
+    "m_from_f": (lambda n: m_from_f(2, n), 1),
+    "f_from_m": (lambda n: f_from_m(2, n), 1),
+    "published_binet": (lambda n: published_binet(KIND, 2, n), 1),
+}
+
+#: Each n with its error; an int n is taken above the function's least n.
+INDEX_BOUNDARY = [(True, TypeError), (2.0, TypeError), (2.5, TypeError), ("3", TypeError),
+                  (None, TypeError), (-1, ValueError), (0, None), (3, None)]
+
 BOUNDARY = [(1.5, TypeError), (True, TypeError), ("x", TypeError), (None, TypeError),
             (0, ValueError), (-3, ValueError), (1, None), (K, None)]
 
@@ -87,6 +124,22 @@ def test_k_boundary(name, k, error):
     else:
         with pytest.raises(error, match="k must be"):
             call(k)
+
+
+@pytest.mark.parametrize("n, error", INDEX_BOUNDARY, ids=[repr(n) for n, _ in INDEX_BOUNDARY])
+@pytest.mark.parametrize("name", sorted(TAKES_N))
+def test_index_boundary(name, n, error):
+    call, low = TAKES_N[name]
+    if type(n) is int:
+        n += low
+    if error is None:
+        call(n)
+    elif error is TypeError:
+        with pytest.raises(TypeError, match=r"must be int, got"):
+            call(n)
+    else:
+        with pytest.raises(ValueError, match=f">= {low}"):
+            call(n)
 
 
 @pytest.mark.parametrize("kind", ["binomial", None, 0], ids=repr)

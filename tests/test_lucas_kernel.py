@@ -53,6 +53,38 @@ def u_loop(P, Q, count):
     return us[:count]
 
 
+def stated_bound(P, Q, c1, c2, n):
+    """lucas_form at KPoly arguments and n >= 1, and the one bound it states
+    to kronecker_eval."""
+    bounds, real = [], sequences.kronecker_eval
+
+    def spy(fn, args, bound):
+        bounds.append(bound)
+        return real(fn, args, bound)
+
+    sequences.kronecker_eval = spy
+    try:
+        value = lucas_form(P, Q, c1, c2, n)
+    finally:
+        sequences.kronecker_eval = real
+    (bound,) = bounds
+    return value, bound
+
+
+def majorant_u(P, Q, count):
+    """U'(0) .. U'(count-1), the U loop at the int pair (2||P||, ||P||^2 - ||D||),
+    D = P^2 - 4Q, for which 2^(m-1) ||U(m)|| <= U'(m) at m >= 1."""
+    p = P.norm()
+    return u_loop(2 * p, p * p - (P * P - Q.scale(4)).norm(), count)
+
+
+def pair_bound(P, Q, c1, c2, n):
+    """A looser bound on the form, from the pair alone: (||c1|| + ||c2||)
+    times the larger of U'(n) / 2^(n-1) and U'(n+1) / 2^n, each rounded up."""
+    us = majorant_u(P, Q, n + 2)
+    return (c1.norm() + c2.norm()) * max(-(-us[n] >> (n - 1)), -(-us[n + 1] >> n))
+
+
 def assert_routes_match(rec, ns):
     top = max(ns)
     seq = terms(rec, top + 1)
@@ -219,18 +251,19 @@ def test_kernel_matches_iteration_property(family, k, n):
 @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
 def test_lucas_slot_width_of_each_transform_recurrence_at_n_240(kind):
     """Each transform recurrence is U(3, 1) at k = 1 and its U has
-    nonnegative coefficients, so the discriminant bound is the exact l1 norm
-    of (U(240), U(241)): a 42-byte slot, where the majorant (||P||, -||Q||)
-    needs 52 bytes (58 for the falling kind)."""
+    nonnegative coefficients, so the bound the form states at (c1, c2) =
+    (0, 1) and (1, 0) is the exact l1 norm of U(240) and of U(241): a 42-byte
+    slot, where the majorant (||P||, -||Q||) needs 52 bytes (58 for the
+    falling kind)."""
     rec = transform_recurrence(kind, K)
     P, Q = rec.a, -rec.b
     us = u_loop(P, Q, 242)
     zero, one = zero_like(P), one_like(P)
-    assert lucas_form(P, Q, zero, one, 240) == us[240]
-    assert lucas_form(P, Q, one, zero, 240) == us[241]
-    bound = sequences._lucas_bound(P, Q, 240)
-    assert bound == max(us[240].norm(), us[241].norm())
-    assert ring.kronecker_width(bound) == 42
+    for (c1, c2), m in (((zero, one), 240), ((one, zero), 241)):
+        value, bound = stated_bound(P, Q, c1, c2, 240)
+        assert value == us[m]
+        assert bound == us[m].norm()
+        assert ring.kronecker_width(bound) == 42
 
 
 # small or wide coefficients of either sign, degree at most 4, and the zero
@@ -275,18 +308,19 @@ def test_lucas_form_matches_the_pair_at_int_property(P, Q, c1, c2, n):
 def test_symbolic_lucas_pair_matches_the_ring_ops_property(P, Q, n):
     """A symbolic pair, read as lucas_form at (c1, c2) = (0, 1) and (1, 0),
     is the pair the doubling loop makes on KPoly ring ops and the pair of the
-    plain U loop.  Its slot bound holds the l1 norms of the pair, and is at
-    most the pair at the majorant (||P||, -||Q||)."""
+    plain U loop.  The slot bound each states holds the l1 norm of its value,
+    and is at most that value at the majorant (||P||, -||Q||)."""
     us = u_loop(P, Q, n + 2)
     zero, one = zero_like(P), one_like(P)
     pair = (lucas_form(P, Q, zero, one, n), lucas_form(P, Q, one, zero, n))
     assert pair == (us[n], us[n + 1])
     if n:
-        bits = bin(n)[3:]
-        assert pair == sequences._doubling(P, Q, one, P, bits)
-        bound = sequences._lucas_bound(P, Q, n)
-        assert bound >= max(us[n].norm(), us[n + 1].norm())
-        assert bound <= max(sequences._doubling(P.norm(), -Q.norm(), 1, P.norm(), bits))
+        assert pair == sequences._doubling(P, Q, one, P, bin(n)[3:])
+        plain = u_loop(P.norm(), -Q.norm(), n + 2)
+        for (c1, c2), m in (((zero, one), n), ((one, zero), n + 1)):
+            value, bound = stated_bound(P, Q, c1, c2, n)
+            assert value == us[m]
+            assert us[m].norm() <= bound <= plain[m]
 
 
 @example(P=KPoly((1,)), Q=KPoly((1000,)), c1=KPoly((1,)), c2=KPoly(()), n=1)
@@ -296,9 +330,8 @@ def test_symbolic_lucas_pair_matches_the_ring_ops_property(P, Q, n):
 @settings(max_examples=150, deadline=None)
 @given(P=_POLYS, Q=_POLYS, c1=_POLYS, c2=_POLYS, n=st.integers(min_value=0, max_value=64))
 def test_symbolic_lucas_form_matches_the_pair_property(P, Q, c1, c2, n):
-    """At KPoly the form, one Kronecker evaluation at the bound
-    (||c1|| + ||c2||) * _lucas_bound and one read-back, is the form over the
-    pair of the plain U loop."""
+    """At KPoly the form, one Kronecker evaluation at the bound it states and
+    one read-back, is the form over the pair of the plain U loop."""
     us = u_loop(P, Q, n + 2)
     assert lucas_form(P, Q, c1, c2, n) == c1 * us[n + 1] + c2 * us[n]
 
@@ -322,21 +355,55 @@ def test_symbolic_single_values_are_read_back_once(calls, kind):
         assert len(reads) == 1, name
 
 
+def caller_pairs(kind, rec):
+    """The (c1, c2) of binet_closed, published_binet and term_fast."""
+    return (closedform._exact_coefficients(rec),
+            closedform._printed_coefficients(kind, K),
+            (rec.x0, rec.x1 - rec.a * rec.x0))
+
+
 @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
-def test_the_stated_form_bound_holds_the_value_at_n_240(calls, kind):
+def test_the_stated_form_bound_holds_the_value_at_n_240(kind):
     """Each caller's coefficient pair at n = 240: the bound lucas_form states
-    to kronecker_eval is at least the l1 norm of the value read back."""
-    evals = calls(sequences, "kronecker_eval")
+    to kronecker_eval is (||c1|| U'(241) + 2||c2|| U'(240)) / 2^240 rounded
+    up, at least the l1 norm of the value read back, and at most the pair
+    bound."""
     rec = transform_recurrence(kind, K)
     P, Q = rec.a, -rec.b
     us = u_loop(P, Q, 242)
-    pairs = (closedform._exact_coefficients(rec),
-             closedform._printed_coefficients(kind, K),
-             (rec.x0, rec.x1 - rec.a * rec.x0))
-    for c1, c2 in pairs:
-        evals.clear()
-        value = lucas_form(P, Q, c1, c2, 240)
+    majorant = majorant_u(P, Q, 242)
+    for c1, c2 in caller_pairs(kind, rec):
+        value, bound = stated_bound(P, Q, c1, c2, 240)
         assert value == c1 * us[241] + c2 * us[240]
-        stated = [bound for fn, args, bound in evals]
-        assert stated == [(c1.norm() + c2.norm()) * sequences._lucas_bound(P, Q, 240)]
-        assert stated[0] >= value.norm()
+        assert bound == -(-(c1.norm() * majorant[241] + 2 * c2.norm() * majorant[240]) >> 240)
+        assert value.norm() <= bound <= pair_bound(P, Q, c1, c2, 240)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 100, 240])
+@pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda kk: kk.value)
+def test_the_stated_form_bound_is_rigorous_and_never_wider(kind, n):
+    """At each caller's pair, the stated bound is at least the largest
+    |coefficient| of the value read back and at most the pair bound."""
+    rec = transform_recurrence(kind, K)
+    P, Q = rec.a, -rec.b
+    us = u_loop(P, Q, n + 2)
+    for c1, c2 in caller_pairs(kind, rec):
+        value, bound = stated_bound(P, Q, c1, c2, n)
+        assert value == c1 * us[n + 1] + c2 * us[n]
+        assert max(map(abs, value.coeffs), default=0) <= bound <= pair_bound(P, Q, c1, c2, n)
+
+
+def test_symbolic_single_value_slot_widths_at_n_240(calls):
+    """The Kronecker slot, in bytes, of term_fast, binet_closed and
+    published_binet at K and n = 240."""
+    evals = calls(sequences, "kronecker_eval")
+    widths = {}
+    for kind in KIND_ORDER:
+        rec = transform_recurrence(kind, K)
+        term_fast(rec, 240)
+        binet_closed(rec, 240)
+        published_binet(kind, K, 240)
+        widths[kind.value] = [ring.kronecker_width(bound) for *_, bound in evals]
+        evals.clear()
+    assert widths == {"binomial": [42, 42, 42], "kbinomial": [42, 42, 42],
+                      "rising": [43, 42, 42], "falling": [43, 42, 42]}

@@ -73,6 +73,8 @@ def test_exact_div_failure_names_a_value_past_the_str_guard(limit):
 def test_exact_div_by_zero():
     with pytest.raises(ZeroDivisionError):
         exact_div_int(4, 0)
+    with pytest.raises(TypeError, match="divisor must be int"):
+        exact_div_int(K, 2.0)
 
 
 def test_exact_div_negative_divisor():
@@ -108,6 +110,10 @@ def test_times_k_power_refuses_mixed_carriers_before_any_arithmetic(calls):
 def test_mode_mixing_rejected_by_operators():
     with pytest.raises(TypeError):
         2 + K  # noqa: B018
+    with pytest.raises(TypeError):
+        K + 2  # noqa: B018
+    with pytest.raises(TypeError):
+        K - 2  # noqa: B018
     with pytest.raises(TypeError):
         K * 2  # noqa: B018
 
@@ -183,6 +189,8 @@ def test_scale_and_ipow():
     assert ipow(KPoly((1, 1)), 2) == KPoly((1, 2, 1))
     with pytest.raises(ValueError):
         ipow(K, -1)
+    with pytest.raises(TypeError, match="scale factor must be int"):
+        K.scale(1.5)
 
 
 def test_const_like():

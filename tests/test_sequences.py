@@ -95,6 +95,8 @@ def test_term_iterative_matches_terms():
     seq = terms(rec, 50)
     for n in (0, 1, 2, 17, 49):
         assert term_iterative(rec, n) == seq[n]
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        term_iterative(modified_k_fib(2), -1)
 
 
 def test_iter_terms_is_unbounded_prefix():
